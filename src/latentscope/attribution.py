@@ -15,6 +15,10 @@ q = |Z| and m total features:
 evaluated exactly in rational arithmetic. Averaging over the background rows
 yields interventional SHAP values satisfying local accuracy to float
 precision.
+
+Within a leaf, an explained row's terms depend only on which path intervals
+it satisfies (its pattern): they are built once per distinct pattern and the
+sums scattered back to the rows, which get the same bits as if alone.
 """
 
 from __future__ import annotations
@@ -59,9 +63,7 @@ def _shap_weight_tables(m: int, kmax: int):
     fact_m = factorial(m)
     for t in range(kmax + 1):
         for q in range(kmax + 1 - t):
-            free = m - t - q
-            if free < 0:
-                continue
+            free = m - t - q  # >= 0: path features are distinct, so kmax <= m
             if t >= 1:
                 num = sum(comb(free, j) * factorial(t - 1 + j) * factorial(m - t - j)
                           for j in range(free + 1))
@@ -89,13 +91,8 @@ def shap_values(model: ForestModel, x, background):
     if bg.shape[0] == 0:
         raise DegenerateInputError("SHAP needs a non-empty background set")
 
-    leaves = []
-    kmax = 0
-    for tree in model.trees:
-        for leaf in tree.leaf_boxes():
-            leaves.append(leaf)
-            kmax = max(kmax, leaf[1].size)
-    wplus, wminus = _shap_weight_tables(m, kmax)
+    leaves = [leaf for tree in model.trees for leaf in tree.leaf_boxes()]
+    wplus, wminus = _shap_weight_tables(m, max(leaf[1].size for leaf in leaves))
 
     n, nb = x.shape[0], bg.shape[0]
     phi = np.zeros((n, m))
@@ -104,6 +101,11 @@ def shap_values(model: ForestModel, x, background):
             continue  # reachable under every coalition: no marginal effect
         x_ok = (x[:, feats] > lows) & (x[:, feats] <= highs)
         z_ok = (bg[:, feats] > lows) & (bg[:, feats] <= highs)
+        packed = np.packbits(x_ok, axis=1)
+        key = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        x_ok = x_ok[first]  # one row per distinct pattern
         t_mask = x_ok[:, None, :] & ~z_ok[None, :, :]
         z_mask = ~x_ok[:, None, :] & z_ok[None, :, :]
         dead = (~x_ok[:, None, :] & ~z_ok[None, :, :]).any(axis=2)
@@ -113,7 +115,7 @@ def shap_values(model: ForestModel, x, background):
         plus = np.where(live, wplus[t, q], 0.0) * v
         minus = np.where(live, wminus[t, q], 0.0) * v
         contrib = t_mask * plus[:, :, None] - z_mask * minus[:, :, None]
-        phi[:, feats] += contrib.sum(axis=1)
+        phi[:, feats] += contrib.sum(axis=1)[inverse]
     phi /= model.n_trees * nb
     base = float(forest_predict(model, bg).mean())
     return phi, base

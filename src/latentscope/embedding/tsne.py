@@ -1,14 +1,15 @@
 """t-SNE from scratch: exact affinities, bisection perplexity calibration,
-early exaggeration, momentum gradient descent.
+early exaggeration, momentum gradient descent with adaptive gains.
 
 Conditional affinities use per-point Gaussian bandwidths found by bisection
 so each row's entropy-based perplexity (exp of the Shannon entropy in nats)
 matches the requested perplexity within 1e-3. Rows are symmetrized to
 p_ij = (p_j|i + p_i|j) / (2n). The low-dimensional kernel is the Student-t
-with one degree of freedom. Optimization is plain gradient descent with
-momentum 0.5 (0.8 after iteration 250) and early exaggeration x12 for the
-first 250 iterations; no adaptive gains. KL(P||Q) against the un-exaggerated
-P is recorded every iteration.
+with one degree of freedom. Optimization is gradient descent with momentum
+0.5 (0.8 after iteration 250), early exaggeration x12 for the first 250
+iterations, and per-coordinate adaptive gains (+0.2 while the gradient
+opposes the velocity, x0.8 otherwise, floored at 0.01). KL(P||Q) against the
+un-exaggerated P is recorded every iteration.
 """
 
 from __future__ import annotations

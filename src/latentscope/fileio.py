@@ -21,7 +21,7 @@ import os
 import numpy as np
 
 from .data import AtlasMap, Cohort, Subject, Volume
-from .errors import FormatError
+from .errors import DependencyError, FormatError
 
 VOLUME_MAGIC = b"LSVOL1\n"
 ATLAS_MAGIC = b"LSATL1\n"
@@ -125,8 +125,11 @@ def write_csv(path: str, fieldnames: list[str], rows, comments=()) -> None:
 
 
 def read_csv(path: str) -> list[dict[str, str]]:
-    with open(path, "r", newline="") as f:
-        lines = [ln for ln in f if not ln.startswith("#")]
+    try:
+        with open(path, "r", newline="") as f:
+            lines = [ln for ln in f if not ln.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:  # missing or unreadable
+        raise DependencyError(f"cannot read artifact {path}: {exc}") from exc
     return list(csv.DictReader(lines))
 
 

@@ -31,16 +31,14 @@ class TreeArrays:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = np.empty(x.shape[0])
-        for i, row in enumerate(x):
-            node = 0
-            while self.feature[node] >= 0:
-                if row[self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
-                else:
-                    node = self.right[node]
-            out[i] = self.value[node]
-        return out
+        rows = np.arange(x.shape[0])
+        node = np.zeros(x.shape[0], dtype=np.intp)
+        while (self.feature[node] >= 0).any():  # all rows, one level a step
+            f = self.feature[node]
+            go_left = x[rows, np.maximum(f, 0)] <= self.threshold[node]
+            child = np.where(go_left, self.left[node], self.right[node])
+            node = np.where(f >= 0, child, node)
+        return self.value[node]
 
     def leaf_boxes(self):
         """Yield (leaf value, constrained features, lows, highs) per leaf.
@@ -61,12 +59,8 @@ class TreeArrays:
                 continue
             thr = float(self.threshold[node])
             lo, hi = box.get(f, (-np.inf, np.inf))
-            left_box = dict(box)
-            left_box[f] = (lo, min(hi, thr))
-            right_box = dict(box)
-            right_box[f] = (max(lo, thr), hi)
-            stack.append((int(self.right[node]), right_box))
-            stack.append((int(self.left[node]), left_box))
+            stack.append((int(self.right[node]), {**box, f: (max(lo, thr), hi)}))
+            stack.append((int(self.left[node]), {**box, f: (lo, min(hi, thr))}))
 
 
 @dataclass
@@ -109,41 +103,39 @@ class ForestModel:
 def _best_split(x, y, idx, feats, min_leaf):
     """Best variance-reduction split over candidate features.
 
-    Returns (gain, feature, threshold) or None. First candidate wins exact
-    ties, so the result is deterministic for a fixed feature order.
+    Returns (gain, feature, threshold) or None. One stable sort of all
+    candidate columns gives a (positions x candidates) gain matrix. Exact ties
+    go to the first position within a feature, then to the first candidate in
+    `feats` order, so the result is deterministic for a fixed feature order.
     """
     y_node = y[idx]
     n = y_node.size
     total = float(y_node @ y_node) - n * float(y_node.mean()) ** 2
-    best = None
-    for f in feats:
-        vals = x[idx, f]
-        order = np.argsort(vals, kind="stable")
-        vs = vals[order]
-        ys = y_node[order]
-        cy = np.cumsum(ys)
-        cy2 = np.cumsum(ys * ys)
-        pos = np.arange(min_leaf - 1, n - min_leaf)
-        if pos.size == 0:
-            continue
-        valid = vs[pos] != vs[pos + 1]
-        if not valid.any():
-            continue
-        pos = pos[valid]
-        nl = (pos + 1).astype(np.float64)
-        nr = n - nl
-        sl = cy[pos]
-        s2l = cy2[pos]
-        sse_l = s2l - sl * sl / nl
-        sr = cy[-1] - sl
-        s2r = cy2[-1] - s2l
-        sse_r = s2r - sr * sr / nr
-        gain = total - sse_l - sse_r
-        k = int(np.argmax(gain))
-        if best is None or gain[k] > best[0]:
-            thr = 0.5 * (vs[pos[k]] + vs[pos[k] + 1])
-            best = (float(gain[k]), int(f), float(thr))
-    return best
+    pos = np.arange(min_leaf - 1, n - min_leaf)
+    if pos.size == 0:
+        return None
+    vals = x[np.ix_(idx, feats)]
+    order = np.argsort(vals, axis=0, kind="stable")
+    vs = np.take_along_axis(vals, order, axis=0)
+    ys = y_node[order]
+    cy = np.cumsum(ys, axis=0)
+    cy2 = np.cumsum(ys * ys, axis=0)
+    nl = (pos + 1).astype(np.float64)[:, None]
+    nr = n - nl
+    sl = cy[pos]
+    s2l = cy2[pos]
+    sse_l = s2l - sl * sl / nl
+    sr = cy[-1] - sl
+    s2r = cy2[-1] - s2l
+    sse_r = s2r - sr * sr / nr
+    gain = total - sse_l - sse_r
+    gain[vs[pos] == vs[pos + 1]] = -np.inf
+    # column-major argmax: first candidate holding the maximum, first position
+    j, k = divmod(int(np.argmax(gain.T)), pos.size)
+    if gain[k, j] == -np.inf:
+        return None
+    thr = 0.5 * (vs[pos[k], j] + vs[pos[k] + 1, j])
+    return float(gain[k, j]), int(feats[j]), float(thr)
 
 
 def _grow_tree(x, y, rng, max_depth, min_leaf, m_try):

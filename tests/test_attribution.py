@@ -1,5 +1,6 @@
 """Attribution tests: exact Shapley values against brute-force enumeration."""
 
+import hashlib
 import itertools
 from math import factorial
 
@@ -117,6 +118,40 @@ class TestShapExactness:
         model, x, _ = small_forest(m=5)
         with pytest.raises(DegenerateInputError):
             shap_values(model, x[:2], x[:0])
+
+
+class TestPatternGrouping:
+    """Rows that share a leaf pattern are computed once and scattered back;
+    every row must get exactly the bits it gets when explained alone."""
+
+    @pytest.mark.parametrize("n_bg", [1, 3, 17])
+    def test_batch_rows_equal_single_rows_bitwise(self, n_bg):
+        model, x, _ = small_forest(m=6, n=50, seed=6, n_trees=10, max_depth=5)
+        explained = np.concatenate([x[20:29], x[20:23], x[25:26]])  # repeats
+        bg = x[:n_bg]
+        phi, base = shap_values(model, explained, bg)
+        for row, phi_row in zip(explained, phi):
+            alone, base1 = tree_shap(model, row, bg)
+            assert alone.tobytes() == phi_row.tobytes()
+            assert base1 == base
+        assert phi[9:12].tobytes() == phi[0:3].tobytes()
+
+    def test_pinned_forest_and_shap_bytes(self):
+        # any change to split search or summation order moves these digests
+        rng = np.random.default_rng(2024)
+        x = rng.uniform(size=(48, 6))
+        x[:, 1] = np.round(x[:, 1] * 4.0) / 4.0  # tied values
+        x[:, 4] = x[:, 0]  # duplicated column: gains tie across features
+        y = (2.0 * x[:, 0] - x[:, 1] + x[:, 2] * x[:, 3]
+             + 0.1 * rng.normal(size=48))
+        model = rf_fit(x, y, ForestConfig(n_trees=12, max_depth=5,
+                                          min_leaf=2, seed=3))
+        phi, base = shap_values(model, x, x[:20])
+        assert model.forest_hash() == (
+            "a030e1746540e3fdecb3e29eedb5201cc8b5002edc4b64ddd101ab23eb5464a4")
+        assert hashlib.sha256(phi.tobytes()).hexdigest() == (
+            "90696a912d779c895b1a59904b221167a877788db8555ede51aa445473fb47d3")
+        assert base.hex() == (0.6988593316025051).hex()
 
 
 class TestImportance:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentscope.data import AtlasMap, Volume
-from latentscope.errors import FormatError
+from latentscope.errors import DependencyError, FormatError
 from latentscope.fileio import (load_atlas, load_cohort, load_volume, read_csv,
                                 save_atlas, save_cohort, save_volume,
                                 write_csv)
@@ -109,3 +109,14 @@ def test_csv_float_formatting_is_round_trippable(tmp_path):
     back = float(read_csv(path)[0]["v"])
     assert back == pytest.approx(value, rel=0, abs=0) or back == float(
         np.float64(value))
+
+
+def test_csv_missing_or_unreadable_is_package_error(tmp_path):
+    with pytest.raises(DependencyError, match="absent.csv"):
+        read_csv(str(tmp_path / "absent.csv"))
+    with pytest.raises(DependencyError):
+        read_csv(str(tmp_path))  # a directory, not a file
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"a,b\n\xff\xfe,1\n")
+    with pytest.raises(DependencyError):
+        read_csv(str(path))

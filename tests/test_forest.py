@@ -1,10 +1,14 @@
-"""Random-forest regressor tests: determinism, fit quality, leaf geometry."""
+"""Random-forest regressor tests: determinism, fit quality, leaf geometry,
+and the batched split search against a per-feature reference."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentscope.errors import ConfigError, DegenerateInputError
-from latentscope.forest import ForestConfig, ForestModel, forest_predict, rf_fit
+from latentscope.forest import (ForestConfig, ForestModel, TreeArrays,
+                                _best_split, forest_predict, rf_fit)
 
 
 class TestFitBasics:
@@ -146,3 +150,145 @@ class TestLeafBoxes:
                 for k, f in enumerate(feats):
                     inside &= (xb[:, f] > lows[k]) & (xb[:, f] <= highs[k])
                 assert int(inside.sum()) >= min_leaf
+
+
+def reference_best_split(x, y, idx, feats, min_leaf):
+    """One sort and two cumulative sums per candidate feature; the first
+    position wins ties within a feature, the first candidate across them."""
+    y_node = y[idx]
+    n = y_node.size
+    total = float(y_node @ y_node) - n * float(y_node.mean()) ** 2
+    best = None
+    for f in feats:
+        vals = x[idx, f]
+        order = np.argsort(vals, kind="stable")
+        vs = vals[order]
+        ys = y_node[order]
+        cy = np.cumsum(ys)
+        cy2 = np.cumsum(ys * ys)
+        pos = np.arange(min_leaf - 1, n - min_leaf)
+        if pos.size == 0:
+            continue
+        valid = vs[pos] != vs[pos + 1]
+        if not valid.any():
+            continue
+        pos = pos[valid]
+        nl = (pos + 1).astype(np.float64)
+        nr = n - nl
+        sl = cy[pos]
+        s2l = cy2[pos]
+        sse_l = s2l - sl * sl / nl
+        sr = cy[-1] - sl
+        s2r = cy2[-1] - s2l
+        sse_r = s2r - sr * sr / nr
+        gain = total - sse_l - sse_r
+        k = int(np.argmax(gain))
+        if best is None or gain[k] > best[0]:
+            thr = 0.5 * (vs[pos[k]] + vs[pos[k] + 1])
+            best = (float(gain[k]), int(f), float(thr))
+    return best
+
+
+def split_bits(split):
+    """The split with its floats as exact hex strings (tells -0.0 from 0.0)."""
+    if split is None:
+        return None
+    gain, f, thr = split
+    return gain.hex(), f, thr.hex()
+
+
+@st.composite
+def split_cases(draw):
+    """Columns that are tied (few levels), continuous, constant, or copies of
+    an earlier column; integer targets make gains tie exactly."""
+    rows = draw(st.integers(1, 20))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.empty((rows, m))
+    for j in range(m):
+        kind = draw(st.sampled_from(
+            ["tied", "uniform", "constant"] + (["copy"] if j else [])))
+        if kind == "tied":
+            x[:, j] = rng.integers(0, draw(st.integers(1, 4)), size=rows)
+        elif kind == "uniform":
+            x[:, j] = rng.uniform(-1.0, 1.0, size=rows)
+        elif kind == "constant":
+            x[:, j] = 0.5
+        else:
+            x[:, j] = x[:, draw(st.integers(0, j - 1))]
+    if draw(st.booleans()):
+        y = rng.integers(0, 3, size=rows).astype(np.float64)
+    else:
+        y = rng.normal(size=rows)
+    idx = rng.integers(0, rows, size=draw(st.integers(1, 2 * rows)))
+    feats = rng.permutation(m)[:draw(st.integers(1, m))]
+    if draw(st.booleans()):
+        feats = np.sort(feats)
+    min_leaf = draw(st.integers(1, 12))
+    return x, y, idx, feats, min_leaf
+
+
+class TestSplitSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(split_cases())
+    def test_matches_per_feature_reference(self, case):
+        assert (split_bits(_best_split(*case))
+                == split_bits(reference_best_split(*case)))
+
+    def test_first_position_wins_within_a_feature(self):
+        # y is symmetric, so splitting after the 1st or the 3rd sample gain
+        # the same; the lower position is kept
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([1.0, 0.0, 0.0, 1.0])
+        _, f, thr = _best_split(x, y, np.arange(4), np.array([0]), 1)
+        assert (f, thr) == (0, 0.5)
+
+    def test_first_candidate_wins_across_features(self):
+        rng = np.random.default_rng(0)
+        col = rng.uniform(size=12)
+        x = np.stack([col, col], axis=1)
+        y = 3.0 * col
+        idx = np.arange(12)
+        assert _best_split(x, y, idx, np.array([0, 1]), 2)[1] == 0
+        assert _best_split(x, y, idx, np.array([1, 0]), 2)[1] == 1
+
+    def test_constant_columns_give_none(self):
+        x = np.full((10, 3), 0.25)
+        y = np.arange(10.0)
+        assert _best_split(x, y, np.arange(10), np.array([0, 1, 2]), 1) is None
+
+    def test_too_few_rows_for_min_leaf_give_none(self):
+        x = np.arange(10.0)[:, None]
+        y = np.arange(10.0)
+        for min_leaf in (6, 10, 11):  # n < 2 * min_leaf: no position
+            assert _best_split(x, y, np.arange(10), np.array([0]),
+                               min_leaf) is None
+        assert _best_split(x, y, np.arange(10), np.array([0]), 5)[2] == 4.5
+
+
+class TestPredictRouting:
+    def test_matches_row_by_row_walk(self):
+        rng = np.random.default_rng(10)
+        x = rng.uniform(size=(80, 4))
+        y = x[:, 0] - x[:, 3] + 0.1 * rng.normal(size=80)
+        model = rf_fit(x, y, ForestConfig(n_trees=6, max_depth=7, seed=1))
+        probes = np.concatenate([rng.uniform(size=(30, 4)), x[:10]])
+        for tree in model.trees:
+            walked = []
+            for row in probes:
+                node = 0
+                while tree.feature[node] >= 0:
+                    go_left = row[tree.feature[node]] <= tree.threshold[node]
+                    node = tree.left[node] if go_left else tree.right[node]
+                walked.append(tree.value[node])
+            np.testing.assert_array_equal(tree.predict(probes), walked)
+
+    def test_single_leaf_tree_and_empty_input(self):
+        leaf = TreeArrays(feature=np.array([-1], dtype=np.int32),
+                          threshold=np.zeros(1),
+                          left=np.array([-1], dtype=np.int32),
+                          right=np.array([-1], dtype=np.int32),
+                          value=np.array([1.5]))
+        np.testing.assert_array_equal(leaf.predict(np.zeros((3, 2))),
+                                      [1.5, 1.5, 1.5])
+        assert leaf.predict(np.zeros((0, 2))).shape == (0,)

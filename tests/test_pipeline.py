@@ -320,6 +320,20 @@ class TestCLI:
         assert main(["train"] + base + ["--seed", "8",
                                         "--stage-force"]) == EXIT_OK
 
+    def test_report_missing_artifact_exits_3(self, tiny_run, tmp_path,
+                                             capsys):
+        # every stamp is present, but an artifact the report reads is gone
+        cfg, out = tiny_run
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        (copy / "lrcp" / "summary.csv").unlink()
+        cfg_file = tmp_path / "study.cfg"
+        write_config(cfg, str(cfg_file))
+        code = main(["report", "--config", str(cfg_file), "--out", str(copy)])
+        assert code == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "summary.csv" in err
+
     def test_numeric_failure_exits_4(self, tmp_path, capsys):
         # four subjects per class is enough to generate and train on but too
         # few for the attribution forest, which needs five samples
