@@ -22,7 +22,8 @@ import numpy as np
 
 from . import nn
 from .data import Cohort
-from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .errors import (ConfigError, DependencyError, FormatError, NumericError,
+                     ShapeError)
 from .ssim import ssim3d, ssim3d_with_grad
 
 ENCODER_CHANNELS = (1, 16, 32, 64)
@@ -37,9 +38,6 @@ class LayerSpec:
     out_channels: int
     activation: str  # "relu" | "sigmoid"
     batch_norm: bool
-    kernel: int = nn.KERNEL
-    stride: int = nn.STRIDE
-    padding: int = nn.PADDING
 
 
 def default_architecture() -> list[LayerSpec]:
@@ -64,29 +62,11 @@ class LayerParams:
     running_mean: np.ndarray | None = None
     running_var: np.ndarray | None = None
 
-    def copy(self) -> "LayerParams":
-        cp = lambda a: None if a is None else a.copy()
-        return LayerParams(
-            self.w.copy(), self.b.copy(), cp(self.gamma), cp(self.beta),
-            cp(self.running_mean), cp(self.running_var),
-        )
-
 
 @dataclass
 class AEParams:
     layers: list[LayerSpec]
     params: list[LayerParams]
-
-    @property
-    def encoder(self) -> list[LayerSpec]:
-        return self.layers[:3]
-
-    @property
-    def decoder(self) -> list[LayerSpec]:
-        return self.layers[3:]
-
-    def copy(self) -> "AEParams":
-        return AEParams(list(self.layers), [p.copy() for p in self.params])
 
     def trainable_items(self):
         """Yields (layer_index, name, array) in a fixed order."""
@@ -375,9 +355,6 @@ def train(cohort, config: TrainConfig) -> tuple[AEParams, TrainReport]:
     t_step = 0
 
     epoch_losses: list[float] = []
-    best = np.inf
-    best_epoch = 0
-    streak = 0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
         batch_losses = []
@@ -400,18 +377,13 @@ def train(cohort, config: TrainConfig) -> tuple[AEParams, TrainReport]:
         if not np.isfinite(epoch_loss):
             raise NumericError(f"non-finite epoch loss at epoch {epoch}")
         epoch_losses.append(epoch_loss)
-        if epoch_loss < best:
-            best = epoch_loss
-            best_epoch = epoch
-            streak = 0
-        else:
-            streak += 1
-            if streak >= config.patience:
-                break
+        if early_stop_epoch(epoch_losses, config.patience) is not None:
+            break
+    best = min(epoch_losses)
     report = TrainReport(
         epoch_losses=epoch_losses,
         stopped_epoch=len(epoch_losses),
-        best_epoch=best_epoch,
+        best_epoch=epoch_losses.index(best) + 1,
         best_loss=best,
         params_sha256=params_hash(model),
     )
@@ -494,45 +466,48 @@ def save_model(model: AEParams, path: str) -> None:
 
 
 def load_model(path: str) -> AEParams:
-    with open(path, "rb") as f:
-        magic = f.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise FormatError(f"bad model magic {magic!r}")
-        header = f.readline(64).decode("ascii").split()
-        if len(header) != 2 or header[0] != "layers":
-            raise FormatError("malformed layer-count line")
-        n_layers = int(header[1])
-        layers = []
-        for _ in range(n_layers):
-            parts = f.readline(128).decode("ascii").split()
-            if len(parts) != 5:
-                raise FormatError("malformed layer spec line")
-            layers.append(
-                LayerSpec(parts[0], int(parts[1]), int(parts[2]), parts[3],
-                          bool(int(parts[4])))
-            )
+    try:
+        with open(path, "rb") as f:
+            return _read_model(f)
+    except OSError as exc:  # missing or unreadable
+        raise DependencyError(f"cannot read model {path}: {exc}") from exc
+    except (struct.error, ValueError) as exc:  # includes UnicodeDecodeError
+        raise FormatError(f"malformed model file {path}: {exc}") from exc
 
-        def read_array():
-            raw = f.read(4)
-            if len(raw) < 4:
-                raise FormatError("truncated model file")
-            (ndim,) = struct.unpack("<I", raw)
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            count = int(np.prod(shape))
-            data = f.read(8 * count)
-            if len(data) < 8 * count:
-                raise FormatError("truncated model payload")
-            return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
-        params = []
-        for spec in layers:
-            lp = LayerParams(w=read_array(), b=read_array())
-            if spec.batch_norm:
-                lp.gamma = read_array()
-                lp.beta = read_array()
-                lp.running_mean = read_array()
-                lp.running_var = read_array()
-            params.append(lp)
-        if f.read(1):
-            raise FormatError("trailing bytes in model file")
+def _read_model(f) -> AEParams:
+    magic = f.read(len(MODEL_MAGIC))
+    if magic != MODEL_MAGIC:
+        raise FormatError(f"bad model magic {magic!r}")
+    header = f.readline(64).decode("ascii").split()
+    if len(header) != 2 or header[0] != "layers":
+        raise FormatError("malformed layer-count line")
+    n_layers = int(header[1])
+    layers = []
+    for _ in range(n_layers):
+        parts = f.readline(128).decode("ascii").split()
+        if len(parts) != 5:
+            raise FormatError("malformed layer spec line")
+        layers.append(
+            LayerSpec(parts[0], int(parts[1]), int(parts[2]), parts[3],
+                      bool(int(parts[4])))
+        )
+
+    def read_array():
+        raw = f.read(4)
+        if len(raw) < 4:
+            raise FormatError("truncated model file")
+        (ndim,) = struct.unpack("<I", raw)
+        shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+        count = int(np.prod(shape))
+        data = f.read(8 * count)
+        if len(data) < 8 * count:
+            raise FormatError("truncated model payload")
+        return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+
+    # all_arrays order: w, b, then the four batch-norm arrays in field order
+    params = [LayerParams(*(read_array() for _ in range(6 if spec.batch_norm else 2)))
+              for spec in layers]
+    if f.read(1):
+        raise FormatError("trailing bytes in model file")
     return AEParams(layers=layers, params=params)

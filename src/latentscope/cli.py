@@ -2,7 +2,7 @@
 
 Subcommands mirror the pipeline stages; every run is fully determined by the
 config file plus the global seed. Exit codes: 0 success, 2 configuration
-error, 3 missing/stale dependency, 4 numeric failure.
+error, 3 missing, stale or malformed artifact, 4 numeric failure.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ into every stage's artifacts for staleness checks.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .autoencoder import TrainConfig
 from .data import CLASS_IDS, CLASS_NAMES
@@ -106,30 +106,50 @@ def _parse_bool(value: str, key: str) -> bool:
     raise ConfigError(f"{key} must be true or false, got {value!r}")
 
 
-def _parse_int(value: str, key: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+def _parse_as(convert, what: str):
+    def parse(value: str, key: str):
+        try:
+            return convert(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+    return parse
 
 
-def _parse_float(value: str, key: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+_parse_int = _parse_as(int, "an integer")
+_parse_float = _parse_as(float, "a number")
+
+
+def _parse_str(value: str, key: str) -> str:
+    return value
+
+
+def _parse_names(value: str, key: str) -> tuple[str, ...]:
+    """Comma-separated items, stripped, empty ones dropped."""
+    return tuple(v.strip() for v in value.split(",") if v.strip())
+
+
+def _parse_fixed(parse, count: int, what: str):
+    """Parser for exactly `count` comma-separated values of one type."""
+    def parse_fixed(value: str, key: str) -> tuple:
+        parts = [parse(v, key) for v in value.split(",")]
+        if len(parts) != count:
+            raise ConfigError(f"{key} needs {what}, got {value!r}")
+        return tuple(parts)
+    return parse_fixed
+
+
+def _parse_class(name: str, key: str) -> int:
+    if name not in CLASS_IDS:
+        raise ConfigError(f"{key}: unknown class {name!r}")
+    return CLASS_IDS[name]
 
 
 def _parse_class_counts(value: str, key: str) -> dict[int, int]:
     counts: dict[int, int] = {}
-    for item in value.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in _parse_names(value, key):
         name, _, num = item.partition(":")
-        if name not in CLASS_IDS:
-            raise ConfigError(f"{key}: unknown class {name!r}")
-        counts[CLASS_IDS[name]] = _parse_int(num, key)
+        label = _parse_class(name, key)
+        counts[label] = _parse_int(num, key)
     if not counts:
         raise ConfigError(f"{key} must name at least one class")
     return counts
@@ -137,18 +157,17 @@ def _parse_class_counts(value: str, key: str) -> dict[int, int]:
 
 def _parse_effects(value: str, key: str) -> list[tuple[int, int, float]]:
     effects = []
-    for item in value.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in _parse_names(value, key):
         fields = item.split(":")
         if len(fields) != 3:
             raise ConfigError(f"{key}: expected region:class:shift, got {item!r}")
         region = _parse_int(fields[0], key)
-        if fields[1] not in CLASS_IDS:
-            raise ConfigError(f"{key}: unknown class {fields[1]!r}")
-        effects.append((region, CLASS_IDS[fields[1]], _parse_float(fields[2], key)))
+        effects.append((region, _parse_class(fields[1], key), _parse_float(fields[2], key)))
     return effects
+
+
+def _fmt_float(v) -> str:
+    return repr(float(v))
 
 
 def _fmt_counts(counts: dict[int, int]) -> str:
@@ -159,49 +178,63 @@ def _fmt_effects(effects) -> str:
     return ",".join(f"{r}:{CLASS_NAMES[c]}:{float(s)!r}" for r, c, s in effects)
 
 
-def canonical_lines(config: PipelineConfig) -> list[str]:
-    """Deterministic serialization of everything that affects computation.
+_INT = (_parse_int, str)
+_FLOAT = (_parse_float, _fmt_float)
+_BOOL = (_parse_bool, lambda v: "true" if v else "false")
+_NAMES = (_parse_names, ",".join)
 
-    The output directory is deliberately excluded: it is a runtime location,
-    not configuration, and hashing it would make runs in different
-    directories look like different experiments.
-    """
-    p, t, e, b, f = (config.phantom, config.train, config.embed, config.bound,
-                     config.forest)
-    return [
-        f"seed={config.seed}",
-        f"comparisons={','.join(config.comparisons)}",
-        f"phantom.dims={p.dims[0]},{p.dims[1]},{p.dims[2]}",
-        f"phantom.region_count={p.region_count}",
-        f"phantom.class_counts={_fmt_counts(p.class_counts)}",
-        f"phantom.effects={_fmt_effects(p.effect_spec)}",
-        f"phantom.noise_sigma={float(p.noise_sigma)!r}",
-        f"phantom.smoothness={float(p.smoothness)!r}",
-        f"phantom.template_range={float(p.template_range[0])!r},{float(p.template_range[1])!r}",
-        f"train.loss={t.loss_kind}",
-        f"train.alpha={float(t.alpha)!r}",
-        f"train.lr={float(t.lr)!r}",
-        f"train.max_epochs={t.max_epochs}",
-        f"train.patience={t.patience}",
-        f"train.batch_size={t.batch_size}",
-        f"embed.methods={','.join(e.methods)}",
-        f"embed.layers={','.join(e.layers)}",
-        f"embed.components={e.components}",
-        f"embed.perplexity={float(e.perplexity)!r}",
-        f"embed.tsne_iters={e.tsne_iters}",
-        f"embed.n_neighbors={e.n_neighbors}",
-        f"embed.min_dist={float(e.min_dist)!r}",
-        f"embed.umap_epochs={e.umap_epochs}",
-        f"bound.delta={float(b.delta)!r}",
-        f"bound.eta={float(b.eta)!r}",
-        f"bound.complexity={float(b.complexity)!r}",
-        f"shap.n_trees={f.n_trees}",
-        f"shap.max_depth={f.max_depth}",
-        f"shap.min_leaf={f.min_leaf}",
-        f"correlate.top_n={config.top_n}",
-        f"correlate.stratify={'true' if config.stratify else 'false'}",
-        f"lrcp.quadratic={'true' if config.quadratic else 'false'}",
-    ]
+# Every key of the config file, in canonical order: key -> (PipelineConfig
+# section, or None for a top-level field; field name; parse(value, key);
+# format(field value)). `out` is not here: the output directory is a runtime
+# location, not configuration, and stays out of the hash.
+KEYS = {
+    "seed": (None, "seed", *_INT),
+    "comparisons": (None, "comparisons", *_NAMES),
+    "phantom.dims": ("phantom", "dims", _parse_fixed(_parse_int, 3, "three integers"),
+                     lambda v: ",".join(map(str, v))),
+    "phantom.region_count": ("phantom", "region_count", *_INT),
+    "phantom.class_counts": ("phantom", "class_counts", _parse_class_counts, _fmt_counts),
+    "phantom.effects": ("phantom", "effect_spec", _parse_effects, _fmt_effects),
+    "phantom.noise_sigma": ("phantom", "noise_sigma", *_FLOAT),
+    "phantom.smoothness": ("phantom", "smoothness", *_FLOAT),
+    "phantom.template_range": ("phantom", "template_range",
+                               _parse_fixed(_parse_float, 2, "two numbers"),
+                               lambda v: ",".join(map(_fmt_float, v))),
+    "train.loss": ("train", "loss_kind", _parse_str, str),
+    "train.alpha": ("train", "alpha", *_FLOAT),
+    "train.lr": ("train", "lr", *_FLOAT),
+    "train.max_epochs": ("train", "max_epochs", *_INT),
+    "train.patience": ("train", "patience", *_INT),
+    "train.batch_size": ("train", "batch_size", *_INT),
+    "embed.methods": ("embed", "methods", *_NAMES),
+    "embed.layers": ("embed", "layers", *_NAMES),
+    "embed.components": ("embed", "components", *_INT),
+    "embed.perplexity": ("embed", "perplexity", *_FLOAT),
+    "embed.tsne_iters": ("embed", "tsne_iters", *_INT),
+    "embed.n_neighbors": ("embed", "n_neighbors", *_INT),
+    "embed.min_dist": ("embed", "min_dist", *_FLOAT),
+    "embed.umap_epochs": ("embed", "umap_epochs", *_INT),
+    "bound.delta": ("bound", "delta", *_FLOAT),
+    "bound.eta": ("bound", "eta", *_FLOAT),
+    "bound.complexity": ("bound", "complexity", *_FLOAT),
+    "shap.n_trees": ("forest", "n_trees", *_INT),
+    "shap.max_depth": ("forest", "max_depth", *_INT),
+    "shap.min_leaf": ("forest", "min_leaf", *_INT),
+    "correlate.top_n": (None, "top_n", *_INT),
+    "correlate.stratify": (None, "stratify", *_BOOL),
+    "lrcp.quadratic": (None, "quadratic", *_BOOL),
+}
+
+
+def _owner(config: PipelineConfig, section: str | None):
+    return config if section is None else getattr(config, section)
+
+
+def canonical_lines(config: PipelineConfig) -> list[str]:
+    """Deterministic serialization of everything that affects computation:
+    one line per KEYS entry, in KEYS order."""
+    return [f"{key}={fmt(getattr(_owner(config, section), name))}"
+            for key, (section, name, _, fmt) in KEYS.items()]
 
 
 def config_hash(config: PipelineConfig) -> str:
@@ -215,12 +248,8 @@ def write_config(config: PipelineConfig, path) -> None:
 
 
 def parse_config_text(text: str) -> PipelineConfig:
+    # PipelineConfig() builds fresh section objects, so fields are set in place
     config = PipelineConfig()
-    phantom = config.phantom
-    train = config.train
-    embed = config.embed
-    bound = config.bound
-    forest = config.forest
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -230,87 +259,13 @@ def parse_config_text(text: str) -> PipelineConfig:
             raise ConfigError(f"expected key=value, got {raw!r}")
         key = key.strip()
         value = value.strip()
-        if key == "seed":
-            config.seed = _parse_int(value, key)
-        elif key == "out":
+        if key == "out":
             config.out_dir = value
-        elif key == "comparisons":
-            config.comparisons = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key == "phantom.dims":
-            parts = [_parse_int(v, key) for v in value.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(f"{key} needs three integers, got {value!r}")
-            phantom = replace(phantom, dims=tuple(parts))
-        elif key == "phantom.region_count":
-            phantom = replace(phantom, region_count=_parse_int(value, key))
-        elif key == "phantom.class_counts":
-            phantom = replace(phantom, class_counts=_parse_class_counts(value, key))
-        elif key == "phantom.effects":
-            phantom = replace(phantom, effect_spec=_parse_effects(value, key))
-        elif key == "phantom.noise_sigma":
-            phantom = replace(phantom, noise_sigma=_parse_float(value, key))
-        elif key == "phantom.smoothness":
-            phantom = replace(phantom, smoothness=_parse_float(value, key))
-        elif key == "phantom.template_range":
-            parts = [_parse_float(v, key) for v in value.split(",")]
-            if len(parts) != 2:
-                raise ConfigError(f"{key} needs two numbers, got {value!r}")
-            phantom = replace(phantom, template_range=tuple(parts))
-        elif key == "train.loss":
-            train = replace(train, loss_kind=value)
-        elif key == "train.alpha":
-            train = replace(train, alpha=_parse_float(value, key))
-        elif key == "train.lr":
-            train = replace(train, lr=_parse_float(value, key))
-        elif key == "train.max_epochs":
-            train = replace(train, max_epochs=_parse_int(value, key))
-        elif key == "train.patience":
-            train = replace(train, patience=_parse_int(value, key))
-        elif key == "train.batch_size":
-            train = replace(train, batch_size=_parse_int(value, key))
-        elif key == "embed.methods":
-            embed = replace(embed, methods=tuple(
-                v.strip() for v in value.split(",") if v.strip()))
-        elif key == "embed.layers":
-            embed = replace(embed, layers=tuple(
-                v.strip() for v in value.split(",") if v.strip()))
-        elif key == "embed.components":
-            embed = replace(embed, components=_parse_int(value, key))
-        elif key == "embed.perplexity":
-            embed = replace(embed, perplexity=_parse_float(value, key))
-        elif key == "embed.tsne_iters":
-            embed = replace(embed, tsne_iters=_parse_int(value, key))
-        elif key == "embed.n_neighbors":
-            embed = replace(embed, n_neighbors=_parse_int(value, key))
-        elif key == "embed.min_dist":
-            embed = replace(embed, min_dist=_parse_float(value, key))
-        elif key == "embed.umap_epochs":
-            embed = replace(embed, umap_epochs=_parse_int(value, key))
-        elif key == "bound.delta":
-            bound = replace(bound, delta=_parse_float(value, key))
-        elif key == "bound.eta":
-            bound = replace(bound, eta=_parse_float(value, key))
-        elif key == "bound.complexity":
-            bound = replace(bound, complexity=_parse_float(value, key))
-        elif key == "shap.n_trees":
-            forest = replace(forest, n_trees=_parse_int(value, key))
-        elif key == "shap.max_depth":
-            forest = replace(forest, max_depth=_parse_int(value, key))
-        elif key == "shap.min_leaf":
-            forest = replace(forest, min_leaf=_parse_int(value, key))
-        elif key == "correlate.top_n":
-            config.top_n = _parse_int(value, key)
-        elif key == "correlate.stratify":
-            config.stratify = _parse_bool(value, key)
-        elif key == "lrcp.quadratic":
-            config.quadratic = _parse_bool(value, key)
-        else:
+            continue
+        if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    config.phantom = phantom
-    config.train = train
-    config.embed = embed
-    config.bound = bound
-    config.forest = forest
+        section, name, parse, _ = KEYS[key]
+        setattr(_owner(config, section), name, parse(value, key))
     config.validate()
     return config
 

@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-DependencyError -> 3, NumericError -> 4.
+`cli.main` maps these onto process exit codes:
+
+    ConfigError -> 2
+    DependencyError, FormatError -> 3 (missing, stale or malformed artifact)
+    NumericError, DegenerateInputError, ShapeError -> 4
 """
 
 

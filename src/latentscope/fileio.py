@@ -63,14 +63,17 @@ def _write_grid(path: str, magic: bytes, arr: np.ndarray, dtype: str) -> None:
 
 def _read_grid(path: str, magic: bytes, dtype: str) -> np.ndarray:
     itemsize = np.dtype(dtype).itemsize
-    with open(path, "rb") as f:
-        got = f.read(len(magic))
-        if got != magic:
-            raise FormatError(f"bad magic {got!r}, expected {magic!r}")
-        dims = _parse_dims(_read_line(f, "dims"))
-        dx, dy, dz = dims
-        n = dx * dy * dz
-        payload = f.read(n * itemsize + 1)
+    try:
+        with open(path, "rb") as f:
+            got = f.read(len(magic))
+            if got != magic:
+                raise FormatError(f"bad magic {got!r}, expected {magic!r}")
+            dims = _parse_dims(_read_line(f, "dims"))
+            dx, dy, dz = dims
+            n = dx * dy * dz
+            payload = f.read(n * itemsize + 1)
+    except OSError as exc:  # missing or unreadable
+        raise DependencyError(f"cannot read artifact {path}: {exc}") from exc
     if len(payload) < n * itemsize:
         raise FormatError(
             f"truncated payload: expected {n * itemsize} bytes, got {len(payload)}"

@@ -7,13 +7,26 @@ Shape laws:
     conv:       out = floor((in - 1) / 2) + 1
     transpose:  out = 2*in - 1 + output_padding   (output_padding in {0,1})
 
-The transpose is implemented as scatter-add into a zero-padded buffer, which
-makes it the exact adjoint of the conv for matching shapes; output_padding
-extends the far edge with the ordinary transposed-conv sums (needed to mirror
-an even-sized encoder level).
+The four conv kernels are compositions of three private primitives, each a
+loop over the 27 kernel taps k (taps_k(a) = every second position from k):
+
+    _gather       out += w[:, :, k] . taps_k(src)      conv3d_forward,
+                                                       conv_transpose3d_backward dx
+    _scatter      taps_k(buf) += w[:, :, k]^T . src    conv3d_backward dx,
+                                                       conv_transpose3d_forward
+    _weight_grad  dw[:, :, k] = sum a x taps_k(src)    both backward dw
+
+_scatter is the exact adjoint of _gather, so the transpose is the adjoint of
+the conv for matching shapes; output_padding extends the far edge with the
+ordinary transposed-conv sums (needed to mirror an even-sized encoder level).
+_gather returns a C-contiguous array: conv_transpose3d_backward's dx feeds
+batch-norm reductions, which sum in memory order, so a strided view there
+would change the trained weights' bits. The kernels never call one another.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.special import expit
@@ -37,64 +50,82 @@ def transpose_out_dim(d: int, output_padding: int = 0) -> int:
 
 
 def _offsets():
-    for kx in range(KERNEL):
-        for ky in range(KERNEL):
-            for kz in range(KERNEL):
-                yield kx, ky, kz
+    return itertools.product(range(KERNEL), repeat=3)
 
 
-def _pad_input(x: np.ndarray) -> np.ndarray:
-    n, c, dx, dy, dz = x.shape
-    xp = np.zeros((n, c, dx + 2, dy + 2, dz + 2), dtype=x.dtype)
-    xp[:, :, 1 : dx + 1, 1 : dy + 1, 1 : dz + 1] = x
-    return xp
+def _taps(a: np.ndarray, k, dims) -> np.ndarray:
+    """The (N, C, *dims) view of `a` that tap k of a stride-2 kernel reads
+    (or writes) for a grid of size `dims`: every second position from k."""
+    return a[(..., *(slice(o, o + 2 * d - 1, 2) for o, d in zip(k, dims)))]
 
 
-def _strided_slice(a: np.ndarray, kx: int, ky: int, kz: int, ox: int, oy: int, oz: int):
-    return a[
-        :,
-        :,
-        kx : kx + 2 * ox - 1 : 2,
-        ky : ky + 2 * oy - 1 : 2,
-        kz : kz + 2 * oz - 1 : 2,
-    ]
+def _crop(a: np.ndarray, dims) -> np.ndarray:
+    """The (N, C, *dims) view of `a` at offset 1 along each spatial axis."""
+    return a[(..., *(slice(1, 1 + d) for d in dims))]
+
+
+def _pad(a: np.ndarray, buf_dims) -> np.ndarray:
+    """`a` placed at offset 1 in a zero (N, C, *buf_dims) buffer."""
+    buf = np.zeros(a.shape[:2] + tuple(buf_dims), dtype=a.dtype)
+    _crop(buf, a.shape[2:])[...] = a
+    return buf
+
+
+def _gather(src_padded: np.ndarray, w: np.ndarray, out, weights_first: bool) -> np.ndarray:
+    """sum_k w[:, :, k] . taps_k(src_padded) over w's axis 1 -> (N, w.shape[0], *out).
+
+    weights_first sets the GEMM operand order of each tap's product: BLAS
+    rounds A @ B and (B.T @ A.T).T differently for most shapes, and each
+    caller keeps the order its artifacts were first computed in.
+    """
+    n, c = src_padded.shape[0], w.shape[0]
+    acc = np.zeros(((c, n) if weights_first else (n, c)) + tuple(out), dtype=src_padded.dtype)
+    for k in _offsets():
+        taps = _taps(src_padded, k, out)
+        if weights_first:
+            acc += np.tensordot(w[(..., *k)], taps, axes=([1], [1]))
+        else:
+            acc += np.moveaxis(np.tensordot(taps, w[(..., *k)], axes=([1], [1])), -1, 1)
+    return acc.transpose(1, 0, 2, 3, 4).copy() if weights_first else acc
+
+
+def _scatter(src: np.ndarray, w: np.ndarray, buf_dims) -> np.ndarray:
+    """Adjoint of _gather: taps_k(buf) += w[:, :, k]^T . src over w's axis 0,
+    into a zero (N, w.shape[1], *buf_dims) buffer."""
+    buf = np.zeros((src.shape[0], w.shape[1]) + tuple(buf_dims), dtype=src.dtype)
+    for k in _offsets():
+        contrib = np.tensordot(src, w[(..., *k)], axes=([1], [0]))
+        _taps(buf, k, src.shape[2:])[...] += np.moveaxis(contrib, -1, 1)
+    return buf
+
+
+def _weight_grad(a: np.ndarray, src_padded: np.ndarray) -> np.ndarray:
+    """Per tap k, sum over batch and grid of a x taps_k(src_padded)
+    -> (a.shape[1], src_padded.shape[1], 3, 3, 3)."""
+    dw = np.empty((a.shape[1], src_padded.shape[1]) + (KERNEL,) * 3, dtype=a.dtype)
+    for k in _offsets():
+        dw[(..., *k)] = np.tensordot(
+            a, _taps(src_padded, k, a.shape[2:]), axes=([0, 2, 3, 4], [0, 2, 3, 4])
+        )
+    return dw
 
 
 def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x (N,Ci,X,Y,Z), w (Co,Ci,3,3,3), b (Co,) -> (N,Co,ox,oy,oz)."""
-    n, ci, dx, dy, dz = x.shape
+    ci, dims = x.shape[1], x.shape[2:]
     if w.shape[1] != ci:
         raise ShapeError(f"input channels {ci} != weight in_channels {w.shape[1]}")
-    co = w.shape[0]
-    ox, oy, oz = conv_out_dim(dx), conv_out_dim(dy), conv_out_dim(dz)
-    xp = _pad_input(x)
-    acc = np.zeros((co, n, ox, oy, oz), dtype=x.dtype)
-    for kx, ky, kz in _offsets():
-        xs = _strided_slice(xp, kx, ky, kz, ox, oy, oz)
-        acc += np.tensordot(w[:, :, kx, ky, kz], xs, axes=([1], [1]))
-    out = acc.transpose(1, 0, 2, 3, 4).copy()
+    out = _gather(_pad(x, [d + 2 for d in dims]), w, [conv_out_dim(d) for d in dims], True)
     out += b[None, :, None, None, None]
     return out
 
 
 def conv3d_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray):
     """Gradients of sum(g * conv3d_forward(x, w, b)) -> (dx, dw, db)."""
-    n, ci, dx_, dy_, dz_ = x.shape
-    co = w.shape[0]
-    _, _, ox, oy, oz = g.shape
-    xp = _pad_input(x)
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
-    for kx, ky, kz in _offsets():
-        xs = _strided_slice(xp, kx, ky, kz, ox, oy, oz)
-        dw[:, :, kx, ky, kz] = np.tensordot(g, xs, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
-        contrib = np.tensordot(g, w[:, :, kx, ky, kz], axes=([1], [0]))
-        _strided_slice(dxp, kx, ky, kz, ox, oy, oz)[...] += np.moveaxis(
-            contrib, -1, 1
-        )
-    db = g.sum(axis=(0, 2, 3, 4))
-    dx = dxp[:, :, 1 : dx_ + 1, 1 : dy_ + 1, 1 : dz_ + 1]
-    return dx, dw, db
+    dims = x.shape[2:]
+    padded = [d + 2 for d in dims]
+    dx = _crop(_scatter(g, w, padded), dims)
+    return dx, _weight_grad(g, _pad(x, padded)), g.sum(axis=(0, 2, 3, 4))
 
 
 def conv_transpose3d_forward(
@@ -104,26 +135,13 @@ def conv_transpose3d_forward(
     output_padding: tuple[int, int, int] = (0, 0, 0),
 ) -> np.ndarray:
     """x (N,Ci,X,Y,Z), w (Ci,Co,3,3,3), b (Co,) -> (N,Co,2X-1+opx,...)."""
-    n, ci, dx, dy, dz = x.shape
+    ci, dims = x.shape[1], x.shape[2:]
     if w.shape[0] != ci:
         raise ShapeError(f"input channels {ci} != weight in_channels {w.shape[0]}")
-    co = w.shape[1]
     if any(op not in (0, 1) for op in output_padding):
         raise ShapeError(f"output_padding must be 0 or 1 per axis, got {output_padding}")
-    odx = transpose_out_dim(dx, output_padding[0])
-    ody = transpose_out_dim(dy, output_padding[1])
-    odz = transpose_out_dim(dz, output_padding[2])
-    opad = np.zeros((n, co, 2 * dx + 1, 2 * dy + 1, 2 * dz + 1), dtype=x.dtype)
-    for kx, ky, kz in _offsets():
-        contrib = np.tensordot(x, w[:, :, kx, ky, kz], axes=([1], [0]))
-        opad[
-            :,
-            :,
-            kx : kx + 2 * dx - 1 : 2,
-            ky : ky + 2 * dy - 1 : 2,
-            kz : kz + 2 * dz - 1 : 2,
-        ] += np.moveaxis(contrib, -1, 1)
-    out = opad[:, :, 1 : 1 + odx, 1 : 1 + ody, 1 : 1 + odz].copy()
+    out_dims = [transpose_out_dim(d, op) for d, op in zip(dims, output_padding)]
+    out = _crop(_scatter(x, w, [2 * d + 1 for d in dims]), out_dims).copy()
     out += b[None, :, None, None, None]
     return out
 
@@ -134,25 +152,11 @@ def conv_transpose3d_backward(
     w: np.ndarray,
     output_padding: tuple[int, int, int] = (0, 0, 0),
 ):
-    n, ci, dx_, dy_, dz_ = x.shape
-    co = w.shape[1]
-    gpad = np.zeros((n, co, 2 * dx_ + 1, 2 * dy_ + 1, 2 * dz_ + 1), dtype=g.dtype)
-    gpad[:, :, 1 : 1 + g.shape[2], 1 : 1 + g.shape[3], 1 : 1 + g.shape[4]] = g
-    dx = np.zeros_like(x)
-    dw = np.zeros_like(w)
-    for kx, ky, kz in _offsets():
-        gs = gpad[
-            :,
-            :,
-            kx : kx + 2 * dx_ - 1 : 2,
-            ky : ky + 2 * dy_ - 1 : 2,
-            kz : kz + 2 * dz_ - 1 : 2,
-        ]
-        dw[:, :, kx, ky, kz] = np.tensordot(x, gs, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
-        contrib = np.tensordot(gs, w[:, :, kx, ky, kz], axes=([1], [1]))
-        dx += np.moveaxis(contrib, -1, 1)
-    db = g.sum(axis=(0, 2, 3, 4))
-    return dx, dw, db
+    """Gradients of sum(g * conv_transpose3d_forward(x, w, b, output_padding))
+    -> (dx, dw, db); the output padding is read from g's shape."""
+    dims = x.shape[2:]
+    gpad = _pad(g, [2 * d + 1 for d in dims])
+    return _gather(gpad, w, dims, False), _weight_grad(x, gpad), g.sum(axis=(0, 2, 3, 4))
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ import pytest
 
 from latentscope import autoencoder as ae
 from latentscope.data import AtlasMap, Cohort, Subject, Volume
-from latentscope.errors import ConfigError, FormatError, ShapeError
+from latentscope.errors import (ConfigError, DependencyError, FormatError,
+                               ShapeError)
 
 
 def constant_cohort(dims=(8, 8, 8), n=16, value=0.5):
@@ -300,3 +301,49 @@ class TestPersistence:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError):
             ae.load_model(str(path))
+
+    def _header_length(self, blob: bytes, n_layers: int) -> int:
+        # magic line, "layers N" line, one line per layer, then the payload
+        return len(b"\n".join(blob.split(b"\n", n_layers + 2)[: n_layers + 2])) + 1
+
+    @pytest.mark.parametrize("case", ["truncated_shape", "non_integer_count",
+                                      "non_ascii_header"])
+    def test_malformed_blobs_raise_format_error(self, tmp_path, case):
+        model = ae.init_params(seed=21)
+        path = tmp_path / "model.lsm"
+        ae.save_model(model, str(path))
+        blob = path.read_bytes()
+        if case == "truncated_shape":
+            # cut two bytes into the first array's shape words
+            blob = blob[: self._header_length(blob, len(model.layers)) + 4 + 2]
+        elif case == "non_integer_count":
+            blob = ae.MODEL_MAGIC + b"layers six\n"
+        else:
+            blob = ae.MODEL_MAGIC + b"layers \xff\n"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            ae.load_model(str(path))
+
+    def test_missing_file_is_dependency_error(self, tmp_path):
+        with pytest.raises(DependencyError, match="absent.lsae"):
+            ae.load_model(str(tmp_path / "absent.lsae"))
+        with pytest.raises(DependencyError):
+            ae.load_model(str(tmp_path))  # a directory, not a file
+
+
+def test_short_training_run_params_pinned():
+    """One short fixed run, pinned to the sha256 recorded before the conv
+    kernels were rebuilt on shared primitives: odd and even axes (so every
+    decoder level mixes output paddings), the combined MSE+SSIM loss, a
+    ragged last batch, and an early stop (best epoch 6, stopped at 7)."""
+    from latentscope.phantom import PhantomConfig, generate_phantom_cohort
+
+    cohort = generate_phantom_cohort(PhantomConfig(
+        dims=(12, 10, 9), region_count=4, class_counts={0: 5, 3: 5},
+        effect_spec=[(2, 3, 0.3)], noise_sigma=0.05, smoothness=1.5, seed=3))
+    _, report = ae.train(cohort, ae.TrainConfig(
+        loss_kind="combined", max_epochs=8, patience=1, batch_size=4, seed=9,
+        lr=0.02))
+    assert (report.stopped_epoch, report.best_epoch) == (7, 6)
+    assert report.params_sha256 == (
+        "7ea0c7b27e1f2ddc3ea1c13613a7b7998ba004e5ac8eb2a440ce4650fa009bb9")

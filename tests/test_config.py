@@ -1,8 +1,16 @@
 """Configuration parsing, canonical serialization, and hashing tests."""
 
-import pytest
+import re
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latentscope.autoencoder import TrainConfig
 from latentscope.config import (
+    EMBED_METHODS,
+    EmbedConfig,
     PipelineConfig,
     canonical_lines,
     config_hash,
@@ -11,7 +19,11 @@ from latentscope.config import (
     parse_config_text,
     write_config,
 )
+from latentscope.data import CLASS_NAMES
 from latentscope.errors import ConfigError
+from latentscope.forest import ForestConfig
+from latentscope.phantom import PhantomConfig
+from latentscope.validation import BoundConfig
 
 
 class TestParseComparison:
@@ -143,3 +155,91 @@ class TestHash:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.cfg")
+
+    def test_default_hash_pinned(self):
+        # recorded before the config keys moved into one table
+        assert config_hash(PipelineConfig()) == (
+            "dc838e7cdbed67175a201b01b9ea8a6cf064d82e4a0058fe1ffd8146b118f97c")
+
+
+def test_readme_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    config = parse_config_text(blocks[0])
+    assert config.comparisons == ("NOR_AD", "NOR_MCI")
+
+
+def _unit(lo=0.0, hi=1.0, **kw):
+    return st.floats(lo, hi, allow_nan=False, **kw)
+
+
+_any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    labels = draw(st.lists(st.sampled_from(sorted(CLASS_NAMES)), min_size=2,
+                           max_size=4, unique=True))
+    counts = {label: draw(st.integers(1, 500)) for label in labels}
+    for label in draw(st.lists(st.sampled_from(labels), max_size=2)):
+        counts[label] = 0
+    present = [label for label in labels if counts[label] > 0]
+    if len(present) < 2:
+        counts[labels[0]] = counts[labels[1]] = 1
+        present = labels[:2]
+    pairs = draw(st.lists(st.permutations(present).map(lambda p: p[:2]),
+                          min_size=1, max_size=3))
+    regions = draw(st.integers(2, 8))
+    effects = draw(st.lists(st.tuples(st.integers(1, regions),
+                                      st.sampled_from(sorted(CLASS_NAMES)),
+                                      _unit(-1.0, 1.0)), max_size=4))
+    lo = draw(_unit())
+    phantom = PhantomConfig(
+        dims=draw(st.tuples(*[st.integers(2, 12)] * 3)), region_count=regions,
+        class_counts=counts, effect_spec=effects,
+        noise_sigma=draw(_unit(0.0, 10.0)), smoothness=draw(_unit(0.0, 10.0)),
+        template_range=(lo, draw(_unit(lo, 1.0))))
+    train = TrainConfig(
+        loss_kind=draw(st.sampled_from(["mse", "ssim", "combined"])),
+        alpha=draw(_unit()), lr=draw(_any_float),
+        max_epochs=draw(st.integers(1, 100)), patience=draw(st.integers(1, 100)),
+        batch_size=draw(st.integers(1, 64)))
+    embed = EmbedConfig(
+        methods=tuple(draw(st.lists(st.sampled_from(EMBED_METHODS), min_size=1,
+                                    max_size=4))),
+        layers=tuple(draw(st.lists(st.sampled_from(["L1", "L2", "L3", "L12"]),
+                                   min_size=1, max_size=3))),
+        components=draw(st.integers(1, 10)), perplexity=draw(_any_float),
+        tsne_iters=draw(st.integers(0, 5000)),
+        n_neighbors=draw(st.integers(1, 100)), min_dist=draw(_any_float),
+        umap_epochs=draw(st.integers(0, 5000)))
+    bound = BoundConfig(delta=draw(_unit(exclude_min=True, exclude_max=True)),
+                        complexity=draw(_unit(0.0, 1e6, exclude_min=True)),
+                        eta=draw(_unit(exclude_max=True)))
+    forest = ForestConfig(n_trees=draw(st.integers(1, 500)),
+                          max_depth=draw(st.integers(1, 20)),
+                          min_leaf=draw(st.integers(1, 20)))
+    config = PipelineConfig(
+        phantom=phantom, train=train, embed=embed, bound=bound, forest=forest,
+        comparisons=tuple(f"{CLASS_NAMES[a]}_{CLASS_NAMES[b]}" for a, b in pairs),
+        top_n=draw(st.integers(1, 50)), stratify=draw(st.booleans()),
+        quadratic=draw(st.booleans()), seed=draw(st.integers(0, 2**64 - 1)),
+        out_dir=draw(st.text("abc/_.", min_size=1, max_size=12)))
+    config.validate()
+    return config
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_configs(), st.randoms(use_true_random=False))
+def test_parse_inverts_canonical_lines(config, rnd):
+    """Any line order, surrounding blanks, comments and an `out` line parse
+    back to the same canonical form."""
+    lines = [f" {key} = {value} " for key, _, value in
+             (line.partition("=") for line in canonical_lines(config))]
+    lines += ["", "# comment", f"out={config.out_dir}"]
+    rnd.shuffle(lines)
+    parsed = parse_config_text("\n".join(lines) + "\n")
+    assert canonical_lines(parsed) == canonical_lines(config)
+    assert config_hash(parsed) == config_hash(config)
+    assert parsed.out_dir == config.out_dir

@@ -120,3 +120,12 @@ def test_csv_missing_or_unreadable_is_package_error(tmp_path):
     path.write_bytes(b"a,b\n\xff\xfe,1\n")
     with pytest.raises(DependencyError):
         read_csv(str(path))
+
+
+def test_grid_missing_or_unreadable_is_dependency_error(tmp_path):
+    with pytest.raises(DependencyError, match="absent.vol"):
+        load_volume(str(tmp_path / "absent.vol"))
+    with pytest.raises(DependencyError, match="absent.atl"):
+        load_atlas(str(tmp_path / "absent.atl"))
+    with pytest.raises(DependencyError):
+        load_volume(str(tmp_path))  # a directory, not a file

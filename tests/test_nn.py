@@ -201,3 +201,158 @@ def test_activation_gradients():
     fd = (sigmoid_forward(x + eps) - sigmoid_forward(x - eps)) / (2 * eps)
     assert np.allclose(sigmoid_backward(g, out), g * fd, atol=1e-8)
     assert relu_forward(np.array([-1.0, 0.0, 2.0])).tolist() == [0.0, 0.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the four conv kernels as they were written before the
+# shared gather/scatter/weight-gradient primitives: one offset loop per
+# kernel. The shared versions must reproduce them bit for bit, since every
+# run-directory artifact depends on the exact float summation order.
+
+def _ref_offsets():
+    for kx in range(3):
+        for ky in range(3):
+            for kz in range(3):
+                yield kx, ky, kz
+
+
+def _ref_pad(x):
+    n, c, dx, dy, dz = x.shape
+    xp = np.zeros((n, c, dx + 2, dy + 2, dz + 2), dtype=x.dtype)
+    xp[:, :, 1:dx + 1, 1:dy + 1, 1:dz + 1] = x
+    return xp
+
+
+def _ref_slice(a, kx, ky, kz, ox, oy, oz):
+    return a[:, :, kx:kx + 2 * ox - 1:2, ky:ky + 2 * oy - 1:2,
+             kz:kz + 2 * oz - 1:2]
+
+
+def _ref_conv3d_forward(x, w, b):
+    n, ci, dx, dy, dz = x.shape
+    co = w.shape[0]
+    ox, oy, oz = conv_out_dim(dx), conv_out_dim(dy), conv_out_dim(dz)
+    xp = _ref_pad(x)
+    acc = np.zeros((co, n, ox, oy, oz), dtype=x.dtype)
+    for kx, ky, kz in _ref_offsets():
+        xs = _ref_slice(xp, kx, ky, kz, ox, oy, oz)
+        acc += np.tensordot(w[:, :, kx, ky, kz], xs, axes=([1], [1]))
+    out = acc.transpose(1, 0, 2, 3, 4).copy()
+    out += b[None, :, None, None, None]
+    return out
+
+
+def _ref_conv3d_backward(g, x, w):
+    n, ci, dx_, dy_, dz_ = x.shape
+    _, _, ox, oy, oz = g.shape
+    xp = _ref_pad(x)
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for kx, ky, kz in _ref_offsets():
+        xs = _ref_slice(xp, kx, ky, kz, ox, oy, oz)
+        dw[:, :, kx, ky, kz] = np.tensordot(g, xs,
+                                            axes=([0, 2, 3, 4], [0, 2, 3, 4]))
+        contrib = np.tensordot(g, w[:, :, kx, ky, kz], axes=([1], [0]))
+        _ref_slice(dxp, kx, ky, kz, ox, oy, oz)[...] += np.moveaxis(
+            contrib, -1, 1)
+    db = g.sum(axis=(0, 2, 3, 4))
+    return dxp[:, :, 1:dx_ + 1, 1:dy_ + 1, 1:dz_ + 1], dw, db
+
+
+def _ref_conv_transpose3d_forward(x, w, b, output_padding=(0, 0, 0)):
+    n, ci, dx, dy, dz = x.shape
+    co = w.shape[1]
+    odx = transpose_out_dim(dx, output_padding[0])
+    ody = transpose_out_dim(dy, output_padding[1])
+    odz = transpose_out_dim(dz, output_padding[2])
+    opad = np.zeros((n, co, 2 * dx + 1, 2 * dy + 1, 2 * dz + 1), dtype=x.dtype)
+    for kx, ky, kz in _ref_offsets():
+        contrib = np.tensordot(x, w[:, :, kx, ky, kz], axes=([1], [0]))
+        _ref_slice(opad, kx, ky, kz, dx, dy, dz)[...] += np.moveaxis(
+            contrib, -1, 1)
+    out = opad[:, :, 1:1 + odx, 1:1 + ody, 1:1 + odz].copy()
+    out += b[None, :, None, None, None]
+    return out
+
+
+def _ref_conv_transpose3d_backward(g, x, w):
+    n, ci, dx_, dy_, dz_ = x.shape
+    co = w.shape[1]
+    gpad = np.zeros((n, co, 2 * dx_ + 1, 2 * dy_ + 1, 2 * dz_ + 1),
+                    dtype=g.dtype)
+    gpad[:, :, 1:1 + g.shape[2], 1:1 + g.shape[3], 1:1 + g.shape[4]] = g
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    for kx, ky, kz in _ref_offsets():
+        gs = _ref_slice(gpad, kx, ky, kz, dx_, dy_, dz_)
+        dw[:, :, kx, ky, kz] = np.tensordot(x, gs,
+                                            axes=([0, 2, 3, 4], [0, 2, 3, 4]))
+        contrib = np.tensordot(gs, w[:, :, kx, ky, kz], axes=([1], [1]))
+        dx += np.moveaxis(contrib, -1, 1)
+    db = g.sum(axis=(0, 2, 3, 4))
+    return dx, dw, db
+
+
+PIN_DIMS = [(5, 6, 7), (8, 8, 8), (4, 9, 6)]
+PIN_CHANNELS = [(1, 3), (3, 1), (2, 4), (16, 1), (64, 32)]
+OUTPUT_PADDINGS = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+
+
+def _assert_all_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("dims", PIN_DIMS)
+@pytest.mark.parametrize("ci,co", PIN_CHANNELS)
+def test_conv3d_matches_reference_bitwise(dims, ci, co):
+    rng = np.random.default_rng([ci, co, *dims])
+    x = rng.normal(size=(3, ci) + dims)
+    w = rng.normal(size=(co, ci, 3, 3, 3))
+    b = rng.normal(size=co)
+    out = conv3d_forward(x, w, b)
+    _assert_all_equal([out], [_ref_conv3d_forward(x, w, b)])
+    g = rng.normal(size=out.shape)
+    _assert_all_equal(conv3d_backward(g, x, w), _ref_conv3d_backward(g, x, w))
+
+
+@pytest.mark.parametrize("output_padding", OUTPUT_PADDINGS)
+@pytest.mark.parametrize("dims", PIN_DIMS)
+@pytest.mark.parametrize("ci,co", PIN_CHANNELS)
+def test_conv_transpose3d_matches_reference_bitwise(output_padding, dims, ci, co):
+    rng = np.random.default_rng([ci, co, *dims, *output_padding])
+    x = rng.normal(size=(3, ci) + dims)
+    w = rng.normal(size=(ci, co, 3, 3, 3))
+    b = rng.normal(size=co)
+    out = conv_transpose3d_forward(x, w, b, output_padding)
+    _assert_all_equal([out], [_ref_conv_transpose3d_forward(x, w, b, output_padding)])
+    g = rng.normal(size=out.shape)
+    got = conv_transpose3d_backward(g, x, w, output_padding)
+    _assert_all_equal(got, _ref_conv_transpose3d_backward(g, x, w))
+    # batch-norm reductions downstream sum in memory order
+    assert got[0].flags.c_contiguous
+
+
+def test_conv_kernels_do_not_call_one_another(monkeypatch):
+    """Each public conv call is one conv op: a profiler that wraps the four
+    kernels by name must not see one nested inside another."""
+    from latentscope import nn
+
+    names = ("conv3d_forward", "conv3d_backward", "conv_transpose3d_forward",
+             "conv_transpose3d_backward")
+    kernels = {name: getattr(nn, name) for name in names}
+
+    def nested(*args, **kwargs):
+        raise AssertionError("a conv kernel called another public kernel")
+
+    for name in names:
+        monkeypatch.setattr(nn, name, nested)
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(2, 2, 5, 5, 5))
+    w = rng.normal(size=(3, 2, 3, 3, 3))
+    y = kernels["conv3d_forward"](x, w, np.zeros(3))
+    kernels["conv3d_backward"](y, x, w)
+    z = kernels["conv_transpose3d_forward"](y, w, np.zeros(2), (1, 1, 1))
+    kernels["conv_transpose3d_backward"](z, y, w, (1, 1, 1))

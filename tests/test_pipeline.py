@@ -334,6 +334,29 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "dependency error" in err and "summary.csv" in err
 
+    def _copy_with_config(self, tiny_run, tmp_path):
+        cfg, out = tiny_run
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        cfg_file = tmp_path / "study.cfg"
+        write_config(cfg, str(cfg_file))
+        return copy, ["--config", str(cfg_file), "--out", str(copy)]
+
+    def test_train_missing_volume_exits_3(self, tiny_run, tmp_path, capsys):
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        volume = sorted((copy / "generate" / "cohort" / "volumes").iterdir())[0]
+        volume.unlink()
+        assert main(["train"] + base + ["--stage-force"]) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and volume.name in err
+
+    def test_embed_missing_model_exits_3(self, tiny_run, tmp_path, capsys):
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        (copy / "train" / "NOR_AD" / "model.lsae").unlink()
+        assert main(["embed"] + base) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "model.lsae" in err
+
     def test_numeric_failure_exits_4(self, tmp_path, capsys):
         # four subjects per class is enough to generate and train on but too
         # few for the attribution forest, which needs five samples
