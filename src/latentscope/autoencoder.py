@@ -15,6 +15,8 @@ seed (init draws, then per-epoch shuffles, from one PRNG).
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -139,6 +141,35 @@ def _decoder_output_paddings(chain):
     return pads
 
 
+def _layer_forward(spec: LayerSpec, p: LayerParams, h: np.ndarray, mode: str, out_pad):
+    """One layer: conv (or transposed conv with output padding `out_pad`),
+    activation, then batch norm if the layer has it.
+
+    Returns (output, z, a, bn_cache, running): z is the conv output, a the
+    activation, running the updated (mean, var) pair or None.
+    """
+    if spec.kind == "conv3d":
+        z = nn.conv3d_forward(h, p.w, p.b)
+    else:
+        z = nn.conv_transpose3d_forward(h, p.w, p.b, out_pad)
+    a = nn.relu_forward(z) if spec.activation == "relu" else nn.sigmoid_forward(z)
+    if not spec.batch_norm:
+        return a, z, a, None, None
+    y, bn_cache, rm, rv = nn.batchnorm_forward(
+        a, p.gamma, p.beta, p.running_mean, p.running_var, mode
+    )
+    return y, z, a, bn_cache, (rm, rv)
+
+
+def _input_chain(model: AEParams, x: np.ndarray):
+    """Check a batch (N,1,X,Y,Z) against the model; returns its encoder
+    chain dims (see encoder_chain_dims)."""
+    if x.ndim != 5 or x.shape[1] != model.layers[0].in_channels:
+        raise ShapeError(f"expected (N,{model.layers[0].in_channels},X,Y,Z), got {x.shape}")
+    n_enc = sum(1 for s in model.layers if s.kind == "conv3d")
+    return encoder_chain_dims(x.shape[2:], n_enc)
+
+
 def forward(model: AEParams, x: np.ndarray, mode: str = "eval", want_cache: bool = False):
     """Run the full autoencoder on a batch (N,1,X,Y,Z).
 
@@ -147,35 +178,17 @@ def forward(model: AEParams, x: np.ndarray, mode: str = "eval", want_cache: bool
     want_cache; it carries per-layer intermediates plus the updated running
     statistics (the caller decides whether to apply them).
     """
-    if x.ndim != 5 or x.shape[1] != model.layers[0].in_channels:
-        raise ShapeError(f"expected (N,{model.layers[0].in_channels},X,Y,Z), got {x.shape}")
-    n_enc = sum(1 for s in model.layers if s.kind == "conv3d")
-    chain = encoder_chain_dims(x.shape[2:], n_enc)
+    chain = _input_chain(model, x)
+    n_enc = len(chain) - 1
     out_pads = _decoder_output_paddings(chain)
     acts = []
     layer_caches = []
     new_running = []
     h = x
     for i, spec in enumerate(model.layers):
-        p = model.params[i]
-        if spec.kind == "conv3d":
-            z = nn.conv3d_forward(h, p.w, p.b)
-            op = None
-        else:
-            op = out_pads[i - n_enc]
-            z = nn.conv_transpose3d_forward(h, p.w, p.b, op)
-        if spec.activation == "relu":
-            a = nn.relu_forward(z)
-        else:
-            a = nn.sigmoid_forward(z)
-        if spec.batch_norm:
-            y, bn_cache, rm, rv = nn.batchnorm_forward(
-                a, p.gamma, p.beta, p.running_mean, p.running_var, mode
-            )
-            new_running.append((rm, rv))
-        else:
-            y, bn_cache = a, None
-            new_running.append(None)
+        op = None if spec.kind == "conv3d" else out_pads[i - n_enc]
+        y, z, a, bn_cache, running = _layer_forward(spec, model.params[i], h, mode, op)
+        new_running.append(running)
         if want_cache:
             layer_caches.append(
                 {"input": h, "z": z, "a": a, "bn": bn_cache, "out_pad": op}
@@ -429,21 +442,23 @@ class ActivationSet:
 
 def extract_activations(model: AEParams, cohort, subject_ids=None,
                         batch_size: int = 8) -> ActivationSet:
-    """Eval-mode encoder activations, flattened, subject order preserved."""
+    """Eval-mode encoder activations, flattened, subject order preserved;
+    only the encoder layers run."""
     x = _as_batch_array(cohort)
     if isinstance(cohort, Cohort):
         subject_ids = cohort.subject_ids
     elif subject_ids is None:
         subject_ids = [f"S{i:04d}" for i in range(x.shape[0])]
-    n_enc = sum(1 for s in model.layers if s.kind == "conv3d")
+    n_enc = len(_input_chain(model, x)) - 1
     keys = [f"L{j + 1}" for j in range(n_enc)]
     chunks: list[list[np.ndarray]] = [[] for _ in range(n_enc)]
     shapes = {}
     for start in range(0, x.shape[0], batch_size):
-        _, acts, _ = forward(model, x[start : start + batch_size], mode="eval")
-        for j, a in enumerate(acts):
-            shapes[keys[j]] = tuple(a.shape[1:])
-            chunks[j].append(a.reshape(a.shape[0], -1))
+        h = x[start : start + batch_size]
+        for j in range(n_enc):  # the encoder layers come first
+            h = _layer_forward(model.layers[j], model.params[j], h, "eval", None)[0]
+            shapes[keys[j]] = tuple(h.shape[1:])
+            chunks[j].append(h.reshape(h.shape[0], -1))
     layers = {keys[j]: np.vstack(chunks[j]) for j in range(n_enc)}
     return ActivationSet(subject_ids=list(subject_ids), layers=layers, shapes=shapes)
 
@@ -471,7 +486,7 @@ def load_model(path: str) -> AEParams:
             return _read_model(f)
     except OSError as exc:  # missing or unreadable
         raise DependencyError(f"cannot read model {path}: {exc}") from exc
-    except (struct.error, ValueError) as exc:  # includes UnicodeDecodeError
+    except (FormatError, struct.error, ValueError) as exc:  # incl. UnicodeDecodeError
         raise FormatError(f"malformed model file {path}: {exc}") from exc
 
 
@@ -493,16 +508,19 @@ def _read_model(f) -> AEParams:
                       bool(int(parts[4])))
         )
 
-    def read_array():
-        raw = f.read(4)
-        if len(raw) < 4:
+    size = os.fstat(f.fileno()).st_size
+
+    def read_exact(nbytes: int) -> bytes:
+        # checked against the file size first: a forged shape word must not
+        # make the read allocate more than the file holds
+        if nbytes > size - f.tell():
             raise FormatError("truncated model file")
-        (ndim,) = struct.unpack("<I", raw)
-        shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-        count = int(np.prod(shape))
-        data = f.read(8 * count)
-        if len(data) < 8 * count:
-            raise FormatError("truncated model payload")
+        return f.read(nbytes)
+
+    def read_array():
+        (ndim,) = struct.unpack("<I", read_exact(4))
+        shape = struct.unpack(f"<{ndim}I", read_exact(4 * ndim))
+        data = read_exact(8 * math.prod(shape))
         return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
     # all_arrays order: w, b, then the four batch-norm arrays in field order

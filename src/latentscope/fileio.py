@@ -159,18 +159,21 @@ def load_cohort(directory: str) -> Cohort:
         raise FormatError(f"missing manifest {manifest}")
     atlas = load_atlas(os.path.join(directory, "atlas.atl"))
     seed = 0
-    with open(manifest) as f:
-        for ln in f:
-            if ln.startswith("# seed="):
-                seed = int(ln.split("=", 1)[1])
-            if not ln.startswith("#"):
-                break
     subjects = []
-    for row in read_csv(manifest):
-        vol = load_volume(os.path.join(directory, row["volume_path"]))
-        subjects.append(
-            Subject(id=row["id"], class_label=int(row["class_label"]), volume=vol)
-        )
+    try:
+        with open(manifest) as f:
+            for ln in f:
+                if ln.startswith("# seed="):
+                    seed = int(ln.split("=", 1)[1])
+                if not ln.startswith("#"):
+                    break
+        for row in read_csv(manifest):
+            vol = load_volume(os.path.join(directory, row["volume_path"]))
+            subjects.append(
+                Subject(id=row["id"], class_label=int(row["class_label"]), volume=vol)
+            )
+    except (KeyError, TypeError, ValueError) as exc:  # bad field or missing column
+        raise FormatError(f"malformed manifest {manifest}: {exc!r}") from exc
     return Cohort(subjects=subjects, atlas=atlas, seed=seed)
 
 

@@ -19,14 +19,40 @@ loop over the 27 kernel taps k (taps_k(a) = every second position from k):
 _scatter is the exact adjoint of _gather, so the transpose is the adjoint of
 the conv for matching shapes; output_padding extends the far edge with the
 ordinary transposed-conv sums (needed to mirror an even-sized encoder level).
-_gather returns a C-contiguous array: conv_transpose3d_backward's dx feeds
-batch-norm reductions, which sum in memory order, so a strided view there
-would change the trained weights' bits. The kernels never call one another.
+The kernels never call one another.
+
+Each tap's product is one GEMM on (M, C) rows (M = batch x grid, channel
+last, as _rows builds them) or on their transpose. The operand that does not
+depend on the tap is built once per call, and each accumulator has the
+layout its GEMM writes, so the only other data movement is one transpose:
+
+    primitive                built once        accumulator     final transpose
+    _gather (weights_first)  -                 (C, M)          -> (N, C, *out)
+    _gather (otherwise)      -                 (M, C)          -> (N, C, *out)
+    _scatter                 src rows (M, Co)  (N, *buf, Ci)   by the caller
+    _weight_grad             a as (Ca, M)      dw, per tap     none
+
+The per-tap operand copy and the GEMM's product also go into buffers made
+once per call (_copy_taps, np.dot's out=), not once per tap: a large fresh
+array costs page faults, whose price depends on whether the system has huge
+pages free, so 27 of them per call tie training time to the memory state.
+
+Every GEMM gets the operands np.tensordot would give it, in the same layout
+and order (in _gather's weights-first path the weight slice stays the
+strided view tensordot passes: a contiguous copy changes the bits of some
+Co = 1 results), products are in the promoted dtype and accumulate in the
+input's, and every accumulator element adds its 27 tap products in tap
+order, so the results are bitwise those of a per-tap tensordot loop. Every
+result has C-order (N, C, X, Y, Z) strides (conv3d_backward's dx is a crop
+of a C-contiguous buffer): relu keeps its input's memory order and batch
+norm sums in memory order, so a channel-last result would have the same
+values but change the trained weights' bits.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.special import expit
@@ -71,42 +97,79 @@ def _pad(a: np.ndarray, buf_dims) -> np.ndarray:
     return buf
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """(N, C, *dims) -> (N*X*Y*Z, C), channel last: the GEMM operand that
+    np.tensordot builds when it contracts `a` over its channel axis."""
+    return a.transpose(0, 2, 3, 4, 1).reshape(-1, a.shape[1])
+
+
+def _copy_taps(src: np.ndarray, k, dims, buf: np.ndarray, axes) -> None:
+    """Copy taps_k(src), transposed by `axes`, into the C-contiguous `buf`
+    of the same size: the GEMM operand _rows (or tensordot) would allocate,
+    in the same layout, without a fresh allocation per tap."""
+    view = _taps(src, k, dims).transpose(axes)
+    np.copyto(buf.reshape(view.shape), view)
+
+
 def _gather(src_padded: np.ndarray, w: np.ndarray, out, weights_first: bool) -> np.ndarray:
-    """sum_k w[:, :, k] . taps_k(src_padded) over w's axis 1 -> (N, w.shape[0], *out).
+    """sum_k w[:, :, k] . taps_k(src_padded) over w's axis 1 -> C-contiguous
+    (N, w.shape[0], *out).
 
     weights_first sets the GEMM operand order of each tap's product: BLAS
     rounds A @ B and (B.T @ A.T).T differently for most shapes, and each
-    caller keeps the order its artifacts were first computed in.
+    caller keeps the order its artifacts were first computed in. The
+    accumulator has that GEMM's own 2-D layout, (C, M) or (M, C) with M the
+    batch-and-grid size, and is transposed once at the end.
     """
-    n, c = src_padded.shape[0], w.shape[0]
-    acc = np.zeros(((c, n) if weights_first else (n, c)) + tuple(out), dtype=src_padded.dtype)
+    c, ci, grid = w.shape[0], w.shape[1], (src_padded.shape[0], *out)
+    m = math.prod(grid)
+    if weights_first:
+        acc_shape, taps_shape, axes = (c, m), (ci, m), (1, 0, 2, 3, 4)
+    else:
+        acc_shape, taps_shape, axes = (m, c), (m, ci), (0, 2, 3, 4, 1)
+    acc = np.zeros(acc_shape, dtype=src_padded.dtype)
+    prod = np.empty(acc_shape, dtype=np.result_type(src_padded, w))
+    taps = np.empty(taps_shape, dtype=src_padded.dtype)
     for k in _offsets():
-        taps = _taps(src_padded, k, out)
-        if weights_first:
-            acc += np.tensordot(w[(..., *k)], taps, axes=([1], [1]))
-        else:
-            acc += np.moveaxis(np.tensordot(taps, w[(..., *k)], axes=([1], [1])), -1, 1)
-    return acc.transpose(1, 0, 2, 3, 4).copy() if weights_first else acc
+        _copy_taps(src_padded, k, out, taps, axes)
+        w_k = w[(..., *k)]
+        acc += np.dot(w_k, taps, out=prod) if weights_first else np.dot(taps, w_k.T, out=prod)
+    del prod, taps  # free the scratch before the result copy raises the peak
+    if weights_first:
+        return acc.reshape(c, *grid).transpose(1, 0, 2, 3, 4).copy()
+    return np.moveaxis(acc.reshape(*grid, c), -1, 1).copy()
 
 
 def _scatter(src: np.ndarray, w: np.ndarray, buf_dims) -> np.ndarray:
     """Adjoint of _gather: taps_k(buf) += w[:, :, k]^T . src over w's axis 0,
-    into a zero (N, w.shape[1], *buf_dims) buffer."""
-    buf = np.zeros((src.shape[0], w.shape[1]) + tuple(buf_dims), dtype=src.dtype)
+    into a zero buffer returned as an (N, w.shape[1], *buf_dims) view.
+
+    src's GEMM operand is built once; the buffer is channel last, the layout
+    each tap's product comes out of the GEMM in, and the view keeps that
+    layout: each caller copies the part it needs to C order once.
+    """
+    n, dims, ci = src.shape[0], src.shape[2:], w.shape[1]
+    buf = np.moveaxis(np.zeros((n, *buf_dims, ci), dtype=src.dtype), -1, 1)
+    rows = _rows(src)
+    prod = np.empty((rows.shape[0], ci), dtype=np.result_type(src, w))
+    contrib = np.moveaxis(prod.reshape(n, *dims, ci), -1, 1)
     for k in _offsets():
-        contrib = np.tensordot(src, w[(..., *k)], axes=([1], [0]))
-        _taps(buf, k, src.shape[2:])[...] += np.moveaxis(contrib, -1, 1)
+        np.dot(rows, w[(..., *k)], out=prod)
+        _taps(buf, k, dims)[...] += contrib
     return buf
 
 
 def _weight_grad(a: np.ndarray, src_padded: np.ndarray) -> np.ndarray:
     """Per tap k, sum over batch and grid of a x taps_k(src_padded)
-    -> (a.shape[1], src_padded.shape[1], 3, 3, 3)."""
-    dw = np.empty((a.shape[1], src_padded.shape[1]) + (KERNEL,) * 3, dtype=a.dtype)
+    -> (a.shape[1], src_padded.shape[1], 3, 3, 3); a's GEMM operand is
+    built once."""
+    cb, dims = src_padded.shape[1], a.shape[2:]
+    dw = np.empty((a.shape[1], cb) + (KERNEL,) * 3, dtype=a.dtype)
+    rows_t = a.transpose(1, 0, 2, 3, 4).reshape(a.shape[1], -1)
+    rows = np.empty((rows_t.shape[1], cb), dtype=src_padded.dtype)
     for k in _offsets():
-        dw[(..., *k)] = np.tensordot(
-            a, _taps(src_padded, k, a.shape[2:]), axes=([0, 2, 3, 4], [0, 2, 3, 4])
-        )
+        _copy_taps(src_padded, k, dims, rows, (0, 2, 3, 4, 1))
+        dw[(..., *k)] = np.dot(rows_t, rows)
     return dw
 
 
@@ -124,7 +187,7 @@ def conv3d_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray):
     """Gradients of sum(g * conv3d_forward(x, w, b)) -> (dx, dw, db)."""
     dims = x.shape[2:]
     padded = [d + 2 for d in dims]
-    dx = _crop(_scatter(g, w, padded), dims)
+    dx = _crop(np.ascontiguousarray(_scatter(g, w, padded)), dims)
     return dx, _weight_grad(g, _pad(x, padded)), g.sum(axis=(0, 2, 3, 4))
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import forge_first_shape
 from latentscope import autoencoder as ae
 from latentscope.data import AtlasMap, Cohort, Subject, Volume
 from latentscope.errors import (ConfigError, DependencyError, FormatError,
@@ -259,6 +260,23 @@ class TestActivations:
             np.testing.assert_allclose(a.matrix(key), b.matrix(key),
                                        rtol=0, atol=1e-12)
 
+    def test_encoder_only_matches_forward_bitwise(self, small_cohort,
+                                                   trained_small, monkeypatch):
+        model, _ = trained_small
+        x = np.stack([s.volume.voxels for s in small_cohort.subjects])
+        x = x[:, None].astype(np.float64)
+        _, acts, _ = ae.forward(model, x, "eval")
+
+        def decoder(*args, **kwargs):
+            raise AssertionError("extract_activations ran a decoder layer")
+
+        monkeypatch.setattr(ae.nn, "conv_transpose3d_forward", decoder)
+        got = ae.extract_activations(model, small_cohort, batch_size=len(x))
+        for j, key in enumerate(("L1", "L2", "L3")):
+            want = acts[j].reshape(len(x), -1)
+            assert got.layers[key].shape == want.shape
+            assert np.array_equal(got.layers[key], want)
+
     def test_unknown_layer_key(self, small_cohort, trained_small):
         model, _ = trained_small
         acts = ae.extract_activations(model, small_cohort)
@@ -321,6 +339,17 @@ class TestPersistence:
         else:
             blob = ae.MODEL_MAGIC + b"layers \xff\n"
         path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            ae.load_model(str(path))
+
+    @pytest.mark.parametrize("shape", [(1 << 20, 1 << 20), (1 << 31, 1 << 31),
+                                       (0xFFFFFFFF,) * 4, (2,) * 64])
+    def test_forged_shape_raises_format_error(self, tmp_path, shape):
+        # the first array claims more payload than the whole file holds
+        model = ae.init_params(seed=21)
+        path = tmp_path / "model.lsm"
+        ae.save_model(model, str(path))
+        path.write_bytes(forge_first_shape(path.read_bytes(), shape))
         with pytest.raises(FormatError):
             ae.load_model(str(path))
 

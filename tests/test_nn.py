@@ -335,6 +335,77 @@ def test_conv_transpose3d_matches_reference_bitwise(output_padding, dims, ci, co
     assert got[0].flags.c_contiguous
 
 
+def test_pipeline_scale_conv3d_matches_reference_bitwise():
+    """L1 of the 32^3 study network (1 -> 16) at batch 2: BLAS picks its
+    kernels by operand size, and the pins above stop at 9 voxels per axis."""
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(2, 1, 32, 32, 32))
+    w = rng.normal(size=(16, 1, 3, 3, 3))
+    b = rng.normal(size=16)
+    out = conv3d_forward(x, w, b)
+    _assert_all_equal([out], [_ref_conv3d_forward(x, w, b)])
+    g = rng.normal(size=out.shape)
+    _assert_all_equal(conv3d_backward(g, x, w), _ref_conv3d_backward(g, x, w))
+
+
+def test_pipeline_scale_conv_transpose3d_matches_reference_bitwise():
+    """T3 of the 32^3 study network (16 -> 1, 16^3 -> 32^3) at batch 2."""
+    rng = np.random.default_rng(16)
+    op = (1, 1, 1)
+    x = rng.normal(size=(2, 16, 16, 16, 16))
+    w = rng.normal(size=(16, 1, 3, 3, 3))
+    b = rng.normal(size=1)
+    out = conv_transpose3d_forward(x, w, b, op)
+    assert out.shape == (2, 1, 32, 32, 32)
+    _assert_all_equal([out], [_ref_conv_transpose3d_forward(x, w, b, op)])
+    g = rng.normal(size=out.shape)
+    _assert_all_equal(conv_transpose3d_backward(g, x, w, op),
+                      _ref_conv_transpose3d_backward(g, x, w))
+
+
+@pytest.mark.parametrize("ci,co", PIN_CHANNELS)
+def test_float32_input_conv3d_matches_reference_bitwise(ci, co):
+    """The eval forward feeds float32 volumes to L1 with float64 weights:
+    the result keeps the input's dtype and the float64 products' bits."""
+    rng = np.random.default_rng([ci, co, 32])
+    x = rng.normal(size=(2, ci, 7, 8, 9)).astype(np.float32)
+    w = rng.normal(size=(co, ci, 3, 3, 3))
+    b = rng.normal(size=co)
+    out = conv3d_forward(x, w, b)
+    assert out.dtype == np.float32
+    _assert_all_equal([out], [_ref_conv3d_forward(x, w, b)])
+
+
+def _has_c_order_strides(a):
+    """Whether `a` is laid out as (N, C, X, Y, Z) in C order: C-contiguous, or
+    a crop of a C-contiguous buffer, each stride a multiple of the next one
+    of at least that axis's size (axes of size 1 have no layout)."""
+    axes = [(n, s) for n, s in zip(a.shape, a.strides) if n > 1]
+    return (not axes or axes[-1][1] == a.itemsize) and all(
+        s0 % s1 == 0 and s0 // s1 >= n1
+        for (_, s0), (n1, s1) in zip(axes, axes[1:]))
+
+
+@pytest.mark.parametrize("dims", PIN_DIMS)
+@pytest.mark.parametrize("ci,co", PIN_CHANNELS)
+def test_kernel_results_have_c_order_strides(dims, ci, co):
+    """Relu and batch norm keep their input's memory order and the norm sums
+    in memory order, so a result in another layout (channel last, say) would
+    have the same values but change the trained weights' bits."""
+    rng = np.random.default_rng([ci, co, *dims, 5])
+    x = rng.normal(size=(2, ci) + dims)
+    w = rng.normal(size=(co, ci, 3, 3, 3))
+    out = conv3d_forward(x, w, np.zeros(co))
+    results = [out, *conv3d_backward(rng.normal(size=out.shape), x, w)]
+    wt = rng.normal(size=(ci, co, 3, 3, 3))
+    for op in [(0, 0, 0), (1, 0, 1)]:
+        out = conv_transpose3d_forward(x, wt, np.zeros(co), op)
+        results += [out, *conv_transpose3d_backward(rng.normal(size=out.shape),
+                                                    x, wt, op)]
+    for r in results:
+        assert _has_c_order_strides(r), (r.shape, r.strides)
+
+
 def test_conv_kernels_do_not_call_one_another(monkeypatch):
     """Each public conv call is one conv op: a profiler that wraps the four
     kernels by name must not see one nested inside another."""

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import forge_first_shape
 from latentscope.autoencoder import TrainConfig
 from latentscope.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_NUMERIC,
                              EXIT_OK, build_parser, main)
@@ -356,6 +357,31 @@ class TestCLI:
         assert main(["embed"] + base) == EXIT_DEPENDENCY
         err = capsys.readouterr().err
         assert "dependency error" in err and "model.lsae" in err
+
+    def test_embed_forged_model_shape_exits_3(self, tiny_run, tmp_path, capsys):
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        model = copy / "train" / "NOR_AD" / "model.lsae"
+        model.write_bytes(forge_first_shape(model.read_bytes(), (1 << 20, 1 << 20)))
+        assert main(["embed"] + base) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "model.lsae" in err
+
+    @pytest.mark.parametrize("old,new", [
+        (",3,volumes/", ",x,volumes/"),           # a class label that is no int
+        ("# seed=", "# seed=x"),                  # a seed line that does not parse
+        ("id,class_label,volume_path", "id,class_label,path"),
+        ("id,class_label,volume_path", "name,class_label,volume_path"),
+    ])
+    def test_train_malformed_manifest_exits_3(self, tiny_run, tmp_path, capsys,
+                                              old, new):
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        manifest = copy / "generate" / "cohort" / "manifest.csv"
+        text = manifest.read_text()
+        assert old in text
+        manifest.write_text(text.replace(old, new, 1))
+        assert main(["train"] + base + ["--stage-force"]) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "manifest.csv" in err
 
     def test_numeric_failure_exits_4(self, tmp_path, capsys):
         # four subjects per class is enough to generate and train on but too
