@@ -145,14 +145,6 @@ class RegionProfileMatrix:
         if self.region_ids.shape[0] != self.values.shape[1]:
             raise ShapeError("region id count != profile column count")
 
-    @property
-    def n_subjects(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_regions(self) -> int:
-        return self.values.shape[1]
-
 
 def region_means(volume: Volume, atlas: AtlasMap) -> np.ndarray:
     """Mean intensity per region id 1..R, background (label 0) excluded."""

@@ -10,6 +10,25 @@ with one degree of freedom. Optimization is gradient descent with momentum
 iterations, and per-coordinate adaptive gains (+0.2 while the gradient
 opposes the velocity, x0.8 otherwise, floored at 0.01). KL(P||Q) against the
 un-exaggerated P is recorded every iteration.
+
+The optimiser loop works in place, and every element gets the float
+operations, in the order, of the textbook form
+`4 (diag(rowsum(pq)) - pq) @ y` with `pq = (P - Q) * num`, so the returned
+values and `kl_history` are the same bits as that form gives:
+- `num` and `pq` are allocated once per fit and every n x n step writes into
+  them with `out=`; `P * 12` is computed once.
+- The Gram product stays `y @ y.T`, a fresh array each iteration that then
+  holds Q. numpy sends a matrix times its own transpose to BLAS syrk and any
+  other product to gemm, and the two round differently.
+- `num` is `1 / (1 + d2)` with d2 computed as `pairwise_sq_dists` does it,
+  except that d2's diagonal is not zeroed first: `num`'s is set to 0 anyway.
+- `diag(s) - pq` is built in `pq` as `0.0 - pq` with the row sums s written
+  onto the diagonal. The diagonal of `pq` is (0 - 1e-12) * 0 = -0.0 and no
+  s is -0.0, so s - (-0.0) = s exactly. The factor 4 is applied to that
+  matrix before the product with `y`, as in `(4.0 * M) @ y`.
+- KL gathers Q on P's support (`flatnonzero(P > 0)`, found once) and runs
+  divide, log, multiply and sum over it: the terms and the summation of
+  `kl_divergence(P, Q)`, which stays the public reference.
 """
 
 from __future__ import annotations
@@ -74,6 +93,18 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float((p[mask] * np.log(p[mask] / q[mask])).sum())
 
 
+def _kl_on_support(p_support: np.ndarray, q: np.ndarray, support: np.ndarray,
+                   out: np.ndarray) -> float:
+    """`kl_divergence(p, q)` with p's support and values gathered beforehand:
+    the same terms in the same order, computed in `out`."""
+    # the indices are in range; "clip" only skips the per-index bounds check
+    np.take(q.reshape(-1), support, out=out, mode="clip")
+    np.divide(p_support, out, out=out)
+    np.log(out, out=out)
+    np.multiply(p_support, out, out=out)
+    return float(out.sum())
+
+
 def tsne_embed(x: np.ndarray, dims: int = 3, perplexity: float = 30.0,
                lr: float = 200.0, iters: int = 1000, seed: int = 0,
                subject_ids: list[str] | None = None,
@@ -103,6 +134,9 @@ def tsne_embed(x: np.ndarray, dims: int = 3, perplexity: float = 30.0,
 
     p_cond = conditional_probabilities(d2, perplexity)
     p = (p_cond + p_cond.T) / (2.0 * n)
+    p_exaggerated = p * EXAGGERATION
+    support = np.flatnonzero(p > 0)
+    p_support = p.reshape(-1)[support]
 
     y = rng.normal(0.0, 1e-4, size=(n, dims))
     velocity = np.zeros_like(y)
@@ -111,23 +145,42 @@ def tsne_embed(x: np.ndarray, dims: int = 3, perplexity: float = 30.0,
     # they align (overshoot), never below 0.01
     gains = np.ones_like(y)
     kl_history = np.zeros(iters)
+    num = np.empty((n, n))
+    pq = np.empty((n, n))
+    kl_terms = np.empty(support.size)
     for it in range(iters):
-        p_eff = p * EXAGGERATION if it < EXAGGERATION_ITERS else p
+        p_eff = p_exaggerated if it < EXAGGERATION_ITERS else p
         momentum = MOMENTUM_EARLY if it < EXAGGERATION_ITERS else MOMENTUM_LATE
-        num = 1.0 / (1.0 + pairwise_sq_dists(y))
+        # num = 1 / (1 + pairwise_sq_dists(y)) with a zero diagonal
+        sq = (y * y).sum(axis=1)
+        q = y @ y.T
+        np.multiply(q, 2.0, out=q)
+        num[:] = sq[:, None]
+        np.add(num, sq, out=num)
+        np.subtract(num, q, out=num)
+        np.maximum(num, 0.0, out=num)
+        np.add(num, 1.0, out=num)
+        np.divide(1.0, num, out=num)
         np.fill_diagonal(num, 0.0)
-        q = np.maximum(num / num.sum(), 1e-12)
-        pq = (p_eff - q) * num
-        grad = 4.0 * (np.diag(pq.sum(axis=1)) - pq) @ y
+        np.divide(num, num.sum(), out=q)
+        np.maximum(q, 1e-12, out=q)
+        np.subtract(p_eff, q, out=pq)
+        np.multiply(pq, num, out=pq)
+        # 4 (diag(row sums) - pq), built in place
+        row_sums = pq.sum(axis=1)
+        np.subtract(0.0, pq, out=pq)
+        np.fill_diagonal(pq, row_sums)
+        np.multiply(pq, 4.0, out=pq)
+        grad = pq @ y
         if not np.isfinite(grad).all():
             raise NumericError(f"non-finite t-SNE gradient at iteration {it}")
         opposed = np.sign(grad) != np.sign(velocity)
         gains = np.where(opposed, gains + 0.2, gains * 0.8)
         np.clip(gains, 0.01, None, out=gains)
         velocity = momentum * velocity - lr * (gains * grad)
-        y = y + velocity
-        y = y - y.mean(axis=0)
-        kl_history[it] = kl_divergence(p, q)
+        y += velocity
+        y -= y.mean(axis=0)
+        kl_history[it] = _kl_on_support(p_support, q, support, kl_terms)
 
     if subject_ids is None:
         subject_ids = [f"S{i:04d}" for i in range(n)]

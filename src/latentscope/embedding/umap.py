@@ -11,6 +11,19 @@ curve defined by min_dist. Optimization samples each edge in proportion to
 its weight (stronger edges more often), moves edge heads by the clipped
 attractive gradient, and applies `negative_rate` uniformly random repulsive
 samples per attractive update, with linearly decaying learning rate.
+
+The optimiser loop keeps its numpy calls few and cheap, and these forms
+hold its bits:
+- Active edges, the kept rows of each negative round and the `next_sample`
+  update are selected with `flatnonzero` and `take`, which pick the same
+  elements in the same order as a boolean mask.
+- Each update goes through one 1-D `np.add.at` on the flat view of `y`
+  (`_add_rows`). A head that occurs several times in one update has each
+  of its elements updated one occurrence at a time, in order, as the 2-D
+  row form does; summing a head's updates first (`bincount`) would round
+  differently.
+- The RNG draws one `integers` block per epoch with active edges; any other
+  call sequence changes every later sample.
 """
 
 from __future__ import annotations
@@ -118,6 +131,15 @@ def cross_entropy(w: np.ndarray, w_hat: np.ndarray, eps: float = 1e-12) -> float
     return total
 
 
+def _add_rows(y: np.ndarray, rows: np.ndarray, upd: np.ndarray) -> None:
+    """`np.add.at(y, rows, upd)` for a C-contiguous 2-D `y`, as one 1-D
+    `add.at` on its flat view: element (r, c) sits at r * dims + c and still
+    receives its updates one at a time, in order of occurrence."""
+    dims = y.shape[1]
+    flat = (rows * dims)[:, None] + np.arange(dims)
+    np.add.at(y.reshape(-1), flat.reshape(-1), upd.reshape(-1))
+
+
 def umap_embed(x: np.ndarray, dims: int = 3, n_neighbors: int = 15,
                min_dist: float = 0.1, epochs: int = 500, seed: int = 0,
                negative_rate: int = 5, subject_ids: list[str] | None = None,
@@ -141,11 +163,11 @@ def umap_embed(x: np.ndarray, dims: int = 3, n_neighbors: int = 15,
     y = rng.uniform(-10.0, 10.0, size=(n, dims))
     for epoch in range(1, epochs + 1):
         alpha = 1.0 - (epoch - 1) / epochs
-        active = next_sample <= epoch
-        if active.any():
-            h = heads[active]
-            t = tails[active]
-            diff = y[h] - y[t]
+        active = np.flatnonzero(next_sample <= epoch)
+        if active.size:
+            h = heads.take(active)
+            t = tails.take(active)
+            diff = y.take(h, axis=0) - y.take(t, axis=0)
             d2 = (diff * diff).sum(axis=1)
             pos = d2 > 0.0
             coef = np.zeros_like(d2)
@@ -153,19 +175,20 @@ def umap_embed(x: np.ndarray, dims: int = 3, n_neighbors: int = 15,
                 1.0 + a * d2[pos] ** b
             )
             upd = np.clip(coef[:, None] * diff, -_GRAD_CLIP, _GRAD_CLIP) * alpha
-            np.add.at(y, h, upd)
+            _add_rows(y, h, upd)
             # negative samples: uniformly random targets, repulsive push on heads
             m = h.shape[0]
             neg_targets = rng.integers(0, n, size=(m, negative_rate))
             for c in range(negative_rate):
                 tneg = neg_targets[:, c]
-                keep = tneg != h
-                diff_n = y[h[keep]] - y[tneg[keep]]
+                keep = np.flatnonzero(tneg != h)
+                hk = h.take(keep)
+                diff_n = y.take(hk, axis=0) - y.take(tneg.take(keep), axis=0)
                 d2n = (diff_n * diff_n).sum(axis=1)
                 coef_n = 2.0 * b / ((0.001 + d2n) * (1.0 + a * d2n**b))
                 upd_n = np.clip(coef_n[:, None] * diff_n, -_GRAD_CLIP, _GRAD_CLIP) * alpha
-                np.add.at(y, h[keep], upd_n)
-            next_sample[active] += epochs_per_sample[active]
+                _add_rows(y, hk, upd_n)
+            next_sample[active] += epochs_per_sample.take(active)
         if not np.isfinite(y).all():
             raise NumericError(f"non-finite UMAP embedding at epoch {epoch}")
 

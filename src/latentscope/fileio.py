@@ -29,6 +29,8 @@ ATLAS_MAGIC = b"LSATL1\n"
 # refuse to allocate volumes beyond this voxel count when parsing headers
 _MAX_VOXELS = 2**31
 
+_MANIFEST_COLUMNS = ["id", "class_label", "volume_path"]
+
 
 def _read_line(f: io.BufferedReader, what: str, limit: int = 64) -> bytes:
     line = f.readline(limit)
@@ -127,13 +129,31 @@ def write_csv(path: str, fieldnames: list[str], rows, comments=()) -> None:
                 writer.writerow([fmt_value(v) for v in row])
 
 
-def read_csv(path: str) -> list[dict[str, str]]:
+def _data_lines(path: str) -> list[str]:
     try:
         with open(path, "r", newline="") as f:
-            lines = [ln for ln in f if not ln.startswith("#")]
+            return [ln for ln in f if not ln.startswith("#")]
     except (OSError, UnicodeDecodeError) as exc:  # missing or unreadable
         raise DependencyError(f"cannot read artifact {path}: {exc}") from exc
-    return list(csv.DictReader(lines))
+
+
+def read_csv(path: str) -> list[dict[str, str]]:
+    return list(csv.DictReader(_data_lines(path)))
+
+
+def read_table(path: str, columns: list[str]) -> list[dict[str, str]]:
+    """Rows of a CSV artifact whose header must be exactly `columns`, with one
+    field per column in every row; anything else is a FormatError."""
+    rows = [row for row in csv.reader(_data_lines(path)) if row]
+    header = rows[0] if rows else []
+    if header != columns:
+        raise FormatError(f"{path}: header {','.join(header)!r}, "
+                          f"expected {','.join(columns)!r}")
+    for i, row in enumerate(rows[1:], 1):
+        if len(row) != len(columns):
+            raise FormatError(f"{path}: data row {i} has {len(row)} fields, "
+                              f"expected {len(columns)}")
+    return [dict(zip(columns, row)) for row in rows[1:]]
 
 
 def save_cohort(directory: str, cohort: Cohort) -> None:
@@ -147,7 +167,7 @@ def save_cohort(directory: str, cohort: Cohort) -> None:
         rows.append((s.id, s.class_label, rel))
     write_csv(
         os.path.join(directory, "manifest.csv"),
-        ["id", "class_label", "volume_path"],
+        _MANIFEST_COLUMNS,
         rows,
         comments=(f"seed={cohort.seed}",),
     )
@@ -167,18 +187,14 @@ def load_cohort(directory: str) -> Cohort:
                     seed = int(ln.split("=", 1)[1])
                 if not ln.startswith("#"):
                     break
-        for row in read_csv(manifest):
+        for row in read_table(manifest, _MANIFEST_COLUMNS):
             vol = load_volume(os.path.join(directory, row["volume_path"]))
             subjects.append(
                 Subject(id=row["id"], class_label=int(row["class_label"]), volume=vol)
             )
-    except (KeyError, TypeError, ValueError) as exc:  # bad field or missing column
+    except ValueError as exc:  # a seed or class label that is no int
         raise FormatError(f"malformed manifest {manifest}: {exc!r}") from exc
     return Cohort(subjects=subjects, atlas=atlas, seed=seed)
-
-
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def sha256_file(path: str) -> str:

@@ -21,8 +21,8 @@ from .autoencoder import TrainConfig, extract_activations, load_model, save_mode
 from .config import PipelineConfig, config_hash, canonical_lines, parse_comparison
 from .data import CLASS_NAMES, Cohort, balanced_subset, build_region_profiles
 from .embedding import EmbeddingMatrix, embed_once
-from .errors import DependencyError
-from .fileio import (fmt_value, load_cohort, read_csv, save_cohort, save_volume,
+from .errors import DependencyError, FormatError
+from .fileio import (fmt_value, load_cohort, read_table, save_cohort, save_volume,
                      write_csv)
 from .lrcp import LRCPGrid, accuracy_map, lrcp_grid, summary_counts
 from .regionstats import correlate_embedding_regions, overlap_report, top_regions
@@ -40,6 +40,18 @@ STAGE_DEPS = {
     "lrcp": ("generate", "embed"),
     "report": ("generate", "correlate", "shap", "lrcp"),
 }
+
+# headers of the stage CSVs that a later stage reads back
+_TOP_REGION_COLUMNS = ["method", "layer", "rank", "region", "r", "p",
+                      "component", "class"]
+_OVERLAP_COLUMNS = ["comparison_a", "comparison_b", "region"]
+_IMPORTANCE_COLUMNS = ["class", "region", "s_r", "s_tilde"]
+_SUMMARY_COLUMNS = ["comparison", "method", "layer", "component", "significant",
+                   "non_significant"]
+
+
+def _embedding_columns(components: int) -> list[str]:
+    return ["subject_id", "method", "layer"] + [f"d{i}" for i in range(components)]
 
 
 @contextmanager
@@ -211,14 +223,10 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                         dims=config.embed.components,
                         **hyper.get(method, {}))
                     base = comp_dir / f"{method}_{layer}"
-                    cols = [f"d{i}" for i in range(emb.n_components)]
                     write_csv(str(base.with_suffix(".csv")),
-                              ["subject_id", "method", "layer"] + cols,
-                              [dict({"subject_id": sid, "method": method,
-                                     "layer": layer},
-                                    **{c: emb.values[i, j]
-                                       for j, c in enumerate(cols)})
-                               for i, sid in enumerate(emb.subject_ids)],
+                              _embedding_columns(emb.n_components),
+                              [(sid, method, layer, *row)
+                               for sid, row in zip(emb.subject_ids, emb.values)],
                               comments=_hash_comment(config))
                     meta = _scalar_metadata(emb.metadata)
                     base.with_suffix(".meta").write_text(
@@ -227,12 +235,21 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
     return out / "embed"
 
 
-def _load_embedding(path: Path, method: str, layer: str) -> EmbeddingMatrix:
-    rows = read_csv(str(path))
+def _load_embedding(path: Path, method: str, layer: str,
+                    components: int) -> EmbeddingMatrix:
+    columns = _embedding_columns(components)
+    rows = read_table(str(path), columns)
     if not rows:
         raise DependencyError(f"embedding file {path} is empty")
-    cols = sorted(k for k in rows[0] if k.startswith("d") and k[1:].isdigit())
-    values = np.array([[float(row[c]) for c in cols] for row in rows])
+    if any(row["method"] != method or row["layer"] != layer for row in rows):
+        raise FormatError(f"{path}: a row is not of method {method!r}, "
+                          f"layer {layer!r}")
+    try:
+        values = np.array([[float(row[c]) for c in columns[3:]] for row in rows])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise FormatError(f"{path}: non-finite embedding value")
     ids = [row["subject_id"] for row in rows]
     meta_path = path.with_suffix(".meta")
     metadata = {}
@@ -254,7 +271,8 @@ def _load_all_embeddings(out: Path, config: PipelineConfig) -> dict:
                 if not path.exists():
                     raise DependencyError(
                         f"missing embedding artifact {path}; rerun the embed stage")
-                embeddings[(name, method, layer)] = _load_embedding(path, method, layer)
+                embeddings[(name, method, layer)] = _load_embedding(
+                    path, method, layer, config.embed.components)
     return embeddings
 
 
@@ -306,9 +324,8 @@ def run_correlate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
             write_csv(str(comp_dir / "correlations.csv"),
                       ["method", "layer", "component", "region", "class", "n",
                        "r", "r2", "p", "flag"], all_rows, comments=comments)
-            write_csv(str(comp_dir / "top_regions.csv"),
-                      ["method", "layer", "rank", "region", "r", "p",
-                       "component", "class"], top_rows, comments=comments)
+            write_csv(str(comp_dir / "top_regions.csv"), _TOP_REGION_COLUMNS,
+                      top_rows, comments=comments)
             write_csv(str(comp_dir / "corrected_pvalue.csv"),
                       ["method", "layer", "component", "region", "class", "n",
                        "r", "r2", "p", "flag"], kept_p_rows, comments=comments)
@@ -322,8 +339,7 @@ def run_correlate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                 overlap_rows.extend(
                     {"comparison_a": a, "comparison_b": b, "region": region}
                     for region in regions)
-        write_csv(str(stage / "overlap.csv"),
-                  ["comparison_a", "comparison_b", "region"], overlap_rows,
+        write_csv(str(stage / "overlap.csv"), _OVERLAP_COLUMNS, overlap_rows,
                   comments=_hash_comment(config) + [
                       f"method={overlap_method}", f"layer={overlap_layer}"])
         _write_stamp(out, "correlate", config)
@@ -371,9 +387,8 @@ def run_shap(config: PipelineConfig, out_dir, force: bool = False) -> Path:
             write_csv(str(comp_dir / "shap_values.csv"),
                       ["class", "subject_id", "region", "phi"], phi_rows,
                       comments=comments)
-            write_csv(str(comp_dir / "importance.csv"),
-                      ["class", "region", "s_r", "s_tilde"], importance_rows,
-                      comments=comments)
+            write_csv(str(comp_dir / "importance.csv"), _IMPORTANCE_COLUMNS,
+                      importance_rows, comments=comments)
         _write_stamp(out, "shap", config)
     return out / "shap"
 
@@ -415,9 +430,8 @@ def run_lrcp(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                   ["comparison", "method", "layer", "component", "region", "n",
                    "r", "p", "emp_error", "corr_error", "category"],
                   _grid_rows(grid), comments=comments)
-        write_csv(str(stage / "summary.csv"),
-                  ["comparison", "method", "layer", "component", "significant",
-                   "non_significant"], _summary_rows(grid), comments=comments)
+        write_csv(str(stage / "summary.csv"), _SUMMARY_COLUMNS,
+                  _summary_rows(grid), comments=comments)
         for name in grid.comparisons:
             for method in grid.methods:
                 for layer in grid.layers:
@@ -438,31 +452,32 @@ def run_report(config: PipelineConfig, out_dir, force: bool = False) -> Path:
         stage.mkdir(parents=True, exist_ok=True)
         comments = _hash_comment(config)
 
-        summary_rows = read_csv(str(out / "lrcp" / "summary.csv"))
-        write_csv(str(stage / "lrcp_summary.csv"),
-                  ["comparison", "method", "layer", "component", "significant",
-                   "non_significant"], summary_rows, comments=comments)
+        summary_rows = read_table(str(out / "lrcp" / "summary.csv"),
+                                  _SUMMARY_COLUMNS)
+        write_csv(str(stage / "lrcp_summary.csv"), _SUMMARY_COLUMNS,
+                  summary_rows, comments=comments)
 
         top_rows = []
         for name in config.comparisons:
-            for row in read_csv(str(out / "correlate" / name / "top_regions.csv")):
+            for row in read_table(str(out / "correlate" / name / "top_regions.csv"),
+                                  _TOP_REGION_COLUMNS):
                 top_rows.append(dict({"comparison": name}, **row))
         write_csv(str(stage / "top_regions.csv"),
-                  ["comparison", "method", "layer", "rank", "region", "r", "p",
-                   "component", "class"], top_rows, comments=comments)
+                  ["comparison"] + _TOP_REGION_COLUMNS, top_rows, comments=comments)
 
-        overlap_rows = read_csv(str(out / "correlate" / "overlap.csv"))
-        write_csv(str(stage / "overlap.csv"),
-                  ["comparison_a", "comparison_b", "region"], overlap_rows,
+        overlap_rows = read_table(str(out / "correlate" / "overlap.csv"),
+                                  _OVERLAP_COLUMNS)
+        write_csv(str(stage / "overlap.csv"), _OVERLAP_COLUMNS, overlap_rows,
                   comments=comments)
 
         importance_rows = []
         for name in config.comparisons:
-            for row in read_csv(str(out / "shap" / name / "importance.csv")):
+            for row in read_table(str(out / "shap" / name / "importance.csv"),
+                                  _IMPORTANCE_COLUMNS):
                 importance_rows.append(dict({"comparison": name}, **row))
         write_csv(str(stage / "shap_importance.csv"),
-                  ["comparison", "class", "region", "s_r", "s_tilde"],
-                  importance_rows, comments=comments)
+                  ["comparison"] + _IMPORTANCE_COLUMNS, importance_rows,
+                  comments=comments)
 
         stamp_rows = [{"stage": dep, "config_hash": _read_stamp_hash(out, dep)}
                       for dep in STAGES if _read_stamp_hash(out, dep) is not None]

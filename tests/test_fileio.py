@@ -6,8 +6,8 @@ import pytest
 from latentscope.data import AtlasMap, Volume
 from latentscope.errors import DependencyError, FormatError
 from latentscope.fileio import (load_atlas, load_cohort, load_volume, read_csv,
-                                save_atlas, save_cohort, save_volume,
-                                write_csv)
+                                read_table, save_atlas, save_cohort,
+                                save_volume, write_csv)
 
 
 def _random_volume(seed, dims=(4, 5, 6)):
@@ -120,6 +120,24 @@ def test_csv_missing_or_unreadable_is_package_error(tmp_path):
     path.write_bytes(b"a,b\n\xff\xfe,1\n")
     with pytest.raises(DependencyError):
         read_csv(str(path))
+
+
+def test_table_needs_exact_header_and_full_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ["a", "b"], [{"a": 1, "b": "x"}], comments=("c=1",))
+    assert read_table(str(path), ["a", "b"]) == [{"a": "1", "b": "x"}]
+    for columns in (["b", "a"], ["a"], ["a", "b", "c"]):
+        with pytest.raises(FormatError, match="header"):
+            read_table(str(path), columns)
+    for row in ("1", "1,x,2"):
+        path.write_text(f"a,b\n{row}\n")
+        with pytest.raises(FormatError, match="1 has"):
+            read_table(str(path), ["a", "b"])
+    path.write_text("")
+    with pytest.raises(FormatError, match="header"):
+        read_table(str(path), ["a", "b"])
+    with pytest.raises(DependencyError, match="absent.csv"):
+        read_table(str(tmp_path / "absent.csv"), ["a", "b"])
 
 
 def test_grid_missing_or_unreadable_is_dependency_error(tmp_path):

@@ -383,6 +383,59 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "dependency error" in err and "manifest.csv" in err
 
+    def test_train_manifest_row_with_extra_field_exits_3(self, tiny_run,
+                                                         tmp_path, capsys):
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        manifest = copy / "generate" / "cohort" / "manifest.csv"
+        text = manifest.read_text()
+        manifest.write_text(text.replace(".vol\n", ".vol,extra\n", 1))
+        assert main(["train"] + base + ["--stage-force"]) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "manifest.csv" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [lines[0].replace(",d1", ",e1")] + lines[1:],  # renamed
+        lambda lines: [lines[0].replace("d0,d1", "d1,d0")] + lines[1:],  # swapped
+        lambda lines: [lines[0], lines[1] + ",0.5"] + lines[2:],  # extra field
+        lambda lines: [lines[0], lines[1].rsplit(",", 1)[0]] + lines[2:],  # short
+        lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",x"] + lines[2:],
+        lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",nan"] + lines[2:],
+        lambda lines: [lines[0], lines[1].replace(",pca,", ",pls,")] + lines[2:],
+        lambda lines: [lines[0], lines[1].replace(",L3,", ",L2,")] + lines[2:],
+    ], ids=["renamed", "swapped", "extra_field", "short_row", "non_numeric",
+            "non_finite", "method", "layer"])
+    def test_lrcp_malformed_embedding_exits_3(self, tiny_run, tmp_path, capsys,
+                                              edit):
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        path = copy / "embed" / "NOR_AD" / "pca_L3.csv"
+        text = path.read_text()
+        comments = [ln for ln in text.splitlines() if ln.startswith("#")]
+        lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+        assert lines[0] == "subject_id,method,layer,d0,d1"
+        path.write_text("\n".join(comments + edit(lines)) + "\n")
+        assert main(["lrcp"] + base) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "pca_L3.csv" in err
+
+    @pytest.mark.parametrize("rel,old,new", [
+        ("shap/NOR_AD/importance.csv", ",s_r,", ",s_x,"),
+        ("lrcp/summary.csv", ",significant,non_significant",
+         ",sig,non_significant"),
+        ("correlate/NOR_AD/top_regions.csv", ",rank,", ",position,"),
+        ("correlate/overlap.csv", "comparison_a,comparison_b,region",
+         "comparison_a,comparison_b"),
+    ])
+    def test_report_malformed_input_exits_3(self, tiny_run, tmp_path, capsys,
+                                            rel, old, new):
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        path = copy / rel
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        assert main(["report"] + base) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and path.name in err
+
     def test_numeric_failure_exits_4(self, tmp_path, capsys):
         # four subjects per class is enough to generate and train on but too
         # few for the attribution forest, which needs five samples

@@ -1,10 +1,14 @@
-"""t-SNE tests: affinity calibration oracles, KL behavior, benchmark recovery."""
+"""t-SNE tests: affinity calibration oracles, KL behavior, benchmark recovery,
+and pinned bits of the optimiser."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from latentscope.embedding.common import pairwise_sq_dists, standardize
 from latentscope.embedding.tsne import (
+    _kl_on_support,
     conditional_probabilities,
     kl_divergence,
     perplexity_of,
@@ -88,6 +92,36 @@ class TestKl:
         assert np.isfinite(kl).all()
 
 
+    def test_support_form_equals_reference_bitwise(self):
+        # the optimiser gathers p's support once and q on it every iteration
+        rng = np.random.default_rng(9)
+        for n, zero_share in ((6, 0.0), (30, 0.3), (50, 0.9)):
+            p = rng.uniform(size=(n, n)) ** 8
+            p[rng.uniform(size=(n, n)) < zero_share] = 0.0
+            np.fill_diagonal(p, 0.0)
+            p /= p.sum()
+            q = np.maximum(rng.uniform(size=(n, n)) / n**2, 1e-12)
+            support = np.flatnonzero(p > 0)
+            got = _kl_on_support(p.reshape(-1)[support], q, support,
+                                 np.empty(support.size))
+            assert got.hex() == kl_divergence(p, q).hex()
+
+    def test_loop_kl_equals_reference_at_first_iteration(self):
+        # iteration 0 sees y as drawn from the seed, so q can be rebuilt
+        # outside the optimiser and scored with the public kl_divergence
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(40, 5))
+        emb = tsne_embed(x, dims=3, perplexity=8.0, iters=1, seed=4)
+        p_cond = conditional_probabilities(
+            pairwise_sq_dists(standardize(x)[0]), 8.0)
+        p = (p_cond + p_cond.T) / (2.0 * 40)
+        y = np.random.default_rng(4).normal(0.0, 1e-4, size=(40, 3))
+        num = 1.0 / (1.0 + pairwise_sq_dists(y))
+        np.fill_diagonal(num, 0.0)
+        q = np.maximum(num / num.sum(), 1e-12)
+        assert emb.metadata["kl_history"][0].hex() == kl_divergence(p, q).hex()
+
+
 class TestEmbedding:
     def test_too_few_rows_raises(self):
         with pytest.raises(DegenerateInputError):
@@ -160,3 +194,64 @@ class TestBenchmark:
         p_a = conditional_probabilities(pairwise_sq_dists(xs_a), 5.0)
         p_b = conditional_probabilities(pairwise_sq_dists(xs_b), 5.0)
         np.testing.assert_allclose(p_a, p_b, atol=1e-9)
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def _symmetric_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
+    n = x.shape[0]
+    p_cond = conditional_probabilities(
+        pairwise_sq_dists(standardize(x)[0]), perplexity)
+    return (p_cond + p_cond.T) / (2.0 * n)
+
+
+class TestPinnedBits:
+    """Digests of `values` and `kl_history`, recorded before the optimiser
+    loop was rewritten to reuse its buffers. Any change to the float
+    operations of the loop, or to their order, moves them."""
+
+    def test_full_support(self):
+        # n = 240 as in the cohort-analysis embeddings; every off-diagonal
+        # affinity is positive, so the KL support is the whole off-diagonal
+        x = np.random.default_rng(240).normal(size=(240, 16))
+        off = ~np.eye(240, dtype=bool)
+        assert (_symmetric_affinities(x, 30.0)[off] > 0).all()
+        emb = tsne_embed(x, perplexity=30.0, iters=300, seed=3)
+        assert _digest(emb.values) == (
+            "3dfbe633d778e9806ff4555d74901cc317d845f4981a26025698b1bc2c82525c")
+        assert _digest(emb.metadata["kl_history"]) == (
+            "a58c8c7b50850d45122f1789a01529b35a4f0633148756421b366a18e6ccd70d")
+
+    def test_underflowing_affinities(self):
+        # two tight clusters far apart at a small perplexity: the affinities
+        # across clusters underflow to 0 and drop out of the KL support
+        a = np.random.default_rng(12).normal(size=(12, 4)) * 0.01
+        x = np.vstack([a, a[::-1] * 0.5 + 100.0])
+        off = ~np.eye(24, dtype=bool)
+        assert (_symmetric_affinities(x, 3.0)[off] == 0.0).sum() > 100
+        emb = tsne_embed(x, perplexity=3.0, iters=300, seed=5)
+        assert _digest(emb.values) == (
+            "b54a213c641a68954ad92955c45512aaec89a42054c4e333efc83f506768b48d")
+        assert _digest(emb.metadata["kl_history"]) == (
+            "92a473a50476eb1e7be1bfc0a3199c7e810be5475afd31d9737c9aed44c87622")
+
+    def test_lowered_perplexity_in_two_dims(self):
+        with pytest.warns(UserWarning, match="perplexity"):
+            emb = tsne_embed(two_clusters(seed=4), dims=2, iters=300, seed=6)
+        assert emb.metadata["notes"] == ["perplexity_lowered_from=30.0"]
+        assert _digest(emb.values) == (
+            "1c79b1abb618db003fd76c490948cd2e1a0a1534f9c88bb6c5186927000a0655")
+        assert _digest(emb.metadata["kl_history"]) == (
+            "6349e2cf154ae611864594490a213dd5824fe439d8b06ece008bf38d9ceb01cd")
+
+    def test_duplicate_jitter(self):
+        x = np.zeros((8, 3))
+        x[4:] = 1.0
+        emb = tsne_embed(x, perplexity=2.0, iters=300, seed=7)
+        assert emb.metadata["notes"] == ["duplicate_points_jittered"]
+        assert _digest(emb.values) == (
+            "2171c89245c71bae91c27f29272478ea973cdb42fd3714708d2d2612abe484dc")
+        assert _digest(emb.metadata["kl_history"]) == (
+            "ff7d05a4a0a7746b02f87f6343698fa3723e73178f4f37bd890464f9fbe583cc")

@@ -1,9 +1,16 @@
-"""UMAP tests: fuzzy graph properties, kernel fit quality, benchmark recovery."""
+"""UMAP tests: fuzzy graph properties, kernel fit quality, benchmark recovery,
+and pinned bits of the optimiser."""
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latentscope.embedding.common import standardize
 from latentscope.embedding.umap import (
+    _add_rows,
     cross_entropy,
     fit_ab,
     fuzzy_graph,
@@ -148,3 +155,68 @@ class TestEmbedding:
         spread = max(va.std(axis=0).max(), vb.std(axis=0).max())
         gap = float(np.linalg.norm(va.mean(axis=0) - vb.mean(axis=0)))
         assert gap > 3.0 * spread
+
+
+@st.composite
+def row_updates(draw):
+    """A small 2-D array, row indices with repeats, and one update row per
+    index, with magnitudes far apart so that the order of additions shows."""
+    n = draw(st.integers(1, 5))
+    dims = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 24))
+    values = st.floats(-1e17, 1e17, allow_nan=False, allow_infinity=False)
+    y = np.array(draw(st.lists(values, min_size=n * dims, max_size=n * dims)))
+    rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m,
+                                  max_size=m)), dtype=np.intp)
+    upd = np.array(draw(st.lists(values, min_size=m * dims,
+                                 max_size=m * dims)))
+    return y.reshape(n, dims), rows, upd.reshape(m, dims)
+
+
+class TestFlatAddAt:
+    @settings(max_examples=300, deadline=None)
+    @given(row_updates())
+    def test_flat_add_at_equals_row_add_at_bitwise(self, case):
+        y, rows, upd = case
+        want = y.copy()
+        np.add.at(want, rows, upd)
+        got = y.copy()
+        _add_rows(got, rows, upd)
+        assert got.tobytes() == want.tobytes()
+
+
+def _star(center: np.ndarray, rng, k: int = 12) -> np.ndarray:
+    """A center point and k points at distance about 1 around it: the
+    center is every other point's nearest neighbour."""
+    spokes = rng.normal(size=(k, 3))
+    spokes /= np.linalg.norm(spokes, axis=1, keepdims=True)
+    return np.vstack([center,
+                      center + spokes * (1.0 + 0.01 * rng.uniform(size=(k, 1)))])
+
+
+class TestPinnedBits:
+    """Digests of `values`, recorded before the optimiser loop was rewritten
+    around a flat `np.add.at`. Any change to the float operations of the
+    loop, their order, or the RNG calls moves them."""
+
+    def test_disconnected_graph_with_hub(self):
+        rng = np.random.default_rng(13)
+        x = np.vstack([_star(np.zeros(3), rng), _star(np.full(3, 1000.0), rng)])
+        with pytest.warns(UserWarning, match="disconnected"):
+            graph, _ = fuzzy_graph(standardize(x)[0], 4)
+        heads, _ = np.nonzero(graph)
+        # point 0 heads 11 edges, all of weight 1: they are sampled in the
+        # same epochs, so its row gets repeated updates in one add.at
+        assert np.bincount(heads).max() == 11
+        with pytest.warns(UserWarning, match="disconnected"):
+            emb = umap_embed(x, n_neighbors=4, epochs=200, seed=8)
+        assert emb.metadata["notes"] == ["disconnected_graph"]
+        assert hashlib.sha256(emb.values.tobytes()).hexdigest() == (
+            "397acfecc9eee4ba123b0d768261f0b81aecd211f5074afd7e73f334205dc3b8")
+
+    def test_connected_graph_in_two_dims(self):
+        x = np.random.default_rng(60).normal(size=(60, 6))
+        emb = umap_embed(x, dims=2, n_neighbors=8, epochs=200, seed=9)
+        assert emb.metadata["notes"] == []
+        assert hashlib.sha256(emb.values.tobytes()).hexdigest() == (
+            "05e68d50f3e1e7017183882bf45dacae86d13c4b5bf506024c06e4a26829dba1")
