@@ -273,7 +273,7 @@ def backward(model: AEParams, cache, dloss_drecon: np.ndarray):
         else:
             g = nn.sigmoid_backward(g, lc["a"])
         if spec.kind == "conv3d":
-            g, dw, db = nn.conv3d_backward(g, lc["input"], p.w)
+            g, dw, db = nn.conv3d_backward(g, lc["input"], p.w, input_grad=i > 0)
         else:
             g, dw, db = nn.conv_transpose3d_backward(g, lc["input"], p.w, lc["out_pad"])
         grads[(i, "w")] = dw

@@ -27,13 +27,39 @@ depend on the tap is built once per call, and each accumulator has the
 layout its GEMM writes, so the only other data movement is one transpose:
 
     primitive                built once        accumulator     final transpose
-    _gather (weights_first)  -                 (C, M)          -> (N, C, *out)
-    _gather (otherwise)      -                 (M, C)          -> (N, C, *out)
+    _gather (weights_first)  -                 (C, Mb)         -> (N, C, *out)
+    _gather (otherwise)      -                 (Mb, C)         -> (N, C, *out)
     _scatter                 src rows (M, Co)  (N, *buf, Ci)   by the caller
     _weight_grad             a as (Ca, M)      dw, per tap     none
 
-The per-tap operand copy and the GEMM's product also go into buffers made
-once per call (_copy_taps, np.dot's out=), not once per tap: a large fresh
+_gather and _scatter loop over blocks of M (Goto and van de Geijn, 2008) so
+that a block's accumulator stays in L2 for all 27 taps: each block runs the
+27-tap loop on its rows before the next block starts. A block holds at most
+_BLOCK_BYTES of accumulator (256 KiB; L2 is 2 MiB per core on the machine
+measured). Whole samples are grouped while they fit, and the batch is cut
+into groups of even size. A larger sample is a block on its own; _gather
+splits it further into even slabs along its first output axis, but _scatter
+does not: slabs of one sample overlap at their edges in its buffer, so
+splitting there would reorder the tap sums. A block's GEMM operand is a row
+slice of one C-contiguous copy (the tap copy of _gather, _rows(src) in
+_scatter), never a per-sample _rows view: numpy hands a strided operand to
+another BLAS kernel, which rounds differently. _weight_grad is not blocked:
+its sum over M is inside the GEMM, and cutting M would reorder it.
+
+A block's GEMM returns bitwise the rows the whole GEMM would only if BLAS
+runs the same kernels on them, and OpenBLAS picks its small-matrix, gemv
+and edge kernels by operand size. So a batch is cut only where every block
+is a multiple of _ROW_ALIGN = 128 rows (M = 128 i); otherwise it stays one
+block, which is the unblocked computation. On this rule, random cuts of
+GEMMs of the kernels' shapes (OpenBLAS 0.3.31, SkylakeX kernels) matched
+the whole product in every one of about 5,000 blocks, and the kernel pins
+hold at every block size from 1 KiB to 256 KiB. Cuts at other rows changed
+up to a fifth of the blocks: a 16 -> 1 transpose of a 17^3 grid at batch 2
+(4,913 rows a sample, its single-column GEMM a gemv) and L3 of a batch of
+three 11 x 12 x 10 inputs (180 rows a sample) both changed bits.
+
+The per-tap operand copy and the GEMM's product go into buffers made once
+per call (_copy_taps, np.dot's out=), not once per tap: a large fresh
 array costs page faults, whose price depends on whether the system has huge
 pages free, so 27 of them per call tie training time to the memory state.
 
@@ -62,6 +88,11 @@ from .errors import ShapeError
 KERNEL = 3
 STRIDE = 2
 PADDING = 1
+# Accumulator bytes per block of _gather and _scatter, and the GEMM rows a
+# block is a multiple of (see the module docstring): 2 MiB of L2 per core
+# holds a block, its GEMM product and its tap operand.
+_BLOCK_BYTES = 256 * 1024
+_ROW_ALIGN = 128
 
 
 def conv_out_dim(d: int) -> int:
@@ -111,33 +142,69 @@ def _copy_taps(src: np.ndarray, k, dims, buf: np.ndarray, axes) -> None:
     np.copyto(buf.reshape(view.shape), view)
 
 
+def _even(size: int, parts: int, rows: int) -> list[tuple[int, int]]:
+    """range(size) cut into at most `parts` consecutive (start, stop) pieces,
+    all of one length but the last, where each item is `rows` GEMM rows; a
+    single piece unless every piece is a multiple of _ROW_ALIGN rows."""
+    step = -(-size // max(1, min(parts, size)))
+    pieces = [(i, min(i + step, size)) for i in range(0, size, step)]
+    if any((stop - start) * rows % _ROW_ALIGN for start, stop in pieces):
+        return [(0, size)]
+    return pieces
+
+
+def _sample_groups(n: int, sample_bytes: int, rows: int) -> list[tuple[int, int]]:
+    """Even groups of whole samples of `rows` GEMM rows each, at most
+    _BLOCK_BYTES a group (a larger sample is a group of its own)."""
+    return _even(n, -(-n // max(1, _BLOCK_BYTES // sample_bytes)), rows)
+
+
 def _gather(src_padded: np.ndarray, w: np.ndarray, out, weights_first: bool) -> np.ndarray:
     """sum_k w[:, :, k] . taps_k(src_padded) over w's axis 1 -> C-contiguous
     (N, w.shape[0], *out).
 
     weights_first sets the GEMM operand order of each tap's product: BLAS
     rounds A @ B and (B.T @ A.T).T differently for most shapes, and each
-    caller keeps the order its artifacts were first computed in. The
-    accumulator has that GEMM's own 2-D layout, (C, M) or (M, C) with M the
-    batch-and-grid size, and is transposed once at the end.
+    caller keeps the order its artifacts were first computed in. Each block
+    sums its 27 taps in an accumulator with that GEMM's own 2-D layout,
+    (C, Mb) or (Mb, C) with Mb the block's batch-and-grid size, which is
+    then transposed into the result.
     """
-    c, ci, grid = w.shape[0], w.shape[1], (src_padded.shape[0], *out)
-    m = math.prod(grid)
-    if weights_first:
-        acc_shape, taps_shape, axes = (c, m), (ci, m), (1, 0, 2, 3, 4)
-    else:
-        acc_shape, taps_shape, axes = (m, c), (m, ci), (0, 2, 3, 4, 1)
-    acc = np.zeros(acc_shape, dtype=src_padded.dtype)
-    prod = np.empty(acc_shape, dtype=np.result_type(src_padded, w))
-    taps = np.empty(taps_shape, dtype=src_padded.dtype)
-    for k in _offsets():
-        _copy_taps(src_padded, k, out, taps, axes)
-        w_k = w[(..., *k)]
-        acc += np.dot(w_k, taps, out=prod) if weights_first else np.dot(taps, w_k.T, out=prod)
-    del prod, taps  # free the scratch before the result copy raises the peak
-    if weights_first:
-        return acc.reshape(c, *grid).transpose(1, 0, 2, 3, 4).copy()
-    return np.moveaxis(acc.reshape(*grid, c), -1, 1).copy()
+    n, c, ci = src_padded.shape[0], w.shape[0], w.shape[1]
+    dtype = np.result_type(src_padded, w)
+    sample_bytes = c * math.prod(out) * dtype.itemsize
+    plane = math.prod(out[1:])
+    blocks = list(itertools.product(
+        _sample_groups(n, sample_bytes, out[0] * plane),
+        _even(out[0], -(-sample_bytes // _BLOCK_BYTES), plane)))
+    m = max((s1 - s0) * (x1 - x0) for (s0, s1), (x0, x1) in blocks) * plane
+    acc_buf = np.empty(c * m, dtype=src_padded.dtype)
+    prod_buf = np.empty(c * m, dtype=dtype)
+    taps_buf = np.empty(ci * m, dtype=src_padded.dtype)
+    result = np.empty((n, c, *out), dtype=src_padded.dtype)
+    for (s0, s1), (x0, x1) in blocks:
+        grid = (s1 - s0, x1 - x0, *out[1:])
+        mb = math.prod(grid)
+        if weights_first:
+            acc_shape, taps_shape, axes = (c, mb), (ci, mb), (1, 0, 2, 3, 4)
+        else:
+            acc_shape, taps_shape, axes = (mb, c), (mb, ci), (0, 2, 3, 4, 1)
+        acc = acc_buf[:c * mb].reshape(acc_shape)
+        acc.fill(0)
+        prod = prod_buf[:c * mb].reshape(acc_shape)
+        taps = taps_buf[:ci * mb].reshape(taps_shape)
+        src = src_padded[s0:s1, :, 2 * x0:]
+        for k in _offsets():
+            _copy_taps(src, k, grid[1:], taps, axes)
+            w_k = w[(..., *k)]
+            acc += np.dot(w_k, taps, out=prod) if weights_first else np.dot(taps, w_k.T, out=prod)
+        if (s1, x1) == (n, out[0]):
+            del prod_buf, taps_buf, prod, taps  # free the scratch before the last write
+        if weights_first:
+            result[s0:s1, :, x0:x1] = acc.reshape(c, *grid).transpose(1, 0, 2, 3, 4)
+        else:
+            result[s0:s1, :, x0:x1] = np.moveaxis(acc.reshape(*grid, c), -1, 1)
+    return result
 
 
 def _scatter(src: np.ndarray, w: np.ndarray, buf_dims) -> np.ndarray:
@@ -146,17 +213,25 @@ def _scatter(src: np.ndarray, w: np.ndarray, buf_dims) -> np.ndarray:
 
     src's GEMM operand is built once; the buffer is channel last, the layout
     each tap's product comes out of the GEMM in, and the view keeps that
-    layout: each caller copies the part it needs to C order once.
+    layout: each caller copies the part it needs to C order once. Blocks
+    are whole samples, whose GEMM operand is a row slice of the one rows
+    copy (slabs of one sample would overlap at their edges in the buffer).
     """
     n, dims, ci = src.shape[0], src.shape[2:], w.shape[1]
-    buf = np.moveaxis(np.zeros((n, *buf_dims, ci), dtype=src.dtype), -1, 1)
+    dtype = np.result_type(src, w)
+    grid = math.prod(dims)
+    groups = _sample_groups(n, ci * math.prod(buf_dims) * dtype.itemsize, grid)
+    buf = np.zeros((n, *buf_dims, ci), dtype=src.dtype)
     rows = _rows(src)
-    prod = np.empty((rows.shape[0], ci), dtype=np.result_type(src, w))
-    contrib = np.moveaxis(prod.reshape(n, *dims, ci), -1, 1)
-    for k in _offsets():
-        np.dot(rows, w[(..., *k)], out=prod)
-        _taps(buf, k, dims)[...] += contrib
-    return buf
+    prod_buf = np.empty(max(s1 - s0 for s0, s1 in groups) * grid * ci, dtype=dtype)
+    for s0, s1 in groups:
+        prod = prod_buf[:(s1 - s0) * grid * ci].reshape(-1, ci)
+        contrib = np.moveaxis(prod.reshape(s1 - s0, *dims, ci), -1, 1)
+        block = np.moveaxis(buf[s0:s1], -1, 1)
+        for k in _offsets():
+            np.dot(rows[s0 * grid:s1 * grid], w[(..., *k)], out=prod)
+            _taps(block, k, dims)[...] += contrib
+    return np.moveaxis(buf, -1, 1)
 
 
 def _weight_grad(a: np.ndarray, src_padded: np.ndarray) -> np.ndarray:
@@ -183,11 +258,12 @@ def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv3d_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Gradients of sum(g * conv3d_forward(x, w, b)) -> (dx, dw, db)."""
+def conv3d_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray, input_grad: bool = True):
+    """Gradients of sum(g * conv3d_forward(x, w, b)) -> (dx, dw, db); dx is
+    None unless input_grad (a first layer has no use for it)."""
     dims = x.shape[2:]
     padded = [d + 2 for d in dims]
-    dx = _crop(np.ascontiguousarray(_scatter(g, w, padded)), dims)
+    dx = _crop(np.ascontiguousarray(_scatter(g, w, padded)), dims) if input_grad else None
     return dx, _weight_grad(g, _pad(x, padded)), g.sum(axis=(0, 2, 3, 4))
 
 
@@ -261,43 +337,47 @@ def batchnorm_forward(
         mu = x.mean(axis=axes)
         var = x.var(axis=axes)
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mu.reshape(shape)) * inv_std.reshape(shape)
+        center = mu
         unbiased = var * count / (count - 1) if count > 1 else var
         new_rm = (1.0 - momentum) * running_mean + momentum * mu
         new_rv = (1.0 - momentum) * running_var + momentum * unbiased
-        cache = (xhat, inv_std, gamma)
     elif mode == "eval":
         inv_std = 1.0 / np.sqrt(running_var + eps)
-        xhat = (x - running_mean.reshape(shape)) * inv_std.reshape(shape)
+        center = running_mean
         new_rm, new_rv = running_mean, running_var
-        cache = (xhat, inv_std, gamma)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
-    return out, cache, new_rm, new_rv
+    xhat = np.subtract(x, center.reshape(shape))
+    xhat *= inv_std.reshape(shape)
+    out = np.multiply(gamma.reshape(shape), xhat)
+    out += beta.reshape(shape)
+    return out, (xhat, inv_std, gamma), new_rm, new_rv
 
 
 def batchnorm_backward(g: np.ndarray, cache, mode: str):
     """Gradients through batchnorm_forward -> (dx, dgamma, dbeta).
 
     Train mode differentiates through the batch statistics; eval mode treats
-    the running statistics as constants.
+    the running statistics as constants. Each elementwise step writes into
+    one of two buffers; neither g nor the cache is written to.
     """
     xhat, inv_std, gamma = cache
     axes = (0, 2, 3, 4)
     shape = (1, -1, 1, 1, 1)
-    dgamma = (g * xhat).sum(axis=axes)
+    buf = np.multiply(g, xhat)
+    dgamma = buf.sum(axis=axes)
     dbeta = g.sum(axis=axes)
     if mode == "eval":
-        dx = g * (gamma * inv_std).reshape(shape)
-        return dx, dgamma, dbeta
-    gs = gamma.reshape(shape) * g
-    dx = inv_std.reshape(shape) * (
-        gs
-        - gs.mean(axis=axes).reshape(shape)
-        - xhat * (gs * xhat).mean(axis=axes).reshape(shape)
-    )
-    return dx, dgamma, dbeta
+        return np.multiply(g, (gamma * inv_std).reshape(shape), out=buf), dgamma, dbeta
+    # dx = inv_std * (gs - mean(gs) - xhat * mean(gs * xhat)), gs = gamma * g
+    gs = np.multiply(gamma.reshape(shape), g)
+    mean_gs = gs.mean(axis=axes).reshape(shape)
+    mean_gs_xhat = np.multiply(gs, xhat, out=buf).mean(axis=axes).reshape(shape)
+    np.multiply(xhat, mean_gs_xhat, out=buf)
+    gs -= mean_gs
+    gs -= buf
+    gs *= inv_std.reshape(shape)
+    return gs, dgamma, dbeta
 
 
 def init_conv_params(rng, in_channels: int, out_channels: int, transpose: bool):

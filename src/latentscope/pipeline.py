@@ -262,17 +262,23 @@ def _load_embedding(path: Path, method: str, layer: str,
                            subject_ids=ids, metadata=metadata)
 
 
-def _load_all_embeddings(out: Path, config: PipelineConfig) -> dict:
+def _load_all_embeddings(out: Path, config: PipelineConfig, cohort: Cohort) -> dict:
+    """Every embedding of the embed stage; each must list its comparison's
+    balanced subset, in order."""
     embeddings = {}
-    for name in config.comparisons:
+    for name, pair in _comparison_classes(config).items():
+        ids = _comparison_subset(cohort, name, pair, config.seed).subject_ids
         for method in config.embed.methods:
             for layer in config.embed.layers:
                 path = out / "embed" / name / f"{method}_{layer}.csv"
                 if not path.exists():
                     raise DependencyError(
                         f"missing embedding artifact {path}; rerun the embed stage")
-                embeddings[(name, method, layer)] = _load_embedding(
-                    path, method, layer, config.embed.components)
+                emb = _load_embedding(path, method, layer, config.embed.components)
+                if emb.subject_ids != ids:
+                    raise FormatError(f"{path}: subject ids are not the {name} "
+                                      "subjects in cohort order")
+                embeddings[(name, method, layer)] = emb
     return embeddings
 
 
@@ -289,7 +295,7 @@ def run_correlate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
     with pipeline_lock(out_dir) as out:
         require_stages(out, "correlate", config, force)
         cohort = _load_cohort(out)
-        embeddings = _load_all_embeddings(out, config)
+        embeddings = _load_all_embeddings(out, config, cohort)
         stage = out / "correlate"
         overlap_method = "tsne" if "tsne" in config.embed.methods else config.embed.methods[0]
         overlap_layer = config.embed.layers[-1]
@@ -414,7 +420,7 @@ def run_lrcp(config: PipelineConfig, out_dir, force: bool = False) -> Path:
     with pipeline_lock(out_dir) as out:
         require_stages(out, "lrcp", config, force)
         cohort = _load_cohort(out)
-        embeddings = _load_all_embeddings(out, config)
+        embeddings = _load_all_embeddings(out, config, cohort)
         profiles = build_region_profiles(cohort)
         labels = cohort.class_labels
         comparisons = [(name, parse_comparison(name)) for name in config.comparisons]

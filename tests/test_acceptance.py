@@ -280,7 +280,7 @@ def test_10_lrcp_discriminative_pattern(study_run):
 
         true_total = sum(int(r["significant"]) for r in rows)
         cohort = load_cohort(str(out / "generate" / "cohort"))
-        embeddings = _load_all_embeddings(out, cfg)
+        embeddings = _load_all_embeddings(out, cfg, cohort)
         profiles = build_region_profiles(cohort)
         labels = np.asarray(cohort.class_labels)
         permuted = labels[np.random.default_rng(99).permutation(len(labels))]

@@ -161,6 +161,27 @@ class TestLosses:
             assert grad[ix] == pytest.approx(fd, abs=1e-6)
 
 
+def test_backward_skips_only_the_first_layer_input_gradient(monkeypatch):
+    """The first layer's input gradient has no use, so backward asks
+    conv3d_backward for (dw, db) only there, and for dx at every other
+    encoder layer."""
+    from latentscope import nn
+
+    calls = []
+    conv3d_backward = nn.conv3d_backward
+
+    def recording(g, x, w, input_grad=True):
+        calls.append(input_grad)
+        return conv3d_backward(g, x, w, input_grad=input_grad)
+
+    monkeypatch.setattr(nn, "conv3d_backward", recording)
+    model = ae.init_params(seed=4)
+    x = np.random.default_rng(4).uniform(size=(2, 1, 8, 8, 8))
+    _, grads, _ = ae.loss_and_gradients(model, x, x, "mse")
+    assert calls == [True, True, False]
+    assert grads[(0, "w")].shape == model.params[0].w.shape
+
+
 class TestEarlyStop:
     def test_strictly_improving_never_stops(self):
         assert ae.early_stop_epoch([5, 4, 3, 2, 1], patience=2) is None

@@ -191,6 +191,87 @@ def test_batchnorm_running_stats_not_mutated():
     assert not np.array_equal(new_rm, rm0)
 
 
+# Reference copies of batchnorm_forward/batchnorm_backward as they were
+# written before their elementwise steps went in place: one fresh array per
+# step. The in-place versions must give the same bits.
+
+def _ref_batchnorm_forward(x, gamma, beta, running_mean, running_var, mode,
+                           momentum=0.1, eps=1e-5):
+    axes = (0, 2, 3, 4)
+    shape = (1, -1, 1, 1, 1)
+    if mode == "train":
+        count = x.shape[0] * x.shape[2] * x.shape[3] * x.shape[4]
+        mu = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = (x - mu.reshape(shape)) * inv_std.reshape(shape)
+        unbiased = var * count / (count - 1) if count > 1 else var
+        new_rm = (1.0 - momentum) * running_mean + momentum * mu
+        new_rv = (1.0 - momentum) * running_var + momentum * unbiased
+    else:
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        xhat = (x - running_mean.reshape(shape)) * inv_std.reshape(shape)
+        new_rm, new_rv = running_mean, running_var
+    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+    return out, (xhat, inv_std, gamma), new_rm, new_rv
+
+
+def _ref_batchnorm_backward(g, cache, mode):
+    xhat, inv_std, gamma = cache
+    axes = (0, 2, 3, 4)
+    shape = (1, -1, 1, 1, 1)
+    dgamma = (g * xhat).sum(axis=axes)
+    dbeta = g.sum(axis=axes)
+    if mode == "eval":
+        return g * (gamma * inv_std).reshape(shape), dgamma, dbeta
+    gs = gamma.reshape(shape) * g
+    dx = inv_std.reshape(shape) * (
+        gs
+        - gs.mean(axis=axes).reshape(shape)
+        - xhat * (gs * xhat).mean(axis=axes).reshape(shape)
+    )
+    return dx, dgamma, dbeta
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("shape", [(3, 2, 4, 5, 6), (8, 16, 16, 16, 16), (1, 1, 1, 1, 1)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batchnorm_matches_reference_bitwise(mode, shape, dtype):
+    """Outputs, cache, running stats and gradients are bitwise those of the
+    reference, and neither x, g nor the cache is written to."""
+    rng = np.random.default_rng([*shape, len(mode), np.dtype(dtype).itemsize])
+    c = shape[1]
+    x = rng.normal(loc=0.3, scale=2.0, size=shape).astype(dtype)
+    gamma, beta = rng.uniform(0.5, 1.5, size=c), rng.normal(size=c)
+    rm, rv = rng.normal(size=c) * 0.1, rng.uniform(0.5, 1.5, size=c)
+    g = rng.normal(size=shape)
+    inputs = [x, gamma, beta, rm, rv, g]
+    before = [a.copy() for a in inputs]
+    out, cache, new_rm, new_rv = batchnorm_forward(x, gamma, beta, rm, rv, mode)
+    ref_out, ref_cache, ref_rm, ref_rv = _ref_batchnorm_forward(x, gamma, beta, rm, rv, mode)
+    _assert_all_equal([out, *cache, new_rm, new_rv],
+                      [ref_out, *ref_cache, ref_rm, ref_rv])
+    cached = [a.copy() for a in cache]
+    got = batchnorm_backward(g, cache, mode)
+    _assert_all_equal(got, _ref_batchnorm_backward(g, ref_cache, mode))
+    _assert_all_equal(inputs + list(cache), before + cached)
+    # downstream reductions sum in memory order
+    assert out.flags.c_contiguous and got[0].flags.c_contiguous
+
+
+def test_batchnorm_backward_of_a_cropped_gradient_matches_reference_bitwise():
+    """conv3d_backward's dx, the g of the norm below it, is a crop of a
+    C-contiguous buffer."""
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(2, 4, 5, 6, 7))
+    g = rng.normal(size=(2, 4, 7, 8, 9))[:, :, 1:6, 1:7, 1:8]
+    gamma, beta = rng.uniform(0.5, 1.5, size=4), rng.normal(size=4)
+    for mode in ("train", "eval"):
+        _, cache, _, _ = batchnorm_forward(x, gamma, beta, np.zeros(4), np.ones(4), mode)
+        _assert_all_equal(batchnorm_backward(g, cache, mode),
+                          _ref_batchnorm_backward(g, cache, mode))
+
+
 def test_activation_gradients():
     rng = np.random.default_rng(29)
     x = rng.normal(size=(40,))
@@ -305,27 +386,14 @@ def _assert_all_equal(got, want):
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("dims", PIN_DIMS)
-@pytest.mark.parametrize("ci,co", PIN_CHANNELS)
-def test_conv3d_matches_reference_bitwise(dims, ci, co):
-    rng = np.random.default_rng([ci, co, *dims])
-    x = rng.normal(size=(3, ci) + dims)
-    w = rng.normal(size=(co, ci, 3, 3, 3))
-    b = rng.normal(size=co)
+def _pin_conv3d(rng, x, w, b):
     out = conv3d_forward(x, w, b)
     _assert_all_equal([out], [_ref_conv3d_forward(x, w, b)])
     g = rng.normal(size=out.shape)
     _assert_all_equal(conv3d_backward(g, x, w), _ref_conv3d_backward(g, x, w))
 
 
-@pytest.mark.parametrize("output_padding", OUTPUT_PADDINGS)
-@pytest.mark.parametrize("dims", PIN_DIMS)
-@pytest.mark.parametrize("ci,co", PIN_CHANNELS)
-def test_conv_transpose3d_matches_reference_bitwise(output_padding, dims, ci, co):
-    rng = np.random.default_rng([ci, co, *dims, *output_padding])
-    x = rng.normal(size=(3, ci) + dims)
-    w = rng.normal(size=(ci, co, 3, 3, 3))
-    b = rng.normal(size=co)
+def _pin_conv_transpose3d(rng, x, w, b, output_padding):
     out = conv_transpose3d_forward(x, w, b, output_padding)
     _assert_all_equal([out], [_ref_conv_transpose3d_forward(x, w, b, output_padding)])
     g = rng.normal(size=out.shape)
@@ -335,38 +403,7 @@ def test_conv_transpose3d_matches_reference_bitwise(output_padding, dims, ci, co
     assert got[0].flags.c_contiguous
 
 
-def test_pipeline_scale_conv3d_matches_reference_bitwise():
-    """L1 of the 32^3 study network (1 -> 16) at batch 2: BLAS picks its
-    kernels by operand size, and the pins above stop at 9 voxels per axis."""
-    rng = np.random.default_rng(32)
-    x = rng.normal(size=(2, 1, 32, 32, 32))
-    w = rng.normal(size=(16, 1, 3, 3, 3))
-    b = rng.normal(size=16)
-    out = conv3d_forward(x, w, b)
-    _assert_all_equal([out], [_ref_conv3d_forward(x, w, b)])
-    g = rng.normal(size=out.shape)
-    _assert_all_equal(conv3d_backward(g, x, w), _ref_conv3d_backward(g, x, w))
-
-
-def test_pipeline_scale_conv_transpose3d_matches_reference_bitwise():
-    """T3 of the 32^3 study network (16 -> 1, 16^3 -> 32^3) at batch 2."""
-    rng = np.random.default_rng(16)
-    op = (1, 1, 1)
-    x = rng.normal(size=(2, 16, 16, 16, 16))
-    w = rng.normal(size=(16, 1, 3, 3, 3))
-    b = rng.normal(size=1)
-    out = conv_transpose3d_forward(x, w, b, op)
-    assert out.shape == (2, 1, 32, 32, 32)
-    _assert_all_equal([out], [_ref_conv_transpose3d_forward(x, w, b, op)])
-    g = rng.normal(size=out.shape)
-    _assert_all_equal(conv_transpose3d_backward(g, x, w, op),
-                      _ref_conv_transpose3d_backward(g, x, w))
-
-
-@pytest.mark.parametrize("ci,co", PIN_CHANNELS)
-def test_float32_input_conv3d_matches_reference_bitwise(ci, co):
-    """The eval forward feeds float32 volumes to L1 with float64 weights:
-    the result keeps the input's dtype and the float64 products' bits."""
+def _pin_float32_conv3d(ci, co):
     rng = np.random.default_rng([ci, co, 32])
     x = rng.normal(size=(2, ci, 7, 8, 9)).astype(np.float32)
     w = rng.normal(size=(co, ci, 3, 3, 3))
@@ -374,6 +411,168 @@ def test_float32_input_conv3d_matches_reference_bitwise(ci, co):
     out = conv3d_forward(x, w, b)
     assert out.dtype == np.float32
     _assert_all_equal([out], [_ref_conv3d_forward(x, w, b)])
+
+
+def _conv3d_case(seed, shape, co):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    return rng, x, rng.normal(size=(co, shape[1], 3, 3, 3)), rng.normal(size=co)
+
+
+def _transpose_case(seed, shape, co, output_padding):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    return (rng, x, rng.normal(size=(shape[1], co, 3, 3, 3)), rng.normal(size=co),
+            output_padding)
+
+
+def _pin_case(ci, co, dims):
+    return _conv3d_case([ci, co, *dims], (3, ci) + dims, co)
+
+
+def _transpose_pin_case(ci, co, dims, output_padding):
+    return _transpose_case([ci, co, *dims, *output_padding], (3, ci) + dims, co,
+                           output_padding)
+
+
+# L1 (1 -> 16) and T3 (16 -> 1, 16^3 -> 32^3) of the 32^3 study network at
+# batch 2: BLAS picks its kernels by operand size, and the pins above stop
+# at 9 voxels per axis.
+STUDY_L1 = (32, (2, 1, 32, 32, 32), 16)
+STUDY_T3 = (16, (2, 16, 16, 16, 16), 1, (1, 1, 1))
+
+# The conv primitives sum each block of whole samples (or slab of one
+# sample) in an accumulator of at most nn._BLOCK_BYTES. Every pin runs at
+# the production size and again in 64 KiB blocks, so the bits do not depend
+# on the block size. L1 and T3 of the 64^3 network at batch 2 split into
+# blocks at both sizes, and so does a batch of 3 whose last group is partial.
+# L3 and T3 of odd-sized volumes have per-sample grids of 180 and 4,913 rows
+# and must stay whole: cut there, BLAS rounds some rows differently.
+SMALL_BLOCK_BYTES = 64 * 1024
+BLOCKED_CONV3D = [(64, (2, 1, 64, 64, 64), 16), (3, (3, 1, 16, 16, 32), 16),
+                  (5, (3, 32, 11, 12, 10), 64)]
+BLOCKED_TRANSPOSE = [(63, (2, 16, 32, 32, 32), 1, (1, 1, 1)),
+                     (3, (3, 16, 8, 8, 16), 1, (0, 1, 0)),
+                     (7, (2, 16, 17, 17, 17), 1, (0, 1, 0))]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    from latentscope import nn
+
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", SMALL_BLOCK_BYTES)
+
+
+@pytest.fixture(params=[None, SMALL_BLOCK_BYTES], ids=["production", "64k"])
+def block_bytes(request, monkeypatch):
+    """Either block size: None for the production one."""
+    from latentscope import nn
+
+    if request.param is not None:
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("dims", PIN_DIMS)
+@pytest.mark.parametrize("ci,co", PIN_CHANNELS)
+def test_conv3d_matches_reference_bitwise(dims, ci, co):
+    _pin_conv3d(*_pin_case(ci, co, dims))
+
+
+@pytest.mark.parametrize("dims", PIN_DIMS)
+@pytest.mark.parametrize("ci,co", PIN_CHANNELS)
+def test_conv3d_matches_reference_bitwise_in_small_blocks(small_blocks, dims, ci, co):
+    _pin_conv3d(*_pin_case(ci, co, dims))
+
+
+@pytest.mark.parametrize("output_padding", OUTPUT_PADDINGS)
+@pytest.mark.parametrize("dims", PIN_DIMS)
+@pytest.mark.parametrize("ci,co", PIN_CHANNELS)
+def test_conv_transpose3d_matches_reference_bitwise(output_padding, dims, ci, co):
+    _pin_conv_transpose3d(*_transpose_pin_case(ci, co, dims, output_padding))
+
+
+@pytest.mark.parametrize("output_padding", OUTPUT_PADDINGS)
+@pytest.mark.parametrize("dims", PIN_DIMS)
+@pytest.mark.parametrize("ci,co", PIN_CHANNELS)
+def test_conv_transpose3d_matches_reference_bitwise_in_small_blocks(
+        small_blocks, output_padding, dims, ci, co):
+    _pin_conv_transpose3d(*_transpose_pin_case(ci, co, dims, output_padding))
+
+
+def test_pipeline_scale_conv3d_matches_reference_bitwise():
+    _pin_conv3d(*_conv3d_case(*STUDY_L1))
+
+
+def test_pipeline_scale_conv_transpose3d_matches_reference_bitwise():
+    case = _transpose_case(*STUDY_T3)
+    assert conv_transpose3d_forward(*case[1:]).shape == (2, 1, 32, 32, 32)
+    _pin_conv_transpose3d(*case)
+
+
+def test_pipeline_scale_kernels_match_reference_bitwise_in_small_blocks(small_blocks):
+    _pin_conv3d(*_conv3d_case(*STUDY_L1))
+    _pin_conv_transpose3d(*_transpose_case(*STUDY_T3))
+
+
+@pytest.mark.parametrize("case", BLOCKED_CONV3D, ids=["L1_64", "batch3", "L3_odd"])
+def test_blocked_conv3d_matches_reference_bitwise(block_bytes, case):
+    _pin_conv3d(*_conv3d_case(*case))
+
+
+@pytest.mark.parametrize("case", BLOCKED_TRANSPOSE, ids=["T3_64", "batch3", "T3_odd"])
+def test_blocked_conv_transpose3d_matches_reference_bitwise(block_bytes, case):
+    _pin_conv_transpose3d(*_transpose_case(*case))
+
+
+def test_blocked_pins_span_several_blocks(block_bytes):
+    """The 64^3 and batch-3 pins above do cut their batches into blocks."""
+    from latentscope import nn
+
+    # L1 output at 64^3 (16 channels of 32^3) and T3's 65^3 buffer
+    assert nn._sample_groups(2, 16 * 32**3 * 8, 32**3) == [(0, 1), (1, 2)]
+    assert len(nn._even(32, -(-16 * 32**3 * 8 // nn._BLOCK_BYTES), 32**2)) > 1
+    assert nn._sample_groups(2, 65**3 * 8, 32**3) == [(0, 1), (1, 2)]
+    # the batch-3 conv output and transpose dx: 16 channels of 8 x 8 x 16
+    groups = nn._sample_groups(3, 16 * 8 * 8 * 16 * 8, 8 * 8 * 16)
+    assert groups == ([(0, 2), (2, 3)] if block_bytes is None else [(0, 1), (1, 2), (2, 3)])
+
+
+def test_blocks_are_cut_on_row_multiples_only():
+    """A block boundary off a multiple of 128 GEMM rows would hand BLAS
+    a different M: OpenBLAS picks its small-matrix and edge kernels by size,
+    and they round some rows differently. Such a batch stays one block."""
+    from latentscope import nn
+
+    assert nn._sample_groups(3, nn._BLOCK_BYTES, 210) == [(0, 3)]
+    assert nn._sample_groups(3, nn._BLOCK_BYTES, 256) == [(0, 1), (1, 2), (2, 3)]
+    assert nn._even(21, 21, 23 * 19) == [(0, 21)]
+    assert nn._even(21, 3, 128) == [(0, 7), (7, 14), (14, 21)]
+
+
+@pytest.mark.parametrize("ci,co", PIN_CHANNELS)
+def test_float32_input_conv3d_matches_reference_bitwise(ci, co):
+    """The eval forward feeds float32 volumes to L1 with float64 weights:
+    the result keeps the input's dtype and the float64 products' bits."""
+    _pin_float32_conv3d(ci, co)
+
+
+@pytest.mark.parametrize("ci,co", PIN_CHANNELS)
+def test_float32_input_conv3d_matches_reference_bitwise_in_small_blocks(small_blocks, ci,
+                                                                        co):
+    _pin_float32_conv3d(ci, co)
+
+
+@pytest.mark.parametrize("case", [STUDY_L1, BLOCKED_CONV3D[1], (5, (3, 2, 5, 6, 7), 4)],
+                         ids=["study_L1", "batch3", "small"])
+def test_conv3d_backward_without_input_grad(case):
+    """A first layer asks for (dw, db) only: dx is None, and dw and db are
+    bitwise those of the full call."""
+    rng, x, w, _ = _conv3d_case(*case)
+    g = rng.normal(size=conv3d_forward(x, w, np.zeros(w.shape[0])).shape)
+    dx, dw, db = conv3d_backward(g, x, w, input_grad=False)
+    assert dx is None
+    _assert_all_equal([dw, db], conv3d_backward(g, x, w)[1:])
 
 
 def _has_c_order_strides(a):
@@ -425,5 +624,6 @@ def test_conv_kernels_do_not_call_one_another(monkeypatch):
     w = rng.normal(size=(3, 2, 3, 3, 3))
     y = kernels["conv3d_forward"](x, w, np.zeros(3))
     kernels["conv3d_backward"](y, x, w)
+    kernels["conv3d_backward"](y, x, w, input_grad=False)
     z = kernels["conv_transpose3d_forward"](y, w, np.zeros(2), (1, 1, 1))
     kernels["conv_transpose3d_backward"](z, y, w, (1, 1, 1))

@@ -417,6 +417,24 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "dependency error" in err and "pca_L3.csv" in err
 
+    @pytest.mark.parametrize("stage", ["lrcp", "correlate"])
+    @pytest.mark.parametrize("edit", [
+        lambda rows: [rows[0].replace(rows[0].split(",")[0], "ZZZ", 1)] + rows[1:],
+        lambda rows: [rows[1], rows[0]] + rows[2:],
+        lambda rows: rows[:-1],
+    ], ids=["foreign_id", "reordered", "missing_row"])
+    def test_embedding_with_other_subjects_exits_3(self, tiny_run, tmp_path,
+                                                   capsys, stage, edit):
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        path = copy / "embed" / "NOR_AD" / "pca_L3.csv"
+        lines = path.read_text().splitlines()
+        head = [ln for ln in lines if ln.startswith("#") or ln.startswith("subject_id,")]
+        rows = lines[len(head):]
+        path.write_text("\n".join(head + edit(rows)) + "\n")
+        assert main([stage] + base) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "pca_L3.csv" in err
+
     @pytest.mark.parametrize("rel,old,new", [
         ("shap/NOR_AD/importance.csv", ",s_r,", ",s_x,"),
         ("lrcp/summary.csv", ",significant,non_significant",
