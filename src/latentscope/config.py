@@ -23,7 +23,7 @@ EMBED_METHODS = ("pca", "pls", "tsne", "umap")
 
 @dataclass
 class EmbedConfig:
-    methods: tuple[str, ...] = ("pca", "pls", "tsne", "umap")
+    methods: tuple[str, ...] = EMBED_METHODS
     layers: tuple[str, ...] = ("L3",)
     components: int = 3
     perplexity: float = 30.0

@@ -7,8 +7,6 @@ from .tsne import tsne_embed, conditional_probabilities, kl_divergence
 from .umap import umap_embed, fit_ab, fuzzy_graph, cross_entropy
 from .bootstrap import BootstrapSummary, bootstrap_embeddings, embed_once
 
-EMBEDDING_METHODS = ("pca", "pls", "tsne", "umap")
-
 __all__ = [
     "EmbeddingMatrix",
     "center",
@@ -29,5 +27,4 @@ __all__ = [
     "BootstrapSummary",
     "bootstrap_embeddings",
     "embed_once",
-    "EMBEDDING_METHODS",
 ]

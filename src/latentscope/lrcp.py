@@ -5,10 +5,16 @@ a pooled Pearson correlation with exact p-value, and a bound-corrected
 resubstitution error of a least-squares classifier on the two features
 (component value, region value). The four-way category crosses the verdicts;
 summary counts follow the classification branch alone.
+
+`lrcp_grid` keeps its cells in one structured array (`CELL_DTYPE`), in
+(comparison, method, layer, component, region) order with the region
+fastest; `grid.cells.reshape(grid.shape)` is the 5-D view, and the
+pipeline's `grid.csv` lists the cells in the same order.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,14 +27,13 @@ from .validation import BoundConfig, pac_bayes_penalty
 
 CATEGORIES = ("both", "corr_only", "class_only", "neither")
 
+CELL_DTYPE = np.dtype([("n", np.int64), ("r", np.float64), ("p_value", np.float64),
+                       ("empirical_error", np.float64),
+                       ("corrected_error", np.float64), ("category", "U10")])
+
 
 @dataclass
 class LRCPCell:
-    comparison: str
-    method: str
-    layer: str
-    component: int
-    region: int
     n: int
     r: float
     p_value: float
@@ -48,25 +53,17 @@ class LRCPCell:
 
 @dataclass
 class LRCPGrid:
-    cells: list[LRCPCell]
+    cells: np.ndarray  # CELL_DTYPE records in (comparison, ..., region) order
     comparisons: list[str]
     methods: list[str]
     layers: list[str]
     components: list[int]
     region_ids: list[int]
-    provenance: dict = field(default_factory=dict)
 
-    def slice(self, comparison=None, method=None, layer=None, component=None):
-        out = self.cells
-        if comparison is not None:
-            out = [c for c in out if c.comparison == comparison]
-        if method is not None:
-            out = [c for c in out if c.method == method]
-        if layer is not None:
-            out = [c for c in out if c.layer == layer]
-        if component is not None:
-            out = [c for c in out if c.component == component]
-        return out
+    @property
+    def shape(self) -> tuple[int, int, int, int, int]:
+        return (len(self.comparisons), len(self.methods), len(self.layers),
+                len(self.components), len(self.region_ids))
 
 
 def _classify(features: np.ndarray, targets: np.ndarray) -> float:
@@ -82,9 +79,54 @@ def _classify(features: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(predicted != targets))
 
 
+def _targets(labels: np.ndarray, what: str) -> np.ndarray:
+    """+-1 classifier targets (-1 for the lower class id) of a label vector
+    that holds exactly two classes, each with at least 5 subjects."""
+    classes = np.unique(labels)
+    if classes.size != 2:
+        raise ConfigError(f"{what} needs exactly 2 classes, got {classes.size}")
+    counts = [int((labels == c).sum()) for c in classes]
+    if min(counts) < 5:
+        raise DegenerateInputError(
+            f"{what} has class counts {counts}; both classes need >= 5 subjects")
+    return np.where(labels == classes[0], -1.0, 1.0)
+
+
+def _penalty(bound: BoundConfig, quadratic: bool, n: int) -> float:
+    """PAC-Bayes penalty for the classifier's parameter count: 3 for the
+    linear model, 4 with the product term."""
+    return pac_bayes_penalty(4 if quadratic else 3, bound.eta, n, bound.delta)
+
+
+def _verdict(x: np.ndarray, y: np.ndarray, targets: np.ndarray, penalty: float,
+             quadratic: bool) -> tuple:
+    """(r, p, empirical error, corrected error, category, degenerate) of one
+    cell; a constant feature makes the cell degenerate and "neither"."""
+    degenerate = x.std() == 0.0 or y.std() == 0.0
+    try:
+        r = pearson(x, y)
+        p = pearson_pvalue(r, x.size)
+    except DegenerateInputError:
+        r, p = float("nan"), float("nan")
+
+    features = np.column_stack([x, y])
+    if quadratic:
+        features = np.column_stack([features, x * y])
+    emp_error = _classify(features, targets)
+    corrected = min(1.0, emp_error + penalty)
+
+    if degenerate:
+        category = "neither"
+    else:
+        corr_sig = p < 0.05
+        class_sig = corrected < 0.5
+        # CATEGORIES runs both, corr_only, class_only, neither
+        category = CATEGORIES[2 * (not corr_sig) + (not class_sig)]
+    return r, p, emp_error, corrected, category, degenerate
+
+
 def lrcp_cell(component_values, region_values, labels, bound: BoundConfig | None = None,
-              quadratic: bool = False, comparison: str = "", method: str = "",
-              layer: str = "", component: int = 0, region: int = 0) -> LRCPCell:
+              quadratic: bool = False) -> LRCPCell:
     """Evaluate one latent-region pair for one binary comparison.
 
     labels must contain exactly two distinct values, each with at least 5
@@ -98,51 +140,11 @@ def lrcp_cell(component_values, region_values, labels, bound: BoundConfig | None
     labels = np.asarray(labels)
     if x.shape != y.shape or x.ndim != 1 or labels.shape != x.shape:
         raise ShapeError("component, region and label vectors must align")
-    classes = np.unique(labels)
-    if classes.size != 2:
-        raise ConfigError(f"LRCP cell needs exactly 2 classes, got {classes.size}")
-    counts = [(labels == c).sum() for c in classes]
-    if min(counts) < 5:
-        raise DegenerateInputError(
-            f"both classes need >= 5 subjects, got counts {counts}")
-    n = x.size
-    targets = np.where(labels == classes[0], -1.0, 1.0)
-
-    flags: list[str] = []
-    degenerate = x.std() == 0.0 or y.std() == 0.0
-    try:
-        r = pearson(x, y)
-        p = pearson_pvalue(r, n)
-    except DegenerateInputError:
-        r, p = float("nan"), float("nan")
-
-    features = np.column_stack([x, y])
-    if quadratic:
-        features = np.column_stack([features, x * y])
-    emp_error = _classify(features, targets)
-    parameter_count = features.shape[1] + 1
-    penalty = pac_bayes_penalty(parameter_count, bound.eta, n, bound.delta)
-    corrected = min(1.0, emp_error + penalty)
-
-    if degenerate:
-        category = "neither"
-        flags.append("degenerate_constant_feature")
-    else:
-        corr_sig = p < 0.05
-        class_sig = corrected < 0.5
-        if corr_sig and class_sig:
-            category = "both"
-        elif corr_sig:
-            category = "corr_only"
-        elif class_sig:
-            category = "class_only"
-        else:
-            category = "neither"
-    return LRCPCell(
-        comparison=comparison, method=method, layer=layer, component=component,
-        region=region, n=n, r=r, p_value=p, empirical_error=emp_error,
-        corrected_error=corrected, category=category, flags=flags,
-    )
+    targets = _targets(labels, "LRCP cell")
+    *verdict, degenerate = _verdict(x, y, targets, _penalty(bound, quadratic, x.size),
+                                    quadratic)
+    return LRCPCell(x.size, *verdict,
+                    flags=["degenerate_constant_feature"] if degenerate else [])
 
 
 def _comparison_name(class_pair) -> str:
@@ -206,7 +208,7 @@ def lrcp_grid(embeddings: dict, profiles: RegionProfileMatrix, labels,
     components = list(range(n_components))
     region_ids = [int(r) for r in profiles.region_ids]
 
-    cells: list[LRCPCell] = []
+    rows = []
     for name, pair in named:
         for method in methods:
             for layer in layers:
@@ -225,35 +227,22 @@ def lrcp_grid(embeddings: dict, profiles: RegionProfileMatrix, labels,
                 sub_labels = labels[emb_rows]
                 rng = np.random.default_rng(derive_seed(seed, name, method, layer))
                 keep = _balanced_rows(sub_labels, pair, rng)
-                counts = [(sub_labels[keep] == c).sum() for c in pair]
-                if min(counts) < 5:
-                    raise DegenerateInputError(
-                        f"comparison {name!r} has class counts {counts}; "
-                        "both classes need >= 5 subjects")
-                cell_labels = sub_labels[keep]
+                targets = _targets(sub_labels[keep], f"comparison {name!r}")
+                penalty = _penalty(bound, quadratic, targets.size)
                 emb_values = emb.values[keep]
                 prof_values = profiles.values[emb_rows][keep]
                 for component in components:
-                    for j, region in enumerate(region_ids):
-                        cells.append(lrcp_cell(
-                            emb_values[:, component], prof_values[:, j],
-                            cell_labels, bound=bound, quadratic=quadratic,
-                            comparison=name, method=method, layer=layer,
-                            component=component, region=region))
-    provenance = {
-        "seed": seed,
-        "quadratic": quadratic,
-        "delta": bound.delta,
-        "eta": bound.eta,
-    }
+                    for j in range(len(region_ids)):
+                        verdict = _verdict(emb_values[:, component], prof_values[:, j],
+                                           targets, penalty, quadratic)
+                        rows.append((targets.size, *verdict[:5]))
     return LRCPGrid(
-        cells=cells,
+        cells=np.array(rows, dtype=CELL_DTYPE),
         comparisons=[name for name, _ in named],
         methods=methods,
         layers=layers,
         components=components,
         region_ids=region_ids,
-        provenance=provenance,
     )
 
 
@@ -264,31 +253,29 @@ def summary_counts(grid: LRCPGrid) -> dict:
     the classification branch (corrected error < 0.5). Counts always sum to
     the region count.
     """
-    out = {}
-    for comparison in grid.comparisons:
-        for method in grid.methods:
-            for layer in grid.layers:
-                for component in grid.components:
-                    cells = grid.slice(comparison, method, layer, component)
-                    sig = sum(1 for c in cells if c.class_significant)
-                    out[(comparison, method, layer, component)] = (sig, len(cells) - sig)
-    return out
+    significant = (grid.cells["corrected_error"] < 0.5).reshape(grid.shape).sum(axis=-1)
+    keys = itertools.product(grid.comparisons, grid.methods, grid.layers,
+                             grid.components)
+    regions = len(grid.region_ids)
+    return {key: (int(sig), regions - int(sig))
+            for key, sig in zip(keys, significant.ravel())}
 
 
 def accuracy_map(grid: LRCPGrid, comparison: str, method: str, layer: str,
                  component: int, atlas: AtlasMap) -> Volume:
     """Paint per-region corrected accuracy (1 - corrected error) as a volume."""
-    cells = grid.slice(comparison, method, layer, component)
-    if not cells:
+    try:
+        index = (grid.comparisons.index(comparison), grid.methods.index(method),
+                 grid.layers.index(layer), grid.components.index(component))
+    except ValueError:
         raise ConfigError(
             f"grid has no cells for ({comparison!r}, {method!r}, {layer!r}, "
-            f"component {component})")
-    by_region = {c.region: c for c in cells}
-    if sorted(by_region) != list(range(1, atlas.region_count + 1)):
+            f"component {component})") from None
+    if sorted(grid.region_ids) != list(range(1, atlas.region_count + 1)):
         raise ShapeError(
-            f"grid regions {sorted(by_region)[:5]}... do not match atlas with "
-            f"{atlas.region_count} regions")
+            f"grid regions {sorted(grid.region_ids)[:5]}... do not match atlas "
+            f"with {atlas.region_count} regions")
+    errors = grid.cells["corrected_error"].reshape(grid.shape)[index]
     lookup = np.zeros(atlas.region_count + 1)
-    for region, cell in by_region.items():
-        lookup[region] = min(1.0, max(0.0, 1.0 - cell.corrected_error))
+    lookup[grid.region_ids] = np.clip(1.0 - errors, 0.0, 1.0)
     return Volume(lookup[atlas.labels].astype(np.float32))

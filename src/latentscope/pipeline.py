@@ -18,7 +18,7 @@ import numpy as np
 
 from .attribution import attribute_class, build_shap_volume, total_reconstruction_error
 from .autoencoder import TrainConfig, extract_activations, load_model, save_model, train
-from .config import PipelineConfig, config_hash, canonical_lines, parse_comparison
+from .config import PipelineConfig, config_hash, parse_comparison, write_config
 from .data import CLASS_NAMES, Cohort, balanced_subset, build_region_profiles
 from .embedding import EmbeddingMatrix, embed_once
 from .errors import DependencyError, FormatError
@@ -41,13 +41,17 @@ STAGE_DEPS = {
     "report": ("generate", "correlate", "shap", "lrcp"),
 }
 
-# headers of the stage CSVs that a later stage reads back
+# headers of the stage CSVs
+_CORRELATION_COLUMNS = ["method", "layer", "component", "region", "class", "n",
+                        "r", "r2", "p", "flag"]
 _TOP_REGION_COLUMNS = ["method", "layer", "rank", "region", "r", "p",
                       "component", "class"]
 _OVERLAP_COLUMNS = ["comparison_a", "comparison_b", "region"]
 _IMPORTANCE_COLUMNS = ["class", "region", "s_r", "s_tilde"]
 _SUMMARY_COLUMNS = ["comparison", "method", "layer", "component", "significant",
                    "non_significant"]
+_GRID_COLUMNS = ["comparison", "method", "layer", "component", "region", "n", "r",
+                 "p", "emp_error", "corr_error", "category"]
 
 
 def _embedding_columns(components: int) -> list[str]:
@@ -144,8 +148,7 @@ def run_generate(config: PipelineConfig, out_dir) -> Path:
                    for k, v in sorted(cohort.class_counts().items())],
                   comments=_hash_comment(config))
         _write_stamp(out, "generate", config)
-        (out / "config.txt").write_text(
-            "\n".join(canonical_lines(config)) + "\n", encoding="utf-8")
+        write_config(config, out / "config.txt")
     return out / "generate"
 
 
@@ -250,16 +253,8 @@ def _load_embedding(path: Path, method: str, layer: str,
         raise FormatError(f"{path}: {exc}") from exc
     if not np.isfinite(values).all():
         raise FormatError(f"{path}: non-finite embedding value")
-    ids = [row["subject_id"] for row in rows]
-    meta_path = path.with_suffix(".meta")
-    metadata = {}
-    if meta_path.exists():
-        for line in meta_path.read_text(encoding="utf-8").splitlines():
-            key, sep, value = line.partition("=")
-            if sep:
-                metadata[key] = value
     return EmbeddingMatrix(method=method, layer=layer, values=values,
-                           subject_ids=ids, metadata=metadata)
+                           subject_ids=[row["subject_id"] for row in rows])
 
 
 def _load_all_embeddings(out: Path, config: PipelineConfig, cohort: Cohort) -> dict:
@@ -327,17 +322,14 @@ def run_correlate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                     if method == overlap_method and layer == overlap_layer:
                         per_comparison_top[name] = ranked
             comments = _hash_comment(config)
-            write_csv(str(comp_dir / "correlations.csv"),
-                      ["method", "layer", "component", "region", "class", "n",
-                       "r", "r2", "p", "flag"], all_rows, comments=comments)
+            write_csv(str(comp_dir / "correlations.csv"), _CORRELATION_COLUMNS,
+                      all_rows, comments=comments)
             write_csv(str(comp_dir / "top_regions.csv"), _TOP_REGION_COLUMNS,
                       top_rows, comments=comments)
-            write_csv(str(comp_dir / "corrected_pvalue.csv"),
-                      ["method", "layer", "component", "region", "class", "n",
-                       "r", "r2", "p", "flag"], kept_p_rows, comments=comments)
-            write_csv(str(comp_dir / "corrected_sar.csv"),
-                      ["method", "layer", "component", "region", "class", "n",
-                       "r", "r2", "p", "flag"], kept_sar_rows, comments=comments)
+            write_csv(str(comp_dir / "corrected_pvalue.csv"), _CORRELATION_COLUMNS,
+                      kept_p_rows, comments=comments)
+            write_csv(str(comp_dir / "corrected_sar.csv"), _CORRELATION_COLUMNS,
+                      kept_sar_rows, comments=comments)
         overlap_rows = []
         if len(per_comparison_top) >= 2:
             report = overlap_report(per_comparison_top)
@@ -400,12 +392,10 @@ def run_shap(config: PipelineConfig, out_dir, force: bool = False) -> Path:
 
 
 def _grid_rows(grid: LRCPGrid):
-    for cell in grid.cells:
-        yield {"comparison": cell.comparison, "method": cell.method,
-               "layer": cell.layer, "component": cell.component,
-               "region": cell.region, "n": cell.n, "r": cell.r,
-               "p": cell.p_value, "emp_error": cell.empirical_error,
-               "corr_error": cell.corrected_error, "category": cell.category}
+    axes = (grid.comparisons, grid.methods, grid.layers, grid.components,
+            grid.region_ids)
+    for index, cell in zip(np.ndindex(grid.shape), grid.cells.tolist()):
+        yield (*(axis[i] for axis, i in zip(axes, index)), *cell)
 
 
 def _summary_rows(grid: LRCPGrid):
@@ -432,10 +422,8 @@ def run_lrcp(config: PipelineConfig, out_dir, force: bool = False) -> Path:
         maps_dir = stage / "maps"
         maps_dir.mkdir(parents=True, exist_ok=True)
         comments = _hash_comment(config)
-        write_csv(str(stage / "grid.csv"),
-                  ["comparison", "method", "layer", "component", "region", "n",
-                   "r", "p", "emp_error", "corr_error", "category"],
-                  _grid_rows(grid), comments=comments)
+        write_csv(str(stage / "grid.csv"), _GRID_COLUMNS, _grid_rows(grid),
+                  comments=comments)
         write_csv(str(stage / "summary.csv"), _SUMMARY_COLUMNS,
                   _summary_rows(grid), comments=comments)
         for name in grid.comparisons:

@@ -1,5 +1,8 @@
 """Tests for the dual-verdict latent-region profiling grid."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -159,12 +162,11 @@ class TestGrid:
         emb, profiles, labels = small_grid_inputs()
         grid = lrcp_grid({("pca", "L1"): emb}, profiles, labels,
                          comparisons=[("NOR_AD", (0, 3))])
-        cell = grid.slice("NOR_AD", "pca", "L1", 0)[0]
-        assert cell.region == 1
-        assert cell.category == "both"
-        noise_cell = [c for c in grid.slice("NOR_AD", "pca", "L1", 0)
-                      if c.region == 2][0]
-        assert noise_cell.category in ("class_only", "neither")
+        # regions run fastest: component 0 holds region 1, then region 2
+        planted, noise_cell = grid.cells.reshape(grid.shape)[0, 0, 0, 0]
+        assert grid.region_ids == [1, 2]
+        assert planted["category"] == "both"
+        assert noise_cell["category"] in ("class_only", "neither")
 
     def test_grid_shape(self):
         emb, profiles, labels = small_grid_inputs()
@@ -182,7 +184,7 @@ class TestGrid:
         emb, profiles, labels = small_grid_inputs(n_per=(30, 12))
         grid = lrcp_grid({("pca", "L1"): emb}, profiles, labels,
                          comparisons=[("NOR_AD", (0, 3))], seed=5)
-        assert all(cell.n == 24 for cell in grid.cells)
+        assert grid.cells["n"].tolist() == [24] * len(grid.cells)
 
     def test_subsetting_deterministic(self):
         emb, profiles, labels = small_grid_inputs(n_per=(30, 12))
@@ -190,7 +192,21 @@ class TestGrid:
                        comparisons=[(0, 3)], seed=5)
         g2 = lrcp_grid({("pca", "L1"): emb}, profiles, labels,
                        comparisons=[(0, 3)], seed=5)
-        assert [c.r for c in g1.cells] == [c.r for c in g2.cells]
+        assert g1.cells["r"].tolist() == g2.cells["r"].tolist()
+
+    def test_grid_cells_match_lrcp_cell(self):
+        # without subsampling every grid record is the single-cell verdict
+        emb, profiles, labels = small_grid_inputs()
+        grid = lrcp_grid({("pca", "L1"): emb}, profiles, labels,
+                         comparisons=[(0, 3)])
+        for index, record in zip(np.ndindex(grid.shape), grid.cells):
+            *_, k, j = index
+            cell = lrcp_cell(emb.values[:, k], profiles.values[:, j], labels)
+            assert (record["n"], record["r"], record["p_value"],
+                    record["empirical_error"], record["corrected_error"],
+                    record["category"]) == (
+                cell.n, cell.r, cell.p_value, cell.empirical_error,
+                cell.corrected_error, cell.category)
 
     def test_missing_embedding_raises(self):
         emb, profiles, labels = small_grid_inputs()
@@ -208,8 +224,8 @@ class TestGrid:
                                 subject_ids=emb.subject_ids)
         grid = lrcp_grid({("NOR_AD", "pca", "L1"): emb, ("pca", "L1"): decoy},
                          profiles, labels, comparisons=[("NOR_AD", (0, 3))])
-        cell = grid.slice("NOR_AD", "pca", "L1", 0)[0]
-        assert cell.category == "both"  # the planted fit, not the decoy
+        cell = grid.cells.reshape(grid.shape)[0, 0, 0, 0, 0]
+        assert cell["category"] == "both"  # the planted fit, not the decoy
 
     def test_absent_class_raises(self):
         emb, profiles, labels = small_grid_inputs()
@@ -249,10 +265,13 @@ class TestSummaryAndMaps:
         emb, profiles, labels = small_grid_inputs()
         grid = lrcp_grid({("pca", "L1"): emb}, profiles, labels,
                          comparisons=[(0, 3)])
-        counts = summary_counts(grid)
-        for key, (sig, _) in counts.items():
-            cells = grid.slice(*key)
-            assert sig == sum(1 for c in cells if c.corrected_error < 0.5)
+        expected = {}
+        for index, cell in zip(np.ndindex(grid.shape), grid.cells):
+            c, m, l, k, _ = index
+            key = (grid.comparisons[c], grid.methods[m], grid.layers[l],
+                   grid.components[k])
+            expected[key] = expected.get(key, 0) + int(cell["corrected_error"] < 0.5)
+        assert {key: sig for key, (sig, _) in summary_counts(grid).items()} == expected
 
     def test_accuracy_map_paints_regions(self):
         emb, profiles, labels = small_grid_inputs()
@@ -263,8 +282,8 @@ class TestSummaryAndMaps:
         atlas_labels[2:] = 2
         atlas = AtlasMap(atlas_labels, region_count=2)
         vol = accuracy_map(grid, "NOR_AD", "pca", "L1", 0, atlas)
-        by_region = {c.region: c for c in grid.slice("NOR_AD", "pca", "L1", 0)}
-        expected_r1 = min(1.0, max(0.0, 1.0 - by_region[1].corrected_error))
+        errors = grid.cells.reshape(grid.shape)[0, 0, 0, 0]["corrected_error"]
+        expected_r1 = min(1.0, max(0.0, 1.0 - errors[grid.region_ids.index(1)]))
         assert float(vol.voxels[0, 0, 0]) == pytest.approx(expected_r1, abs=1e-7)
         assert float(vol.voxels[0, 0, 0]) > 0.5  # planted region is accurate
         assert vol.voxels.min() >= 0.0 and vol.voxels.max() <= 1.0
@@ -284,3 +303,63 @@ class TestSummaryAndMaps:
         atlas = AtlasMap(np.ones((2, 2, 2), dtype=np.int32), region_count=1)
         with pytest.raises(ConfigError):
             accuracy_map(grid, "NOR_MCI", "pca", "L1", 0, atlas)
+
+
+def pin_inputs():
+    """46 subjects (26 NOR, 20 AD, so the grid subsamples NOR), 2 methods x
+    2 layers x 2 components; region 1 tracks the class, region 2 is noise
+    and region 3 is constant."""
+    rng = np.random.default_rng(2024)
+    labels = np.array([0] * 26 + [3] * 20)
+    n = labels.size
+    ids = [f"S{i:03d}" for i in range(n)]
+    shift = np.where(labels == 3, 1.0, -1.0)
+    embeddings = {}
+    for method in ("pca", "tsne"):
+        for layer in ("L1", "L2"):
+            values = np.column_stack([shift + 0.5 * rng.normal(size=n),
+                                      rng.normal(size=n)])
+            embeddings[(method, layer)] = EmbeddingMatrix(
+                method=method, layer=layer, values=values, subject_ids=ids)
+    prof = np.column_stack([0.5 + 0.1 * shift + 0.05 * rng.normal(size=n),
+                            0.5 + 0.05 * rng.normal(size=n),
+                            np.full(n, 0.25)])
+    atlas_labels = np.repeat(np.arange(1, 4, dtype=np.int32), 4).reshape(3, 2, 2)
+    return (embeddings, RegionProfileMatrix(values=prof, subject_ids=ids), labels,
+            AtlasMap(atlas_labels, region_count=3))
+
+
+class TestBitPins:
+    """sha256 digests recorded before the grid became one structured array;
+    any change to a cell's arithmetic or to the cell order changes them."""
+
+    def _grid(self):
+        embeddings, profiles, labels, atlas = pin_inputs()
+        grid = lrcp_grid(embeddings, profiles, labels, [("NOR_AD", (0, 3))],
+                         seed=7)
+        return grid, atlas
+
+    def test_grid_pin(self):
+        grid, _ = self._grid()
+        assert len(grid.cells) == 24
+        h = hashlib.sha256()
+        for name in ("r", "p_value", "empirical_error", "corrected_error"):
+            h.update(np.asarray(grid.cells[name], dtype=np.float64).tobytes())
+        h.update(",".join(grid.cells["category"].tolist()).encode())
+        assert h.hexdigest() == (
+            "1ef7b206bb149d7311e033a910ea02c5e3f867d21e18f1b6d24982c8ac5e7aba")
+
+    def test_summary_counts_pin(self):
+        grid, _ = self._grid()
+        counts = [[*key, sig, non_sig]
+                  for key, (sig, non_sig) in summary_counts(grid).items()]
+        assert hashlib.sha256(json.dumps(counts).encode()).hexdigest() == (
+            "fe67a3bb2ca9f39d472eab2b5c6669b660743e4adaceb03e4014c7caa602d61f")
+
+    def test_accuracy_map_pin(self):
+        grid, atlas = self._grid()
+        h = hashlib.sha256()
+        for key in summary_counts(grid):
+            h.update(accuracy_map(grid, *key, atlas).voxels.tobytes())
+        assert h.hexdigest() == (
+            "c10e284f892ea7da4b465d47b531e900a89fd7f0ce5998920280842306b4f5cb")

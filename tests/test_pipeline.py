@@ -435,6 +435,15 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "dependency error" in err and "pca_L3.csv" in err
 
+    @pytest.mark.parametrize("stage", ["correlate", "lrcp"])
+    def test_undecodable_meta_is_not_read(self, tiny_run, tmp_path, stage):
+        # the embed stage's .meta files are for people; no later stage reads them
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        (copy / "embed" / "NOR_AD" / "pca_L3.meta").write_bytes(b"method=\xff\xfe\n")
+        before = tree_bytes(copy / stage)
+        assert main([stage] + base) == EXIT_OK
+        assert tree_bytes(copy / stage) == before
+
     @pytest.mark.parametrize("rel,old,new", [
         ("shap/NOR_AD/importance.csv", ",s_r,", ",s_x,"),
         ("lrcp/summary.csv", ",significant,non_significant",
