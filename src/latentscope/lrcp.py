@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import AtlasMap, CLASS_NAMES, RegionProfileMatrix, Volume
 from .errors import ConfigError, DegenerateInputError, DependencyError, ShapeError
-from .regionstats import pearson, pearson_pvalue
+from .regionstats import ALPHA, _block
 from .seeds import derive_seed
 from .validation import BoundConfig, pac_bayes_penalty
 
@@ -44,7 +44,7 @@ class LRCPCell:
 
     @property
     def corr_significant(self) -> bool:
-        return self.p_value < 0.05
+        return self.p_value < ALPHA
 
     @property
     def class_significant(self) -> bool:
@@ -98,31 +98,28 @@ def _penalty(bound: BoundConfig, quadratic: bool, n: int) -> float:
     return pac_bayes_penalty(4 if quadratic else 3, bound.eta, n, bound.delta)
 
 
-def _verdict(x: np.ndarray, y: np.ndarray, targets: np.ndarray, penalty: float,
-             quadratic: bool) -> tuple:
-    """(r, p, empirical error, corrected error, category, degenerate) of one
-    cell; a constant feature makes the cell degenerate and "neither"."""
-    degenerate = x.std() == 0.0 or y.std() == 0.0
-    try:
-        r = pearson(x, y)
-        p = pearson_pvalue(r, x.size)
-    except DegenerateInputError:
-        r, p = float("nan"), float("nan")
-
-    features = np.column_stack([x, y])
-    if quadratic:
-        features = np.column_stack([features, x * y])
-    emp_error = _classify(features, targets)
-    corrected = min(1.0, emp_error + penalty)
-
-    if degenerate:
-        category = "neither"
-    else:
-        corr_sig = p < 0.05
-        class_sig = corrected < 0.5
-        # CATEGORIES runs both, corr_only, class_only, neither
-        category = CATEGORIES[2 * (not corr_sig) + (not class_sig)]
-    return r, p, emp_error, corrected, category, degenerate
+def _verdicts(x: np.ndarray, y: np.ndarray, targets: np.ndarray, penalty: float,
+              quadratic: bool) -> list[tuple]:
+    """(r, p, empirical error, corrected error, category) of every cell of
+    x (n x components) against y (n x regions), component-major. r and p
+    come from one `regionstats._block` call; a constant feature leaves r
+    undefined (NaN) and makes the cell "neither"."""
+    block = _block(x, y)
+    verdicts = []
+    for component, j in np.ndindex(block.r.shape):
+        r, p = block.r[component, j], block.p[component, j]
+        features = np.column_stack([x[:, component], y[:, j]])
+        if quadratic:
+            features = np.column_stack([features, x[:, component] * y[:, j]])
+        emp_error = _classify(features, targets)
+        corrected = min(1.0, emp_error + penalty)
+        if np.isnan(r):
+            category = "neither"
+        else:
+            # CATEGORIES runs both, corr_only, class_only, neither
+            category = CATEGORIES[2 * (not p < ALPHA) + (not corrected < 0.5)]
+        verdicts.append((float(r), float(p), emp_error, corrected, category))
+    return verdicts
 
 
 def lrcp_cell(component_values, region_values, labels, bound: BoundConfig | None = None,
@@ -141,10 +138,10 @@ def lrcp_cell(component_values, region_values, labels, bound: BoundConfig | None
     if x.shape != y.shape or x.ndim != 1 or labels.shape != x.shape:
         raise ShapeError("component, region and label vectors must align")
     targets = _targets(labels, "LRCP cell")
-    *verdict, degenerate = _verdict(x, y, targets, _penalty(bound, quadratic, x.size),
-                                    quadratic)
-    return LRCPCell(x.size, *verdict,
-                    flags=["degenerate_constant_feature"] if degenerate else [])
+    (verdict,) = _verdicts(x[:, None], y[:, None], targets,
+                           _penalty(bound, quadratic, x.size), quadratic)
+    return LRCPCell(x.size, *verdict, flags=(
+        ["degenerate_constant_feature"] if np.isnan(verdict[0]) else []))
 
 
 def _comparison_name(class_pair) -> str:
@@ -229,13 +226,9 @@ def lrcp_grid(embeddings: dict, profiles: RegionProfileMatrix, labels,
                 keep = _balanced_rows(sub_labels, pair, rng)
                 targets = _targets(sub_labels[keep], f"comparison {name!r}")
                 penalty = _penalty(bound, quadratic, targets.size)
-                emb_values = emb.values[keep]
-                prof_values = profiles.values[emb_rows][keep]
-                for component in components:
-                    for j in range(len(region_ids)):
-                        verdict = _verdict(emb_values[:, component], prof_values[:, j],
-                                           targets, penalty, quadratic)
-                        rows.append((targets.size, *verdict[:5]))
+                rows.extend((targets.size, *verdict) for verdict in _verdicts(
+                    emb.values[keep][:, :n_components], profiles.values[emb_rows][keep],
+                    targets, penalty, quadratic))
     return LRCPGrid(
         cells=np.array(rows, dtype=CELL_DTYPE),
         comparisons=[name for name, _ in named],
@@ -251,7 +244,9 @@ def summary_counts(grid: LRCPGrid) -> dict:
 
     Keyed by (comparison, method, layer, component); significance follows
     the classification branch (corrected error < 0.5). Counts always sum to
-    the region count.
+    the region count. A degenerate cell (a constant feature, category
+    "neither", r undefined) still counts as significant when its corrected
+    error is below 0.5, so `summary.csv` and `grid.csv` can disagree about it.
     """
     significant = (grid.cells["corrected_error"] < 0.5).reshape(grid.shape).sum(axis=-1)
     keys = itertools.product(grid.comparisons, grid.methods, grid.layers,

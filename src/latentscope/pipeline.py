@@ -277,12 +277,13 @@ def _load_all_embeddings(out: Path, config: PipelineConfig, cohort: Cohort) -> d
     return embeddings
 
 
-def _correlation_rows(table):
-    for res in table.results:
-        yield {"method": res.method, "layer": res.layer,
-               "component": res.component, "region": res.region,
-               "class": res.class_label, "n": res.n, "r": res.r,
-               "r2": res.r_squared, "p": res.p_value, "flag": res.flag}
+def _correlation_rows(table, rows):
+    """`_CORRELATION_COLUMNS` rows for `rows`, all of `table.rows` or the
+    subset `correct_table` kept."""
+    fields = ["component", "region", "class_label", "n", "r", "r_squared",
+              "p_value", "flag"]
+    for row in rows[fields].ravel().tolist():
+        yield (table.method, table.layer, *row)
 
 
 def run_correlate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
@@ -308,7 +309,7 @@ def run_correlate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                     emb = embeddings[(name, method, layer)]
                     table = correlate_embedding_regions(
                         emb, profiles, labels=labels, stratify=config.stratify)
-                    all_rows.extend(_correlation_rows(table))
+                    all_rows.extend(_correlation_rows(table, table.rows))
                     ranked = top_regions(table, n=config.top_n)
                     top_rows.extend(
                         {"method": method, "layer": layer, "rank": i + 1,
@@ -316,9 +317,9 @@ def run_correlate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                          "component": t.component, "class": t.class_label}
                         for i, t in enumerate(ranked))
                     kept_p_rows.extend(_correlation_rows(
-                        correct_table(table, "pvalue", delta=config.bound.delta)))
+                        table, correct_table(table, "pvalue")))
                     kept_sar_rows.extend(_correlation_rows(
-                        correct_table(table, "sar", delta=config.bound.delta)))
+                        table, correct_table(table, "sar", delta=config.bound.delta)))
                     if method == overlap_method and layer == overlap_layer:
                         per_comparison_top[name] = ranked
             comments = _hash_comment(config)

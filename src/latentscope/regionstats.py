@@ -4,12 +4,28 @@ Correlations are exact-sample Pearson r with two-tailed p-values from the
 Student-t distribution (regularized incomplete beta, no normal approximation),
 optionally stratified by class. Top-N tables are ranked by max |r| per region
 and overlap reports intersect those sets across group comparisons.
+
+A `CorrelationTable` holds one (method, layer) as one structured array
+(`ROW_DTYPE`) of shape (class group, component, region), so its flat order
+runs region fastest: the pooled group first, then each class in label
+order. Each row also carries SAR's two data terms (model and baseline MAE,
+see `validation.sar_relevance`), which do not depend on delta, so
+`validation.correct_table` needs no input vectors.
+
+One private kernel, `_block`, computes r, p and the SAR terms for a whole
+(component x region) block of one group. `pearson`, `pearson_pvalue`,
+`validation.sar_relevance` and `lrcp` all go through it. Its forms keep the
+bits of the 1-D formulas: every mean and every MAE is reduced along a
+C-contiguous last axis (numpy's pairwise sum, as for a 1-D vector), and
+every cross product is one `np.vecdot` over contiguous rows (the BLAS dot
+of a 1-D `@`). A matrix product (`xd @ yd.T`) or a reduction over the
+subject axis of an n x k matrix would round differently.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betainc
@@ -18,6 +34,60 @@ from .data import CLASS_NAMES
 from .errors import ConfigError, DegenerateInputError, ShapeError
 
 POOLED = "pooled"
+ALPHA = 0.05  # the two-tailed p-value threshold of every correlation verdict
+
+ROW_DTYPE = np.dtype([("component", np.int64), ("region", np.int64),
+                      ("class_label", "U20"), ("n", np.int64), ("r", np.float64),
+                      ("r_squared", np.float64), ("p_value", np.float64),
+                      ("flag", "U9"),  # "", "undefined" or "too_few"
+                      ("model_mae", np.float64), ("baseline_mae", np.float64)])
+
+
+class _Block(NamedTuple):
+    r: np.ndarray  # (C, R); NaN where either input is constant
+    p: np.ndarray  # (C, R)
+    sxx: np.ndarray  # (C,) sum of squared component deviations
+    slope: np.ndarray  # (C, R) least-squares line of region on component;
+    intercept: np.ndarray  # (C, R) slope 0 where sxx == 0
+    model_mae: np.ndarray  # (C, R) MAE of that line
+    baseline_mae: np.ndarray  # (R,) MAE of the region mean
+
+
+def _pvalues(r, n: int):
+    """Two-tailed p-values of correlations r at sample size n; NaN stays NaN.
+
+    t = r * sqrt((n-2) / (1-r^2)) follows Student-t with n-2 dof under the
+    null; the two-tailed tail mass is I_{v/(v+t^2)}(v/2, 1/2) with v = n - 2.
+    """
+    nu = n - 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        one_minus_r2 = (1.0 - r) * (1.0 + r)
+        p = betainc(nu / 2.0, 0.5, nu / (nu + r * r * nu / one_minus_r2))
+    return np.where(one_minus_r2 <= 1e-15, 0.0, p)
+
+
+def _block(x: np.ndarray, y: np.ndarray) -> _Block:
+    """Pearson and SAR terms of every column of x (n x C) against every
+    column of y (n x R); see the module docstring for the forms it keeps."""
+    xt = np.ascontiguousarray(x.T, dtype=np.float64)
+    yt = np.ascontiguousarray(y.T, dtype=np.float64)
+    x_mean = xt.mean(axis=1)
+    y_mean = yt.mean(axis=1)
+    xd = xt - x_mean[:, None]
+    yd = yt - y_mean[:, None]
+    sxx = np.vecdot(xd, xd)
+    syy = np.vecdot(yd, yd)
+    sxy = np.vecdot(xd[:, None], yd)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.clip(sxy / (np.sqrt(sxx)[:, None] * np.sqrt(syy)), -1.0, 1.0)
+        slope = sxy / sxx[:, None]
+    r[(sxx == 0.0)[:, None] | (syy == 0.0)] = np.nan
+    slope[sxx == 0.0] = 0.0
+    intercept = y_mean - slope * x_mean[:, None]
+    fit = slope[..., None] * xt[:, None] + intercept[..., None]
+    return _Block(r=r, p=_pvalues(r, xt.shape[1]), sxx=sxx, slope=slope,
+                  intercept=intercept, model_mae=np.abs(yt - fit).mean(axis=-1),
+                  baseline_mae=np.abs(yd).mean(axis=-1))
 
 
 def pearson(x, y) -> float:
@@ -31,38 +101,24 @@ def pearson(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
         raise ShapeError(f"pearson needs equal-length vectors, got {x.shape} and {y.shape}")
-    n = x.size
-    if n < 3:
-        raise DegenerateInputError(f"pearson needs n >= 3, got {n}")
-    xd = x - x.mean()
-    yd = y - y.mean()
-    sx = math.sqrt(float(xd @ xd))
-    sy = math.sqrt(float(yd @ yd))
-    if sx == 0.0 or sy == 0.0:
+    if x.size < 3:
+        raise DegenerateInputError(f"pearson needs n >= 3, got {x.size}")
+    r = _block(x[:, None], y[:, None]).r[0, 0]
+    if np.isnan(r):
         raise DegenerateInputError("correlation undefined for constant input")
-    r = float(xd @ yd) / (sx * sy)
-    return float(min(1.0, max(-1.0, r)))
+    return float(r)
 
 
 def pearson_pvalue(r: float, n: int) -> float:
-    """Two-tailed p-value for a sample correlation r at sample size n.
-
-    t = r * sqrt((n-2) / (1-r^2)) follows Student-t with n-2 dof under the
-    null; the two-tailed tail mass is I_{v/(v+t^2)}(v/2, 1/2) with v = n - 2.
-    """
+    """Two-tailed p-value for a sample correlation r at sample size n."""
     if n < 3:
         raise DegenerateInputError(f"p-value needs n >= 3, got {n}")
     if abs(r) > 1.0:
         raise ConfigError(f"|r| must be <= 1, got {r}")
-    one_minus_r2 = (1.0 - r) * (1.0 + r)
-    if one_minus_r2 <= 1e-15:
-        return 0.0
-    nu = n - 2
-    t2 = r * r * nu / one_minus_r2
-    return float(betainc(nu / 2.0, 0.5, nu / (nu + t2)))
+    return float(_pvalues(np.float64(r), n))
 
 
-def critical_r(n: int, alpha: float = 0.05) -> float:
+def critical_r(n: int, alpha: float = ALPHA) -> float:
     """Smallest |r| reaching two-tailed significance alpha at sample size n."""
     lo, hi = 0.0, 1.0
     for _ in range(80):
@@ -75,76 +131,24 @@ def critical_r(n: int, alpha: float = 0.05) -> float:
 
 
 @dataclass
-class CorrelationResult:
+class CorrelationTable:
     method: str
     layer: str
-    component: int
-    region: int
-    class_label: str  # class name or "pooled"
-    n: int
-    r: float
-    r_squared: float
-    p_value: float
-    flag: str = ""  # "", "undefined", "too_few"
-    x: np.ndarray | None = None  # component values behind this row
-    y: np.ndarray | None = None  # region means behind this row
-
-    @property
-    def valid(self) -> bool:
-        return self.flag == ""
-
-
-@dataclass
-class CorrelationTable:
-    results: list[CorrelationResult]
-    provenance: dict = field(default_factory=dict)
+    rows: np.ndarray  # ROW_DTYPE, shape (class group, component, region)
 
     def __len__(self) -> int:
-        return len(self.results)
-
-    def valid_results(self) -> list[CorrelationResult]:
-        return [res for res in self.results if res.valid]
-
-
-def _class_name(label) -> str:
-    if isinstance(label, str):
-        return label
-    return CLASS_NAMES.get(int(label), str(label))
-
-
-def _correlate_rows(results, method, layer, emb_values, prof_values, region_ids,
-                    class_label, keep_vectors):
-    n = emb_values.shape[0]
-    for comp in range(emb_values.shape[1]):
-        xc = emb_values[:, comp]
-        for j, region in enumerate(region_ids):
-            yr = prof_values[:, j]
-            try:
-                r = pearson(xc, yr)
-            except DegenerateInputError:
-                results.append(CorrelationResult(
-                    method=method, layer=layer, component=comp,
-                    region=int(region), class_label=class_label, n=n,
-                    r=float("nan"), r_squared=float("nan"),
-                    p_value=float("nan"), flag="undefined"))
-                continue
-            results.append(CorrelationResult(
-                method=method, layer=layer, component=comp, region=int(region),
-                class_label=class_label, n=n, r=r, r_squared=r * r,
-                p_value=pearson_pvalue(r, n),
-                x=xc.copy() if keep_vectors else None,
-                y=yr.copy() if keep_vectors else None))
+        return self.rows.size
 
 
 def correlate_embedding_regions(embedding, profiles, labels=None,
-                                stratify: bool = False,
-                                keep_vectors: bool = True) -> CorrelationTable:
+                                stratify: bool = False) -> CorrelationTable:
     """Correlate every embedding component with every region mean.
 
     Rows of the embedding and the profile matrix must describe the same
     subjects in the same order. Produces pooled results always and per-class
-    results when stratify is set; classes with fewer than 3 subjects yield a
-    flagged placeholder row instead of a correlation.
+    results when stratify is set; classes with fewer than 3 subjects yield
+    flagged "too_few" rows instead of correlations, and a constant input
+    yields "undefined" rows.
     """
     if list(embedding.subject_ids) != list(profiles.subject_ids):
         raise ShapeError("embedding and profile subject orders differ")
@@ -156,34 +160,34 @@ def correlate_embedding_regions(embedding, profiles, labels=None,
     if stratify and labels is None:
         raise ConfigError("stratified correlation needs class labels")
 
-    results: list[CorrelationResult] = []
-    _correlate_rows(results, embedding.method, embedding.layer, emb, prof,
-                    profiles.region_ids, POOLED, keep_vectors)
+    groups = [(POOLED, np.ones(emb.shape[0], dtype=bool))]
     if stratify:
         labels = np.asarray(labels)
         if labels.shape[0] != emb.shape[0]:
             raise ShapeError("label count does not match row count")
-        for label in sorted(set(int(v) for v in labels)):
-            mask = labels == label
-            name = _class_name(label)
-            if int(mask.sum()) < 3:
-                for comp in range(emb.shape[1]):
-                    for region in profiles.region_ids:
-                        results.append(CorrelationResult(
-                            method=embedding.method, layer=embedding.layer,
-                            component=comp, region=int(region),
-                            class_label=name, n=int(mask.sum()),
-                            r=float("nan"), r_squared=float("nan"),
-                            p_value=float("nan"), flag="too_few"))
-                continue
-            _correlate_rows(results, embedding.method, embedding.layer,
-                            emb[mask], prof[mask], profiles.region_ids, name,
-                            keep_vectors)
+        groups += [(CLASS_NAMES.get(label, str(label)), labels == label)
+                   for label in sorted(set(int(v) for v in labels))]
 
-    provenance = dict(embedding.metadata)
-    provenance["method"] = embedding.method
-    provenance["layer"] = embedding.layer
-    return CorrelationTable(results=results, provenance=provenance)
+    rows = np.zeros((len(groups), emb.shape[1], prof.shape[1]), dtype=ROW_DTYPE)
+    rows["component"] = np.arange(emb.shape[1])[:, None]
+    rows["region"] = profiles.region_ids
+    for cells, (name, mask) in zip(rows, groups):
+        n = int(mask.sum())
+        cells["class_label"] = name
+        cells["n"] = n
+        if n < 3:
+            cells["flag"] = "undefined" if name == POOLED else "too_few"
+            for field in ("r", "r_squared", "p_value", "model_mae", "baseline_mae"):
+                cells[field] = np.nan
+            continue
+        block = _block(emb[mask], prof[mask])
+        cells["r"] = block.r
+        cells["r_squared"] = block.r * block.r
+        cells["p_value"] = block.p
+        cells["model_mae"] = block.model_mae
+        cells["baseline_mae"] = block.baseline_mae
+        cells["flag"][np.isnan(block.r)] = "undefined"
+    return CorrelationTable(method=embedding.method, layer=embedding.layer, rows=rows)
 
 
 @dataclass
@@ -195,29 +199,23 @@ class TopRegion:
     class_label: str
 
 
-def top_regions(table: CorrelationTable, n: int = 10,
-                ranking: str = "abs_r") -> list[TopRegion]:
+def top_regions(table: CorrelationTable, n: int = 10) -> list[TopRegion]:
     """Rank regions by their best |r| over all valid rows of the table.
 
-    ranking "significant_only" restricts to rows with p < 0.05 before the
-    max-|r| reduction; regions with no qualifying row drop out. Ties are
-    broken in favor of the lower region id.
+    Within a region the first row in table order wins a tie; between regions
+    the lower region id does. Regions without a valid row drop out.
     """
-    if ranking not in ("abs_r", "significant_only"):
-        raise ConfigError(f"unknown ranking {ranking!r}")
-    if not table.results:
+    if table.rows.size == 0:
         raise DegenerateInputError("cannot rank an empty correlation table")
-    best: dict[int, CorrelationResult] = {}
-    for res in table.valid_results():
-        if ranking == "significant_only" and not res.p_value < 0.05:
-            continue
-        cur = best.get(res.region)
-        if cur is None or abs(res.r) > abs(cur.r):
-            best[res.region] = res
-    ordered = sorted(best.values(), key=lambda res: (-abs(res.r), res.region))
-    return [TopRegion(region=res.region, r=res.r, p_value=res.p_value,
-                      component=res.component, class_label=res.class_label)
-            for res in ordered[:n]]
+    rows = table.rows.reshape(-1, table.rows.shape[-1])  # (group x component, region)
+    strength = np.where(rows["flag"] == "", np.abs(rows["r"]), -1.0)
+    first = strength.argmax(axis=0)
+    regions = np.arange(rows.shape[1])
+    best, best_strength = rows[first, regions], strength[first, regions]
+    order = np.lexsort((best["region"], -best_strength))
+    order = order[best_strength[order] >= 0.0][:n]
+    fields = ["region", "r", "p_value", "component", "class_label"]
+    return [TopRegion(*values) for values in best[order][fields].tolist()]
 
 
 @dataclass

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError
-from .regionstats import CorrelationTable
+from .regionstats import ALPHA, CorrelationTable, _block
+
+SAR_MIN_N = 10  # smallest sample SAR tests
 
 
 @dataclass
@@ -156,28 +158,19 @@ def sar_relevance(x, y, delta: float = 0.05) -> SarResult:
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
         raise ConfigError(f"SAR needs equal-length vectors, got {x.shape} and {y.shape}")
     n = x.size
-    if n < 10:
-        raise DegenerateInputError(f"SAR needs n >= 10, got {n}")
+    if n < SAR_MIN_N:
+        raise DegenerateInputError(f"SAR needs n >= {SAR_MIN_N}, got {n}")
     psi = concentration_bound(n, delta, 1.0)
-    y_mean = float(y.mean())
-    baseline_mae = float(np.abs(y - y_mean).mean())
-    xd = x - x.mean()
-    sxx = float(xd @ xd)
-    flags: list[str] = []
-    if sxx == 0.0:
-        slope, intercept = 0.0, y_mean
-        model_mae = baseline_mae
-        flags.append("degenerate_constant_x")
-    else:
-        slope = float(xd @ (y - y_mean)) / sxx
-        intercept = y_mean - slope * float(x.mean())
-        model_mae = float(np.abs(y - (slope * x + intercept)).mean())
+    block = _block(x[:, None], y[:, None])
+    flags = ["degenerate_constant_x"] if block.sxx[0] == 0.0 else []
+    model_mae = float(block.model_mae[0, 0])
+    baseline_mae = float(block.baseline_mae[0])
     corrected_model = model_mae + psi
     corrected_baseline = baseline_mae - psi
     relevant = not flags and corrected_model < corrected_baseline
     return SarResult(
-        slope=slope,
-        intercept=intercept,
+        slope=float(block.slope[0, 0]),
+        intercept=float(block.intercept[0, 0]),
         model_mae=model_mae,
         baseline_mae=baseline_mae,
         corrected_model=corrected_model,
@@ -189,32 +182,26 @@ def sar_relevance(x, y, delta: float = 0.05) -> SarResult:
 
 
 def correct_table(table: CorrelationTable, mode: str,
-                  delta: float = 0.05) -> CorrelationTable:
-    """Filter a correlation table by p-value or by SAR relevance.
+                  delta: float = 0.05) -> np.ndarray:
+    """The rows of a correlation table that pass a p-value or a SAR filter,
+    in table order.
 
-    SAR mode Bonferroni-splits delta across the pairs under test and needs
-    the underlying (x, y) vectors stored on the rows.
+    "pvalue" keeps the valid rows with p < ALPHA. "sar" keeps the valid rows
+    that SAR finds relevant, with delta Bonferroni-split across every valid
+    row of the table; rows of classes below `SAR_MIN_N` count towards that
+    split but are never kept.
     """
     if mode not in ("pvalue", "sar"):
         raise ConfigError(f"unknown correction mode {mode!r}")
-    candidates = table.valid_results()
+    rows = table.rows
+    valid = rows["flag"] == ""
     if mode == "pvalue":
-        kept = [res for res in candidates if res.p_value < 0.05]
-        return CorrelationTable(results=kept, provenance=dict(table.provenance))
-    pair_count = max(1, len(candidates))
-    per_pair_delta = delta / pair_count
-    kept = []
-    for res in candidates:
-        if res.x is None or res.y is None:
-            raise ConfigError(
-                "SAR correction needs correlation rows built with keep_vectors")
-        try:
-            sar = sar_relevance(res.x, res.y, delta=per_pair_delta)
-        except DegenerateInputError:
-            continue
-        if sar.relevant:
-            kept.append(res)
-    provenance = dict(table.provenance)
-    provenance["sar_pair_count"] = pair_count
-    provenance["sar_delta"] = per_pair_delta
-    return CorrelationTable(results=kept, provenance=provenance)
+        return rows[valid & (rows["p_value"] < ALPHA)]
+    per_pair_delta = delta / max(1, int(valid.sum()))
+    n = rows["n"]
+    testable = valid & (n >= SAR_MIN_N)
+    psi = np.zeros(rows.shape)
+    for size in np.unique(n[testable]):
+        psi[n == size] = concentration_bound(int(size), per_pair_delta, 1.0)
+    relevant = rows["model_mae"] + psi < rows["baseline_mae"] - psi
+    return rows[testable & relevant]

@@ -356,6 +356,16 @@ class TestBitPins:
         assert hashlib.sha256(json.dumps(counts).encode()).hexdigest() == (
             "fe67a3bb2ca9f39d472eab2b5c6669b660743e4adaceb03e4014c7caa602d61f")
 
+    def test_summary_counts_degenerate_neither_cell(self):
+        # region 3 is constant, so its cells are "neither" with r undefined;
+        # summary_counts follows the classification branch alone and still
+        # counts such a cell as significant when its corrected error < 0.5
+        grid, _ = self._grid()
+        constant = grid.cells.reshape(grid.shape)[0, 0, 0, 0, 2]  # pca, L1, D0
+        assert constant["category"] == "neither" and np.isnan(constant["r"])
+        assert constant["corrected_error"] < 0.5
+        assert summary_counts(grid)[("NOR_AD", "pca", "L1", 0)] == (3, 0)
+
     def test_accuracy_map_pin(self):
         grid, atlas = self._grid()
         h = hashlib.sha256()

@@ -1,5 +1,6 @@
 """Correlation statistics tests with independent numerical oracles."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from latentscope.data import RegionProfileMatrix
 from latentscope.embedding.common import EmbeddingMatrix
 from latentscope.errors import ConfigError, DegenerateInputError, ShapeError
 from latentscope.regionstats import (
+    ROW_DTYPE,
     CorrelationTable,
+    _block,
     correlate_embedding_regions,
     critical_r,
     overlap_report,
@@ -18,6 +21,7 @@ from latentscope.regionstats import (
     pearson_pvalue,
     top_regions,
 )
+from latentscope.validation import correct_table
 
 
 def t_tail_by_quadrature(t_obs: float, nu: int) -> float:
@@ -166,50 +170,42 @@ class TestCorrelationTable:
     def test_planted_region_found(self):
         emb, profiles = make_table()
         table = correlate_embedding_regions(emb, profiles)
-        rows = {(res.component, res.region): res for res in table.results}
-        planted = rows[(0, 1)]
-        assert planted.r == pytest.approx(1.0, abs=1e-9)
-        assert planted.p_value < 1e-12
-        assert planted.r_squared == pytest.approx(planted.r ** 2, abs=1e-12)
+        planted = table.rows[0, 0, 0]  # pooled, component 0, region 1
+        assert (planted["component"], planted["region"]) == (0, 1)
+        assert planted["r"] == pytest.approx(1.0, abs=1e-9)
+        assert planted["p_value"] < 1e-12
+        assert planted["r_squared"] == pytest.approx(planted["r"] ** 2, abs=1e-12)
 
     def test_constant_region_flagged(self):
         emb, profiles = make_table()
         table = correlate_embedding_regions(emb, profiles)
-        flagged = [res for res in table.results if res.region == 3]
-        assert flagged and all(res.flag == "undefined" for res in flagged)
-        assert all(math.isnan(res.r) for res in flagged)
-        assert not any(res in table.valid_results() for res in flagged)
+        flagged = table.rows[table.rows["region"] == 3]
+        assert flagged.size and all(flagged["flag"] == "undefined")
+        assert all(np.isnan(flagged["r"]))
+        assert all(table.rows[table.rows["region"] != 3]["flag"] == "")
 
     def test_row_count(self):
         emb, profiles = make_table()
         table = correlate_embedding_regions(emb, profiles)
         assert len(table) == 2 * 3  # components x regions, pooled only
 
-    def test_keeps_vectors_when_asked(self):
-        emb, profiles = make_table()
-        table = correlate_embedding_regions(emb, profiles, keep_vectors=True)
-        res = table.valid_results()[0]
-        assert res.x is not None and res.x.shape == (30,)
-        lean = correlate_embedding_regions(emb, profiles, keep_vectors=False)
-        assert lean.valid_results()[0].x is None
-
     def test_stratified_adds_class_rows(self):
         emb, profiles = make_table()
         labels = np.array([0] * 15 + [3] * 15)
         table = correlate_embedding_regions(emb, profiles, labels=labels,
                                             stratify=True)
-        names = {res.class_label for res in table.results}
+        names = set(table.rows["class_label"].ravel().tolist())
         assert names == {"pooled", "NOR", "AD"}
-        nor = [res for res in table.results if res.class_label == "NOR"]
-        assert all(res.n == 15 for res in nor)
+        nor = table.rows[table.rows["class_label"] == "NOR"]
+        assert all(nor["n"] == 15)
 
     def test_tiny_class_flagged_not_correlated(self):
         emb, profiles = make_table()
         labels = np.array([0] * 28 + [1] * 2)
         table = correlate_embedding_regions(emb, profiles, labels=labels,
                                             stratify=True)
-        mci = [res for res in table.results if res.class_label == "MCI"]
-        assert mci and all(res.flag == "too_few" for res in mci)
+        mci = table.rows[table.rows["class_label"] == "MCI"]
+        assert mci.size and all(mci["flag"] == "too_few")
 
     def test_stratify_without_labels_raises(self):
         emb, profiles = make_table()
@@ -222,12 +218,6 @@ class TestCorrelationTable:
                                        subject_ids=list(reversed(profiles.subject_ids)))
         with pytest.raises(ShapeError):
             correlate_embedding_regions(emb, shuffled)
-
-    def test_provenance_carries_method_and_layer(self):
-        emb, profiles = make_table()
-        table = correlate_embedding_regions(emb, profiles)
-        assert table.provenance["method"] == "pca"
-        assert table.provenance["layer"] == "L3"
 
 
 class TestTopRegions:
@@ -249,22 +239,10 @@ class TestTopRegions:
         top = top_regions(table, n=2)
         assert [t.region for t in top] == [4, 7]
 
-    def test_significant_only_filters(self):
-        emb, profiles = make_table()
-        table = correlate_embedding_regions(emb, profiles)
-        stringent = top_regions(table, n=10, ranking="significant_only")
-        assert all(t.p_value < 0.05 for t in stringent)
-        assert {t.region for t in stringent} <= {1, 2}
-
-    def test_unknown_ranking_raises(self):
-        emb, profiles = make_table()
-        table = correlate_embedding_regions(emb, profiles)
-        with pytest.raises(ConfigError):
-            top_regions(table, ranking="p_value")
-
     def test_empty_table_raises(self):
         with pytest.raises(DegenerateInputError):
-            top_regions(CorrelationTable(results=[]))
+            top_regions(CorrelationTable("pca", "L3",
+                                         np.zeros((1, 0, 0), dtype=ROW_DTYPE)))
 
 
 class TestOverlapReport:
@@ -294,3 +272,117 @@ class TestOverlapReport:
         report = overlap_report({"A": [1, 2], "B": [3, 4]})
         assert report.pair_overlaps[("A", "B")] == []
         assert report.recurring_regions == []
+
+
+ROW_FIELDS = ("class_label", "component", "region", "n", "r", "r_squared",
+              "p_value", "flag")
+
+
+def row_digest(rows) -> str:
+    """sha256 over tuples of plain values, floats written exactly in hex."""
+    h = hashlib.sha256()
+    for row in rows:
+        h.update("|".join(v.hex() if isinstance(v, float) else str(v)
+                          for v in row).encode() + b"\n")
+    return h.hexdigest()
+
+
+def table_rows(rows):
+    return rows[list(ROW_FIELDS)].ravel().tolist()
+
+
+def pin_table():
+    """34 subjects in shuffled order: NOR 14, MCI 2 (too_few), MCIc 6
+    (correlated, but below SAR's n >= 10) and AD 12. Component 1 is minus
+    component 0 and region 3 is twice region 6, so |r| ties across
+    components and regions; region 8 is constant (undefined), region 1 is
+    constant within MCIc only, and region 5's pooled SAR gap sits between
+    the bounds at the 45 correlated pairs and at the 36 with n >= 10."""
+    rng = np.random.default_rng(909)
+    labels = rng.permutation(np.array([0] * 14 + [1] * 2 + [2] * 6 + [3] * 12))
+    n = labels.size
+    ids = [f"S{i:03d}" for i in range(n)]
+    s = rng.normal(size=n)
+    emb = EmbeddingMatrix(method="umap", layer="L2",
+                          values=np.column_stack([s, -s, rng.normal(size=n)]),
+                          subject_ids=ids)
+    signal = 0.5 + 0.1 * s + 0.02 * rng.normal(size=n)
+    noise = 0.5 + 0.05 * rng.normal(size=n)
+    noise[labels == 2] = 0.5
+    weak = 1.55 * s + rng.normal(size=n)
+    prof = np.column_stack([signal, 2.0 * signal, np.full(n, 0.25), noise, weak])
+    profiles = RegionProfileMatrix(values=prof, subject_ids=ids,
+                                   region_ids=[6, 3, 8, 1, 5])
+    return correlate_embedding_regions(emb, profiles, labels=labels, stratify=True)
+
+
+class TestBitPins:
+    """sha256 digests recorded before the table became one structured array;
+    any change to a row's arithmetic, the row order, the SAR pair count or
+    the top-region tie rules changes them."""
+
+    def test_rows_pin(self):
+        table = pin_table()
+        assert len(table) == 5 * 3 * 5
+        assert row_digest(table_rows(table.rows)) == (
+            "1212e734429aaa5b5bba96e70c730285db5f000b0687245b47b685dc3e93695d")
+
+    def test_corrected_pvalue_pin(self):
+        kept = correct_table(pin_table(), "pvalue")
+        assert row_digest(table_rows(kept)) == (
+            "ee8993418eb2eeca7aad18270bf09c545120bdd7678dc59f0270b84b56474275")
+
+    def test_corrected_sar_pin(self):
+        kept = correct_table(pin_table(), "sar")
+        assert row_digest(table_rows(kept)) == (
+            "5c8ad074a768a374a115e18b8fe3dd207c8a776d2a70d7af26f5b52b7fd29a92")
+
+    def test_top_regions_pin(self):
+        top = top_regions(pin_table(), n=10)
+        assert row_digest((t.region, t.r, t.p_value, t.component, t.class_label)
+                          for t in top) == (
+            "0689ba5e6edb12fa0f6469f55901b94e5d95caea075c940a08475eeac1a0742f")
+
+
+def per_cell_reference(x, y):
+    """r, p, slope, intercept, model MAE and baseline MAE of one pair by the
+    1-D formulas the block kernel must reproduce bit for bit."""
+    xd = x - x.mean()
+    yd = y - y.mean()
+    sx = math.sqrt(float(xd @ xd))
+    sy = math.sqrt(float(yd @ yd))
+    if sx == 0.0 or sy == 0.0:
+        r = p = float("nan")
+    else:
+        r = min(1.0, max(-1.0, float(xd @ yd) / (sx * sy)))
+        p = pearson_pvalue(r, x.size)
+    y_mean = float(y.mean())
+    baseline = float(np.abs(y - y_mean).mean())
+    if sx == 0.0:
+        return r, p, 0.0, y_mean, baseline, baseline
+    slope = float(xd @ (y - y_mean)) / float(xd @ xd)
+    intercept = y_mean - slope * float(x.mean())
+    model = float(np.abs(y - (slope * x + intercept)).mean())
+    return r, p, slope, intercept, model, baseline
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("n", [3, 4, 9, 10, 17, 128, 129, 300, 1031])
+    def test_matches_per_cell_formulas(self, n):
+        rng = np.random.default_rng(n)
+        s = rng.normal(size=n)
+        # constant 0.1 has an inexact mean (tiny nonzero deviations), 0.25 an
+        # exact one (sxx == 0: r undefined and a flat SAR line)
+        x = np.column_stack([s, np.full(n, 0.1), 3.0 + 1e-3 * rng.normal(size=n),
+                             np.full(n, 0.25), 0.5 * s + rng.normal(size=n)])
+        y = np.column_stack([0.5 + 0.1 * s + 0.01 * rng.normal(size=n),
+                             np.full(n, 0.25), rng.normal(size=n),
+                             -2.0 * x[:, 4], rng.uniform(size=n)])
+        block = _block(x, y)
+        got = np.stack(np.broadcast_arrays(
+            block.r, block.p, block.slope, block.intercept, block.model_mae,
+            block.baseline_mae[None, :]), axis=-1)
+        want = np.array([[per_cell_reference(x[:, c], y[:, j]) for j in range(5)]
+                         for c in range(5)])
+        assert got.tobytes() == want.tobytes()
+        assert block.sxx[3] == 0.0

@@ -231,7 +231,7 @@ class TestSar:
             sar_relevance(np.arange(10.0), np.arange(11.0))
 
 
-def build_table(keep_vectors=True):
+def build_table():
     # synthetic correlation table with one strong pair (large response
     # spread, near-perfect fit), one barely p-significant pair, and noise;
     # spreads are sized so the strong pair clears the 2-psi SAR gap
@@ -251,38 +251,26 @@ def build_table(keep_vectors=True):
         rng.normal(size=n),                            # pure noise
     ])
     profiles = RegionProfileMatrix(values=prof, subject_ids=ids)
-    return correlate_embedding_regions(emb, profiles, keep_vectors=keep_vectors)
+    return correlate_embedding_regions(emb, profiles)
 
 
 class TestCorrectTable:
     def test_pvalue_mode_keeps_significant(self):
         table = build_table()
         kept = correct_table(table, "pvalue")
-        regions = {(res.component, res.region) for res in kept.results}
+        regions = set(zip(kept["component"].tolist(), kept["region"].tolist()))
         assert (0, 1) in regions  # strong pair survives
-        assert all(res.p_value < 0.05 for res in kept.results)
+        assert all(kept["p_value"] < 0.05)
 
     def test_sar_mode_is_stricter(self):
         table = build_table()
         by_p = correct_table(table, "pvalue")
         by_sar = correct_table(table, "sar")
-        keys_p = {(res.component, res.region) for res in by_p.results}
-        keys_s = {(res.component, res.region) for res in by_sar.results}
+        keys_p = set(zip(by_p["component"].tolist(), by_p["region"].tolist()))
+        keys_s = set(zip(by_sar["component"].tolist(), by_sar["region"].tolist()))
         assert keys_s <= keys_p
         assert (0, 1) in keys_s  # the strong pair survives both
         assert (1, 2) in keys_p and (1, 2) not in keys_s  # weak one drops
-
-    def test_sar_needs_vectors(self):
-        table = build_table(keep_vectors=False)
-        with pytest.raises(ConfigError):
-            correct_table(table, "sar")
-
-    def test_sar_provenance_records_split(self):
-        table = build_table()
-        kept = correct_table(table, "sar", delta=0.05)
-        pair_count = len(table.valid_results())
-        assert kept.provenance["sar_pair_count"] == pair_count
-        assert kept.provenance["sar_delta"] == pytest.approx(0.05 / pair_count)
 
     def test_unknown_mode_raises(self):
         table = build_table()
@@ -290,7 +278,7 @@ class TestCorrectTable:
             correct_table(table, "fdr")
 
     def test_empty_table_passes_through(self):
-        from latentscope.regionstats import CorrelationTable
+        from latentscope.regionstats import ROW_DTYPE, CorrelationTable
 
-        out = correct_table(CorrelationTable(results=[]), "pvalue")
-        assert out.results == []
+        empty = CorrelationTable("pca", "L3", np.zeros((1, 0, 0), dtype=ROW_DTYPE))
+        assert correct_table(empty, "pvalue").size == 0
