@@ -53,7 +53,8 @@ def standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
     sigma = xc.std(axis=0)
     degenerate = sigma < SIGMA_GUARD
     scale = np.where(degenerate, 1.0, sigma)
-    return xc / scale, mean, scale, int(degenerate.sum())
+    xc /= scale
+    return xc, mean, scale, int(degenerate.sum())
 
 
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,22 @@
-"""Principal component analysis via SVD of the centered data matrix.
+"""Principal component analysis through the n x n Gram matrix of the subjects.
 
-Eigenpairs of the empirical covariance S = X_c^T X_c / (n-1) are recovered
-from the singular values (lambda_i = s_i^2/(n-1)); scores are the centered
-rows projected onto the axes. Sign convention: each axis is flipped so its
+Encoder activations are far wider than they are tall: a 64^3 volume gives
+2^19 L1 features for a few dozen subjects. So the eigenpairs of the empirical
+covariance S = X_c^T X_c / (n-1) are taken in subject space, by the snapshot
+method (Sirovich, 1987, Q. Appl. Math.). The Gram matrix G = X_c X_c^T is
+only n x n; its eigenpairs (w_i, u_i) give the singular values
+s_i = sqrt(w_i) of X_c, and the axes v_i = X_c^T u_i / s_i, built for all
+kept axes in one product. The cost is one n x n x p product for G and one
+k x n x p product for the axes, in place of a full SVD of the n x p matrix.
+Eigenvalues are lambda_i = w_i/(n-1), and scores are the centered rows
+projected onto the axes. The price is accuracy on axes far below the first:
+G squares the singular values, so axis i is resolved to about
+eps * w_0 / (w_i - w_{i+1}), against eps * s_0 / (s_i - s_{i+1}) from an
+SVD of X_c.
+
+Rank is numpy's `matrix_rank` rule for a Hermitian matrix, applied to G:
+eigenvalues above w_0 * n * eps count. Axes beyond the rank are zero rows
+with zero eigenvalues. Sign convention: each axis is flipped so its
 largest-magnitude loading is positive, which makes axes reproducible across
 runs and platforms.
 """
@@ -46,16 +60,17 @@ def pca_fit_transform(x: np.ndarray, k: int = 3,
     if n < 2:
         raise DegenerateInputError("PCA needs at least 2 rows")
     xc, mean = center(x)
-    # economy SVD: singular values/axes of the centered matrix
-    _, s, vt = np.linalg.svd(xc, full_matrices=False)
-    tol = s[0] * max(x.shape) * np.finfo(np.float64).eps if s.size else 0.0
-    rank = int((s > tol).sum())
+    # eigenpairs of the Gram matrix, descending
+    w, u = np.linalg.eigh(xc @ xc.T)
+    w, u = w[::-1], u[:, ::-1]
+    rank = int((w > w[0] * n * np.finfo(np.float64).eps).sum())
     p = x.shape[1]
     components = np.zeros((k, p))
     eigenvalues = np.zeros(k)
     usable = min(k, rank)
-    components[:usable] = vt[:usable]
-    eigenvalues[:usable] = (s[:usable] ** 2) / (n - 1)
+    s = np.sqrt(w[:usable])
+    components[:usable] = (u[:, :usable].T @ xc) / s[:, None]
+    eigenvalues[:usable] = w[:usable] / (n - 1)
     components = _fix_signs(components)
     scores = xc @ components.T
     model = PcaModel(

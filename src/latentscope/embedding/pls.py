@@ -54,15 +54,15 @@ def pls_fit_transform(x: np.ndarray, y: np.ndarray, k: int = 3,
         raise DegenerateInputError("X and Y row counts differ")
     if np.allclose(y, y[0], atol=_TINY):
         raise DegenerateInputError("constant Y: PLS target carries no signal")
-    xs, x_mean, x_scale, _ = standardize(x)
-    yc, y_mean = center(y)
+    # fresh arrays, deflated in place below
+    xd, x_mean, x_scale, _ = standardize(x)
+    yd, y_mean = center(y)
 
     weights = np.zeros((k, p))
     x_loadings = np.zeros((k, p))
-    y_loadings = np.zeros((k, yc.shape[1]))
+    y_loadings = np.zeros((k, yd.shape[1]))
     scores = np.zeros((n, k))
     degenerate = 0
-    xd, yd = xs.copy(), yc.copy()
     for comp in range(k):
         cov = xd.T @ yd
         if np.linalg.norm(cov) < _TINY:
@@ -81,8 +81,11 @@ def pls_fit_transform(x: np.ndarray, y: np.ndarray, k: int = 3,
             break
         p_load = (xd.T @ t) / tt
         q_load = (yd.T @ t) / tt
-        xd = xd - np.outer(t, p_load)
-        yd = yd - np.outer(t, q_load)
+        # row by row, the products and differences of xd - outer(t, p_load)
+        # without an n x p temporary
+        for i in range(n):
+            xd[i] -= t[i] * p_load
+        yd -= np.outer(t, q_load)
         weights[comp] = w
         x_loadings[comp] = p_load
         y_loadings[comp] = q_load

@@ -1,10 +1,12 @@
 """Linear embedding tests with independent eigendecomposition oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from latentscope.embedding.common import center, standardize
-from latentscope.embedding.pca import pca_fit_transform
+from latentscope.embedding.pca import _fix_signs, pca_fit_transform
 from latentscope.embedding.pls import one_hot, pls_fit_transform
 from latentscope.errors import DegenerateInputError
 
@@ -110,6 +112,128 @@ class TestPcaInvariants:
         assert emb.n_components == 2
 
 
+def _pca_svd_reference(x: np.ndarray, k: int):
+    """The SVD route that pca_fit_transform took before the Gram matrix: axes
+    from the economy SVD of the centered matrix, rank s > s_0 * max(n, p) * eps.
+    Returns (components, eigenvalues, rank)."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    xc, _ = center(x)
+    _, s, vt = np.linalg.svd(xc, full_matrices=False)
+    tol = s[0] * max(x.shape) * np.finfo(np.float64).eps if s.size else 0.0
+    rank = int((s > tol).sum())
+    components = np.zeros((k, x.shape[1]))
+    eigenvalues = np.zeros(k)
+    usable = min(k, rank)
+    components[:usable] = vt[:usable]
+    eigenvalues[:usable] = (s[:usable] ** 2) / (n - 1)
+    return _fix_signs(components), eigenvalues, rank
+
+
+def _low_rank_plus_noise(seed: int, n: int, p: int, r: int = 6,
+                         noise: float = 0.1) -> np.ndarray:
+    # r strong directions with well separated variances over an offset, as
+    # in post-ReLU activations, plus isotropic noise
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(size=(n, r)) * np.linspace(4.0, 1.0, r)
+    return (scores @ rng.normal(size=(r, p)) + 2.0
+            + noise * rng.normal(size=(n, p)))
+
+
+class TestGramRoute:
+    """The n x n Gram route against the SVD of the centered matrix."""
+
+    @pytest.mark.parametrize("n,p", [(24, 50_000), (80, 20_000), (40, 10)])
+    def test_matches_svd_reference(self, n, p):
+        x = _low_rank_plus_noise(n * 1000 + p % 997, n, p)
+        model, emb = pca_fit_transform(x, k=3)
+        ref_components, ref_eigenvalues, ref_rank = _pca_svd_reference(x, 3)
+        assert model.rank == ref_rank == min(n - 1, p)
+        np.testing.assert_allclose(model.eigenvalues, ref_eigenvalues,
+                                   rtol=1e-10)
+        for ours, ref in zip(model.components, ref_components):
+            cos = (ours @ ref) / (np.linalg.norm(ours) * np.linalg.norm(ref))
+            assert cos >= 1.0 - 1e-10  # same axis and the same sign
+        xc, _ = center(x)
+        np.testing.assert_allclose(emb.values, xc @ ref_components.T,
+                                   rtol=1e-8, atol=1e-8 * np.abs(emb.values).max())
+
+    def _check_rank(self, x, rank, k=3):
+        model, emb = pca_fit_transform(x, k=k)
+        assert model.rank == rank == _pca_svd_reference(x, k)[2]
+        assert model.rank_deficient is (rank < k)
+        assert emb.metadata["rank_deficient"] is (rank < k)
+        np.testing.assert_array_equal(model.components[rank:],
+                                      np.zeros((k - rank, x.shape[1])))
+        np.testing.assert_array_equal(model.eigenvalues[rank:], 0.0)
+        np.testing.assert_array_equal(emb.values[:, rank:], 0.0)
+        assert (model.eigenvalues[:rank] > 0).all()
+        np.testing.assert_allclose(model.components[:rank] @ model.components[:rank].T,
+                                   np.eye(rank), atol=1e-10)
+        return model
+
+    def test_exact_rank_one(self):
+        rng = np.random.default_rng(41)
+        x = np.outer(rng.normal(size=24), rng.normal(size=5000)) + 3.0
+        self._check_rank(x, 1)
+
+    def test_exact_rank_two(self):
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(30, 2)) @ rng.normal(size=(2, 8000)) - 1.5
+        self._check_rank(x, 2)
+
+    def test_duplicated_rows(self):
+        # two distinct subjects, each three times: one centered direction
+        rng = np.random.default_rng(43)
+        a, b = rng.normal(size=(2, 4000))
+        model = self._check_rank(np.vstack([a, a, a, b, b, b]), 1)
+        d = (b - a) / np.linalg.norm(b - a)
+        assert abs(model.components[0] @ d) == pytest.approx(1.0, abs=1e-12)
+        assert model.eigenvalues[0] == pytest.approx(
+            6 * 0.25 * np.sum((b - a) ** 2) / 5, rel=1e-12)
+
+    def test_three_rows(self):
+        # three subjects span at most two centered directions
+        self._check_rank(np.random.default_rng(44).normal(size=(3, 10)), 2)
+
+    def test_constant_rows(self):
+        model, emb = pca_fit_transform(np.zeros((5, 7)), k=3)
+        assert model.rank == 0
+        assert model.rank_deficient is True
+        np.testing.assert_array_equal(model.components, np.zeros((3, 7)))
+        np.testing.assert_array_equal(emb.values, np.zeros((5, 3)))
+
+
+class TestPcaPinnedBits:
+    """Digests recorded after PCA moved to the n x n Gram matrix. Any change
+    to the float operations of the fit, or to their order, moves them."""
+
+    def _check(self, x, k, expected):
+        model, emb = pca_fit_transform(x, k=k)
+        got = {"components": _digest(model.components),
+               "eigenvalues": _digest(model.eigenvalues),
+               "scores": _digest(emb.values)}
+        assert got == expected
+        return model
+
+    def test_wide(self):
+        self._check(_low_rank_plus_noise(51, 24, 6000), 3, {
+            "components": "2b83830b9af6056c6b6b5bba17655f49445d35d6bdb1217373083c20fd7f5791",
+            "eigenvalues": "606ff768e6df673b7abfb2bd7490464cb32238fd4f864b8ded566000c1d48a8f",
+            "scores": "64ef8432c752efad418978ed271cfd40e2c3c6f0fabd9944e0dcffecd171f412",
+        })
+
+    def test_rank_deficient(self):
+        rng = np.random.default_rng(52)
+        x = rng.normal(size=(12, 2)) @ rng.normal(size=(2, 300))
+        model = self._check(x, 3, {
+            "components": "2c988b90f0ae17cb1b7d2e96ce9824d8c171914394675aa6dec39409a148fcc3",
+            "eigenvalues": "9e509aaf61f8b9458228deb5904868f3476f6c340e2c2ed1aaf399d34c21e0ba",
+            "scores": "235f00c9c94a8e7a28dec2573090142dcac113356e593d1713bb883b837207db",
+        })
+        assert model.rank == 2
+
+
 class TestPlsOracles:
     def test_univariate_weight_is_normalized_cross_covariance(self):
         # with a single response the cross-covariance matrix is one column,
@@ -200,6 +324,59 @@ class TestPlsInvariants:
         rng = np.random.default_rng(28)
         with pytest.raises(DegenerateInputError):
             pls_fit_transform(rng.normal(size=(10, 3)), np.arange(9.0), k=1)
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestPlsPinnedBits:
+    """Digests of the fitted arrays, recorded before X was deflated in place
+    row by row. Any change to the float operations of the fit, or to their
+    order, moves them."""
+
+    def _check(self, x, y, k, expected):
+        model, emb = pls_fit_transform(x, y, k=k)
+        got = {name: _digest(getattr(model, name))
+               for name in ("x_weights", "x_loadings", "y_loadings")}
+        got["scores"] = _digest(emb.values)
+        assert got == expected
+        return model
+
+    def test_wide_one_hot(self):
+        rng = np.random.default_rng(101)
+        x = rng.normal(size=(40, 3000))
+        y = one_hot(rng.integers(0, 3, size=40))
+        self._check(x, y, 3, {
+            "x_weights": "25173a83d0aad9e49fd4648f09e93560631ef15385b91ab9a74ff1ee9c8f8ea5",
+            "x_loadings": "6d2d74d00411e8e6f418c0d29a7eef6d626d30bacd232e293dbced3a609ea117",
+            "y_loadings": "c1092849de97429aef0ff6ec4fa46d05092920a28701707d71fcbde826126e97",
+            "scores": "de3d5a87ec35caf6e6fd7bd8e972496b6e36e1918848c8d5b92c378186819514",
+        })
+
+    def test_tall_multivariate_y(self):
+        rng = np.random.default_rng(102)
+        x = rng.normal(size=(60, 12)) * rng.uniform(0.1, 5.0, 12)
+        y = rng.normal(size=(60, 2))
+        self._check(x, y, 3, {
+            "x_weights": "d1d8f70d06f4cd766db81c345afecaf49143d924f1f60751f8c13604a3d45f4b",
+            "x_loadings": "9e3a4e8b7fc5e7367c15e096dbee289883302e703b12a8de05e1bc8d6327da6b",
+            "y_loadings": "b0f4646f657786387207890c24f615b0ede7256bd3cc49c834067b969f9f5a63",
+            "scores": "2f65e0b67a445076d6fb1212eac21795f216440f769766a50632bb56063ad8b0",
+        })
+
+    def test_degenerate_tail(self):
+        rng = np.random.default_rng(26)
+        base = rng.normal(size=20)
+        x = np.column_stack([base, base])
+        y = base + 0.1 * rng.normal(size=20)
+        model = self._check(x, y, 3, {
+            "x_weights": "0773de8c617c9b13610ca33533e6fd10286f4e2ab61641ea0d0e24ac8d57676f",
+            "x_loadings": "070dbf5f97d89b3513e359bd3c4f95257b57f587388e8ad0db702e3710845b48",
+            "y_loadings": "aff77ddffa11fc2a0893653606b9344f14b35bdc6e0065e8ba353905b2242926",
+            "scores": "96ed49bfc74a0184b12207178562d6ef23869d6e600733f907d107524853cc42",
+        })
+        assert model.degenerate_components == 2
 
 
 class TestOneHot:
