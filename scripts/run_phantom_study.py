@@ -21,13 +21,18 @@ import sys
 from latentscope.autoencoder import TrainConfig
 from latentscope.cli import main as run_stage
 from latentscope.config import EmbedConfig, PipelineConfig, write_config
-from latentscope.fileio import read_csv
+from latentscope.errors import DependencyError, FormatError
+from latentscope.fileio import read_table
 from latentscope.phantom import PhantomConfig
 from latentscope.pipeline import STAGES
 
 AD_EFFECTS = [(2, 3, 0.40), (5, 3, 0.30), (7, 3, 0.20), (11, 3, 0.35),
               (13, 3, 0.25), (17, 3, 0.40), (19, 3, 0.30), (23, 3, 0.20),
               (26, 3, 0.35), (29, 3, 0.25)]
+
+# the header the report stage writes to report/lrcp_summary.csv
+SUMMARY_COLUMNS = ["comparison", "method", "layer", "component", "significant",
+                   "non_significant"]
 
 
 def study_config(seed: int) -> PipelineConfig:
@@ -65,7 +70,12 @@ def main() -> int:
                   file=sys.stderr)
             return code
 
-    summary = read_csv(os.path.join(args.out, "report", "lrcp_summary.csv"))
+    try:
+        summary = read_table(os.path.join(args.out, "report", "lrcp_summary.csv"),
+                             SUMMARY_COLUMNS)
+    except (DependencyError, FormatError) as exc:
+        print(f"cannot read the LRCP summary: {exc}", file=sys.stderr)
+        return 3
     totals: dict[str, int] = {}
     for row in summary:
         name = row["comparison"]

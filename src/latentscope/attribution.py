@@ -29,7 +29,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .autoencoder import AEParams, forward, _as_batch_array
+from .autoencoder import AEParams, _as_batch_array, decode, extract_activations
 from .data import AtlasMap, Cohort, Volume
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .forest import ForestConfig, ForestModel, forest_predict, rf_fit
@@ -37,19 +37,24 @@ from .forest import ForestConfig, ForestModel, forest_predict, rf_fit
 EPSILON = 1e-8
 
 
-def total_reconstruction_error(cohort: Cohort, model: AEParams,
-                               chunk: int = 8) -> dict[str, float]:
+def total_reconstruction_error(cohort: Cohort, model: AEParams, chunk: int = 8,
+                               latent: np.ndarray | None = None) -> dict[str, float]:
     """Per-subject sum of squared voxel differences under the trained model.
 
     Evaluation mode (running batch-norm statistics); values are keyed by
-    subject id so they survive reordering.
+    subject id so they survive reordering. `latent` holds the subjects'
+    bottleneck activations in cohort order (`ActivationSet.latent()`, as the
+    embed stage writes them), so only the decoder runs; when omitted, the
+    encoder computes them first.
     """
+    if latent is None:
+        latent = extract_activations(model, cohort, batch_size=chunk).latent()
     errors: dict[str, float] = {}
     subjects = cohort.subjects
     for start in range(0, len(subjects), chunk):
         part = subjects[start:start + chunk]
         x = _as_batch_array([s.volume.voxels for s in part])
-        recon, _, _ = forward(model, x, mode="eval")
+        recon = decode(model, latent[start:start + chunk], x.shape[2:])
         per = ((recon - x) ** 2).sum(axis=(1, 2, 3, 4))
         for subj, err in zip(part, per):
             errors[subj.id] = float(err)
@@ -121,15 +126,6 @@ def shap_values(model: ForestModel, x, background):
     return phi, base
 
 
-def tree_shap(model: ForestModel, x, background):
-    """Single-row convenience wrapper around shap_values."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"tree_shap explains one profile row, got shape {x.shape}")
-    phi, base = shap_values(model, x[None, :], background)
-    return phi[0], base
-
-
 def shap_region_importance(phi):
     """Mean-|SHAP| per region and its min-max normalization.
 
@@ -155,6 +151,7 @@ class ShapResult:
     s: np.ndarray  # (R,) mean |phi|
     s_tilde: np.ndarray  # (R,) normalized importance
     forest_hash: str
+    residual: float  # local accuracy: max |base + sum(phi) - forest(x)|
     flags: list[str] = field(default_factory=list)
 
 
@@ -162,13 +159,15 @@ def attribute_class(profiles, targets, class_label: int,
                     config: ForestConfig | None = None,
                     subject_ids=None) -> ShapResult:
     """Fit the class forest and explain every subject against the class
-    profiles as background."""
+    profiles as background; `residual` checks the explanation's local
+    accuracy against the forest's own predictions."""
     values = np.asarray(getattr(profiles, "values", profiles), dtype=np.float64)
     if subject_ids is None:
         subject_ids = list(getattr(profiles, "subject_ids", [str(i) for i in range(values.shape[0])]))
     model = rf_fit(values, targets, config)
     phi, base = shap_values(model, values, values)
     s, s_tilde, flags = shap_region_importance(phi)
+    residual = np.abs(base + phi.sum(axis=1) - forest_predict(model, values)).max()
     return ShapResult(
         class_label=class_label,
         subject_ids=list(subject_ids),
@@ -177,6 +176,7 @@ def attribute_class(profiles, targets, class_label: int,
         s=s,
         s_tilde=s_tilde,
         forest_hash=model.forest_hash(),
+        residual=float(residual),
         flags=flags,
     )
 

@@ -439,6 +439,12 @@ class ActivationSet:
             raise KeyError(f"unknown layer {layer!r}; have {sorted(self.layers)}")
         return self.layers[layer]
 
+    def latent(self) -> np.ndarray:
+        """The bottleneck (last encoder layer) activations, (n, C, x, y, z):
+        the input of `decode`."""
+        key = f"L{len(self.layers)}"
+        return self.matrix(key).reshape(-1, *self.shapes[key])
+
 
 def extract_activations(model: AEParams, cohort, subject_ids=None,
                         batch_size: int = 8) -> ActivationSet:
@@ -461,6 +467,18 @@ def extract_activations(model: AEParams, cohort, subject_ids=None,
             chunks[j].append(h.reshape(h.shape[0], -1))
     layers = {keys[j]: np.vstack(chunks[j]) for j in range(n_enc)}
     return ActivationSet(subject_ids=list(subject_ids), layers=layers, shapes=shapes)
+
+
+def decode(model: AEParams, latent: np.ndarray, dims) -> np.ndarray:
+    """Eval-mode reconstruction (N,1,*dims) of volumes of spatial size `dims`
+    from their bottleneck activations (N,C,*encoder_chain_dims(dims)[-1]);
+    only the decoder layers run."""
+    n_enc = sum(1 for s in model.layers if s.kind == "conv3d")
+    out_pads = _decoder_output_paddings(encoder_chain_dims(dims, n_enc))
+    h = latent
+    for spec, p, op in zip(model.layers[n_enc:], model.params[n_enc:], out_pads):
+        h = _layer_forward(spec, p, h, "eval", op)[0]
+    return h
 
 
 def save_model(model: AEParams, path: str) -> None:

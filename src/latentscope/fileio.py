@@ -3,8 +3,11 @@
 Raw volume: magic "LSVOL1\\n", ASCII line "dx dy dz\\n", then dx*dy*dz
 little-endian float32 values in x-fastest order (stream index
 p = x + dx*(y + dy*z)). Atlas: same layout with magic "LSATL1\\n" and
-little-endian uint32 labels. Cohort manifest: CSV id,class_label,volume_path
-with volume paths relative to the manifest's directory.
+little-endian uint32 labels. Latent: magic "LSLAT1\\n", ASCII lines
+"params_sha256=<hex>\\n" (the hash of the model that computed it) and
+"n C x y z\\n", then little-endian float64 values in C order (z fastest).
+Cohort manifest: CSV id,class_label,volume_path with volume paths relative
+to the manifest's directory.
 
 CSV writers emit floats via repr() of the Python float (shortest round-trip
 form) so artifact bytes are reproducible across runs. Leading '#' lines are
@@ -16,6 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import os
 
 import numpy as np
@@ -25,9 +29,10 @@ from .errors import DependencyError, FormatError
 
 VOLUME_MAGIC = b"LSVOL1\n"
 ATLAS_MAGIC = b"LSATL1\n"
+LATENT_MAGIC = b"LSLAT1\n"
 
-# refuse to allocate volumes beyond this voxel count when parsing headers
-_MAX_VOXELS = 2**31
+# refuse grids beyond this value count when parsing headers
+_MAX_VALUES = 2**31
 
 _MANIFEST_COLUMNS = ["id", "class_label", "volume_path"]
 
@@ -39,51 +44,69 @@ def _read_line(f: io.BufferedReader, what: str, limit: int = 64) -> bytes:
     return line
 
 
-def _parse_dims(line: bytes) -> tuple[int, int, int]:
+def _parse_shape(line: bytes, ndim: int) -> tuple[int, ...]:
     parts = line.decode("ascii", errors="replace").split()
-    if len(parts) != 3:
-        raise FormatError(f"expected 3 dims, got {parts!r}")
+    if len(parts) != ndim:
+        raise FormatError(f"expected {ndim} dims, got {parts!r}")
     try:
-        dims = tuple(int(p) for p in parts)
+        shape = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise FormatError(f"non-integer dims {parts!r}") from exc
-    if any(d <= 0 for d in dims):
-        raise FormatError(f"non-positive dims {dims}")
-    if dims[0] * dims[1] * dims[2] > _MAX_VOXELS:
-        raise FormatError(f"dims {dims} overflow the voxel budget")
-    return dims
+    if any(d <= 0 for d in shape):
+        raise FormatError(f"non-positive dims {shape}")
+    if math.prod(shape) > _MAX_VALUES:
+        raise FormatError(f"dims {shape} overflow the value budget")
+    return shape
 
 
-def _write_grid(path: str, magic: bytes, arr: np.ndarray, dtype: str) -> None:
-    dx, dy, dz = arr.shape
-    stream = np.ascontiguousarray(arr.transpose(2, 1, 0)).astype(dtype).tobytes()
+def _write_grid(path: str, magic: bytes, arr: np.ndarray, dtype: str,
+                order: str = "F", header: dict[str, str] | None = None) -> None:
+    """Magic, one `key=value` line per header entry, the shape line, then
+    the values in `order` ("F": first axis fastest; "C": last axis fastest)."""
     with open(path, "wb") as f:
         f.write(magic)
-        f.write(f"{dx} {dy} {dz}\n".encode("ascii"))
-        f.write(stream)
+        for key, value in (header or {}).items():
+            f.write(f"{key}={value}\n".encode("ascii"))
+        f.write((" ".join(str(d) for d in arr.shape) + "\n").encode("ascii"))
+        f.write(np.asarray(arr, dtype=dtype).tobytes(order=order))
 
 
-def _read_grid(path: str, magic: bytes, dtype: str) -> np.ndarray:
+def _read_grid(path: str, magic: bytes, dtype: str, ndim: int = 3,
+               order: str = "F", keys: tuple[str, ...] = ()):
+    """Inverse of `_write_grid`: returns (array, {key: value}) after checking
+    the magic, each header key in turn, the shape line and that the payload
+    is exactly as long as the shape says."""
     itemsize = np.dtype(dtype).itemsize
     try:
         with open(path, "rb") as f:
             got = f.read(len(magic))
             if got != magic:
                 raise FormatError(f"bad magic {got!r}, expected {magic!r}")
-            dims = _parse_dims(_read_line(f, "dims"))
-            dx, dy, dz = dims
-            n = dx * dy * dz
-            payload = f.read(n * itemsize + 1)
+            header = {}
+            for key in keys:
+                line = _read_line(f, key, limit=128)
+                text = line[:-1].decode("ascii", errors="replace")
+                name, sep, value = text.partition("=")
+                if name != key or not sep:
+                    raise FormatError(f"expected a {key}= line, got {line!r}")
+                header[key] = value
+            shape = _parse_shape(_read_line(f, "dims"), ndim)
+            nbytes = math.prod(shape) * itemsize
+            # sized from the file first: a forged shape line must not make
+            # the read allocate more than the file holds
+            left = os.fstat(f.fileno()).st_size - f.tell()
+            if left < nbytes:
+                raise FormatError(
+                    f"truncated payload: expected {nbytes} bytes, got {left}")
+            if left > nbytes:
+                raise FormatError("trailing bytes after payload")
+            payload = f.read(nbytes)
     except OSError as exc:  # missing or unreadable
         raise DependencyError(f"cannot read artifact {path}: {exc}") from exc
-    if len(payload) < n * itemsize:
-        raise FormatError(
-            f"truncated payload: expected {n * itemsize} bytes, got {len(payload)}"
-        )
-    if len(payload) > n * itemsize:
-        raise FormatError("trailing bytes after payload")
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     flat = np.frombuffer(payload, dtype=dtype)
-    return flat.reshape(dz, dy, dx).transpose(2, 1, 0).copy()
+    return np.array(flat.reshape(shape, order=order), order="C"), header
 
 
 def save_volume(volume: Volume, path: str) -> None:
@@ -91,7 +114,7 @@ def save_volume(volume: Volume, path: str) -> None:
 
 
 def load_volume(path: str) -> Volume:
-    return Volume(_read_grid(path, VOLUME_MAGIC, "<f4"))
+    return Volume(_read_grid(path, VOLUME_MAGIC, "<f4")[0])
 
 
 def save_atlas(atlas: AtlasMap, path: str) -> None:
@@ -99,10 +122,24 @@ def save_atlas(atlas: AtlasMap, path: str) -> None:
 
 
 def load_atlas(path: str) -> AtlasMap:
-    labels = _read_grid(path, ATLAS_MAGIC, "<u4")
+    labels, _ = _read_grid(path, ATLAS_MAGIC, "<u4")
     if labels.max() == 0:
         raise FormatError("atlas has no foreground labels")
     return AtlasMap(labels=labels, region_count=int(labels.max()))
+
+
+def save_latent(latent: np.ndarray, params_sha256: str, path: str) -> None:
+    """Bottleneck activations (n, C, x, y, z) of the model with hash
+    `params_sha256`."""
+    _write_grid(path, LATENT_MAGIC, latent, "<f8", order="C",
+                header={"params_sha256": params_sha256})
+
+
+def load_latent(path: str) -> tuple[np.ndarray, str]:
+    """(latent, params_sha256) as `save_latent` wrote them."""
+    latent, header = _read_grid(path, LATENT_MAGIC, "<f8", ndim=5, order="C",
+                                keys=("params_sha256",))
+    return latent, header["params_sha256"]
 
 
 def fmt_value(v) -> str:

@@ -17,13 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from .attribution import attribute_class, build_shap_volume, total_reconstruction_error
-from .autoencoder import TrainConfig, extract_activations, load_model, save_model, train
+from .autoencoder import (ENCODER_CHANNELS, TrainConfig, encoder_chain_dims,
+                          extract_activations, load_model, params_hash, save_model,
+                          train)
 from .config import PipelineConfig, config_hash, parse_comparison, write_config
 from .data import CLASS_NAMES, Cohort, balanced_subset, build_region_profiles
 from .embedding import EmbeddingMatrix, embed_once
 from .errors import DependencyError, FormatError
-from .fileio import (fmt_value, load_cohort, read_table, save_cohort, save_volume,
-                     write_csv)
+from .fileio import (fmt_value, load_cohort, load_latent, read_table, save_cohort,
+                     save_latent, save_volume, write_csv)
 from .lrcp import LRCPGrid, accuracy_map, lrcp_grid, summary_counts
 from .regionstats import correlate_embedding_regions, overlap_report, top_regions
 from .seeds import derive_seed
@@ -36,7 +38,7 @@ STAGE_DEPS = {
     "train": ("generate",),
     "embed": ("generate", "train"),
     "correlate": ("generate", "embed"),
-    "shap": ("generate", "train"),
+    "shap": ("generate", "train", "embed"),
     "lrcp": ("generate", "embed"),
     "report": ("generate", "correlate", "shap", "lrcp"),
 }
@@ -48,6 +50,7 @@ _TOP_REGION_COLUMNS = ["method", "layer", "rank", "region", "r", "p",
                       "component", "class"]
 _OVERLAP_COLUMNS = ["comparison_a", "comparison_b", "region"]
 _IMPORTANCE_COLUMNS = ["class", "region", "s_r", "s_tilde"]
+_DIAGNOSTIC_COLUMNS = ["class", "residual", "flags"]
 _SUMMARY_COLUMNS = ["comparison", "method", "layer", "component", "significant",
                    "non_significant"]
 _GRID_COLUMNS = ["comparison", "method", "layer", "component", "region", "n", "r",
@@ -215,6 +218,7 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
             labels = subset.class_labels
             comp_dir = stage / name
             comp_dir.mkdir(parents=True, exist_ok=True)
+            save_latent(acts.latent(), params_hash(model), str(comp_dir / "latent.lat"))
             for layer in config.embed.layers:
                 x = acts.matrix(layer)
                 for method in config.embed.methods:
@@ -345,6 +349,20 @@ def run_correlate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
     return out / "correlate"
 
 
+def _load_latent(path: Path, model, subset: Cohort) -> np.ndarray:
+    """The embed stage's bottleneck activations of `subset`, which `model`
+    must have computed."""
+    latent, params_sha256 = load_latent(str(path))
+    if params_sha256 != params_hash(model):
+        raise FormatError(f"{path}: written under model {params_sha256[:12]}..., "
+                          "not the trained one; rerun the embed stage")
+    spatial = encoder_chain_dims(subset.atlas.dims)[-1]
+    want = (len(subset), ENCODER_CHANNELS[-1], *spatial)
+    if latent.shape != want:
+        raise FormatError(f"{path}: shape {latent.shape}, expected {want}")
+    return latent
+
+
 def run_shap(config: PipelineConfig, out_dir, force: bool = False) -> Path:
     config.validate()
     with pipeline_lock(out_dir) as out:
@@ -354,14 +372,16 @@ def run_shap(config: PipelineConfig, out_dir, force: bool = False) -> Path:
         for name, pair in _comparison_classes(config).items():
             subset = _comparison_subset(cohort, name, pair, config.seed)
             model = load_model(str(out / "train" / name / "model.lsae"))
+            latent = _load_latent(out / "embed" / name / "latent.lat", model, subset)
             errors = total_reconstruction_error(subset, model,
-                                                chunk=config.train.batch_size)
+                                                chunk=config.train.batch_size,
+                                                latent=latent)
             profiles = build_region_profiles(subset)
             labels = np.asarray(subset.class_labels)
             ids = np.asarray(profiles.subject_ids)
             comp_dir = stage / name
             comp_dir.mkdir(parents=True, exist_ok=True)
-            phi_rows, importance_rows = [], []
+            phi_rows, importance_rows, diagnostic_rows = [], [], []
             for label in pair:
                 mask = labels == label
                 class_ids = [str(s) for s in ids[mask]]
@@ -380,6 +400,9 @@ def run_shap(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                     {"class": class_name, "region": int(region),
                      "s_r": result.s[j], "s_tilde": result.s_tilde[j]}
                     for j, region in enumerate(profiles.region_ids))
+                diagnostic_rows.append(
+                    {"class": class_name, "residual": result.residual,
+                     "flags": ";".join(result.flags)})
                 save_volume(build_shap_volume(result.s_tilde, cohort.atlas),
                             str(comp_dir / f"map_{class_name}.vol"))
             comments = _hash_comment(config)
@@ -388,6 +411,8 @@ def run_shap(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                       comments=comments)
             write_csv(str(comp_dir / "importance.csv"), _IMPORTANCE_COLUMNS,
                       importance_rows, comments=comments)
+            write_csv(str(comp_dir / "diagnostics.csv"), _DIAGNOSTIC_COLUMNS,
+                      diagnostic_rows, comments=comments)
         _write_stamp(out, "shap", config)
     return out / "shap"
 

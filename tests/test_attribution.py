@@ -13,7 +13,6 @@ from latentscope.attribution import (
     shap_region_importance,
     shap_values,
     total_reconstruction_error,
-    tree_shap,
 )
 from latentscope.data import AtlasMap, Volume
 from latentscope.errors import ConfigError, DegenerateInputError, ShapeError
@@ -100,15 +99,6 @@ class TestShapExactness:
         np.testing.assert_allclose(phi[0], expected, atol=1e-8)
         assert base == pytest.approx(float(forest_predict(model, x[0:1])[0]))
 
-    def test_tree_shap_wrapper(self):
-        model, x, _ = small_forest()
-        phi, base = shap_values(model, x[3:4], x[:8])
-        phi1, base1 = tree_shap(model, x[3], x[:8])
-        np.testing.assert_array_equal(phi1, phi[0])
-        assert base1 == base
-        with pytest.raises(ShapeError):
-            tree_shap(model, x[3:4], x[:8])
-
     def test_feature_mismatch_raises(self):
         model, x, _ = small_forest(m=5)
         with pytest.raises(ShapeError):
@@ -131,7 +121,7 @@ class TestPatternGrouping:
         bg = x[:n_bg]
         phi, base = shap_values(model, explained, bg)
         for row, phi_row in zip(explained, phi):
-            alone, base1 = tree_shap(model, row, bg)
+            alone, base1 = shap_values(model, row[None], bg)
             assert alone.tobytes() == phi_row.tobytes()
             assert base1 == base
         assert phi[9:12].tobytes() == phi[0:3].tobytes()
@@ -203,6 +193,17 @@ class TestAttributeClass:
         assert res.phi.shape == (60, 6)
         assert len(res.forest_hash) == 64
 
+    def test_local_accuracy_residual(self):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(size=(30, 5))
+        y = x[:, 1] * x[:, 3] + 0.1 * rng.normal(size=30)
+        fc = ForestConfig(n_trees=8, seed=2)
+        res = attribute_class(x, y, 0, config=fc)
+        preds = forest_predict(rf_fit(x, y, fc), x)
+        assert res.residual == np.abs(res.base_value + res.phi.sum(axis=1)
+                                      - preds).max()
+        assert res.residual < 1e-8
+
     def test_subject_ids_carried(self):
         rng = np.random.default_rng(8)
         x = rng.uniform(size=(10, 3))
@@ -245,6 +246,36 @@ class TestShapVolume:
             build_shap_volume([1.5], atlas)
 
 
+@pytest.fixture(scope="module")
+def odd_grid_model():
+    """A cohort on an odd 17x18x19 grid (both decoder output paddings in
+    use) and a model trained on it for one epoch."""
+    from latentscope.autoencoder import TrainConfig, train
+    from latentscope.phantom import PhantomConfig, generate_phantom_cohort
+
+    cohort = generate_phantom_cohort(PhantomConfig(
+        dims=(17, 18, 19), region_count=8, class_counts={0: 5, 3: 5},
+        effect_spec=[(3, 3, 0.35)], noise_sigma=0.05, smoothness=1.5, seed=11))
+    model, _ = train(cohort, TrainConfig(max_epochs=1, patience=1,
+                                         batch_size=8, seed=5))
+    return cohort, model
+
+
+def eval_forward_errors(cohort, model, chunk):
+    """Reference: per-subject sums of the full eval-mode forward pass, run
+    over the same chunks."""
+    from latentscope.autoencoder import forward
+
+    errors = {}
+    for start in range(0, len(cohort.subjects), chunk):
+        part = cohort.subjects[start:start + chunk]
+        x = np.stack([s.volume.voxels for s in part]).astype(np.float64)[:, None]
+        recon, _, _ = forward(model, x, mode="eval")
+        errors.update(zip([s.id for s in part],
+                          ((recon - x) ** 2).sum(axis=(1, 2, 3, 4)).tolist()))
+    return errors
+
+
 class TestReconstructionError:
     def test_matches_manual_forward(self, small_cohort, trained_small):
         from latentscope.autoencoder import forward
@@ -265,3 +296,25 @@ class TestReconstructionError:
         a = total_reconstruction_error(small_cohort, model, chunk=3)
         b = total_reconstruction_error(small_cohort, model, chunk=100)
         assert a == b
+
+    @pytest.mark.parametrize("grid", ["cubic", "odd"])
+    @pytest.mark.parametrize("chunk", [3, 8, 100])
+    def test_decoder_only_equals_eval_forward_bitwise(
+            self, small_cohort, trained_small, odd_grid_model, tmp_path,
+            grid, chunk):
+        from latentscope.autoencoder import extract_activations, params_hash
+        from latentscope.fileio import load_latent, save_latent
+
+        if grid == "cubic":
+            cohort, model = small_cohort, trained_small[0]
+        else:
+            cohort, model = odd_grid_model
+        want = eval_forward_errors(cohort, model, chunk)
+        assert total_reconstruction_error(cohort, model, chunk=chunk) == want
+        # the embed stage's route: the latent through its file
+        latent = extract_activations(model, cohort, batch_size=chunk).latent()
+        path = str(tmp_path / "latent.lat")
+        save_latent(latent, params_hash(model), path)
+        back, _ = load_latent(path)
+        assert total_reconstruction_error(cohort, model, chunk=chunk,
+                                          latent=back) == want

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentscope.data import AtlasMap, Volume
-from latentscope.errors import DependencyError, FormatError
-from latentscope.fileio import (load_atlas, load_cohort, load_volume, read_csv,
-                                read_table, save_atlas, save_cohort,
-                                save_volume, write_csv)
+from latentscope.errors import DependencyError, FormatError, LatentScopeError
+from latentscope.fileio import (load_atlas, load_cohort, load_latent,
+                                load_volume, read_csv, read_table, save_atlas,
+                                save_cohort, save_latent, save_volume,
+                                write_csv)
 
 
 def _random_volume(seed, dims=(4, 5, 6)):
@@ -34,6 +37,14 @@ def test_zero_volume_payload_layout(tmp_path):
     header, payload = rest.split(b"\n", 1)
     assert header == b"2 2 2"
     assert payload == b"\x00" * 32  # 8 voxels x 4 bytes
+
+
+def test_volume_payload_is_x_fastest(tmp_path):
+    voxels = np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 32
+    path = tmp_path / "o.vol"
+    save_volume(Volume(voxels), str(path))
+    payload = path.read_bytes().split(b"\n", 2)[2]
+    assert payload == voxels.transpose(2, 1, 0).astype("<f4").tobytes()
 
 
 def test_magic_mismatch_raises_format_error(tmp_path):
@@ -147,3 +158,69 @@ def test_grid_missing_or_unreadable_is_dependency_error(tmp_path):
         load_atlas(str(tmp_path / "absent.atl"))
     with pytest.raises(DependencyError):
         load_volume(str(tmp_path))  # a directory, not a file
+
+
+HASH = "ab" * 32
+LATENT = np.arange(2 * 3 * 2 * 1 * 2, dtype=np.float64).reshape(2, 3, 2, 1, 2) / 7
+
+
+def _latent_bytes(tmp_path) -> bytes:
+    path = tmp_path / "latent.lat"
+    save_latent(LATENT, HASH, str(path))
+    return path.read_bytes()
+
+
+def test_latent_round_trip_and_layout(tmp_path):
+    data = _latent_bytes(tmp_path)
+    head = b"LSLAT1\nparams_sha256=" + HASH.encode() + b"\n2 3 2 1 2\n"
+    assert data == head + LATENT.astype("<f8").tobytes()  # C order
+    back, params_sha256 = load_latent(str(tmp_path / "latent.lat"))
+    assert params_sha256 == HASH
+    assert back.shape == LATENT.shape and back.tobytes() == LATENT.tobytes()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d[:-3],                                        # truncated
+    lambda d: d + b"\x00",                                   # trailing byte
+    lambda d: b"LSVOL1" + d[6:],                             # wrong magic
+    lambda d: d.replace(b"params_sha256=", b"params_sha25=", 1),
+    lambda d: d.replace(b"\n2 3 2 1 2\n", b"\n2 3 2 2\n", 1),  # four dims
+    lambda d: d.replace(b"\n2 3 2 1 2\n", b"\n2 3 2 1 1\n", 1),  # payload too long
+    lambda d: d.replace(b"\n2 3 2 1 2\n", b"\n65536 65536 65536 1 1\n", 1),
+], ids=["truncated", "trailing", "magic", "hash_key", "ndim", "shape",
+        "over_budget"])
+def test_malformed_latent_raises_format_error(tmp_path, edit):
+    path = tmp_path / "latent.lat"
+    path.write_bytes(edit(_latent_bytes(tmp_path)))
+    with pytest.raises(FormatError):
+        load_latent(str(path))
+
+
+def test_missing_latent_is_dependency_error(tmp_path):
+    with pytest.raises(DependencyError, match="absent.lat"):
+        load_latent(str(tmp_path / "absent.lat"))
+
+
+_VALID_LATENT = (b"LSLAT1\nparams_sha256=" + HASH.encode() + b"\n1 2 1 1 2\n"
+                 + np.arange(4.0).astype("<f8").tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=200).map(lambda tail: b"LSLAT1\n" + tail),
+    st.tuples(st.integers(0, len(_VALID_LATENT)), st.binary(max_size=40)).map(
+        lambda t: _VALID_LATENT[:t[0]] + t[1]),
+    st.tuples(st.integers(0, len(_VALID_LATENT) - 1), st.integers(0, 255)).map(
+        lambda t: _VALID_LATENT[:t[0]] + bytes([t[1]]) + _VALID_LATENT[t[0] + 1:]),
+))
+def test_latent_loader_total_on_arbitrary_bytes(tmp_path_factory, blob):
+    """Any file content gives a 5-d float64 array or a package error."""
+    path = tmp_path_factory.getbasetemp() / "arbitrary.lat"
+    path.write_bytes(blob)
+    try:
+        latent, params_sha256 = load_latent(str(path))
+    except LatentScopeError:
+        return
+    assert latent.ndim == 5 and latent.dtype == np.float64
+    assert blob.endswith(latent.astype("<f8").tobytes())

@@ -176,6 +176,7 @@ class TestArtifactLayout:
             "train/NOR_AD/training_log.csv",
             "embed/NOR_AD/pca_L3.csv",
             "embed/NOR_AD/pca_L3.meta",
+            "embed/NOR_AD/latent.lat",
             "correlate/NOR_AD/correlations.csv",
             "correlate/NOR_AD/top_regions.csv",
             "correlate/NOR_AD/corrected_pvalue.csv",
@@ -185,6 +186,7 @@ class TestArtifactLayout:
             "shap/NOR_AD/importance.csv",
             "shap/NOR_AD/map_NOR.vol",
             "shap/NOR_AD/map_AD.vol",
+            "shap/NOR_AD/diagnostics.csv",
             "lrcp/grid.csv",
             "lrcp/summary.csv",
             "lrcp/maps/NOR_AD_pca_L3_D0.vol",
@@ -232,6 +234,26 @@ class TestArtifactLayout:
         assert len(importance) == 2 * 8  # both classes, every region
         phi = read_csv(str(out / "shap" / "NOR_AD" / "shap_values.csv"))
         assert len(phi) == 16 * 8  # every subject of the subset, every region
+
+    def test_shap_diagnostics(self, tiny_run):
+        from latentscope.fileio import read_table
+        _, out = tiny_run
+        rows = read_table(str(out / "shap" / "NOR_AD" / "diagnostics.csv"),
+                          ["class", "residual", "flags"])
+        assert [r["class"] for r in rows] == ["NOR", "AD"]
+        for row in rows:
+            assert 0.0 <= float(row["residual"]) < 1e-8  # SHAP local accuracy
+            assert row["flags"] in ("", "uniform_importance")
+
+    def test_latent_is_embed_bottleneck(self, tiny_run):
+        from latentscope.autoencoder import load_model, params_hash
+        from latentscope.fileio import load_latent
+        _, out = tiny_run
+        latent, params_sha256 = load_latent(
+            str(out / "embed" / "NOR_AD" / "latent.lat"))
+        model = load_model(str(out / "train" / "NOR_AD" / "model.lsae"))
+        assert params_sha256 == params_hash(model)
+        assert latent.shape == (16, 64, 2, 2, 2)  # 16 -> 8 -> 4 -> 2
 
     def test_lrcp_grid_and_summary(self, tiny_run):
         from latentscope.fileio import read_csv
@@ -463,6 +485,50 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "dependency error" in err and path.name in err
 
+    def test_shap_before_embed_exits_3(self, tiny_run, tmp_path, capsys):
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        shutil.rmtree(copy / "embed")
+        assert main(["shap"] + base) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "'embed'" in err
+
+    @pytest.mark.parametrize("edit", [
+        None,                                                # missing
+        lambda d: d[:-3],                                    # truncated
+        lambda d: d + b"\x00",                               # trailing byte
+        lambda d: b"LSVOL1" + d[6:],                         # wrong magic
+        lambda d: d.replace(b"\n16 64 2 2 2\n", b"\n16 64 4 2 1\n", 1),
+        lambda d: d.replace(b"\n16 64 2 2 2\n", b"\n8 128 2 2 2\n", 1),
+    ], ids=["missing", "truncated", "trailing", "magic", "spatial_shape",
+            "subject_count"])
+    def test_shap_malformed_latent_exits_3(self, tiny_run, tmp_path, capsys,
+                                           edit):
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        path = copy / "embed" / "NOR_AD" / "latent.lat"
+        data = path.read_bytes()
+        path.unlink()
+        if edit is not None:
+            assert edit(data) != data
+            path.write_bytes(edit(data))
+        assert main(["shap"] + base) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "latent.lat" in err
+        assert "Traceback" not in err
+
+    def test_shap_latent_of_another_model_exits_3(self, tiny_run, tmp_path,
+                                                  capsys):
+        from latentscope.autoencoder import init_params, params_hash
+        from latentscope.fileio import load_latent, save_latent
+
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        path = copy / "embed" / "NOR_AD" / "latent.lat"
+        latent, _ = load_latent(str(path))
+        save_latent(latent, params_hash(init_params(seed=1)), str(path))
+        assert main(["shap"] + base) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "latent.lat" in err
+        assert "not the trained one" in err
+
     def test_numeric_failure_exits_4(self, tmp_path, capsys):
         # four subjects per class is enough to generate and train on but too
         # few for the attribution forest, which needs five samples
@@ -474,5 +540,6 @@ class TestCLI:
         base = ["--config", str(cfg_file), "--out", out]
         assert main(["generate"] + base) == EXIT_OK
         assert main(["train"] + base) == EXIT_OK
+        assert main(["embed"] + base) == EXIT_OK
         assert main(["shap"] + base) == EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
