@@ -16,6 +16,10 @@ integers (rank, region, n) and text (category, flag, subject id) are labels,
 compared as strings. Two NaNs are equal; a NaN against a number is an
 infinite difference.
 
+For a differing `.meta` file (one `key=value` per line) it lists the keys
+only one side has and the shared keys whose values differ. A `.meta` that
+only gains lines shows keys only in B and nothing else.
+
 Use it to size a declared change of float summation order: such a change
 should move only the last digits of numeric fields and leave every label,
 and every file that is not a CSV, byte-equal.
@@ -94,15 +98,35 @@ def compare_csv(a: Path, b: Path) -> dict:
             "labels": labels}
 
 
+def _meta_items(path: Path) -> dict[str, str]:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return dict(line.partition("=")[::2] for line in lines)
+
+
+def compare_meta(a: Path, b: Path) -> dict:
+    """The keys only `a` has, only `b` has, and both have with other values."""
+    items_a, items_b = _meta_items(a), _meta_items(b)
+    return {"only_a": sorted(items_a.keys() - items_b.keys()),
+            "only_b": sorted(items_b.keys() - items_a.keys()),
+            "changed": sorted(key for key in items_a.keys() & items_b.keys()
+                              if items_a[key] != items_b[key])}
+
+
 def compare_runs(a: Path, b: Path) -> dict:
     """{"only_a": [...], "only_b": [...], "differ": {path: detail}}, where
-    detail is compare_csv's result for a CSV and None for any other file."""
+    detail is compare_csv's result for a CSV, compare_meta's for a `.meta`
+    and None for any other file."""
     files_a, files_b = _files(a), _files(b)
     differ = {}
     for rel in sorted(files_a & files_b):
         if (a / rel).read_bytes() == (b / rel).read_bytes():
             continue
-        differ[rel] = compare_csv(a / rel, b / rel) if rel.endswith(".csv") else None
+        if rel.endswith(".csv"):
+            differ[rel] = compare_csv(a / rel, b / rel)
+        elif rel.endswith(".meta"):
+            differ[rel] = compare_meta(a / rel, b / rel)
+        else:
+            differ[rel] = None
     return {"only_a": sorted(files_a - files_b), "only_b": sorted(files_b - files_a),
             "differ": differ}
 
@@ -124,6 +148,11 @@ def main(argv=None) -> int:
     for rel, detail in result["differ"].items():
         if detail is None:
             print(f"differs    {rel}")
+        elif rel.endswith(".meta"):
+            only_a, only_b, changed = (",".join(detail[k]) or "-"
+                                       for k in ("only_a", "only_b", "changed"))
+            print(f"differs    {rel}  keys only in A: {only_a}"
+                  f"  only in B: {only_b}  changed: {changed}")
         elif detail["shape"]:
             print(f"differs    {rel}  row or field count")
         else:

@@ -274,6 +274,6 @@ def load_config(path) -> PipelineConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # missing, or not UTF-8 text
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text)

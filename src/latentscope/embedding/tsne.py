@@ -9,7 +9,10 @@ with one degree of freedom. Optimization is gradient descent with momentum
 0.5 (0.8 after iteration 250), early exaggeration x12 for the first 250
 iterations, and per-coordinate adaptive gains (+0.2 while the gradient
 opposes the velocity, x0.8 otherwise, floored at 0.01). KL(P||Q) against the
-un-exaggerated P is recorded every iteration.
+un-exaggerated P is recorded at checkpoints: after every `kl_every`-th
+iteration and after the last one. The optimiser never reads it, so the
+checkpoint interval leaves `values` bit-identical; with `kl_every=1` the
+history holds every iteration.
 
 The optimiser loop works in place, and every element gets the float
 operations, in the order, of the textbook form
@@ -37,7 +40,7 @@ import warnings
 
 import numpy as np
 
-from ..errors import DegenerateInputError, NumericError
+from ..errors import ConfigError, DegenerateInputError, NumericError
 from .common import EmbeddingMatrix, pairwise_sq_dists, standardize
 
 EXAGGERATION = 12.0
@@ -108,7 +111,12 @@ def _kl_on_support(p_support: np.ndarray, q: np.ndarray, support: np.ndarray,
 def tsne_embed(x: np.ndarray, dims: int = 3, perplexity: float = 30.0,
                lr: float = 200.0, iters: int = 1000, seed: int = 0,
                subject_ids: list[str] | None = None,
-               layer: str = "L3") -> EmbeddingMatrix:
+               layer: str = "L3", kl_every: int = 1) -> EmbeddingMatrix:
+    """`kl_history` holds KL(P||Q) after iterations `kl_every`,
+    `2 * kl_every`, ... and after the last one: `ceil(iters / kl_every)`
+    values, each the same bits as at that iteration with `kl_every=1`."""
+    if kl_every < 1:
+        raise ConfigError(f"t-SNE kl_every must be >= 1, got {kl_every}")
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < 4:
@@ -144,7 +152,7 @@ def tsne_embed(x: np.ndarray, dims: int = 3, perplexity: float = 30.0,
     # the gradient keeps opposing the velocity (steady descent), shrink when
     # they align (overshoot), never below 0.01
     gains = np.ones_like(y)
-    kl_history = np.zeros(iters)
+    kl_history = np.zeros(-(-iters // kl_every))
     num = np.empty((n, n))
     pq = np.empty((n, n))
     kl_terms = np.empty(support.size)
@@ -180,7 +188,9 @@ def tsne_embed(x: np.ndarray, dims: int = 3, perplexity: float = 30.0,
         velocity = momentum * velocity - lr * (gains * grad)
         y += velocity
         y -= y.mean(axis=0)
-        kl_history[it] = _kl_on_support(p_support, q, support, kl_terms)
+        if (it + 1) % kl_every == 0 or it == iters - 1:
+            kl_history[it // kl_every] = _kl_on_support(p_support, q, support,
+                                                        kl_terms)
 
     if subject_ids is None:
         subject_ids = [f"S{i:04d}" for i in range(n)]
@@ -196,6 +206,7 @@ def tsne_embed(x: np.ndarray, dims: int = 3, perplexity: float = 30.0,
             "seed": seed,
             "exaggeration": EXAGGERATION,
             "exaggeration_iters": EXAGGERATION_ITERS,
+            "kl_every": kl_every,
             "kl_history": kl_history,
             "notes": notes,
         },

@@ -12,6 +12,11 @@ its weight (stronger edges more often), moves edge heads by the clipped
 attractive gradient, and applies `negative_rate` uniformly random repulsive
 samples per attractive update, with linearly decaying learning rate.
 
+A disconnected kNN graph is optimised as one graph, like a connected one:
+its components are embedded together, and only the random negative samples
+act between them, so their placement relative to each other carries no
+meaning. The fit warns and notes `disconnected_graph`.
+
 The optimiser loop keeps its numpy calls few and cheap, and these forms
 hold its bits:
 - Active edges, the kept rows of each negative round and the `next_sample`
@@ -21,7 +26,11 @@ hold its bits:
   (`_add_rows`). A head that occurs several times in one update has each
   of its elements updated one occurrence at a time, in order, as the 2-D
   row form does; summing a head's updates first (`bincount`) would round
-  differently.
+  differently. The flat indices of every edge head are built once per fit
+  (`_flat_rows`), and each update takes its rows of them.
+- Clipping is `np.minimum` then `np.maximum` in place, the same bits as
+  `np.clip`, and the scalar factors `-2ab`, `b - 1` and `2b` are computed
+  once, as the same left-to-right products.
 - The RNG draws one `integers` block per epoch with active edges; any other
   call sequence changes every later sample.
 """
@@ -93,7 +102,8 @@ def fuzzy_graph(x: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, list[str]]
         a_dir[i, neigh[i]] = w
     graph = a_dir + a_dir.T - a_dir * a_dir.T
     if _connected_components(graph > 0.0) > 1:
-        warnings.warn("kNN graph is disconnected; embedding proceeds per component")
+        warnings.warn("kNN graph is disconnected; its components are embedded "
+                      "together and their relative placement carries no meaning")
         notes.append("disconnected_graph")
     return graph, notes
 
@@ -131,13 +141,28 @@ def cross_entropy(w: np.ndarray, w_hat: np.ndarray, eps: float = 1e-12) -> float
     return total
 
 
-def _add_rows(y: np.ndarray, rows: np.ndarray, upd: np.ndarray) -> None:
-    """`np.add.at(y, rows, upd)` for a C-contiguous 2-D `y`, as one 1-D
-    `add.at` on its flat view: element (r, c) sits at r * dims + c and still
-    receives its updates one at a time, in order of occurrence."""
-    dims = y.shape[1]
-    flat = (rows * dims)[:, None] + np.arange(dims)
+def _flat_rows(rows: np.ndarray, dims: int) -> np.ndarray:
+    """(len(rows), dims) indices into the flat view of a C-contiguous
+    (n, dims) array: element (r, c) sits at r * dims + c."""
+    return (rows * dims)[:, None] + np.arange(dims)
+
+
+def _add_rows(y: np.ndarray, flat: np.ndarray, upd: np.ndarray) -> None:
+    """`np.add.at(y, rows, upd)` for a C-contiguous 2-D `y`, given
+    `flat = _flat_rows(rows, dims)`, as one 1-D `add.at` on its flat view:
+    each element still receives its updates one at a time, in order of
+    occurrence."""
     np.add.at(y.reshape(-1), flat.reshape(-1), upd.reshape(-1))
+
+
+def _clipped_step(coef: np.ndarray, diff: np.ndarray, alpha: float) -> np.ndarray:
+    """`np.clip(coef[:, None] * diff, -_GRAD_CLIP, _GRAD_CLIP) * alpha`,
+    in place in the product."""
+    step = coef[:, None] * diff
+    np.minimum(step, _GRAD_CLIP, out=step)
+    np.maximum(step, -_GRAD_CLIP, out=step)
+    step *= alpha
+    return step
 
 
 def umap_embed(x: np.ndarray, dims: int = 3, n_neighbors: int = 15,
@@ -160,6 +185,11 @@ def umap_embed(x: np.ndarray, dims: int = 3, n_neighbors: int = 15,
     epochs_per_sample = weights.max() / weights
     next_sample = epochs_per_sample.copy()
 
+    head_rows = _flat_rows(heads, dims)
+    attract = -2.0 * a * b
+    attract_power = b - 1.0
+    repel = 2.0 * b
+
     y = rng.uniform(-10.0, 10.0, size=(n, dims))
     for epoch in range(1, epochs + 1):
         alpha = 1.0 - (epoch - 1) / epochs
@@ -167,27 +197,27 @@ def umap_embed(x: np.ndarray, dims: int = 3, n_neighbors: int = 15,
         if active.size:
             h = heads.take(active)
             t = tails.take(active)
+            h_rows = head_rows.take(active, axis=0)
             diff = y.take(h, axis=0) - y.take(t, axis=0)
             d2 = (diff * diff).sum(axis=1)
             pos = d2 > 0.0
             coef = np.zeros_like(d2)
-            coef[pos] = (-2.0 * a * b * d2[pos] ** (b - 1.0)) / (
+            coef[pos] = (attract * d2[pos] ** attract_power) / (
                 1.0 + a * d2[pos] ** b
             )
-            upd = np.clip(coef[:, None] * diff, -_GRAD_CLIP, _GRAD_CLIP) * alpha
-            _add_rows(y, h, upd)
+            _add_rows(y, h_rows, _clipped_step(coef, diff, alpha))
             # negative samples: uniformly random targets, repulsive push on heads
             m = h.shape[0]
             neg_targets = rng.integers(0, n, size=(m, negative_rate))
             for c in range(negative_rate):
                 tneg = neg_targets[:, c]
                 keep = np.flatnonzero(tneg != h)
-                hk = h.take(keep)
-                diff_n = y.take(hk, axis=0) - y.take(tneg.take(keep), axis=0)
+                diff_n = (y.take(h.take(keep), axis=0)
+                          - y.take(tneg.take(keep), axis=0))
                 d2n = (diff_n * diff_n).sum(axis=1)
-                coef_n = 2.0 * b / ((0.001 + d2n) * (1.0 + a * d2n**b))
-                upd_n = np.clip(coef_n[:, None] * diff_n, -_GRAD_CLIP, _GRAD_CLIP) * alpha
-                _add_rows(y, hk, upd_n)
+                coef_n = repel / ((0.001 + d2n) * (1.0 + a * d2n**b))
+                _add_rows(y, h_rows.take(keep, axis=0),
+                          _clipped_step(coef_n, diff_n, alpha))
             next_sample[active] += epochs_per_sample.take(active)
         if not np.isfinite(y).all():
             raise NumericError(f"non-finite UMAP embedding at epoch {epoch}")

@@ -174,10 +174,6 @@ def _data_lines(path: str) -> list[str]:
         raise DependencyError(f"cannot read artifact {path}: {exc}") from exc
 
 
-def read_csv(path: str) -> list[dict[str, str]]:
-    return list(csv.DictReader(_data_lines(path)))
-
-
 def read_table(path: str, columns: list[str]) -> list[dict[str, str]]:
     """Rows of a CSV artifact whose header must be exactly `columns`, with one
     field per column in every row; anything else is a FormatError."""

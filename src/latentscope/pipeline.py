@@ -185,13 +185,21 @@ def run_train(config: PipelineConfig, out_dir, force: bool = False) -> Path:
     return out / "train"
 
 
+# KL(P||Q) at every 50th t-SNE iteration, the interval of sklearn's
+# n_iter_check: the KL costs about a quarter of a fit when taken every step
+_TSNE_KL_EVERY = 50
+
+
 def _scalar_metadata(metadata: dict) -> list[str]:
+    """`key=value` lines of an embedding's metadata in key order: scalars,
+    and the notes and t-SNE's KL checkpoints as `;`-joined lists. Other
+    arrays are left out."""
     lines = []
     for key in sorted(metadata):
         value = metadata[key]
         if isinstance(value, (list, tuple, np.ndarray)):
-            if key == "notes":
-                lines.append(f"notes={';'.join(str(v) for v in value)}")
+            if key in ("notes", "kl_history"):
+                lines.append(f"{key}={';'.join(fmt_value(v) for v in value)}")
             continue
         lines.append(f"{key}={fmt_value(value)}")
     return lines
@@ -205,7 +213,8 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
         stage = out / "embed"
         hyper = {
             "tsne": {"perplexity": config.embed.perplexity,
-                     "iters": config.embed.tsne_iters},
+                     "iters": config.embed.tsne_iters,
+                     "kl_every": _TSNE_KL_EVERY},
             "umap": {"n_neighbors": config.embed.n_neighbors,
                      "min_dist": config.embed.min_dist,
                      "epochs": config.embed.umap_epochs},

@@ -40,6 +40,13 @@ def forge_first_shape(blob: bytes, shape) -> bytes:
     return head + struct.pack(f"<{1 + len(shape)}I", len(shape), *shape) + rest
 
 
+# The exact headers of lrcp/grid.csv and lrcp/summary.csv.
+LRCP_GRID_COLUMNS = ["comparison", "method", "layer", "component", "region", "n",
+                     "r", "p", "emp_error", "corr_error", "category"]
+LRCP_SUMMARY_COLUMNS = ["comparison", "method", "layer", "component",
+                        "significant", "non_significant"]
+
+
 # Ten regions shifted for the AD class, none for MCI: the ground-truth layout
 # behind the discriminative-pattern and determinism checks.
 AD_SHIFTED_REGIONS = (2, 5, 7, 11, 13, 17, 19, 23, 26, 29)

@@ -24,7 +24,7 @@ from latentscope.embedding.pca import pca_fit_transform
 from latentscope.embedding.tsne import (conditional_probabilities,
                                         perplexity_of, tsne_embed)
 from latentscope.embedding.umap import fuzzy_graph, umap_embed
-from latentscope.fileio import load_cohort, read_csv
+from latentscope.fileio import load_cohort, read_table
 from latentscope.forest import ForestConfig, forest_predict, rf_fit
 from latentscope.lrcp import CATEGORIES, lrcp_grid, summary_counts
 from latentscope.phantom import PhantomConfig, generate_phantom_cohort
@@ -34,7 +34,8 @@ from latentscope.seeds import derive_seed
 from latentscope.validation import (concentration_bound, cubv_corrected_error,
                                     sar_relevance)
 
-from conftest import cluster_margin, study_config, two_clusters
+from conftest import (LRCP_GRID_COLUMNS, LRCP_SUMMARY_COLUMNS, cluster_margin,
+                      study_config, two_clusters)
 from test_attribution import brute_force_shap, small_forest
 from test_pipeline import tree_bytes
 
@@ -254,7 +255,7 @@ def test_09_projection_correctness():
 def test_10_lrcp_discriminative_pattern(study_run):
     with criterion(10, "shifted class dominates; permutation collapses"):
         cfg, out = study_run
-        rows = read_csv(str(out / "lrcp" / "summary.csv"))
+        rows = read_table(str(out / "lrcp" / "summary.csv"), LRCP_SUMMARY_COLUMNS)
 
         by_slice = Counter()
         by_cell = {}
@@ -297,7 +298,7 @@ def test_10_lrcp_discriminative_pattern(study_run):
 def test_11_four_case_partition(study_run):
     with criterion(11, "one category per cell; counts sum to region count"):
         _, out = study_run
-        rows = read_csv(str(out / "lrcp" / "grid.csv"))
+        rows = read_table(str(out / "lrcp" / "grid.csv"), LRCP_GRID_COLUMNS)
         assert len(rows) == 2 * 4 * 3 * 3 * 32
         assert all(r["category"] in CATEGORIES for r in rows)
         cells = [(r["comparison"], r["method"], r["layer"], r["component"],
@@ -305,7 +306,8 @@ def test_11_four_case_partition(study_run):
         assert len(set(cells)) == len(cells)
         per_slice = Counter(key[:4] for key in cells)
         assert set(per_slice.values()) == {32}
-        summary = read_csv(str(out / "lrcp" / "summary.csv"))
+        summary = read_table(str(out / "lrcp" / "summary.csv"),
+                             LRCP_SUMMARY_COLUMNS)
         assert len(summary) == 2 * 4 * 3 * 3
         for r in summary:
             assert int(r["significant"]) + int(r["non_significant"]) == 32

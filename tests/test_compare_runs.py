@@ -59,7 +59,8 @@ def test_numeric_and_label_changes(runs, capsys):
     differ = result["differ"]
     assert set(differ) == {"embed/NOR_AD/pca_L1.csv", "embed/NOR_AD/pca_L1.meta",
                            "lrcp/grid.csv"}
-    assert differ["embed/NOR_AD/pca_L1.meta"] is None
+    assert differ["embed/NOR_AD/pca_L1.meta"] == {
+        "only_a": [], "only_b": [], "changed": ["method"]}
     pca = differ["embed/NOR_AD/pca_L1.csv"]
     assert pca["labels"] == 0
     assert pca["max_rel"] == pytest.approx(0.1 / 1.1)
@@ -72,6 +73,8 @@ def test_numeric_and_label_changes(runs, capsys):
     assert compare_runs.main([str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert "only in A  report/summary.csv" in out
+    assert ("differs    embed/NOR_AD/pca_L1.meta  keys only in A: -"
+            "  only in B: -  changed: method") in out
     assert ("differs    lrcp/grid.csv  max_rel=0.02  max_rel_col=0.02"
             "  labels_changed=2") in out
 
@@ -88,3 +91,23 @@ def test_nan_against_number_is_infinite(runs):
     _write(b, {"lrcp/grid.csv": "region,rank,r,category,flag\n3,1,0.25,both,\n4,2,0.1,neither,undefined\n"})
     grid = compare_runs.compare_runs(a, b)["differ"]["lrcp/grid.csv"]
     assert grid["max_rel"] == grid["max_rel_col"] == float("inf")
+
+
+def test_meta_keys_added_removed_and_changed(runs, capsys):
+    a, b = runs
+    _write(a, {"embed/NOR_AD/tsne_L3.meta": "iters=300\nlr=200.0\nold=1\n",
+               "embed/NOR_AD/latent.lat": "LSLAT1\n"})
+    _write(b, {"embed/NOR_AD/tsne_L3.meta":
+               "iters=300\nkl_every=50\nkl_history=1.5;0.25\nlr=100.0\n",
+               "embed/NOR_AD/latent.lat": "LSLAT1\n\x00"})
+    differ = compare_runs.compare_runs(a, b)["differ"]
+    assert differ == {
+        "embed/NOR_AD/latent.lat": None,
+        "embed/NOR_AD/tsne_L3.meta": {"only_a": ["old"],
+                                      "only_b": ["kl_every", "kl_history"],
+                                      "changed": ["lr"]}}
+    assert compare_runs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert ("differs    embed/NOR_AD/tsne_L3.meta  keys only in A: old"
+            "  only in B: kl_every,kl_history  changed: lr") in out
+    assert "differs    embed/NOR_AD/latent.lat\n" in out

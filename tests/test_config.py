@@ -243,3 +243,34 @@ def test_parse_inverts_canonical_lines(config, rnd):
     assert canonical_lines(parsed) == canonical_lines(config)
     assert config_hash(parsed) == config_hash(config)
     assert parsed.out_dir == config.out_dir
+
+
+_DEFAULT_LINES = [line.encode() for line in canonical_lines(PipelineConfig())]
+
+
+@st.composite
+def config_bytes(draw):
+    """Arbitrary bytes, or default config lines whose values are replaced by
+    arbitrary text or bytes, so that every key's value parser is reached."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    lines = []
+    for line in draw(st.lists(st.sampled_from(_DEFAULT_LINES), min_size=1,
+                              max_size=6)):
+        key, _, value = line.partition(b"=")
+        value = draw(st.one_of(st.just(value), st.binary(max_size=24),
+                               st.text(max_size=24).map(str.encode)))
+        lines.append(key + b"=" + value)
+    return b"\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=config_bytes())
+def test_load_config_returns_config_or_config_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(data)
+    try:
+        config = load_config(path)
+    except ConfigError:
+        return
+    assert isinstance(config, PipelineConfig)

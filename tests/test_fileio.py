@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from latentscope.data import AtlasMap, Volume
 from latentscope.errors import DependencyError, FormatError, LatentScopeError
 from latentscope.fileio import (load_atlas, load_cohort, load_latent,
-                                load_volume, read_csv, read_table, save_atlas,
+                                load_volume, read_table, save_atlas,
                                 save_cohort, save_latent, save_volume,
                                 write_csv)
 
@@ -106,7 +106,7 @@ def test_csv_round_trip_with_comments(tmp_path):
     path = str(tmp_path / "t.csv")
     rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
     write_csv(path, ["a", "b"], rows, comments=("config_hash=deadbeef",))
-    back = read_csv(path)
+    back = read_table(path, ["a", "b"])
     assert back == [{"a": "1", "b": "x"}, {"a": "2", "b": "y"}]
     with open(path, encoding="utf-8") as f:
         first = f.readline()
@@ -117,20 +117,20 @@ def test_csv_float_formatting_is_round_trippable(tmp_path):
     path = str(tmp_path / "f.csv")
     value = 0.1234567890123456789
     write_csv(path, ["v"], [{"v": value}])
-    back = float(read_csv(path)[0]["v"])
+    back = float(read_table(path, ["v"])[0]["v"])
     assert back == pytest.approx(value, rel=0, abs=0) or back == float(
         np.float64(value))
 
 
 def test_csv_missing_or_unreadable_is_package_error(tmp_path):
     with pytest.raises(DependencyError, match="absent.csv"):
-        read_csv(str(tmp_path / "absent.csv"))
+        read_table(str(tmp_path / "absent.csv"), ["a", "b"])
     with pytest.raises(DependencyError):
-        read_csv(str(tmp_path))  # a directory, not a file
+        read_table(str(tmp_path), ["a", "b"])  # a directory, not a file
     path = tmp_path / "binary.csv"
     path.write_bytes(b"a,b\n\xff\xfe,1\n")
     with pytest.raises(DependencyError):
-        read_csv(str(path))
+        read_table(str(path), ["a", "b"])
 
 
 def test_table_needs_exact_header_and_full_rows(tmp_path):

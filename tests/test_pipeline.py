@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import forge_first_shape
+from conftest import LRCP_GRID_COLUMNS, LRCP_SUMMARY_COLUMNS, forge_first_shape
 from latentscope.autoencoder import TrainConfig
 from latentscope.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_NUMERIC,
                              EXIT_OK, build_parser, main)
@@ -206,33 +206,37 @@ class TestArtifactLayout:
         assert len(vols) == 16
 
     def test_classes_csv_counts(self, tiny_run):
-        from latentscope.fileio import read_csv
+        from latentscope.fileio import read_table
         _, out = tiny_run
-        rows = read_csv(str(out / "generate" / "classes.csv"))
+        rows = read_table(str(out / "generate" / "classes.csv"), ["class", "count"])
         assert {r["class"]: int(r["count"]) for r in rows} == {"NOR": 8, "AD": 8}
 
     def test_embedding_csv_shape(self, tiny_run):
-        from latentscope.fileio import read_csv
+        from latentscope.fileio import read_table
         _, out = tiny_run
-        rows = read_csv(str(out / "embed" / "NOR_AD" / "pca_L3.csv"))
+        rows = read_table(str(out / "embed" / "NOR_AD" / "pca_L3.csv"),
+                          ["subject_id", "method", "layer", "d0", "d1"])
         assert len(rows) == 16
-        assert set(rows[0]) == {"subject_id", "method", "layer", "d0", "d1"}
         assert all(r["method"] == "pca" and r["layer"] == "L3" for r in rows)
 
     def test_correlations_csv_row_count(self, tiny_run):
-        from latentscope.fileio import read_csv
+        from latentscope.fileio import read_table
         _, out = tiny_run
-        rows = read_csv(str(out / "correlate" / "NOR_AD" / "correlations.csv"))
+        rows = read_table(str(out / "correlate" / "NOR_AD" / "correlations.csv"),
+                          ["method", "layer", "component", "region", "class", "n",
+                           "r", "r2", "p", "flag"])
         # 2 components x 8 regions x (pooled + NOR + AD strata)
         assert len(rows) == 2 * 8 * 3
         assert {r["class"] for r in rows} == {"pooled", "NOR", "AD"}
 
     def test_shap_tables(self, tiny_run):
-        from latentscope.fileio import read_csv
+        from latentscope.fileio import read_table
         _, out = tiny_run
-        importance = read_csv(str(out / "shap" / "NOR_AD" / "importance.csv"))
+        importance = read_table(str(out / "shap" / "NOR_AD" / "importance.csv"),
+                                ["class", "region", "s_r", "s_tilde"])
         assert len(importance) == 2 * 8  # both classes, every region
-        phi = read_csv(str(out / "shap" / "NOR_AD" / "shap_values.csv"))
+        phi = read_table(str(out / "shap" / "NOR_AD" / "shap_values.csv"),
+                         ["class", "subject_id", "region", "phi"])
         assert len(phi) == 16 * 8  # every subject of the subset, every region
 
     def test_shap_diagnostics(self, tiny_run):
@@ -256,22 +260,41 @@ class TestArtifactLayout:
         assert latent.shape == (16, 64, 2, 2, 2)  # 16 -> 8 -> 4 -> 2
 
     def test_lrcp_grid_and_summary(self, tiny_run):
-        from latentscope.fileio import read_csv
+        from latentscope.fileio import read_table
         _, out = tiny_run
-        grid = read_csv(str(out / "lrcp" / "grid.csv"))
+        grid = read_table(str(out / "lrcp" / "grid.csv"), LRCP_GRID_COLUMNS)
         assert len(grid) == 2 * 8  # components x regions, one comparison/method
-        summary = read_csv(str(out / "lrcp" / "summary.csv"))
+        summary = read_table(str(out / "lrcp" / "summary.csv"),
+                             LRCP_SUMMARY_COLUMNS)
         assert len(summary) == 2
         for row in summary:
             assert int(row["significant"]) + int(row["non_significant"]) == 8
 
     def test_report_provenance(self, tiny_run):
-        from latentscope.fileio import read_csv
+        from latentscope.fileio import read_table
         cfg, out = tiny_run
-        rows = read_csv(str(out / "report" / "provenance.csv"))
+        rows = read_table(str(out / "report" / "provenance.csv"),
+                          ["stage", "config_hash"])
         # the report lists the stages it was built from, not itself
         assert [r["stage"] for r in rows] == list(STAGES[:-1])
         assert {r["config_hash"] for r in rows} == {config_hash(cfg)}
+
+
+def test_tsne_meta_holds_kl_checkpoints(tmp_path):
+    from latentscope.fileio import fmt_value
+    cfg = tiny_config(str(tmp_path))
+    cfg.embed = EmbedConfig(methods=("tsne",), layers=("L3",), components=2,
+                            perplexity=4.0, tsne_iters=120)
+    for run in (run_generate, run_train, run_embed):
+        run(cfg, str(tmp_path))
+    lines = (tmp_path / "embed" / "NOR_AD" / "tsne_L3.meta").read_text().splitlines()
+    meta = dict(line.partition("=")[::2] for line in lines)
+    assert [line.partition("=")[0] for line in lines] == sorted(meta)
+    assert meta["kl_every"] == "50" and meta["iters"] == "120"
+    kl = meta["kl_history"].split(";")
+    assert len(kl) == 3  # after iterations 50, 100 and the last, 120
+    assert [fmt_value(float(v)) for v in kl] == kl
+    assert all(float(v) > 0.0 for v in kl)
 
 
 class TestDeterminism:
@@ -319,6 +342,13 @@ class TestCLI:
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["generate", "--config", str(tmp_path / "absent.cfg")])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_undecodable_config_file_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_bytes(b"seed=1\n\xff\n")
+        code = main(["generate", "--config", str(cfg_file)])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 

@@ -2,6 +2,7 @@
 and pinned bits of the optimiser."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from latentscope.embedding.tsne import (
     perplexity_of,
     tsne_embed,
 )
-from latentscope.errors import DegenerateInputError
+from latentscope.errors import ConfigError, DegenerateInputError
 
 from conftest import cluster_margin, two_clusters
 
@@ -255,3 +256,28 @@ class TestPinnedBits:
             "2171c89245c71bae91c27f29272478ea973cdb42fd3714708d2d2612abe484dc")
         assert _digest(emb.metadata["kl_history"]) == (
             "ff7d05a4a0a7746b02f87f6343698fa3723e73178f4f37bd890464f9fbe583cc")
+
+
+@pytest.fixture(scope="module")
+def full_support_fit():
+    """The input and the every-iteration fit of TestPinnedBits.test_full_support."""
+    x = np.random.default_rng(240).normal(size=(240, 16))
+    return x, tsne_embed(x, perplexity=30.0, iters=300, seed=3)
+
+
+class TestKlCheckpoints:
+    @pytest.mark.parametrize("k", [1, 7, 50, 301])
+    def test_values_kept_and_history_thinned(self, full_support_fit, k):
+        x, every = full_support_fit
+        emb = tsne_embed(x, perplexity=30.0, iters=300, seed=3, kl_every=k)
+        assert emb.values.tobytes() == every.values.tobytes()
+        assert emb.metadata["kl_every"] == k
+        kl = emb.metadata["kl_history"]
+        assert len(kl) == math.ceil(300 / k)
+        picked = sorted(set(range(k - 1, 300, k)) | {299})
+        assert [v.hex() for v in kl] == [
+            every.metadata["kl_history"][i].hex() for i in picked]
+
+    def test_zero_interval_rejected(self):
+        with pytest.raises(ConfigError, match="kl_every"):
+            tsne_embed(two_clusters(seed=1), perplexity=3.0, iters=10, kl_every=0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from latentscope.embedding.common import standardize
 from latentscope.embedding.umap import (
     _add_rows,
+    _flat_rows,
     cross_entropy,
     fit_ab,
     fuzzy_graph,
@@ -181,7 +182,7 @@ class TestFlatAddAt:
         want = y.copy()
         np.add.at(want, rows, upd)
         got = y.copy()
-        _add_rows(got, rows, upd)
+        _add_rows(got, _flat_rows(rows, y.shape[1]), upd)
         assert got.tobytes() == want.tobytes()
 
 
