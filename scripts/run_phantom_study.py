@@ -18,35 +18,15 @@ import argparse
 import os
 import sys
 
-from latentscope.autoencoder import TrainConfig
 from latentscope.cli import main as run_stage
-from latentscope.config import EmbedConfig, PipelineConfig, write_config
+from latentscope.config import study_config, write_config
 from latentscope.errors import DependencyError, FormatError
 from latentscope.fileio import read_table
-from latentscope.phantom import PhantomConfig
 from latentscope.pipeline import STAGES
-
-AD_EFFECTS = [(2, 3, 0.40), (5, 3, 0.30), (7, 3, 0.20), (11, 3, 0.35),
-              (13, 3, 0.25), (17, 3, 0.40), (19, 3, 0.30), (23, 3, 0.20),
-              (26, 3, 0.35), (29, 3, 0.25)]
 
 # the header the report stage writes to report/lrcp_summary.csv
 SUMMARY_COLUMNS = ["comparison", "method", "layer", "component", "significant",
                    "non_significant"]
-
-
-def study_config(seed: int) -> PipelineConfig:
-    return PipelineConfig(
-        phantom=PhantomConfig(dims=(32, 32, 32), region_count=32,
-                              class_counts={0: 40, 1: 40, 3: 40},
-                              effect_spec=list(AD_EFFECTS),
-                              noise_sigma=0.05, smoothness=2.0, seed=seed),
-        train=TrainConfig(loss_kind="mse", max_epochs=10, patience=10,
-                          batch_size=8, seed=seed),
-        embed=EmbedConfig(layers=("L1", "L2", "L3"), components=3),
-        comparisons=("NOR_AD", "NOR_MCI"),
-        seed=seed,
-    )
 
 
 def main() -> int:

@@ -16,9 +16,25 @@ evaluated exactly in rational arithmetic. Averaging over the background rows
 yields interventional SHAP values satisfying local accuracy to float
 precision.
 
-Within a leaf, an explained row's terms depend only on which path intervals
-it satisfies (its pattern): they are built once per distinct pattern and the
-sums scattered back to the rows, which get the same bits as if alone.
+A row's relation to a leaf with d path features is its pattern code: bit i
+is set iff the row satisfies the leaf's interval on feature i. Both terms
+above depend only on the codes of x and z, so for each depth d a sign table
+of shape (2^d, d, 2^d) holds them once: entry [xc, i, zc] is +wplus[t, q]
+when only x satisfies interval i, -wminus[t, q] when only z does, and 0
+otherwise or when the leaf is unreachable. The codes of every row for all
+leaves of a tree come from one vectorised pass; each leaf then gathers the
+table rows of its distinct x codes at the background codes, multiplies by v,
+sums over the background and scatters the sums back to the rows, which get
+the same bits as if explained alone. At d = 8 the table takes 4 MB; a leaf
+with more than MAX_LEAF_FEATURES path features is refused as a
+configuration error, since only max_depth > 8 can grow one.
+
+The gather is C-order (P, d, nb) for P distinct codes and nb background
+rows, so the sum over the background runs along contiguous memory and numpy
+adds each sequence pairwise. That is the order of the per-leaf mask
+formulation kept in the tests as the reference, whose broadcast product lies
+in (P, d, nb) memory order; a (P, nb, d) gather summed along its middle axis
+adds the rows sequentially and changes the bits.
 """
 
 from __future__ import annotations
@@ -35,6 +51,8 @@ from .errors import ConfigError, DegenerateInputError, ShapeError
 from .forest import ForestConfig, ForestModel, forest_predict, rf_fit
 
 EPSILON = 1e-8
+# widest leaf the sign tables cover: 4 MB of table at 8 path features
+MAX_LEAF_FEATURES = 8
 
 
 def total_reconstruction_error(cohort: Cohort, model: AEParams, chunk: int = 8,
@@ -80,12 +98,39 @@ def _shap_weight_tables(m: int, kmax: int):
     return wplus, wminus
 
 
+def _sign_table(d: int, wplus: np.ndarray, wminus: np.ndarray) -> np.ndarray:
+    """(2^d, d, 2^d) signed weights of pattern codes xc, interval i, zc."""
+    bits = ((np.arange(2 ** d)[:, None] >> np.arange(d)) & 1).astype(bool)
+    xb, zb = bits[:, None, :], bits[None, :, :]
+    only_x, only_z = xb & ~zb, ~xb & zb
+    t, q = only_x.sum(axis=2), only_z.sum(axis=2)
+    live = (xb | zb).all(axis=2)
+    plus = np.where(live, wplus[t, q], 0.0)[..., None]
+    minus = np.where(live, wminus[t, q], 0.0)[..., None]
+    table = np.where(only_x, plus, np.where(only_z, -minus, 0.0))
+    return np.ascontiguousarray(table.transpose(0, 2, 1))
+
+
+def _pattern_codes(leaves, rows: np.ndarray) -> np.ndarray:
+    """(n, leaves) pattern code of every row in every leaf of one tree."""
+    width = max(feats.size for _, feats, _, _ in leaves)
+    feats = np.zeros((len(leaves), width), dtype=np.intp)
+    lows = np.full((len(leaves), width), np.inf)  # padding: never satisfied
+    highs = np.full((len(leaves), width), np.inf)
+    for j, (_, f, lo, hi) in enumerate(leaves):
+        feats[j, :f.size], lows[j, :f.size], highs[j, :f.size] = f, lo, hi
+    vals = rows[:, feats]
+    return ((vals > lows) & (vals <= highs)) @ (1 << np.arange(width))
+
+
 def shap_values(model: ForestModel, x, background):
     """Interventional SHAP values for every row of x.
 
     Returns (phi, base) with phi of shape (n, feature_count) and base the
     mean forest prediction over the background rows; for every row,
     base + phi.sum() equals the forest prediction exactly up to float error.
+    Raises ConfigError for a leaf with more than MAX_LEAF_FEATURES path
+    features.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     bg = np.atleast_2d(np.asarray(background, dtype=np.float64))
@@ -96,32 +141,38 @@ def shap_values(model: ForestModel, x, background):
     if bg.shape[0] == 0:
         raise DegenerateInputError("SHAP needs a non-empty background set")
 
-    leaves = [leaf for tree in model.trees for leaf in tree.leaf_boxes()]
-    wplus, wminus = _shap_weight_tables(m, max(leaf[1].size for leaf in leaves))
+    # a leaf without path features is reachable under every coalition: no
+    # marginal effect
+    trees = [[leaf for leaf in tree.leaf_boxes() if leaf[1].size]
+             for tree in model.trees]
+    depths = {leaf[1].size for leaves in trees for leaf in leaves}
+    kmax = max(depths, default=0)
+    if kmax > MAX_LEAF_FEATURES:
+        raise ConfigError(
+            f"a leaf constrains {kmax} features, but exact SHAP supports at "
+            f"most {MAX_LEAF_FEATURES}; set shap.max_depth to "
+            f"{MAX_LEAF_FEATURES} or less")
+    wplus, wminus = _shap_weight_tables(m, kmax)
+    tables = {d: _sign_table(d, wplus, wminus) for d in depths}
 
-    n, nb = x.shape[0], bg.shape[0]
-    phi = np.zeros((n, m))
-    for v, feats, lows, highs in leaves:
-        if feats.size == 0:
-            continue  # reachable under every coalition: no marginal effect
-        x_ok = (x[:, feats] > lows) & (x[:, feats] <= highs)
-        z_ok = (bg[:, feats] > lows) & (bg[:, feats] <= highs)
-        packed = np.packbits(x_ok, axis=1)
-        key = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, inverse = np.unique(key, return_index=True,
-                                      return_inverse=True)
-        x_ok = x_ok[first]  # one row per distinct pattern
-        t_mask = x_ok[:, None, :] & ~z_ok[None, :, :]
-        z_mask = ~x_ok[:, None, :] & z_ok[None, :, :]
-        dead = (~x_ok[:, None, :] & ~z_ok[None, :, :]).any(axis=2)
-        t = t_mask.sum(axis=2)
-        q = z_mask.sum(axis=2)
-        live = ~dead
-        plus = np.where(live, wplus[t, q], 0.0) * v
-        minus = np.where(live, wminus[t, q], 0.0) * v
-        contrib = t_mask * plus[:, :, None] - z_mask * minus[:, :, None]
-        phi[:, feats] += contrib.sum(axis=1)[inverse]
-    phi /= model.n_trees * nb
+    phi = np.zeros((x.shape[0], m))
+    for leaves in trees:
+        if not leaves:
+            continue
+        x_codes = _pattern_codes(leaves, x)
+        bg_codes = x_codes if bg is x else _pattern_codes(leaves, bg)
+        # per leaf: which codes occur among the x rows, and each row's rank
+        # among them
+        present = np.zeros((len(leaves), 2 ** kmax), dtype=bool)
+        leaf_ix = np.arange(len(leaves))
+        present[leaf_ix, x_codes] = True
+        rank = (present.cumsum(axis=1) - 1)[leaf_ix, x_codes]
+        for (v, feats, _, _), here, z, r in zip(leaves, present, bg_codes.T,
+                                                 rank.T):
+            contrib = np.take(tables[feats.size][np.flatnonzero(here)], z, axis=2)
+            contrib *= v
+            phi[:, feats] += contrib.sum(axis=2)[r]
+    phi /= model.n_trees * bg.shape[0]
     base = float(forest_predict(model, bg).mean())
     return phi, base
 

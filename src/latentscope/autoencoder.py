@@ -31,6 +31,8 @@ from .ssim import ssim3d, ssim3d_with_grad
 ENCODER_CHANNELS = (1, 16, 32, 64)
 LAYER_KEYS = ("L1", "L2", "L3")
 MODEL_MAGIC = b"LSAE1\n"
+_LAYER_KINDS = ("conv3d", "conv_transpose3d")
+_ACTIVATIONS = ("relu", "sigmoid")
 
 
 @dataclass(frozen=True)
@@ -519,12 +521,18 @@ def _read_model(f) -> AEParams:
     layers = []
     for _ in range(n_layers):
         parts = f.readline(128).decode("ascii").split()
-        if len(parts) != 5:
-            raise FormatError("malformed layer spec line")
-        layers.append(
-            LayerSpec(parts[0], int(parts[1]), int(parts[2]), parts[3],
-                      bool(int(parts[4])))
-        )
+        if (len(parts) != 5 or parts[0] not in _LAYER_KINDS
+                or parts[3] not in _ACTIVATIONS or parts[4] not in ("0", "1")):
+            raise FormatError(f"malformed layer spec line {parts!r}")
+        spec = LayerSpec(parts[0], int(parts[1]), int(parts[2]), parts[3],
+                         parts[4] == "1")
+        if min(spec.in_channels, spec.out_channels) < 1:
+            raise FormatError(f"non-positive channel count in {parts!r}")
+        if layers and layers[-1].out_channels != spec.in_channels:
+            raise FormatError(f"layer {len(layers) + 1} takes {spec.in_channels} "
+                              f"channels, layer {len(layers)} gives "
+                              f"{layers[-1].out_channels}")
+        layers.append(spec)
 
     size = os.fstat(f.fileno()).st_size
 
@@ -541,9 +549,18 @@ def _read_model(f) -> AEParams:
         data = read_exact(8 * math.prod(shape))
         return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
-    # all_arrays order: w, b, then the four batch-norm arrays in field order
-    params = [LayerParams(*(read_array() for _ in range(6 if spec.batch_norm else 2)))
-              for spec in layers]
+    params = []
+    for i, spec in enumerate(layers):
+        # all_arrays order: w, b, then the four batch-norm arrays in field order
+        arrays = [read_array() for _ in range(6 if spec.batch_norm else 2)]
+        cin, cout = spec.in_channels, spec.out_channels
+        w_shape = (cout, cin) if spec.kind == "conv3d" else (cin, cout)
+        want = [w_shape + (nn.KERNEL,) * 3] + [(cout,)] * (len(arrays) - 1)
+        got = [a.shape for a in arrays]
+        if got != want:
+            raise FormatError(f"layer {i + 1} arrays have shapes {got}, "
+                              f"its spec needs {want}")
+        params.append(LayerParams(*arrays))
     if f.read(1):
         raise FormatError("trailing bytes in model file")
     return AEParams(layers=layers, params=params)

@@ -81,6 +81,33 @@ class PipelineConfig:
                         f"{CLASS_NAMES[label]} absent from the phantom config")
 
 
+# Ten regions shifted for the AD class, none for MCI: the ground truth of the
+# reference study, (region, class, shift) as PhantomConfig.effect_spec takes it.
+AD_EFFECTS = [(2, 3, 0.40), (5, 3, 0.30), (7, 3, 0.20), (11, 3, 0.35),
+              (13, 3, 0.25), (17, 3, 0.40), (19, 3, 0.30), (23, 3, 0.20),
+              (26, 3, 0.35), (29, 3, 0.25)]
+
+
+def study_config(seed: int, out_dir: str | None = None) -> PipelineConfig:
+    """The reference study: 120 subjects at 32^3 (40 NOR, 40 MCI, 40 AD) over
+    32 regions with AD_EFFECTS planted, ten MSE epochs, all four embedding
+    methods over L1-L3, NOR_AD and NOR_MCI; every seed is `seed`."""
+    config = PipelineConfig(
+        phantom=PhantomConfig(dims=(32, 32, 32), region_count=32,
+                              class_counts={0: 40, 1: 40, 3: 40},
+                              effect_spec=list(AD_EFFECTS),
+                              noise_sigma=0.05, smoothness=2.0, seed=seed),
+        train=TrainConfig(loss_kind="mse", max_epochs=10, patience=10,
+                          batch_size=8, seed=seed),
+        embed=EmbedConfig(layers=("L1", "L2", "L3"), components=3),
+        comparisons=("NOR_AD", "NOR_MCI"),
+        seed=seed,
+    )
+    if out_dir is not None:
+        config.out_dir = out_dir
+    return config
+
+
 def parse_comparison(name: str) -> tuple[int, int]:
     """NOR_AD -> (0, 3). Only binary comparisons are supported."""
     parts = name.split("_")

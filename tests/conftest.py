@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from latentscope.autoencoder import TrainConfig, train
-from latentscope.config import EmbedConfig, PipelineConfig
+from latentscope.config import study_config
 from latentscope.phantom import PhantomConfig, generate_phantom_cohort
 from latentscope.pipeline import run_all
 
@@ -47,31 +47,6 @@ LRCP_SUMMARY_COLUMNS = ["comparison", "method", "layer", "component",
                         "significant", "non_significant"]
 
 
-# Ten regions shifted for the AD class, none for MCI: the ground-truth layout
-# behind the discriminative-pattern and determinism checks.
-AD_SHIFTED_REGIONS = (2, 5, 7, 11, 13, 17, 19, 23, 26, 29)
-AD_EFFECTS = [(2, 3, 0.40), (5, 3, 0.30), (7, 3, 0.20), (11, 3, 0.35),
-              (13, 3, 0.25), (17, 3, 0.40), (19, 3, 0.30), (23, 3, 0.20),
-              (26, 3, 0.35), (29, 3, 0.25)]
-
-
-def study_config(out_dir: str) -> PipelineConfig:
-    """The end-to-end study configuration: 120 subjects, 32 regions, ten of
-    them shifted for AD only, all four embedding methods over three layers."""
-    return PipelineConfig(
-        phantom=PhantomConfig(dims=(32, 32, 32), region_count=32,
-                              class_counts={0: 40, 1: 40, 3: 40},
-                              effect_spec=list(AD_EFFECTS),
-                              noise_sigma=0.05, smoothness=2.0, seed=0),
-        train=TrainConfig(loss_kind="mse", max_epochs=10, patience=10,
-                          batch_size=8, seed=0),
-        embed=EmbedConfig(layers=("L1", "L2", "L3"), components=3),
-        comparisons=("NOR_AD", "NOR_MCI"),
-        seed=0,
-        out_dir=out_dir,
-    )
-
-
 @pytest.fixture(scope="session")
 def small_cohort():
     cfg = PhantomConfig(dims=(16, 16, 16), region_count=8,
@@ -94,7 +69,7 @@ def study_run(tmp_path_factory):
     """One full pipeline run of the study configuration, shared by the
     acceptance tests (attribution exactness, LRCP pattern, determinism)."""
     out = tmp_path_factory.mktemp("study")
-    cfg = study_config(str(out))
+    cfg = study_config(0, str(out))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_all(cfg, str(out))

@@ -17,7 +17,7 @@ from latentscope.attribution import (attribute_class, shap_values,
 from latentscope.autoencoder import (LayerSpec, TrainConfig, forward,
                                      init_params, loss_and_gradients,
                                      loss_value, train)
-from latentscope.config import config_hash
+from latentscope.config import config_hash, study_config
 from latentscope.data import balanced_subset, build_region_profiles
 from latentscope.embedding.common import pairwise_sq_dists
 from latentscope.embedding.pca import pca_fit_transform
@@ -35,7 +35,7 @@ from latentscope.validation import (concentration_bound, cubv_corrected_error,
                                     sar_relevance)
 
 from conftest import (LRCP_GRID_COLUMNS, LRCP_SUMMARY_COLUMNS, cluster_margin,
-                      study_config, two_clusters)
+                      two_clusters)
 from test_attribution import brute_force_shap, small_forest
 from test_pipeline import tree_bytes
 
@@ -317,7 +317,7 @@ def test_12_determinism(study_run, tmp_path_factory):
     with criterion(12, "same-seed rerun is byte-identical"):
         cfg, out = study_run
         again = tmp_path_factory.mktemp("study_again")
-        cfg2 = study_config(str(again))
+        cfg2 = study_config(0, str(again))
         assert config_hash(cfg2) == config_hash(cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

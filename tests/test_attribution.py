@@ -1,5 +1,6 @@
 """Attribution tests: exact Shapley values against brute-force enumeration."""
 
+import functools
 import hashlib
 import itertools
 from math import factorial
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from latentscope.attribution import (
+    MAX_LEAF_FEATURES,
+    _shap_weight_tables,
     attribute_class,
     build_shap_volume,
     shap_region_importance,
@@ -142,6 +145,99 @@ class TestPatternGrouping:
         assert hashlib.sha256(phi.tobytes()).hexdigest() == (
             "90696a912d779c895b1a59904b221167a877788db8555ede51aa445473fb47d3")
         assert base.hex() == (0.6988593316025051).hex()
+
+
+def mask_shap_oracle(model, x, background):
+    """The per-leaf mask formulation the sign tables replaced, kept as a
+    bit-for-bit reference.
+
+    Per leaf it builds boolean masks of the path intervals only x, only z or
+    neither satisfies, looks the weights up per (pattern, background row)
+    pair and sums their broadcast product over the background. Rows are
+    grouped by their packed mask bits, which works for leaves of at most 8
+    path features.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    bg = np.atleast_2d(np.asarray(background, dtype=np.float64))
+    m = model.feature_count
+    leaves = [leaf for tree in model.trees for leaf in tree.leaf_boxes()]
+    wplus, wminus = _shap_weight_tables(m, max(leaf[1].size for leaf in leaves))
+    phi = np.zeros((x.shape[0], m))
+    for v, feats, lows, highs in leaves:
+        if feats.size == 0:
+            continue
+        x_ok = (x[:, feats] > lows) & (x[:, feats] <= highs)
+        z_ok = (bg[:, feats] > lows) & (bg[:, feats] <= highs)
+        packed = np.packbits(x_ok, axis=1)
+        key = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        x_ok = x_ok[first]
+        t_mask = x_ok[:, None, :] & ~z_ok[None, :, :]
+        z_mask = ~x_ok[:, None, :] & z_ok[None, :, :]
+        dead = (~x_ok[:, None, :] & ~z_ok[None, :, :]).any(axis=2)
+        t = t_mask.sum(axis=2)
+        q = z_mask.sum(axis=2)
+        live = ~dead
+        plus = np.where(live, wplus[t, q], 0.0) * v
+        minus = np.where(live, wminus[t, q], 0.0) * v
+        contrib = t_mask * plus[:, :, None] - z_mask * minus[:, :, None]
+        phi[:, feats] += contrib.sum(axis=1)[inverse]
+    phi /= model.n_trees * bg.shape[0]
+    return phi
+
+
+@functools.lru_cache(maxsize=None)
+def deep_forest(max_depth):
+    """128 rows of 16 features with every feature in the target, so deep
+    leaves constrain many distinct features (8 at max_depth 8)."""
+    rng = np.random.default_rng(13)
+    x = rng.uniform(size=(128, 16))
+    y = np.sin(6.0 * x).sum(axis=1) + 0.1 * rng.normal(size=128)
+    model = rf_fit(x, y, ForestConfig(n_trees=4, max_depth=max_depth,
+                                      min_leaf=1, seed=max_depth))
+    return model, x
+
+
+def widest_leaf(model):
+    return max(leaf[1].size for tree in model.trees for leaf in tree.leaf_boxes())
+
+
+class TestSignTableKernel:
+    """`shap_values` gives the mask oracle's bits exactly."""
+
+    @pytest.mark.parametrize("same", [True, False], ids=["x_is_bg", "x_not_bg"])
+    @pytest.mark.parametrize("n_bg", [1, 3, 17, 48])
+    @pytest.mark.parametrize("max_depth", range(1, 9))
+    def test_bits_equal_mask_oracle(self, max_depth, n_bg, same):
+        model, x = deep_forest(max_depth)
+        bg = x[:n_bg]
+        explained = bg if same else x[64:80]
+        phi, _ = shap_values(model, explained, bg)
+        assert phi.tobytes() == mask_shap_oracle(model, explained, bg).tobytes()
+
+    def test_forests_reach_seven_and_eight_features(self):
+        assert widest_leaf(deep_forest(7)[0]) == 7
+        assert widest_leaf(deep_forest(8)[0]) == 8 == MAX_LEAF_FEATURES
+
+    @pytest.mark.parametrize("n_bg", [1, 17])
+    def test_repeated_splits_on_one_feature(self, n_bg):
+        # two features and depth 6: a tree with more than four leaves splits
+        # some feature twice on one path, and leaf_boxes merges the intervals
+        rng = np.random.default_rng(5)
+        x = rng.uniform(size=(60, 2))
+        y = np.sin(9.0 * x[:, 0]) + x[:, 1]
+        model = rf_fit(x, y, ForestConfig(n_trees=4, max_depth=6, min_leaf=1,
+                                          seed=2))
+        assert max(len(list(t.leaf_boxes())) for t in model.trees) > 4
+        phi, _ = shap_values(model, x[20:40], x[:n_bg])
+        assert phi.tobytes() == mask_shap_oracle(model, x[20:40], x[:n_bg]).tobytes()
+
+    def test_leaf_beyond_table_is_config_error(self):
+        model, x = deep_forest(12)
+        assert widest_leaf(model) > MAX_LEAF_FEATURES
+        with pytest.raises(ConfigError, match="shap.max_depth"):
+            shap_values(model, x[:4], x[:8])
 
 
 class TestImportance:

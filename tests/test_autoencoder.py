@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import forge_first_shape
 from latentscope import autoencoder as ae
 from latentscope.data import AtlasMap, Cohort, Subject, Volume
 from latentscope.errors import (ConfigError, DependencyError, FormatError,
-                               ShapeError)
+                               LatentScopeError, ShapeError)
 
 
 def constant_cohort(dims=(8, 8, 8), n=16, value=0.5):
@@ -379,6 +381,81 @@ class TestPersistence:
             ae.load_model(str(tmp_path / "absent.lsae"))
         with pytest.raises(DependencyError):
             ae.load_model(str(tmp_path))  # a directory, not a file
+
+    @pytest.mark.parametrize("old,new", [
+        (b"\nconv3d 1 16 relu 1", b"\nconv4d 1 16 relu 1"),
+        (b"\nconv3d 1 16 relu 1", b"\nconv3d 1 16 tanh 1"),
+        (b"\nconv3d 1 16 relu 1", b"\nconv3d 1 16 relu 2"),
+        (b"\nconv3d 1 16 relu 1", b"\nconv3d 0 16 relu 1"),
+        (b"\nconv3d 16 32 relu 1", b"\nconv3d 8 32 relu 1"),  # L1 gives 16
+    ], ids=["kind", "activation", "bn_flag", "channels", "chain"])
+    def test_bad_layer_line_raises_format_error(self, tmp_path, old, new):
+        path = tmp_path / "model.lsm"
+        ae.save_model(ae.init_params(seed=21), str(path))
+        blob = path.read_bytes()
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
+        with pytest.raises(FormatError):
+            ae.load_model(str(path))
+
+    @pytest.mark.parametrize("case", ["l1_bias", "l2_gamma", "t1_weight_order",
+                                      "t3_weight_kernel"])
+    def test_arrays_off_their_spec_raise_format_error(self, tmp_path, case):
+        model = ae.init_params(seed=21)
+        if case == "l1_bias":
+            model.params[0].b = np.zeros(5)
+        elif case == "l2_gamma":
+            model.params[1].gamma = np.ones(16)
+        elif case == "t1_weight_order":  # a conv's (out, in) order
+            model.params[3].w = model.params[3].w.transpose(1, 0, 2, 3, 4)
+        else:
+            model.params[5].w = np.zeros((16, 1, 3, 3, 2))
+        path = tmp_path / "model.lsm"
+        ae.save_model(model, str(path))
+        with pytest.raises(FormatError, match="spec needs"):
+            ae.load_model(str(path))
+
+
+SMALL_LAYERS = [ae.LayerSpec("conv3d", 1, 2, "relu", True),
+                ae.LayerSpec("conv_transpose3d", 2, 1, "sigmoid", False)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_model_loader_total_on_arbitrary_bytes(tmp_path_factory, data):
+    """Arbitrary bytes, and single-byte edits of a valid model file, give
+    a model whose every array fits its layer spec, or a package error."""
+    path = tmp_path_factory.getbasetemp() / "arbitrary.lsae"
+    ae.save_model(ae.init_params(seed=3, layers=SMALL_LAYERS), str(path))
+    valid = path.read_bytes()
+    header = len(b"\n".join(valid.split(b"\n", 4)[:4])) + 1
+    blob = data.draw(st.one_of(
+        st.binary(max_size=300),
+        st.binary(max_size=300).map(lambda tail: ae.MODEL_MAGIC + tail),
+        st.tuples(st.integers(0, len(valid)), st.binary(max_size=40)).map(
+            lambda t: valid[:t[0]] + t[1]),
+        st.tuples(st.one_of(st.integers(0, header + 40),
+                            st.integers(0, len(valid) - 1)),
+                  st.integers(0, 255)).map(
+            lambda t: valid[:t[0]] + bytes([t[1]]) + valid[t[0] + 1:]),
+    ))
+    path.write_bytes(blob)
+    try:
+        model = ae.load_model(str(path))
+    except LatentScopeError:
+        return
+    for spec, p in zip(model.layers, model.params, strict=True):
+        assert spec.kind in ("conv3d", "conv_transpose3d")
+        assert spec.activation in ("relu", "sigmoid")
+        cin, cout = spec.in_channels, spec.out_channels
+        w_shape = (cout, cin) if spec.kind == "conv3d" else (cin, cout)
+        assert p.w.shape == w_shape + (3, 3, 3)
+        assert p.b.shape == (cout,)
+        norm = (p.gamma, p.beta, p.running_mean, p.running_var)
+        if spec.batch_norm:
+            assert all(a.shape == (cout,) for a in norm)
+        else:
+            assert all(a is None for a in norm)
 
 
 def test_short_training_run_params_pinned():

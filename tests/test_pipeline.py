@@ -5,6 +5,7 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import LRCP_GRID_COLUMNS, LRCP_SUMMARY_COLUMNS, forge_first_shape
@@ -558,6 +559,37 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "dependency error" in err and "latent.lat" in err
         assert "not the trained one" in err
+
+    def test_shap_leaf_beyond_table_exits_2(self, tmp_path, capsys):
+        # 16 regions and 40 subjects a class let a depth-12 forest grow a
+        # leaf on more than 8 distinct regions, which exact SHAP refuses
+        cfg = tiny_config(str(tmp_path))
+        cfg.phantom.region_count = 16
+        cfg.phantom.class_counts = {0: 40, 3: 40}
+        cfg.forest.max_depth = 12
+        cfg.forest.min_leaf = 1
+        cfg_file = tmp_path / "study.cfg"
+        write_config(cfg, str(cfg_file))
+        base = ["--config", str(cfg_file), "--out", str(tmp_path / "run")]
+        for stage in ("generate", "train", "embed"):
+            assert main([stage] + base) == EXIT_OK
+        capsys.readouterr()
+        assert main(["shap"] + base) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "shap.max_depth" in err
+
+    def test_embed_model_arrays_off_spec_exits_3(self, tiny_run, tmp_path,
+                                                 capsys):
+        from latentscope.autoencoder import load_model, save_model
+
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        path = copy / "train" / "NOR_AD" / "model.lsae"
+        model = load_model(str(path))
+        model.params[0].b = np.zeros(5)  # L1 has 16 output channels
+        save_model(model, str(path))
+        assert main(["embed"] + base) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "model.lsae" in err
 
     def test_numeric_failure_exits_4(self, tmp_path, capsys):
         # four subjects per class is enough to generate and train on but too
