@@ -47,7 +47,6 @@ def _resolve_config(args) -> PipelineConfig:
         config.seed = args.seed
     if args.out is not None:
         config.out_dir = args.out
-    config.validate()
     return config
 
 
@@ -55,11 +54,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
-        runner = STAGE_RUNNERS[args.stage]
-        if args.stage == "generate":
-            runner(config, config.out_dir)
-        else:
-            runner(config, config.out_dir, force=args.stage_force)
+        STAGE_RUNNERS[args.stage](config, config.out_dir, force=args.stage_force)
     except ConfigError as exc:
         print(f"latentscope: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

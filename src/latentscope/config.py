@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .autoencoder import TrainConfig
+from .autoencoder import LAYER_KEYS, TrainConfig
 from .data import CLASS_IDS, CLASS_NAMES
 from .errors import ConfigError
 from .forest import ForestConfig
@@ -41,8 +41,9 @@ class EmbedConfig:
         if not self.layers:
             raise ConfigError("at least one layer required")
         for layer in self.layers:
-            if not (layer.startswith("L") and layer[1:].isdigit()):
-                raise ConfigError(f"bad layer name {layer!r} (expected L1, L2, ...)")
+            if layer not in LAYER_KEYS:
+                raise ConfigError(f"unknown layer {layer!r} (the encoder layers "
+                                  f"are {', '.join(LAYER_KEYS)})")
         if self.components < 1:
             raise ConfigError("components must be >= 1")
 

@@ -5,7 +5,7 @@ from .pca import PcaModel, pca_fit_transform
 from .pls import PlsModel, pls_fit_transform, one_hot
 from .tsne import tsne_embed, conditional_probabilities, kl_divergence
 from .umap import umap_embed, fit_ab, fuzzy_graph, cross_entropy
-from .bootstrap import BootstrapSummary, bootstrap_embeddings, embed_once
+from .bootstrap import embed_once
 
 __all__ = [
     "EmbeddingMatrix",
@@ -24,7 +24,5 @@ __all__ = [
     "fit_ab",
     "fuzzy_graph",
     "cross_entropy",
-    "BootstrapSummary",
-    "bootstrap_embeddings",
     "embed_once",
 ]

@@ -1,36 +1,20 @@
-"""Bootstrap stability of embeddings: per-subject dispersion over resamples.
+"""One dispatcher over the four embedding methods, as the embed stage calls it.
 
-Each of B resamples draws n subjects with replacement, refits the embedding,
-and records every sampled subject's coordinates (first occurrence when drawn
-multiple times). Components are sign-aligned to the full-data fit by
-correlation over the resample's subjects before dispersion is computed; this
-fixes PCA/PLS sign ambiguity, while for t-SNE/UMAP the reported dispersion
-additionally reflects their run-to-run geometry changes.
+`embed_once(x, method, ...)` fits PCA, PLS, t-SNE or UMAP on the rows of `x`
+and returns the `EmbeddingMatrix`; method-specific hyperparameters pass
+through as keyword arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ..errors import ConfigError, DegenerateInputError
+from ..errors import ConfigError
 from .common import EmbeddingMatrix
 from .pca import pca_fit_transform
 from .pls import pls_fit_transform, one_hot
 from .tsne import tsne_embed
 from .umap import umap_embed
-
-
-@dataclass
-class BootstrapSummary:
-    method: str
-    b_resamples: int
-    per_subject_std: np.ndarray  # (n, k)
-    coverage: np.ndarray  # (n,) resamples containing each subject
-    median_dispersion: float
-    degenerate: bool
-    flags: list[str] = field(default_factory=list)
 
 
 def embed_once(x: np.ndarray, method: str, seed: int = 0, labels=None,
@@ -53,70 +37,3 @@ def embed_once(x: np.ndarray, method: str, seed: int = 0, labels=None,
         return umap_embed(x, dims=dims, seed=seed, subject_ids=subject_ids,
                           layer=layer, **hyper)
     raise ConfigError(f"unknown embedding method {method!r}")
-
-
-def bootstrap_embeddings(x: np.ndarray, method: str, b: int = 200, seed: int = 0,
-                         labels=None, dims: int = 3, **hyper) -> BootstrapSummary:
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    if n < 10:
-        raise DegenerateInputError(f"bootstrap needs n >= 10, got {n}")
-    if b < 1:
-        raise ConfigError("bootstrap needs B >= 1")
-    rng = np.random.default_rng(seed)
-    labels = None if labels is None else np.asarray(labels)
-
-    reference = embed_once(
-        x, method, seed=int(rng.integers(2**63)), labels=labels, dims=dims, **hyper
-    ).values
-
-    sums = np.zeros((n, dims))
-    sq_sums = np.zeros((n, dims))
-    coverage = np.zeros(n, dtype=np.int64)
-    for _ in range(b):
-        idx = rng.integers(0, n, size=n)
-        xb = x[idx]
-        lb = None if labels is None else labels[idx]
-        try:
-            emb = embed_once(
-                xb, method, seed=int(rng.integers(2**63)), labels=lb, dims=dims,
-                **hyper
-            ).values
-        except DegenerateInputError:
-            continue
-        # first occurrence of each distinct subject in this resample
-        uniq, first_pos = np.unique(idx, return_index=True)
-        coords = emb[first_pos]
-        # per-component sign alignment to the reference fit
-        for c in range(dims):
-            ref_c = reference[uniq, c]
-            cc = coords[:, c]
-            if ref_c.std() > 0 and cc.std() > 0:
-                if np.corrcoef(ref_c, cc)[0, 1] < 0:
-                    coords[:, c] = -cc
-        sums[uniq] += coords
-        sq_sums[uniq] += coords * coords
-        coverage[uniq] += 1
-
-    flags = []
-    std = np.zeros((n, dims))
-    seen = coverage > 0
-    if seen.any():
-        mean = sums[seen] / coverage[seen, None]
-        var = sq_sums[seen] / coverage[seen, None] - mean * mean
-        std[seen] = np.sqrt(np.maximum(var, 0.0))
-    if b == 1:
-        flags.append("single_resample_dispersion_undefined")
-    if not seen.all():
-        flags.append("subjects_never_resampled")
-    per_subject = std.mean(axis=1)
-    median = float(np.median(per_subject[seen])) if seen.any() else 0.0
-    return BootstrapSummary(
-        method=method,
-        b_resamples=b,
-        per_subject_std=std,
-        coverage=coverage,
-        median_dispersion=median,
-        degenerate=b == 1,
-        flags=flags,
-    )

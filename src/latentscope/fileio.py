@@ -17,7 +17,6 @@ reserved for metadata comments and skipped by the reader.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 import os
@@ -228,11 +227,3 @@ def load_cohort(directory: str) -> Cohort:
     except ValueError as exc:  # a seed or class label that is no int
         raise FormatError(f"malformed manifest {manifest}: {exc!r}") from exc
     return Cohort(subjects=subjects, atlas=atlas, seed=seed)
-
-
-def sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()

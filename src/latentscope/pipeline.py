@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .attribution import attribute_class, build_shap_volume, total_reconstruction_error
-from .autoencoder import (ENCODER_CHANNELS, TrainConfig, encoder_chain_dims,
+from .autoencoder import (ENCODER_CHANNELS, AEParams, TrainConfig,
+                          default_architecture, encoder_chain_dims,
                           extract_activations, load_model, params_hash, save_model,
                           train)
 from .config import PipelineConfig, config_hash, parse_comparison, write_config
@@ -86,10 +87,8 @@ def _stamp_path(out: Path, stage: str) -> Path:
 
 
 def _write_stamp(out: Path, stage: str, config: PipelineConfig) -> None:
-    path = _stamp_path(out, stage)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(f"stage={stage}\nconfig_hash={config_hash(config)}\n",
-                    encoding="utf-8")
+    _stamp_path(out, stage).write_text(
+        f"stage={stage}\nconfig_hash={config_hash(config)}\n", encoding="utf-8")
 
 
 def _read_stamp_hash(out: Path, stage: str) -> str | None:
@@ -121,52 +120,71 @@ def require_stages(out: Path, stage: str, config: PipelineConfig,
                 "use the stale artifacts anyway)")
 
 
+@contextmanager
+def _stage(name: str, config: PipelineConfig, out_dir, force: bool):
+    """The contract every stage runs under: a valid config, the run
+    directory's lock, every predecessor stamped under this config (or
+    `force`), and `<name>/stage.stamp` written only once the body returns.
+    An exception leaves no new stamp and releases the lock. Yields the run
+    directory and the stage directory."""
+    config.validate()
+    with pipeline_lock(out_dir) as out:
+        require_stages(out, name, config, force)
+        stage = out / name
+        stage.mkdir(parents=True, exist_ok=True)
+        yield out, stage
+        _write_stamp(out, name, config)
+
+
 def _hash_comment(config: PipelineConfig) -> list[str]:
     return [f"config_hash={config_hash(config)}"]
 
 
-def _comparison_classes(config: PipelineConfig) -> dict[str, tuple[int, int]]:
-    return {name: parse_comparison(name) for name in config.comparisons}
-
-
-def _comparison_subset(cohort: Cohort, name: str, pair, seed: int) -> Cohort:
-    return balanced_subset(cohort, list(pair), seed=derive_seed(seed, "subset", name))
+def _comparisons(config: PipelineConfig, cohort: Cohort):
+    """(name, class pair, balanced subset) of each configured comparison."""
+    for name in config.comparisons:
+        pair = parse_comparison(name)
+        yield name, pair, balanced_subset(
+            cohort, list(pair), seed=derive_seed(config.seed, "subset", name))
 
 
 # ---------------------------------------------------------------------------
 # stages
 
-def run_generate(config: PipelineConfig, out_dir) -> Path:
+def run_generate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
     from .phantom import generate_phantom_cohort
 
-    config.validate()
-    with pipeline_lock(out_dir) as out:
+    with _stage("generate", config, out_dir, force) as (out, stage):
         phantom = replace(config.phantom, seed=derive_seed(config.seed, "phantom"))
         cohort = generate_phantom_cohort(phantom)
-        stage = out / "generate"
-        stage.mkdir(parents=True, exist_ok=True)
         save_cohort(str(stage / "cohort"), cohort)
         write_csv(str(stage / "classes.csv"), ["class", "count"],
                   [{"class": CLASS_NAMES[k], "count": v}
                    for k, v in sorted(cohort.class_counts().items())],
                   comments=_hash_comment(config))
-        _write_stamp(out, "generate", config)
         write_config(config, out / "config.txt")
-    return out / "generate"
+    return stage
 
 
 def _load_cohort(out: Path) -> Cohort:
     return load_cohort(str(out / "generate" / "cohort"))
 
 
+def _load_model(out: Path, name: str) -> AEParams:
+    """The train stage's model of comparison `name`, which must have the
+    architecture `train` builds."""
+    path = out / "train" / name / "model.lsae"
+    model = load_model(str(path))
+    if model.layers != default_architecture():
+        raise FormatError(f"{path}: layer table is not the trained "
+                          "autoencoder architecture")
+    return model
+
+
 def run_train(config: PipelineConfig, out_dir, force: bool = False) -> Path:
-    config.validate()
-    with pipeline_lock(out_dir) as out:
-        require_stages(out, "train", config, force)
+    with _stage("train", config, out_dir, force) as (out, stage):
         cohort = _load_cohort(out)
-        stage = out / "train"
-        for name, pair in _comparison_classes(config).items():
-            subset = _comparison_subset(cohort, name, pair, config.seed)
+        for name, _, subset in _comparisons(config, cohort):
             tc: TrainConfig = replace(
                 config.train, seed=derive_seed(config.seed, "train", name))
             model, report = train(subset, tc)
@@ -181,8 +199,7 @@ def run_train(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                           f"stopped_epoch={report.stopped_epoch}",
                           f"params_sha256={report.params_sha256}",
                       ])
-        _write_stamp(out, "train", config)
-    return out / "train"
+    return stage
 
 
 # KL(P||Q) at every 50th t-SNE iteration, the interval of sklearn's
@@ -206,11 +223,8 @@ def _scalar_metadata(metadata: dict) -> list[str]:
 
 
 def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
-    config.validate()
-    with pipeline_lock(out_dir) as out:
-        require_stages(out, "embed", config, force)
+    with _stage("embed", config, out_dir, force) as (out, stage):
         cohort = _load_cohort(out)
-        stage = out / "embed"
         hyper = {
             "tsne": {"perplexity": config.embed.perplexity,
                      "iters": config.embed.tsne_iters,
@@ -219,9 +233,8 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                      "min_dist": config.embed.min_dist,
                      "epochs": config.embed.umap_epochs},
         }
-        for name, pair in _comparison_classes(config).items():
-            subset = _comparison_subset(cohort, name, pair, config.seed)
-            model = load_model(str(out / "train" / name / "model.lsae"))
+        for name, _, subset in _comparisons(config, cohort):
+            model = _load_model(out, name)
             acts = extract_activations(model, subset,
                                        batch_size=config.train.batch_size)
             labels = subset.class_labels
@@ -247,8 +260,7 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                     meta = _scalar_metadata(emb.metadata)
                     base.with_suffix(".meta").write_text(
                         "\n".join(meta) + "\n", encoding="utf-8")
-        _write_stamp(out, "embed", config)
-    return out / "embed"
+    return stage
 
 
 def _load_embedding(path: Path, method: str, layer: str,
@@ -274,8 +286,8 @@ def _load_all_embeddings(out: Path, config: PipelineConfig, cohort: Cohort) -> d
     """Every embedding of the embed stage; each must list its comparison's
     balanced subset, in order."""
     embeddings = {}
-    for name, pair in _comparison_classes(config).items():
-        ids = _comparison_subset(cohort, name, pair, config.seed).subject_ids
+    for name, _, subset in _comparisons(config, cohort):
+        ids = subset.subject_ids
         for method in config.embed.methods:
             for layer in config.embed.layers:
                 path = out / "embed" / name / f"{method}_{layer}.csv"
@@ -300,17 +312,13 @@ def _correlation_rows(table, rows):
 
 
 def run_correlate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
-    config.validate()
-    with pipeline_lock(out_dir) as out:
-        require_stages(out, "correlate", config, force)
+    with _stage("correlate", config, out_dir, force) as (out, stage):
         cohort = _load_cohort(out)
         embeddings = _load_all_embeddings(out, config, cohort)
-        stage = out / "correlate"
         overlap_method = "tsne" if "tsne" in config.embed.methods else config.embed.methods[0]
         overlap_layer = config.embed.layers[-1]
         per_comparison_top = {}
-        for name, pair in _comparison_classes(config).items():
-            subset = _comparison_subset(cohort, name, pair, config.seed)
+        for name, _, subset in _comparisons(config, cohort):
             profiles = build_region_profiles(subset)
             labels = subset.class_labels
             comp_dir = stage / name
@@ -354,8 +362,7 @@ def run_correlate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
         write_csv(str(stage / "overlap.csv"), _OVERLAP_COLUMNS, overlap_rows,
                   comments=_hash_comment(config) + [
                       f"method={overlap_method}", f"layer={overlap_layer}"])
-        _write_stamp(out, "correlate", config)
-    return out / "correlate"
+    return stage
 
 
 def _load_latent(path: Path, model, subset: Cohort) -> np.ndarray:
@@ -373,14 +380,10 @@ def _load_latent(path: Path, model, subset: Cohort) -> np.ndarray:
 
 
 def run_shap(config: PipelineConfig, out_dir, force: bool = False) -> Path:
-    config.validate()
-    with pipeline_lock(out_dir) as out:
-        require_stages(out, "shap", config, force)
+    with _stage("shap", config, out_dir, force) as (out, stage):
         cohort = _load_cohort(out)
-        stage = out / "shap"
-        for name, pair in _comparison_classes(config).items():
-            subset = _comparison_subset(cohort, name, pair, config.seed)
-            model = load_model(str(out / "train" / name / "model.lsae"))
+        for name, pair, subset in _comparisons(config, cohort):
+            model = _load_model(out, name)
             latent = _load_latent(out / "embed" / name / "latent.lat", model, subset)
             errors = total_reconstruction_error(subset, model,
                                                 chunk=config.train.batch_size,
@@ -422,8 +425,7 @@ def run_shap(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                       importance_rows, comments=comments)
             write_csv(str(comp_dir / "diagnostics.csv"), _DIAGNOSTIC_COLUMNS,
                       diagnostic_rows, comments=comments)
-        _write_stamp(out, "shap", config)
-    return out / "shap"
+    return stage
 
 
 def _grid_rows(grid: LRCPGrid):
@@ -441,9 +443,7 @@ def _summary_rows(grid: LRCPGrid):
 
 
 def run_lrcp(config: PipelineConfig, out_dir, force: bool = False) -> Path:
-    config.validate()
-    with pipeline_lock(out_dir) as out:
-        require_stages(out, "lrcp", config, force)
+    with _stage("lrcp", config, out_dir, force) as (out, stage):
         cohort = _load_cohort(out)
         embeddings = _load_all_embeddings(out, config, cohort)
         profiles = build_region_profiles(cohort)
@@ -453,7 +453,6 @@ def run_lrcp(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                          bound=config.bound,
                          seed=derive_seed(config.seed, "lrcp"),
                          quadratic=config.quadratic)
-        stage = out / "lrcp"
         maps_dir = stage / "maps"
         maps_dir.mkdir(parents=True, exist_ok=True)
         comments = _hash_comment(config)
@@ -469,16 +468,11 @@ def run_lrcp(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                                            cohort.atlas)
                         save_volume(vol, str(
                             maps_dir / f"{name}_{method}_{layer}_D{component}.vol"))
-        _write_stamp(out, "lrcp", config)
-    return out / "lrcp"
+    return stage
 
 
 def run_report(config: PipelineConfig, out_dir, force: bool = False) -> Path:
-    config.validate()
-    with pipeline_lock(out_dir) as out:
-        require_stages(out, "report", config, force)
-        stage = out / "report"
-        stage.mkdir(parents=True, exist_ok=True)
+    with _stage("report", config, out_dir, force) as (out, stage):
         comments = _hash_comment(config)
 
         summary_rows = read_table(str(out / "lrcp" / "summary.csv"),
@@ -512,8 +506,7 @@ def run_report(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                       for dep in STAGES if _read_stamp_hash(out, dep) is not None]
         write_csv(str(stage / "provenance.csv"), ["stage", "config_hash"],
                   stamp_rows, comments=comments)
-        _write_stamp(out, "report", config)
-    return out / "report"
+    return stage
 
 
 STAGE_RUNNERS = {
@@ -528,7 +521,6 @@ STAGE_RUNNERS = {
 
 
 def run_all(config: PipelineConfig, out_dir, force: bool = False) -> Path:
-    run_generate(config, out_dir)
-    for stage in STAGES[1:]:
+    for stage in STAGES:
         STAGE_RUNNERS[stage](config, out_dir, force=force)
     return Path(out_dir)

@@ -1,15 +1,10 @@
-"""Bootstrap stability tests and the embed_once dispatcher."""
+"""The embed_once dispatcher over the four embedding methods."""
 
 import numpy as np
 import pytest
 
-from latentscope.embedding.bootstrap import (
-    bootstrap_embeddings,
-    embed_once,
-)
-from latentscope.errors import ConfigError, DegenerateInputError
-
-from conftest import two_clusters
+from latentscope.embedding.bootstrap import embed_once
+from latentscope.errors import ConfigError
 
 
 class TestEmbedOnce:
@@ -46,71 +41,3 @@ class TestEmbedOnce:
         assert emb.layer == "L1"
         assert emb.subject_ids == ids
 
-
-class TestBootstrap:
-    def test_summary_shape_and_coverage(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(20, 5))
-        summary = bootstrap_embeddings(x, "pca", b=30, seed=0)
-        assert summary.per_subject_std.shape == (20, 3)
-        assert summary.coverage.shape == (20,)
-        assert summary.coverage.sum() > 0
-        assert summary.b_resamples == 30
-        assert summary.degenerate is False
-        # with 30 resamples of 20 draws each subject is seen ~19 times
-        assert summary.coverage.max() <= 30
-
-    def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(15, 4))
-        a = bootstrap_embeddings(x, "pca", b=20, seed=7)
-        b = bootstrap_embeddings(x, "pca", b=20, seed=7)
-        np.testing.assert_array_equal(a.per_subject_std, b.per_subject_std)
-        np.testing.assert_array_equal(a.coverage, b.coverage)
-        assert a.median_dispersion == b.median_dispersion
-
-    def test_linear_method_is_stable_on_strong_structure(self):
-        # PCA axes on a 10-sigma two-cluster set barely move under
-        # resampling, so per-subject dispersion stays far below the gap
-        values = two_clusters(seed=0)
-        summary = bootstrap_embeddings(values, "pca", b=50, seed=1)
-        assert summary.median_dispersion < 1.0  # cluster gap is 10
-
-    def test_single_resample_flagged_degenerate(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(12, 4))
-        summary = bootstrap_embeddings(x, "pca", b=1, seed=2)
-        assert summary.degenerate is True
-        assert "single_resample_dispersion_undefined" in summary.flags
-        # one observation per subject: dispersion must be reported as zero
-        np.testing.assert_array_equal(
-            summary.per_subject_std[summary.coverage > 0], 0.0)
-
-    def test_small_n_raises(self):
-        with pytest.raises(DegenerateInputError):
-            bootstrap_embeddings(np.zeros((9, 3)), "pca", b=5)
-
-    def test_bad_b_raises(self):
-        with pytest.raises(ConfigError):
-            bootstrap_embeddings(np.zeros((12, 3)), "pca", b=0)
-
-    def test_pls_bootstrap_passes_labels(self):
-        values = two_clusters(seed=1)
-        labels = np.array([0] * 10 + [1] * 10)
-        summary = bootstrap_embeddings(values, "pls", b=15, seed=3, labels=labels)
-        assert summary.method == "pls"
-        assert np.isfinite(summary.median_dispersion)
-
-    def test_relative_dispersion_tracks_instability(self):
-        # pure noise has no stable axes while a 10-sigma clustering pins the
-        # first axis; compare dispersion relative to each embedding's spread
-        rng = np.random.default_rng(6)
-        noise = rng.normal(size=(20, 5))
-        clustered = two_clusters(seed=2)
-        s_noise = bootstrap_embeddings(noise, "pca", b=40, seed=4)
-        s_clust = bootstrap_embeddings(clustered, "pca", b=40, seed=4)
-        spread_noise = embed_once(noise, "pca").values.std()
-        spread_clust = embed_once(clustered, "pca").values.std()
-        rel_noise = s_noise.median_dispersion / spread_noise
-        rel_clust = s_clust.median_dispersion / spread_clust
-        assert rel_clust < rel_noise

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentscope.autoencoder import TrainConfig
+from latentscope.autoencoder import LAYER_KEYS, TrainConfig
 from latentscope.config import (
     EMBED_METHODS,
     EmbedConfig,
@@ -112,6 +112,15 @@ class TestRoundTrip:
         with pytest.raises(ConfigError):
             parse_config_text("phantom.effects=5:AD\n")
 
+    @pytest.mark.parametrize("layer", ["L4", "L12", "L0", "l3"])
+    def test_layer_outside_encoder_rejected(self, layer):
+        # the encoder has three layers; a name outside them would fail only
+        # later, inside the embed stage
+        with pytest.raises(ConfigError, match=f"unknown layer '{layer}'"):
+            parse_config_text(f"embed.layers={layer}\n")
+        with pytest.raises(ConfigError, match="unknown layer"):
+            EmbedConfig(layers=("L3", layer)).validate()
+
     def test_comparison_against_absent_class(self):
         with pytest.raises(ConfigError, match="absent"):
             parse_config_text(
@@ -208,7 +217,7 @@ def valid_configs(draw):
     embed = EmbedConfig(
         methods=tuple(draw(st.lists(st.sampled_from(EMBED_METHODS), min_size=1,
                                     max_size=4))),
-        layers=tuple(draw(st.lists(st.sampled_from(["L1", "L2", "L3", "L12"]),
+        layers=tuple(draw(st.lists(st.sampled_from(LAYER_KEYS),
                                    min_size=1, max_size=3))),
         components=draw(st.integers(1, 10)), perplexity=draw(_any_float),
         tsne_iters=draw(st.integers(0, 5000)),

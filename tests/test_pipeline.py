@@ -14,7 +14,7 @@ from latentscope.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_NUMERIC,
                              EXIT_OK, build_parser, main)
 from latentscope.config import (EmbedConfig, PipelineConfig, canonical_lines,
                                 config_hash, write_config)
-from latentscope.errors import DependencyError
+from latentscope.errors import DependencyError, NumericError
 from latentscope.phantom import PhantomConfig
 from latentscope.pipeline import (STAGE_DEPS, STAGES, pipeline_lock,
                                   run_all, run_correlate, run_embed,
@@ -330,8 +330,9 @@ class TestCLI:
         cfg_file = tmp_path / "study.cfg"
         write_config(tiny_config(str(tmp_path)), str(cfg_file))
         out = tmp_path / "fromcli"
+        # generate has no predecessors, so forcing it changes nothing
         code = main(["generate", "--config", str(cfg_file),
-                     "--out", str(out), "--seed", "9"])
+                     "--out", str(out), "--seed", "9", "--stage-force"])
         assert code == EXIT_OK
         assert "generate complete" in capsys.readouterr().out
         assert (out / "generate" / "cohort" / "manifest.csv").exists()
@@ -578,6 +579,34 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "config error" in err and "shap.max_depth" in err
 
+    @pytest.mark.parametrize("stage", ["embed", "shap"])
+    def test_model_of_other_architecture_exits_3(self, tiny_run, tmp_path,
+                                                 capsys, stage):
+        # a well-formed model file, but not the autoencoder train builds
+        from latentscope.autoencoder import LayerSpec, init_params, save_model
+
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        path = copy / "train" / "NOR_AD" / "model.lsae"
+        save_model(init_params(seed=1, layers=[
+            LayerSpec("conv3d", 1, 4, "relu", True),
+            LayerSpec("conv_transpose3d", 4, 1, "sigmoid", False)]), str(path))
+        assert main([stage] + base) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "model.lsae" in err
+        assert "architecture" in err and "Traceback" not in err
+
+    def test_layer_outside_encoder_exits_2(self, tiny_run, tmp_path, capsys):
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        cfg_file = Path(base[1])
+        text = cfg_file.read_text()
+        assert "embed.layers=L3\n" in text
+        cfg_file.write_text(text.replace("embed.layers=L3\n", "embed.layers=L4\n"))
+        # forced past the stale stamps, so only the layer name can stop it
+        assert main(["embed"] + base + ["--stage-force"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "'L4'" in err
+        assert "Traceback" not in err
+
     def test_embed_model_arrays_off_spec_exits_3(self, tiny_run, tmp_path,
                                                  capsys):
         from latentscope.autoencoder import load_model, save_model
@@ -605,3 +634,34 @@ class TestCLI:
         assert main(["embed"] + base) == EXIT_OK
         assert main(["shap"] + base) == EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_failing_stage_body_leaves_no_stamp_and_no_lock(tiny_run, tmp_path,
+                                                        capsys, monkeypatch,
+                                                        stage):
+    """Every stage runs under one contract: an error raised inside its body
+    maps to its exit code, writes no stamp for the stage and frees the lock."""
+    cfg, out = tiny_run
+    run = tmp_path / "run"
+    if stage == "generate":
+        run.mkdir()
+    else:
+        shutil.copytree(out, run)
+        shutil.rmtree(run / stage)  # the stage has not run here yet
+    cfg_file = tmp_path / "study.cfg"
+    write_config(cfg, str(cfg_file))
+    calls = []
+
+    def failing_write_csv(path, *args, **kwargs):
+        calls.append(path)
+        raise NumericError("injected failure")
+
+    # every stage writes at least one CSV, after its predecessors are checked
+    monkeypatch.setattr("latentscope.pipeline.write_csv", failing_write_csv)
+    code = main([stage, "--config", str(cfg_file), "--out", str(run)])
+    assert calls, "the stage body never ran"
+    assert code == EXIT_NUMERIC
+    assert "injected failure" in capsys.readouterr().err
+    assert not (run / stage / "stage.stamp").exists()
+    assert not (run / "lock").exists()
