@@ -10,6 +10,14 @@ the extra edge position), so any input with all axes >= 8 round-trips.
 
 Everything runs in float64; training is bitwise deterministic for a fixed
 seed (init draws, then per-epoch shuffles, from one PRNG).
+
+Memory: a training step keeps, per layer, only what its backward pass reads:
+the layer input (the previous layer's output, so no copy), the batch-norm
+cache (xhat, 1/std, gamma) and either the relu mask z > 0 (bool, one byte a
+value; relu then runs in place on z) or the sigmoid output. backward drops
+each layer's cache as soon as that layer's gradients are done. Volumes are
+converted to float64 one batch at a time (float32 -> float64 is exact), so
+the cohort is never held in float64 as a whole.
 """
 
 from __future__ import annotations
@@ -143,24 +151,34 @@ def _decoder_output_paddings(chain):
     return pads
 
 
-def _layer_forward(spec: LayerSpec, p: LayerParams, h: np.ndarray, mode: str, out_pad):
+def _layer_forward(spec: LayerSpec, p: LayerParams, h: np.ndarray, mode: str, out_pad,
+                   want_cache: bool = False):
     """One layer: conv (or transposed conv with output padding `out_pad`),
     activation, then batch norm if the layer has it.
 
-    Returns (output, z, a, bn_cache, running): z is the conv output, a the
-    activation, running the updated (mean, var) pair or None.
+    Returns (output, cache, running): running is the updated (mean, var)
+    pair or None; cache is None unless want_cache, else what backward reads
+    for this layer (see forward).
     """
     if spec.kind == "conv3d":
         z = nn.conv3d_forward(h, p.w, p.b)
     else:
         z = nn.conv_transpose3d_forward(h, p.w, p.b, out_pad)
-    a = nn.relu_forward(z) if spec.activation == "relu" else nn.sigmoid_forward(z)
-    if not spec.batch_norm:
-        return a, z, a, None, None
-    y, bn_cache, rm, rv = nn.batchnorm_forward(
-        a, p.gamma, p.beta, p.running_mean, p.running_var, mode
-    )
-    return y, z, a, bn_cache, (rm, rv)
+    if spec.activation == "relu":
+        act = z > 0.0 if want_cache else None
+        a = nn.relu_forward(z, out=z)  # in place: z itself is not kept
+    else:
+        a = act = nn.sigmoid_forward(z)
+    y, bn_cache, running = a, None, None
+    if spec.batch_norm:
+        y, bn_cache, rm, rv = nn.batchnorm_forward(
+            a, p.gamma, p.beta, p.running_mean, p.running_var, mode
+        )
+        running = (rm, rv)
+    cache = None
+    if want_cache:
+        cache = {"input": h, "act": act, "bn": bn_cache, "out_pad": out_pad}
+    return y, cache, running
 
 
 def _input_chain(model: AEParams, x: np.ndarray):
@@ -177,8 +195,13 @@ def forward(model: AEParams, x: np.ndarray, mode: str = "eval", want_cache: bool
 
     Returns (reconstruction, encoder_activations, cache). Activations are the
     post-norm outputs of the three encoder layers. cache is None unless
-    want_cache; it carries per-layer intermediates plus the updated running
-    statistics (the caller decides whether to apply them).
+    want_cache; then cache["layers"] holds, per layer, only what backward
+    reads: "input" (the layer's input array itself, not a copy), "act" (the
+    bool relu mask z > 0, or the sigmoid output), "bn" (batch norm's
+    (xhat, 1/std, gamma) or None) and "out_pad"; cache["running"] holds the
+    updated running statistics (the caller decides whether to apply them).
+    The conv output z and the activation are not kept. backward consumes
+    cache["layers"].
     """
     chain = _input_chain(model, x)
     n_enc = len(chain) - 1
@@ -189,12 +212,10 @@ def forward(model: AEParams, x: np.ndarray, mode: str = "eval", want_cache: bool
     h = x
     for i, spec in enumerate(model.layers):
         op = None if spec.kind == "conv3d" else out_pads[i - n_enc]
-        y, z, a, bn_cache, running = _layer_forward(spec, model.params[i], h, mode, op)
+        y, layer_cache, running = _layer_forward(spec, model.params[i], h, mode, op,
+                                                 want_cache)
         new_running.append(running)
-        if want_cache:
-            layer_caches.append(
-                {"input": h, "z": z, "a": a, "bn": bn_cache, "out_pad": op}
-            )
+        layer_caches.append(layer_cache)
         if spec.kind == "conv3d":
             acts.append(y)
         h = y
@@ -256,24 +277,31 @@ def _loss_impl(recon, target, kind, alpha, window, want_grad):
 def backward(model: AEParams, cache, dloss_drecon: np.ndarray):
     """Reverse-mode gradients for every trainable parameter.
 
-    cache comes from forward(want_cache=True). Returns grads as a dict keyed
-    (layer_index, name) matching trainable_items order.
+    cache comes from forward(want_cache=True) and is consumed: each layer's
+    entry is popped from cache["layers"] once its gradients are done, so its
+    arrays can be freed before the next layer's backward, and cache["layers"]
+    is empty on return. Returns grads as a dict keyed (layer_index, name)
+    matching trainable_items order.
     """
+    layer_caches = cache["layers"]
+    if len(layer_caches) != len(model.layers):
+        raise ShapeError(f"cache holds {len(layer_caches)} of {len(model.layers)} layers; "
+                         "backward consumes the cache of one forward pass")
     grads: dict[tuple[int, str], np.ndarray] = {}
     mode = cache["mode"]
     g = dloss_drecon
     for i in range(len(model.layers) - 1, -1, -1):
         spec = model.layers[i]
         p = model.params[i]
-        lc = cache["layers"][i]
+        lc = layer_caches.pop()
         if spec.batch_norm:
             g, dgamma, dbeta = nn.batchnorm_backward(g, lc["bn"], mode)
             grads[(i, "gamma")] = dgamma
             grads[(i, "beta")] = dbeta
         if spec.activation == "relu":
-            g = nn.relu_backward(g, lc["z"])
+            g = nn.relu_backward(g, lc["act"])
         else:
-            g = nn.sigmoid_backward(g, lc["a"])
+            g = nn.sigmoid_backward(g, lc["act"])
         if spec.kind == "conv3d":
             g, dw, db = nn.conv3d_backward(g, lc["input"], p.w, input_grad=i > 0)
         else:
@@ -289,6 +317,7 @@ def loss_and_gradients(model: AEParams, batch: np.ndarray, target: np.ndarray,
     """One forward+backward pass; returns (loss, grads, new_running_stats)."""
     recon, _, cache = forward(model, batch, mode=mode, want_cache=True)
     value, drecon = loss_and_grad(recon, target, kind, alpha, window)
+    del recon, _  # the caches hold what backward needs
     grads = backward(model, cache, drecon)
     return value, grads, cache["running"]
 
@@ -346,22 +375,30 @@ def early_stop_epoch(losses: list[float], patience: int) -> int | None:
     return None
 
 
-def _as_batch_array(cohort) -> np.ndarray:
+def _volumes(cohort) -> list[np.ndarray]:
+    """The cohort's volumes in order, as stored (not converted or copied)."""
     if isinstance(cohort, Cohort):
         vols = [s.volume.voxels for s in cohort.subjects]
     else:
-        vols = list(cohort)
+        vols = [np.asarray(v) for v in cohort]
     if not vols:
         raise ConfigError("empty training cohort")
-    x = np.stack([np.asarray(v, dtype=np.float64) for v in vols])
-    return x[:, None, :, :, :]
+    shapes = {v.shape for v in vols}
+    if len(shapes) > 1:
+        raise ShapeError(f"volumes differ in shape: {sorted(shapes)}")
+    return vols
+
+
+def _as_batch_array(vols) -> np.ndarray:
+    """Volumes as one float64 (n, 1, X, Y, Z) batch; each converts exactly."""
+    return np.stack([np.asarray(v, dtype=np.float64) for v in vols])[:, None]
 
 
 def train(cohort, config: TrainConfig) -> tuple[AEParams, TrainReport]:
     """Adam mini-batch training with early stopping; target = input."""
     config.validate()
-    x = _as_batch_array(cohort)
-    n = x.shape[0]
+    vols = _volumes(cohort)
+    n = len(vols)
     rng = np.random.default_rng(config.seed)
     model = init_params(seed=int(rng.integers(0, 2**63 - 1)))
 
@@ -375,7 +412,7 @@ def train(cohort, config: TrainConfig) -> tuple[AEParams, TrainReport]:
         batch_losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            batch = x[idx]
+            batch = _as_batch_array([vols[i] for i in idx])
             value, grads, running = loss_and_gradients(
                 model, batch, batch, config.loss_kind, config.alpha,
                 config.ssim_window, mode="train",
@@ -451,23 +488,25 @@ class ActivationSet:
 def extract_activations(model: AEParams, cohort, subject_ids=None,
                         batch_size: int = 8) -> ActivationSet:
     """Eval-mode encoder activations, flattened, subject order preserved;
-    only the encoder layers run."""
-    x = _as_batch_array(cohort)
+    only the encoder layers run, one batch at a time, each batch written
+    into its rows of the preallocated (n, features) matrices."""
+    vols = _volumes(cohort)
+    n = len(vols)
     if isinstance(cohort, Cohort):
         subject_ids = cohort.subject_ids
     elif subject_ids is None:
-        subject_ids = [f"S{i:04d}" for i in range(x.shape[0])]
-    n_enc = len(_input_chain(model, x)) - 1
-    keys = [f"L{j + 1}" for j in range(n_enc)]
-    chunks: list[list[np.ndarray]] = [[] for _ in range(n_enc)]
+        subject_ids = [f"S{i:04d}" for i in range(n)]
+    layers: dict[str, np.ndarray] = {}
     shapes = {}
-    for start in range(0, x.shape[0], batch_size):
-        h = x[start : start + batch_size]
-        for j in range(n_enc):  # the encoder layers come first
+    for start in range(0, n, batch_size):
+        h = _as_batch_array(vols[start : start + batch_size])
+        for j in range(len(_input_chain(model, h)) - 1):  # the encoder layers come first
             h = _layer_forward(model.layers[j], model.params[j], h, "eval", None)[0]
-            shapes[keys[j]] = tuple(h.shape[1:])
-            chunks[j].append(h.reshape(h.shape[0], -1))
-    layers = {keys[j]: np.vstack(chunks[j]) for j in range(n_enc)}
+            key = f"L{j + 1}"
+            if key not in layers:
+                shapes[key] = tuple(h.shape[1:])
+                layers[key] = np.empty((n, h[0].size), dtype=h.dtype)
+            layers[key][start : start + len(h)] = h.reshape(len(h), -1)
     return ActivationSet(subject_ids=list(subject_ids), layers=layers, shapes=shapes)
 
 

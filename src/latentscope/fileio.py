@@ -224,6 +224,6 @@ def load_cohort(directory: str) -> Cohort:
             subjects.append(
                 Subject(id=row["id"], class_label=int(row["class_label"]), volume=vol)
             )
-    except ValueError as exc:  # a seed or class label that is no int
+        return Cohort(subjects=subjects, atlas=atlas, seed=seed)
+    except ValueError as exc:  # a seed or class label that is no int, a repeated id
         raise FormatError(f"malformed manifest {manifest}: {exc!r}") from exc
-    return Cohort(subjects=subjects, atlas=atlas, seed=seed)

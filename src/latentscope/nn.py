@@ -298,12 +298,15 @@ def conv_transpose3d_backward(
     return _gather(gpad, w, dims, False), _weight_grad(x, gpad), g.sum(axis=(0, 2, 3, 4))
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0), into `out` if given (out=x runs it in place)."""
+    return np.maximum(x, 0.0, out=out)
 
 
-def relu_backward(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return g * (x > 0.0)
+def relu_backward(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """g where the relu was active: `mask` is the bool array x > 0.0 of the
+    relu's input x (what forward keeps instead of x itself)."""
+    return g * mask
 
 
 def sigmoid_forward(x: np.ndarray) -> np.ndarray:

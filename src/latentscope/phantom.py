@@ -20,6 +20,9 @@ from scipy.ndimage import gaussian_filter
 from .data import AtlasMap, Cohort, Subject, VALID_CLASS_LABELS, Volume
 from .errors import ConfigError
 
+# voxels voronoi_atlas labels per step: 3 MB of distances at 32 regions
+_ATLAS_BLOCK = 4096
+
 
 @dataclass
 class PhantomConfig:
@@ -72,20 +75,23 @@ def voronoi_atlas(dims: tuple[int, int, int], region_count: int, rng) -> AtlasMa
     """Voronoi cells of region_count distinct seeded voxel centroids.
 
     Cells of point sites are convex, hence contiguous on the grid, and each
-    contains at least its own centroid voxel.
+    contains at least its own centroid voxel. Voxels are labelled
+    _ATLAS_BLOCK at a time (in C order), so the distance temporaries stay
+    (block x regions x 3) whatever the grid size; each voxel's distances
+    are those of the one-shot (voxels x regions x 3) formula.
     """
     n_voxels = int(np.prod(dims))
     flat = rng.choice(n_voxels, size=region_count, replace=False)
     centroids = np.stack(np.unravel_index(flat, dims), axis=1).astype(np.float64)
-    grid = np.stack(
-        np.meshgrid(*[np.arange(d, dtype=np.float64) for d in dims], indexing="ij"),
-        axis=-1,
-    ).reshape(-1, 3)
-    # squared Euclidean distance to every centroid; nearest wins, ties to the
-    # lowest centroid index (argmin convention) for determinism
-    d2 = ((grid[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = (np.argmin(d2, axis=1) + 1).astype(np.uint32).reshape(dims)
-    return AtlasMap(labels=labels, region_count=region_count)
+    labels = np.empty(n_voxels, dtype=np.uint32)
+    for start in range(0, n_voxels, _ATLAS_BLOCK):
+        voxel = np.arange(start, min(start + _ATLAS_BLOCK, n_voxels))
+        grid = np.stack(np.unravel_index(voxel, dims), axis=1).astype(np.float64)
+        # squared Euclidean distance to every centroid; nearest wins, ties to
+        # the lowest centroid index (argmin convention) for determinism
+        d2 = ((grid[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels[start : start + len(voxel)] = np.argmin(d2, axis=1) + 1
+    return AtlasMap(labels=labels.reshape(dims), region_count=region_count)
 
 
 def _smooth(a: np.ndarray, sigma: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Autoencoder tests: shape chains, losses, training loop, persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,58 @@ def test_backward_skips_only_the_first_layer_input_gradient(monkeypatch):
     assert grads[(0, "w")].shape == model.params[0].w.shape
 
 
+class TestStepMemory:
+    """What one training step keeps; numpy reports its buffers to
+    tracemalloc."""
+
+    @staticmethod
+    def _step_inputs():
+        model = ae.init_params(seed=2)
+        x = np.random.default_rng(2).uniform(size=(2, 1, 16, 16, 16))
+        return model, x
+
+    def test_step_peak_is_pinned(self):
+        model, x = self._step_inputs()
+        ae.loss_and_gradients(model, x, x, "combined")  # one-off allocations
+        tracemalloc.start()
+        try:
+            ae.loss_and_gradients(model, x, x, "combined")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2.0 MiB; a cache that also kept every layer's conv output and
+        # activation to the end of backward peaked at 3.2 MiB
+        assert peak < 2.5 * 2**20
+
+    def test_cache_keeps_masks_not_activations(self):
+        model, x = self._step_inputs()
+        recon, acts, cache = ae.forward(model, x, "train", want_cache=True)
+        layers = cache["layers"]
+        # each layer's input is the previous layer's output itself
+        for lc, want in zip(layers, [x] + acts):
+            assert lc["input"] is want
+        for spec, lc in zip(model.layers, layers):
+            assert set(lc) == {"input", "act", "bn", "out_pad"}
+            if spec.activation == "relu":
+                assert lc["act"].dtype == np.bool_
+                xhat = lc["bn"][0]
+                assert xhat.shape == lc["act"].shape
+                # the only layer-sized float array besides the input
+                assert sum(a.size == xhat.size for a in lc["bn"]) == 1
+            else:
+                assert lc["act"] is recon and lc["bn"] is None
+
+    def test_backward_consumes_the_cache(self):
+        model, x = self._step_inputs()
+        recon, _, cache = ae.forward(model, x, "train", want_cache=True)
+        _, drecon = ae.loss_and_grad(recon, x, "mse")
+        grads = ae.backward(model, cache, drecon)
+        assert cache["layers"] == []
+        assert set(grads) == {(i, name) for i, name, _ in model.trainable_items()}
+        with pytest.raises(ShapeError, match="consumes"):
+            ae.backward(model, cache, drecon)
+
+
 class TestEarlyStop:
     def test_strictly_improving_never_stops(self):
         assert ae.early_stop_epoch([5, 4, 3, 2, 1], patience=2) is None
@@ -244,6 +298,23 @@ class TestTraining:
         if stop is not None:
             assert report.stopped_epoch == stop
 
+    def test_float32_ragged_batches_params_pinned(self):
+        """Volumes go to float64 one batch at a time; the hash is the one
+        recorded when the whole cohort was stacked in float64 first (7
+        float32 volumes at batch 3, so the last batch is short)."""
+        rng = np.random.default_rng(8)
+        vols = [rng.uniform(size=(8, 9, 8)).astype(np.float32) for _ in range(7)]
+        _, report = ae.train(vols, ae.TrainConfig(
+            loss_kind="combined", max_epochs=2, patience=2, batch_size=3,
+            seed=8, lr=0.01))
+        assert report.params_sha256 == (
+            "6c97261d9645e08c23cae5db5d627a240409440337bbb179723a3ca9e3842bd0")
+
+    def test_volumes_of_two_shapes_raise(self):
+        vols = [np.zeros((8, 8, 8)), np.zeros((8, 8, 9))]
+        with pytest.raises(ShapeError):
+            ae.train(vols, ae.TrainConfig(batch_size=1))
+
     def test_empty_cohort_raises(self):
         cfg = ae.TrainConfig()
         with pytest.raises(ConfigError):
@@ -299,6 +370,22 @@ class TestActivations:
             want = acts[j].reshape(len(x), -1)
             assert got.layers[key].shape == want.shape
             assert np.array_equal(got.layers[key], want)
+
+    def test_batchwise_float32_matches_stacked_chunks(self):
+        """5 float32 volumes at batch 2: bitwise the matrices of the whole
+        cohort stacked in float64, run chunk by chunk and vstacked."""
+        rng = np.random.default_rng(6)
+        vols = [rng.uniform(size=(9, 8, 10)).astype(np.float32) for _ in range(5)]
+        model = ae.init_params(seed=6)
+        x = np.stack([v.astype(np.float64) for v in vols])[:, None]
+        chunks = [ae.forward(model, x[s:s + 2], "eval")[1] for s in range(0, 5, 2)]
+        got = ae.extract_activations(model, vols, batch_size=2)
+        assert list(got.layers) == list(ae.LAYER_KEYS)
+        for j, key in enumerate(ae.LAYER_KEYS):
+            want = np.vstack([c[j].reshape(len(c[j]), -1) for c in chunks])
+            m = got.layers[key]
+            assert m.flags.c_contiguous and m.dtype == want.dtype
+            assert m.shape == want.shape and m.tobytes() == want.tobytes()
 
     def test_unknown_layer_key(self, small_cohort, trained_small):
         model, _ = trained_small

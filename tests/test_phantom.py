@@ -1,8 +1,11 @@
 """Phantom cohort generator: determinism, planted effects, config checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from latentscope import phantom
 from latentscope.data import build_region_profiles
 from latentscope.errors import ConfigError
 from latentscope.phantom import (PhantomConfig, generate_phantom_cohort,
@@ -95,6 +98,58 @@ def test_voronoi_atlas_covers_all_regions():
     atlas = voronoi_atlas((10, 10, 10), 16, rng)
     present = np.unique(atlas.labels)
     assert set(range(1, 17)) <= set(int(p) for p in present)
+
+
+class _FixedCentroids:
+    """An rng stand-in whose `choice` returns the given flat voxel indices."""
+
+    def __init__(self, flat):
+        self.flat = np.asarray(flat)
+
+    def choice(self, n, size, replace):
+        assert (size, replace) == (len(self.flat), False) and self.flat.max() < n
+        return self.flat
+
+
+def one_shot_labels(dims, flat):
+    """The (voxels x regions x 3) formula the blocked labelling replaces."""
+    centroids = np.stack(np.unravel_index(flat, dims), axis=1).astype(np.float64)
+    grid = np.stack(
+        np.meshgrid(*[np.arange(d, dtype=np.float64) for d in dims], indexing="ij"),
+        axis=-1,
+    ).reshape(-1, 3)
+    d2 = ((grid[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return (np.argmin(d2, axis=1) + 1).astype(np.uint32).reshape(dims)
+
+
+class TestBlockedVoronoi:
+    def test_ragged_last_block_matches_one_shot(self):
+        dims = (17, 19, 23)  # 7,429 voxels: one full block and a short one
+        assert np.prod(dims) % phantom._ATLAS_BLOCK
+        flat = np.random.default_rng(4).choice(np.prod(dims), 12, replace=False)
+        labels = voronoi_atlas(dims, 12, _FixedCentroids(flat)).labels
+        want = one_shot_labels(dims, flat)
+        assert labels.dtype == want.dtype and labels.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_equidistant_ties_go_to_the_lowest_index(self, monkeypatch, block):
+        monkeypatch.setattr(phantom, "_ATLAS_BLOCK", block)
+        dims = (5, 5, 5)
+        flat = [124, 0, 4, 120]  # four corners: the centre is equidistant
+        labels = voronoi_atlas(dims, 4, _FixedCentroids(flat)).labels
+        assert labels[2, 2, 2] == 1
+        assert labels[0, 0, 2] == 2  # between centroids 2 (index 1) and 3
+        assert labels.tobytes() == one_shot_labels(dims, flat).tobytes()
+
+    def test_peak_memory_is_pinned(self):
+        tracemalloc.start()
+        try:
+            voronoi_atlas((64, 64, 64), 32, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 6 MiB; the one-shot (64^3 x 32 x 3) distances took 262 MiB
+        assert peak < 16 * 2**20
 
 
 class TestConfigValidation:

@@ -3,6 +3,9 @@ layout, byte-level rerun determinism, and the command-line entry point."""
 
 import os
 import shutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 
 from conftest import LRCP_GRID_COLUMNS, LRCP_SUMMARY_COLUMNS, forge_first_shape
 from latentscope.autoencoder import TrainConfig
+import latentscope
 from latentscope.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_NUMERIC,
                              EXIT_OK, build_parser, main)
 from latentscope.config import (EmbedConfig, PipelineConfig, canonical_lines,
@@ -342,6 +346,35 @@ class TestCLI:
         stamp = (out / "generate" / "stage.stamp").read_text()
         assert f"config_hash={config_hash(want)}" in stamp
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="tunes glibc malloc")
+    def test_steps_reuse_freed_memory(self):
+        # A stage's pattern in a fresh process: steps that each allocate and
+        # free 24 MiB in 2 MiB arrays. Under glibc's default thresholds every
+        # step faults its ~6,000 pages in again; once main has kept freed
+        # memory, only the first step does.
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from latentscope.cli import keep_freed_memory
+
+            def step():
+                arrays = [np.ones(1 << 18) for _ in range(12)]
+                del arrays
+
+            keep_freed_memory()
+            step()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(5):
+                step()
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(latentscope.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 500
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["generate", "--config", str(tmp_path / "absent.cfg")])
         assert code == EXIT_CONFIG
@@ -436,6 +469,17 @@ class TestCLI:
         assert main(["train"] + base + ["--stage-force"]) == EXIT_DEPENDENCY
         err = capsys.readouterr().err
         assert "dependency error" in err and "manifest.csv" in err
+
+    def test_train_duplicate_subject_id_exits_3(self, tiny_run, tmp_path, capsys):
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        manifest = copy / "generate" / "cohort" / "manifest.csv"
+        text = manifest.read_text()
+        assert "volume_path\nS0000,0,volumes/S0000.vol\nS0001," in text
+        manifest.write_text(text.replace("\nS0001,", "\nS0000,", 1))  # second row
+        assert main(["train"] + base + ["--stage-force"]) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "manifest.csv" in err
+        assert "unique" in err
 
     def test_train_manifest_row_with_extra_field_exits_3(self, tiny_run,
                                                          tmp_path, capsys):
