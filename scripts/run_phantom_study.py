@@ -22,11 +22,7 @@ from latentscope.cli import main as run_stage
 from latentscope.config import study_config, write_config
 from latentscope.errors import DependencyError, FormatError
 from latentscope.fileio import read_table
-from latentscope.pipeline import STAGES
-
-# the header the report stage writes to report/lrcp_summary.csv
-SUMMARY_COLUMNS = ["comparison", "method", "layer", "component", "significant",
-                   "non_significant"]
+from latentscope.pipeline import STAGES, SUMMARY_COLUMNS
 
 
 def main() -> int:

@@ -232,8 +232,9 @@ def attribute_class(profiles, targets, class_label: int,
     )
 
 
-def build_shap_volume(s_tilde, atlas: AtlasMap, gm_mask: Volume | None = None) -> Volume:
-    """Paint s_tilde_r across each region's voxels; background stays 0."""
+def build_shap_volume(s_tilde, atlas: AtlasMap) -> Volume:
+    """Paint s_tilde_r across each region's voxels; background (label 0)
+    stays 0. The atlas labels are the only mask applied."""
     s_tilde = np.asarray(s_tilde, dtype=np.float64)
     if s_tilde.ndim != 1 or s_tilde.size != atlas.region_count:
         raise ShapeError(
@@ -241,10 +242,4 @@ def build_shap_volume(s_tilde, atlas: AtlasMap, gm_mask: Volume | None = None) -
     if np.any(s_tilde < 0) or np.any(s_tilde > 1):
         raise ConfigError("normalized importances must lie in [0, 1]")
     lookup = np.concatenate([[0.0], s_tilde])
-    painted = lookup[atlas.labels]
-    if gm_mask is not None:
-        if gm_mask.voxels.shape != atlas.labels.shape:
-            raise ShapeError(
-                f"mask dims {gm_mask.voxels.shape} do not match atlas {atlas.labels.shape}")
-        painted = painted * gm_mask.voxels.astype(np.float64)
-    return Volume(painted.astype(np.float32))
+    return Volume(lookup[atlas.labels].astype(np.float32))

@@ -41,6 +41,10 @@ LAYER_KEYS = ("L1", "L2", "L3")
 MODEL_MAGIC = b"LSAE1\n"
 _LAYER_KINDS = ("conv3d", "conv_transpose3d")
 _ACTIVATIONS = ("relu", "sigmoid")
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -225,18 +229,17 @@ def forward(model: AEParams, x: np.ndarray, mode: str = "eval", want_cache: bool
     return h, acts, cache
 
 
-def loss_value(recon: np.ndarray, target: np.ndarray, kind: str, alpha: float = 0.5,
-               window: int = 7) -> float:
-    v, _ = _loss_impl(recon, target, kind, alpha, window, want_grad=False)
+def loss_value(recon: np.ndarray, target: np.ndarray, kind: str,
+               alpha: float = 0.5) -> float:
+    v, _ = _loss_impl(recon, target, kind, alpha, want_grad=False)
     return v
 
 
-def loss_and_grad(recon: np.ndarray, target: np.ndarray, kind: str,
-                  alpha: float = 0.5, window: int = 7):
-    return _loss_impl(recon, target, kind, alpha, window, want_grad=True)
+def loss_and_grad(recon: np.ndarray, target: np.ndarray, kind: str, alpha: float = 0.5):
+    return _loss_impl(recon, target, kind, alpha, want_grad=True)
 
 
-def _loss_impl(recon, target, kind, alpha, window, want_grad):
+def _loss_impl(recon, target, kind, alpha, want_grad):
     if recon.shape != target.shape:
         raise ShapeError(f"loss shape mismatch {recon.shape} vs {target.shape}")
     if not 0.0 <= alpha <= 1.0:
@@ -254,10 +257,10 @@ def _loss_impl(recon, target, kind, alpha, window, want_grad):
         grad = np.zeros_like(recon) if want_grad else None
         for i in range(n):
             if want_grad:
-                s, g = ssim3d_with_grad(recon[i, 0], target[i, 0], window)
+                s, g = ssim3d_with_grad(recon[i, 0], target[i, 0])
                 grad[i, 0] = -g / n
             else:
-                s = ssim3d(recon[i, 0], target[i, 0], window)
+                s = ssim3d(recon[i, 0], target[i, 0])
             total += 1.0 - s
         return total / n, grad
 
@@ -312,11 +315,10 @@ def backward(model: AEParams, cache, dloss_drecon: np.ndarray):
 
 
 def loss_and_gradients(model: AEParams, batch: np.ndarray, target: np.ndarray,
-                       kind: str, alpha: float = 0.5, window: int = 7,
-                       mode: str = "train"):
+                       kind: str, alpha: float = 0.5, mode: str = "train"):
     """One forward+backward pass; returns (loss, grads, new_running_stats)."""
     recon, _, cache = forward(model, batch, mode=mode, want_cache=True)
-    value, drecon = loss_and_grad(recon, target, kind, alpha, window)
+    value, drecon = loss_and_grad(recon, target, kind, alpha)
     del recon, _  # the caches hold what backward needs
     grads = backward(model, cache, drecon)
     return value, grads, cache["running"]
@@ -327,13 +329,9 @@ class TrainConfig:
     loss_kind: str = "mse"
     alpha: float = 0.5
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_epochs: int = 10
     patience: int = 5
     batch_size: int = 8
-    ssim_window: int = 7
     seed: int = 0
 
     def validate(self):
@@ -414,15 +412,13 @@ def train(cohort, config: TrainConfig) -> tuple[AEParams, TrainReport]:
             idx = order[start : start + config.batch_size]
             batch = _as_batch_array([vols[i] for i in idx])
             value, grads, running = loss_and_gradients(
-                model, batch, batch, config.loss_kind, config.alpha,
-                config.ssim_window, mode="train",
-            )
+                model, batch, batch, config.loss_kind, config.alpha, mode="train")
             if not np.isfinite(value):
                 raise NumericError(
                     f"non-finite loss {value} at epoch {epoch}, batch {start // config.batch_size}"
                 )
             t_step += 1
-            _adam_update(model, grads, m_state, v_state, t_step, config)
+            _adam_update(model, grads, m_state, v_state, t_step, config.lr)
             _apply_running(model, running)
             batch_losses.append(value)
         epoch_loss = float(np.mean(batch_losses))
@@ -446,16 +442,16 @@ def _trainable_dict(model: AEParams) -> dict[tuple[int, str], np.ndarray]:
     return {(i, name): arr for i, name, arr in model.trainable_items()}
 
 
-def _adam_update(model, grads, m_state, v_state, t, config: TrainConfig):
+def _adam_update(model, grads, m_state, v_state, t, lr: float):
     for key, arr in _trainable_dict(model).items():
         g = grads[key]
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter {key}")
-        m_state[key] = config.beta1 * m_state[key] + (1 - config.beta1) * g
-        v_state[key] = config.beta2 * v_state[key] + (1 - config.beta2) * (g * g)
-        mhat = m_state[key] / (1 - config.beta1**t)
-        vhat = v_state[key] / (1 - config.beta2**t)
-        arr -= config.lr * mhat / (np.sqrt(vhat) + config.eps)
+        m_state[key] = ADAM_BETA1 * m_state[key] + (1 - ADAM_BETA1) * g
+        v_state[key] = ADAM_BETA2 * v_state[key] + (1 - ADAM_BETA2) * (g * g)
+        mhat = m_state[key] / (1 - ADAM_BETA1**t)
+        vhat = v_state[key] / (1 - ADAM_BETA2**t)
+        arr -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def _apply_running(model: AEParams, running):

@@ -244,7 +244,6 @@ KEYS = {
     "embed.umap_epochs": ("embed", "umap_epochs", *_INT),
     "bound.delta": ("bound", "delta", *_FLOAT),
     "bound.eta": ("bound", "eta", *_FLOAT),
-    "bound.complexity": ("bound", "complexity", *_FLOAT),
     "shap.n_trees": ("forest", "n_trees", *_INT),
     "shap.max_depth": ("forest", "max_depth", *_INT),
     "shap.min_leaf": ("forest", "min_leaf", *_INT),

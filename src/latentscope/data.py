@@ -173,30 +173,33 @@ def build_region_profiles(cohort: Cohort) -> RegionProfileMatrix:
     )
 
 
-def balanced_subset(cohort: Cohort, groups: set[int], seed: int) -> Cohort:
-    """Seeded balanced subsample of the requested classes.
+def balanced_indices(labels, groups, seed: int) -> np.ndarray:
+    """Ascending indices of a seeded balanced subsample of the requested
+    classes.
 
-    Every requested class is downsampled (uniform, without replacement) to the
-    minimum requested-class count; subjects of other classes are dropped.
-    Original subject order is preserved, so an already-balanced cohort comes
-    back with identical membership and order.
+    Every requested class is downsampled (uniform, without replacement, one
+    draw per class in ascending class order from one generator seeded with
+    `seed`) to the minimum requested-class count; other labels are dropped.
     """
-    groups = set(int(g) for g in groups)
+    labels = np.asarray(labels)
+    groups = sorted(set(int(g) for g in groups))
     if not groups:
-        raise ConfigError("balanced_subset needs at least one class")
-    counts = cohort.class_counts()
-    for g in sorted(groups):
-        if g not in counts:
-            raise ConfigError(f"requested class {g} absent from cohort")
-    target = min(counts[g] for g in groups)
+        raise ConfigError("balancing needs at least one class")
+    per_class = [np.flatnonzero(labels == g) for g in groups]
+    for g, idx in zip(groups, per_class):
+        if idx.size == 0:
+            raise ConfigError(f"requested class {CLASS_NAMES.get(g, g)} absent from cohort")
+    target = min(idx.size for idx in per_class)
     rng = np.random.default_rng(seed)
-    keep: set[int] = set()
-    for g in sorted(groups):
-        idx = [i for i, s in enumerate(cohort.subjects) if s.class_label == g]
-        if len(idx) == target:
-            keep.update(idx)
-        else:
-            chosen = rng.choice(len(idx), size=target, replace=False)
-            keep.update(idx[int(c)] for c in chosen)
-    subjects = [s for i, s in enumerate(cohort.subjects) if i in keep]
+    keep = [idx if idx.size == target else idx[rng.choice(idx.size, size=target, replace=False)]
+            for idx in per_class]
+    return np.sort(np.concatenate(keep))
+
+
+def balanced_subset(cohort: Cohort, groups: set[int], seed: int) -> Cohort:
+    """The subjects `balanced_indices` picks from the cohort's labels, in
+    cohort order, so an already-balanced cohort comes back with identical
+    membership and order."""
+    keep = balanced_indices([s.class_label for s in cohort.subjects], groups, seed)
+    subjects = [cohort.subjects[i] for i in keep]
     return Cohort(subjects=subjects, atlas=cohort.atlas, seed=cohort.seed)

@@ -9,7 +9,7 @@ which is exactly symmetric in floating point. The low-dimensional kernel
 1/(1 + a d^(2b)) gets (a, b) by least-squares fit to the piecewise target
 curve defined by min_dist. Optimization samples each edge in proportion to
 its weight (stronger edges more often), moves edge heads by the clipped
-attractive gradient, and applies `negative_rate` uniformly random repulsive
+attractive gradient, and applies NEGATIVE_RATE = 5 uniformly random repulsive
 samples per attractive update, with linearly decaying learning rate.
 
 A disconnected kNN graph is optimised as one graph, like a connected one:
@@ -41,6 +41,7 @@ import warnings
 
 import numpy as np
 from scipy.optimize import curve_fit
+from scipy.sparse.csgraph import connected_components
 
 from ..errors import DegenerateInputError, NumericError
 from .common import EmbeddingMatrix, pairwise_sq_dists, standardize
@@ -48,6 +49,7 @@ from .common import EmbeddingMatrix, pairwise_sq_dists, standardize
 _SMOOTH_ITERS = 64
 _SIGMA_FLOOR_SCALE = 1e-3
 _GRAD_CLIP = 4.0
+NEGATIVE_RATE = 5
 
 
 def low_dim_curve(d, a, b):
@@ -101,30 +103,11 @@ def fuzzy_graph(x: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, list[str]]
         w = np.exp(-np.maximum(knn_dists[i] - rho[i], 0.0) / sigma[i])
         a_dir[i, neigh[i]] = w
     graph = a_dir + a_dir.T - a_dir * a_dir.T
-    if _connected_components(graph > 0.0) > 1:
+    if connected_components(graph, directed=False, return_labels=False) > 1:
         warnings.warn("kNN graph is disconnected; its components are embedded "
                       "together and their relative placement carries no meaning")
         notes.append("disconnected_graph")
     return graph, notes
-
-
-def _connected_components(adj: np.ndarray) -> int:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    components = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        components += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(adj[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-    return components
 
 
 def cross_entropy(w: np.ndarray, w_hat: np.ndarray, eps: float = 1e-12) -> float:
@@ -167,8 +150,7 @@ def _clipped_step(coef: np.ndarray, diff: np.ndarray, alpha: float) -> np.ndarra
 
 def umap_embed(x: np.ndarray, dims: int = 3, n_neighbors: int = 15,
                min_dist: float = 0.1, epochs: int = 500, seed: int = 0,
-               negative_rate: int = 5, subject_ids: list[str] | None = None,
-               layer: str = "L3") -> EmbeddingMatrix:
+               subject_ids: list[str] | None = None, layer: str = "L3") -> EmbeddingMatrix:
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n <= n_neighbors:
@@ -208,8 +190,8 @@ def umap_embed(x: np.ndarray, dims: int = 3, n_neighbors: int = 15,
             _add_rows(y, h_rows, _clipped_step(coef, diff, alpha))
             # negative samples: uniformly random targets, repulsive push on heads
             m = h.shape[0]
-            neg_targets = rng.integers(0, n, size=(m, negative_rate))
-            for c in range(negative_rate):
+            neg_targets = rng.integers(0, n, size=(m, NEGATIVE_RATE))
+            for c in range(NEGATIVE_RATE):
                 tneg = neg_targets[:, c]
                 keep = np.flatnonzero(tneg != h)
                 diff_n = (y.take(h.take(keep), axis=0)
@@ -233,7 +215,7 @@ def umap_embed(x: np.ndarray, dims: int = 3, n_neighbors: int = 15,
             "n_neighbors": n_neighbors,
             "min_dist": min_dist,
             "epochs": epochs,
-            "negative_rate": negative_rate,
+            "negative_rate": NEGATIVE_RATE,
             "seed": seed,
             "a": a,
             "b": b,

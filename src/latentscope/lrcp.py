@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AtlasMap, CLASS_NAMES, RegionProfileMatrix, Volume
+from .data import AtlasMap, CLASS_NAMES, RegionProfileMatrix, Volume, balanced_indices
 from .errors import ConfigError, DegenerateInputError, DependencyError, ShapeError
 from .regionstats import ALPHA, _block
 from .seeds import derive_seed
@@ -148,22 +148,6 @@ def _comparison_name(class_pair) -> str:
     return "_".join(CLASS_NAMES[c] for c in class_pair)
 
 
-def _balanced_rows(labels: np.ndarray, class_pair, rng) -> np.ndarray:
-    """Row indices restricted to the pair's classes, balanced to the minimum
-    class count by seeded subsampling; original order preserved."""
-    a, b = class_pair
-    idx_a = np.flatnonzero(labels == a)
-    idx_b = np.flatnonzero(labels == b)
-    if idx_a.size == 0 or idx_b.size == 0:
-        missing = a if idx_a.size == 0 else b
-        raise ConfigError(
-            f"comparison class {CLASS_NAMES.get(missing, missing)} absent from cohort")
-    m = min(idx_a.size, idx_b.size)
-    keep_a = idx_a if idx_a.size == m else np.sort(rng.choice(idx_a, size=m, replace=False))
-    keep_b = idx_b if idx_b.size == m else np.sort(rng.choice(idx_b, size=m, replace=False))
-    return np.sort(np.concatenate([keep_a, keep_b]))
-
-
 def lrcp_grid(embeddings: dict, profiles: RegionProfileMatrix, labels,
               comparisons, bound: BoundConfig | None = None, seed: int = 0,
               quadratic: bool = False) -> LRCPGrid:
@@ -222,8 +206,8 @@ def lrcp_grid(embeddings: dict, profiles: RegionProfileMatrix, labels,
                     raise ShapeError(
                         f"embedding subject {exc.args[0]!r} missing from profiles")
                 sub_labels = labels[emb_rows]
-                rng = np.random.default_rng(derive_seed(seed, name, method, layer))
-                keep = _balanced_rows(sub_labels, pair, rng)
+                keep = balanced_indices(sub_labels, pair,
+                                        derive_seed(seed, name, method, layer))
                 targets = _targets(sub_labels[keep], f"comparison {name!r}")
                 penalty = _penalty(bound, quadratic, targets.size)
                 rows.extend((targets.size, *verdict) for verdict in _verdicts(

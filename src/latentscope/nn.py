@@ -88,6 +88,8 @@ from .errors import ShapeError
 KERNEL = 3
 STRIDE = 2
 PADDING = 1
+BN_MOMENTUM = 0.1  # weight of the batch statistics in the running update
+BN_EPS = 1e-5
 # Accumulator bytes per block of _gather and _scatter, and the GEMM rows a
 # block is a multiple of (see the module docstring): 2 MiB of L2 per core
 # holds a block, its GEMM product and its tap operand.
@@ -317,16 +319,8 @@ def sigmoid_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return g * out * (1.0 - out)
 
 
-def batchnorm_forward(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    mode: str,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-):
+def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                      running_mean: np.ndarray, running_var: np.ndarray, mode: str):
     """Per-channel batch norm over (batch, spatial) axes.
 
     Returns (out, cache, new_running_mean, new_running_var). Running stats are
@@ -339,13 +333,13 @@ def batchnorm_forward(
         count = x.shape[0] * x.shape[2] * x.shape[3] * x.shape[4]
         mu = x.mean(axis=axes)
         var = x.var(axis=axes)
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         center = mu
         unbiased = var * count / (count - 1) if count > 1 else var
-        new_rm = (1.0 - momentum) * running_mean + momentum * mu
-        new_rv = (1.0 - momentum) * running_var + momentum * unbiased
+        new_rm = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
+        new_rv = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * unbiased
     elif mode == "eval":
-        inv_std = 1.0 / np.sqrt(running_var + eps)
+        inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
         center = running_mean
         new_rm, new_rv = running_mean, running_var
     else:

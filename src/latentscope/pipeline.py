@@ -52,7 +52,7 @@ _TOP_REGION_COLUMNS = ["method", "layer", "rank", "region", "r", "p",
 _OVERLAP_COLUMNS = ["comparison_a", "comparison_b", "region"]
 _IMPORTANCE_COLUMNS = ["class", "region", "s_r", "s_tilde"]
 _DIAGNOSTIC_COLUMNS = ["class", "residual", "flags"]
-_SUMMARY_COLUMNS = ["comparison", "method", "layer", "component", "significant",
+SUMMARY_COLUMNS = ["comparison", "method", "layer", "component", "significant",
                    "non_significant"]
 _GRID_COLUMNS = ["comparison", "method", "layer", "component", "region", "n", "r",
                  "p", "emp_error", "corr_error", "category"]
@@ -458,7 +458,7 @@ def run_lrcp(config: PipelineConfig, out_dir, force: bool = False) -> Path:
         comments = _hash_comment(config)
         write_csv(str(stage / "grid.csv"), _GRID_COLUMNS, _grid_rows(grid),
                   comments=comments)
-        write_csv(str(stage / "summary.csv"), _SUMMARY_COLUMNS,
+        write_csv(str(stage / "summary.csv"), SUMMARY_COLUMNS,
                   _summary_rows(grid), comments=comments)
         for name in grid.comparisons:
             for method in grid.methods:
@@ -476,8 +476,8 @@ def run_report(config: PipelineConfig, out_dir, force: bool = False) -> Path:
         comments = _hash_comment(config)
 
         summary_rows = read_table(str(out / "lrcp" / "summary.csv"),
-                                  _SUMMARY_COLUMNS)
-        write_csv(str(stage / "lrcp_summary.csv"), _SUMMARY_COLUMNS,
+                                  SUMMARY_COLUMNS)
+        write_csv(str(stage / "lrcp_summary.csv"), SUMMARY_COLUMNS,
                   summary_rows, comments=comments)
 
         top_rows = []

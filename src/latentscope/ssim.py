@@ -1,6 +1,6 @@
 """Windowed 3D SSIM with an analytic gradient.
 
-Uniform cubic window (default 7^3, shrunk to the smallest axis for tiny
+Uniform cubic window of side WINDOW = 7 (shrunk to the smallest axis for tiny
 volumes), constants C1=(0.01)^2 and C2=(0.03)^2 at dynamic range L=1, mean
 over all valid window positions. Window sums use cumulative-sum box filters,
 so cost is linear in voxel count.
@@ -26,6 +26,7 @@ from .errors import ShapeError
 
 C1 = 0.01**2
 C2 = 0.03**2
+WINDOW = 7
 
 
 def _box_valid(a: np.ndarray, w: int, axis: int) -> np.ndarray:
@@ -66,8 +67,8 @@ def _spread3(g: np.ndarray, w: int, out_shape: tuple[int, int, int]) -> np.ndarr
     return g
 
 
-def _window_for(dims: tuple[int, ...], window: int) -> int:
-    eff = min(window, min(dims))
+def _window_for(dims: tuple[int, ...]) -> int:
+    eff = min(WINDOW, min(dims))
     if eff < 1:
         raise ShapeError(f"dims {dims} too small for any SSIM window")
     return eff
@@ -83,11 +84,11 @@ def _moments(x: np.ndarray, y: np.ndarray, w: int):
     return mx, my, vx, vy, cxy, p
 
 
-def ssim3d(x: np.ndarray, y: np.ndarray, window: int = 7) -> float:
+def ssim3d(x: np.ndarray, y: np.ndarray) -> float:
     """Mean windowed SSIM of two 3D arrays; exactly 1.0 when x is y."""
     if x.shape != y.shape:
         raise ShapeError(f"shape mismatch {x.shape} vs {y.shape}")
-    w = _window_for(x.shape, window)
+    w = _window_for(x.shape)
     mx, my, vx, vy, cxy, _ = _moments(
         np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64), w
     )
@@ -98,13 +99,13 @@ def ssim3d(x: np.ndarray, y: np.ndarray, window: int = 7) -> float:
     return float(np.mean((a1 * a2) / (b1 * b2)))
 
 
-def ssim3d_with_grad(x: np.ndarray, y: np.ndarray, window: int = 7):
+def ssim3d_with_grad(x: np.ndarray, y: np.ndarray):
     """Returns (ssim, dssim/dx). y is held fixed."""
     if x.shape != y.shape:
         raise ShapeError(f"shape mismatch {x.shape} vs {y.shape}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    w = _window_for(x.shape, window)
+    w = _window_for(x.shape)
     mx, my, vx, vy, cxy, p = _moments(x, y, w)
     a1 = 2.0 * mx * my + C1
     a2 = 2.0 * cxy + C2

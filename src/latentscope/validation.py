@@ -25,14 +25,11 @@ SAR_MIN_N = 10  # smallest sample SAR tests
 @dataclass
 class BoundConfig:
     delta: float = 0.05
-    complexity: float = 1.0  # the constant C in the bound
     eta: float = 0.5  # dropout rate discounting the parameter count
 
     def validate(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must be in (0,1), got {self.delta}")
-        if self.complexity <= 0.0:
-            raise ConfigError(f"complexity constant must be > 0, got {self.complexity}")
         if not 0.0 <= self.eta < 1.0:
             raise ConfigError(f"eta must be in [0,1), got {self.eta}")
 

@@ -17,7 +17,7 @@ from latentscope.attribution import (
     shap_values,
     total_reconstruction_error,
 )
-from latentscope.data import AtlasMap, Volume
+from latentscope.data import AtlasMap
 from latentscope.errors import ConfigError, DegenerateInputError, ShapeError
 from latentscope.forest import ForestConfig, forest_predict, rf_fit
 
@@ -321,15 +321,6 @@ class TestShapVolume:
         assert float(vol.voxels[0, 0, 0]) == pytest.approx(0.3)
         assert float(vol.voxels[3, 0, 0]) == pytest.approx(0.9)
         assert float(vol.voxels[3, 3, 3]) == 0.0  # background label 0
-
-    def test_mask_applied(self):
-        labels = np.ones((2, 2, 2), dtype=np.int32)
-        atlas = AtlasMap(labels, region_count=1)
-        mask = np.zeros((2, 2, 2), dtype=np.float32)
-        mask[0] = 1.0
-        vol = build_shap_volume([1.0], atlas, gm_mask=Volume(mask))
-        assert float(vol.voxels[0, 0, 0]) == 1.0
-        assert float(vol.voxels[1, 1, 1]) == 0.0
 
     def test_length_mismatch_raises(self):
         atlas = AtlasMap(np.ones((2, 2, 2), dtype=np.int32), region_count=1)

@@ -84,6 +84,11 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_text("phantom.shape=1,2,3\n")
 
+    def test_bound_complexity_rejected(self):
+        # nothing reads a complexity constant: the SAR bound is fixed at C = 1
+        with pytest.raises(ConfigError, match="unknown config key 'bound.complexity'"):
+            parse_config_text("bound.complexity=1.0\n")
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match="key=value"):
             parse_config_text("just some words\n")
@@ -166,9 +171,9 @@ class TestHash:
             load_config(tmp_path / "absent.cfg")
 
     def test_default_hash_pinned(self):
-        # recorded before the config keys moved into one table
+        # recorded when bound.complexity left the config
         assert config_hash(PipelineConfig()) == (
-            "dc838e7cdbed67175a201b01b9ea8a6cf064d82e4a0058fe1ffd8146b118f97c")
+            "414de77e67ff59dae835e3f041a74a0dc1142fb5960d6d7610d5393a8f23d235")
 
 
 def test_readme_example_parses():
@@ -224,7 +229,6 @@ def valid_configs(draw):
         n_neighbors=draw(st.integers(1, 100)), min_dist=draw(_any_float),
         umap_epochs=draw(st.integers(0, 5000)))
     bound = BoundConfig(delta=draw(_unit(exclude_min=True, exclude_max=True)),
-                        complexity=draw(_unit(0.0, 1e6, exclude_min=True)),
                         eta=draw(_unit(exclude_max=True)))
     forest = ForestConfig(n_trees=draw(st.integers(1, 500)),
                           max_depth=draw(st.integers(1, 20)),

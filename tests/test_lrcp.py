@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from latentscope.data import AtlasMap, RegionProfileMatrix
+from latentscope.data import AtlasMap, RegionProfileMatrix, balanced_indices
 from latentscope.embedding.common import EmbeddingMatrix
 from latentscope.errors import (
     ConfigError,
@@ -21,6 +21,7 @@ from latentscope.lrcp import (
     lrcp_grid,
     summary_counts,
 )
+from latentscope.seeds import derive_seed
 from latentscope.validation import pac_bayes_penalty
 
 
@@ -185,6 +186,19 @@ class TestGrid:
         grid = lrcp_grid({("pca", "L1"): emb}, profiles, labels,
                          comparisons=[("NOR_AD", (0, 3))], seed=5)
         assert grid.cells["n"].tolist() == [24] * len(grid.cells)
+
+    def test_balancing_shared_with_data(self):
+        # the grid keeps the rows the pipeline's balancing policy picks
+        emb, profiles, labels = small_grid_inputs(n_per=(30, 12))
+        grid = lrcp_grid({("pca", "L1"): emb}, profiles, labels,
+                         comparisons=[("NOR_AD", (0, 3))], seed=5)
+        keep = balanced_indices(labels, {0, 3}, derive_seed(5, "NOR_AD", "pca", "L1"))
+        assert keep.size == 24
+        for index, record in zip(np.ndindex(grid.shape), grid.cells):
+            *_, k, j = index
+            cell = lrcp_cell(emb.values[keep, k], profiles.values[keep, j], labels[keep])
+            assert record["n"] == cell.n
+            assert np.float64(record["r"]).tobytes() == np.float64(cell.r).tobytes()
 
     def test_subsetting_deterministic(self):
         emb, profiles, labels = small_grid_inputs(n_per=(30, 12))

@@ -387,6 +387,13 @@ class TestCLI:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_bound_complexity_key_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text("bound.complexity=1.0\n")
+        code = main(["generate", "--config", str(cfg_file), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "unknown config key 'bound.complexity'" in capsys.readouterr().err
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         code = main(["generate", "--seed", "-1", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG

@@ -144,8 +144,6 @@ class TestPacBayes:
         with pytest.raises(ConfigError):
             BoundConfig(delta=0.0).validate()
         with pytest.raises(ConfigError):
-            BoundConfig(complexity=-1.0).validate()
-        with pytest.raises(ConfigError):
             BoundConfig(eta=1.0).validate()
 
 
