@@ -33,6 +33,7 @@ Exit status 0 when the two trees are byte-equal, 1 when they differ.
 import argparse
 import csv
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -169,4 +170,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): leave quietly, and point
+        # stdout at devnull so the interpreter's last flush fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

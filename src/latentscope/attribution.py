@@ -66,7 +66,8 @@ def total_reconstruction_error(cohort: Cohort, model: AEParams, chunk: int = 8,
     encoder computes them first.
     """
     if latent is None:
-        latent = extract_activations(model, cohort, batch_size=chunk).latent()
+        latent = extract_activations(model, cohort, batch_size=chunk,
+                                     layers=()).latent()
     errors: dict[str, float] = {}
     subjects = cohort.subjects
     for start in range(0, len(subjects), chunk):

@@ -463,7 +463,8 @@ def _apply_running(model: AEParams, running):
 
 @dataclass
 class ActivationSet:
-    """Flattened eval-mode activations per subject for layers L1, L2, L3."""
+    """Flattened eval-mode activations per subject for layers L1, L2, L3, or
+    the requested ones and the bottleneck."""
 
     subject_ids: list[str]
     layers: dict[str, np.ndarray]  # key -> (n_subjects, C*x*y*z) float64
@@ -477,33 +478,42 @@ class ActivationSet:
     def latent(self) -> np.ndarray:
         """The bottleneck (last encoder layer) activations, (n, C, x, y, z):
         the input of `decode`."""
-        key = f"L{len(self.layers)}"
+        key = max(self.shapes, key=lambda k: int(k[1:]))
         return self.matrix(key).reshape(-1, *self.shapes[key])
 
 
 def extract_activations(model: AEParams, cohort, subject_ids=None,
-                        batch_size: int = 8) -> ActivationSet:
+                        batch_size: int = 8, layers=None) -> ActivationSet:
     """Eval-mode encoder activations, flattened, subject order preserved;
     only the encoder layers run, one batch at a time, each batch written
-    into its rows of the preallocated (n, features) matrices."""
+    into its rows of the preallocated (n, features) matrices. With `layers`
+    (keys such as "L1"), only those layers and the bottleneck are kept."""
     vols = _volumes(cohort)
     n = len(vols)
     if isinstance(cohort, Cohort):
         subject_ids = cohort.subject_ids
     elif subject_ids is None:
         subject_ids = [f"S{i:04d}" for i in range(n)]
-    layers: dict[str, np.ndarray] = {}
+    n_enc = sum(1 for s in model.layers if s.kind == "conv3d")
+    encoder_keys = [f"L{j + 1}" for j in range(n_enc)]
+    keep = set(encoder_keys if layers is None else layers) | {encoder_keys[-1]}
+    if not keep <= set(encoder_keys):
+        raise KeyError(f"unknown layers {sorted(keep - set(encoder_keys))}; "
+                       f"have {encoder_keys}")
+    kept: dict[str, np.ndarray] = {}
     shapes = {}
     for start in range(0, n, batch_size):
         h = _as_batch_array(vols[start : start + batch_size])
-        for j in range(len(_input_chain(model, h)) - 1):  # the encoder layers come first
+        _input_chain(model, h)  # checks the batch against the model
+        for j, key in enumerate(encoder_keys):
             h = _layer_forward(model.layers[j], model.params[j], h, "eval", None)[0]
-            key = f"L{j + 1}"
-            if key not in layers:
+            if key not in keep:
+                continue
+            if key not in kept:
                 shapes[key] = tuple(h.shape[1:])
-                layers[key] = np.empty((n, h[0].size), dtype=h.dtype)
-            layers[key][start : start + len(h)] = h.reshape(len(h), -1)
-    return ActivationSet(subject_ids=list(subject_ids), layers=layers, shapes=shapes)
+                kept[key] = np.empty((n, h[0].size), dtype=h.dtype)
+            kept[key][start : start + len(h)] = h.reshape(len(h), -1)
+    return ActivationSet(subject_ids=list(subject_ids), layers=kept, shapes=shapes)
 
 
 def decode(model: AEParams, latent: np.ndarray, dims) -> np.ndarray:

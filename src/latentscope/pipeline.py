@@ -10,6 +10,7 @@ path, so a full rerun with the same config is byte-identical.
 from __future__ import annotations
 
 import os
+import shutil
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -124,14 +125,19 @@ def require_stages(out: Path, stage: str, config: PipelineConfig,
 def _stage(name: str, config: PipelineConfig, out_dir, force: bool):
     """The contract every stage runs under: a valid config, the run
     directory's lock, every predecessor stamped under this config (or
-    `force`), and `<name>/stage.stamp` written only once the body returns.
-    An exception leaves no new stamp and releases the lock. Yields the run
-    directory and the stage directory."""
+    `force`), an empty `<name>/` for the body, and `<name>/stage.stamp`
+    written only once the body returns. A rerun deletes the old stamp, then
+    the old directory, so an exception leaves no stamp, and no file of an
+    earlier run survives beside the new ones. The lock is released either
+    way. Yields the run directory and the stage directory."""
     config.validate()
     with pipeline_lock(out_dir) as out:
         require_stages(out, name, config, force)
         stage = out / name
-        stage.mkdir(parents=True, exist_ok=True)
+        _stamp_path(out, name).unlink(missing_ok=True)
+        if stage.exists():
+            shutil.rmtree(stage)
+        stage.mkdir(parents=True)
         yield out, stage
         _write_stamp(out, name, config)
 
@@ -236,13 +242,19 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
         for name, _, subset in _comparisons(config, cohort):
             model = _load_model(out, name)
             acts = extract_activations(model, subset,
-                                       batch_size=config.train.batch_size)
+                                       batch_size=config.train.batch_size,
+                                       layers=config.embed.layers)
             labels = subset.class_labels
             comp_dir = stage / name
             comp_dir.mkdir(parents=True, exist_ok=True)
             save_latent(acts.latent(), params_hash(model), str(comp_dir / "latent.lat"))
-            for layer in config.embed.layers:
-                x = acts.matrix(layer)
+            # Smallest layer first (L3, L2, L1 for the trained encoder): each
+            # matrix leaves `acts` when its fits start and is freed when they
+            # end, so the largest is fitted with the others already freed.
+            # `acts` goes before the next comparison's activations are built.
+            for layer in sorted(dict.fromkeys(config.embed.layers),
+                                key=lambda k: acts.matrix(k).shape[1]):
+                x = acts.layers.pop(layer)
                 for method in config.embed.methods:
                     emb = embed_once(
                         x, method,
@@ -260,6 +272,8 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                     meta = _scalar_metadata(emb.metadata)
                     base.with_suffix(".meta").write_text(
                         "\n".join(meta) + "\n", encoding="utf-8")
+                del x
+            del acts
     return stage
 
 

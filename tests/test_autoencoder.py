@@ -393,6 +393,46 @@ class TestActivations:
         with pytest.raises(KeyError):
             acts.matrix("L9")
 
+    @pytest.mark.parametrize("layers", [("L1",), ("L2",), ("L3",), (),
+                                        ("L3", "L1"), ("L1", "L2", "L3")])
+    def test_requested_layers_and_bottleneck_bitwise(self, small_cohort,
+                                                     trained_small, layers):
+        """Only the requested layers and the bottleneck are kept, each the
+        bits of the matrix that the whole extraction builds."""
+        model, _ = trained_small
+        every = ae.extract_activations(model, small_cohort, batch_size=5)
+        got = ae.extract_activations(model, small_cohort, batch_size=5,
+                                     layers=layers)
+        assert sorted(got.layers) == sorted(set(layers) | {"L3"})
+        for key, m in got.layers.items():
+            want = every.layers[key]
+            assert m.shape == want.shape and m.tobytes() == want.tobytes()
+            assert got.shapes[key] == every.shapes[key]
+        assert got.latent().tobytes() == every.latent().tobytes()
+        assert got.latent().shape == every.latent().shape
+
+    def test_unknown_requested_layer(self, small_cohort, trained_small):
+        model, _ = trained_small
+        with pytest.raises(KeyError):
+            ae.extract_activations(model, small_cohort, layers=("L4",))
+
+    def test_bottleneck_only_allocates_no_l1_matrix(self, small_cohort,
+                                                    trained_small):
+        """With layers=("L3",) the traced peak stays below the size of the
+        L1 matrix, which the whole extraction allocates."""
+        import tracemalloc
+
+        model, _ = trained_small
+        l1_matrix = len(small_cohort.subjects) * 16 * 8 ** 3 * 8
+        tracemalloc.start()
+        try:
+            ae.extract_activations(model, small_cohort, batch_size=2,
+                                   layers=("L3",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < l1_matrix
+
 
 class TestPersistence:
     def test_round_trip_exact(self, tmp_path):

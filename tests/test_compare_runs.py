@@ -1,6 +1,8 @@
 """scripts/compare_runs.py on two small synthetic run directories."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +113,20 @@ def test_meta_keys_added_removed_and_changed(runs, capsys):
     assert ("differs    embed/NOR_AD/tsne_L3.meta  keys only in A: old"
             "  only in B: kl_every,kl_history  changed: lr") in out
     assert "differs    embed/NOR_AD/latent.lat\n" in out
+
+
+def test_closed_pipe_leaves_quietly(tmp_path):
+    """A reader that stops early (`compare_runs.py A B | head -1`) ends the
+    script without a traceback. The listing, over 100 KB, is larger than a
+    pipe holds, so the script is still writing when the reader closes."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    b.mkdir()
+    _write(a, {f"f{i:04d}_{'x' * 240}.csv": "" for i in range(400)})
+    proc = subprocess.Popen([sys.executable, str(_SCRIPT), str(a), str(b)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"only in A  f0000_")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,8 @@ from latentscope.autoencoder import TrainConfig
 import latentscope
 from latentscope.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_NUMERIC,
                              EXIT_OK, build_parser, main)
-from latentscope.config import (EmbedConfig, PipelineConfig, canonical_lines,
-                                config_hash, write_config)
+from latentscope.config import (EMBED_METHODS, EmbedConfig, PipelineConfig,
+                                canonical_lines, config_hash, write_config)
 from latentscope.errors import DependencyError, NumericError
 from latentscope.phantom import PhantomConfig
 from latentscope.pipeline import (STAGE_DEPS, STAGES, pipeline_lock,
@@ -300,6 +301,97 @@ def test_tsne_meta_holds_kl_checkpoints(tmp_path):
     assert len(kl) == 3  # after iterations 50, 100 and the last, 120
     assert [fmt_value(float(v)) for v in kl] == kl
     assert all(float(v) > 0.0 for v in kl)
+
+
+class TestStageRerun:
+    """A rerun of a stage starts from an empty stage directory."""
+
+    def test_interrupted_rerun_leaves_no_old_stamp(self, tiny_run, tmp_path,
+                                                   monkeypatch):
+        """A forced train rerun under another config, stopped after its
+        model is written, leaves no stamp: embed under the first config
+        then refuses the mixed directory instead of taking it as its own."""
+        cfg, out = tiny_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        # run_train writes the training log right after the model
+        monkeypatch.setattr("latentscope.pipeline.write_csv", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_train(tiny_config(str(run), seed=8), str(run), force=True)
+        monkeypatch.undo()
+        assert (run / "train" / "NOR_AD" / "model.lsae").exists()
+        assert not (run / "train" / "stage.stamp").exists()
+        assert not (run / "lock").exists()
+        with pytest.raises(DependencyError, match="'train', which has not run"):
+            run_embed(cfg, str(run))
+
+    def test_forced_rerun_leaves_no_stale_artifacts(self, tiny_run, tmp_path):
+        """embed with all four methods, then `--stage-force` with PCA alone:
+        only the PCA files and the latent are left."""
+        cfg, out = tiny_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        every = replace(cfg, embed=replace(cfg.embed, methods=EMBED_METHODS,
+                                           perplexity=4.0, tsne_iters=20,
+                                           umap_epochs=5))
+        run_embed(every, str(run), force=True)
+        comp = run / "embed" / "NOR_AD"
+        assert (comp / "umap_L3.csv").exists()
+        run_embed(cfg, str(run), force=True)
+        assert sorted(p.name for p in comp.iterdir()) == [
+            "latent.lat", "pca_L3.csv", "pca_L3.meta"]
+        assert tree_bytes(run / "embed") == tree_bytes(out / "embed")
+
+    def test_report_rerun_does_not_list_itself(self, tiny_run, tmp_path):
+        """The old report stamp is gone before the rerun reads the stamps,
+        so provenance.csv is the first run's bytes."""
+        cfg, out = tiny_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        run_report(cfg, str(run))
+        assert tree_bytes(run / "report") == tree_bytes(out / "report")
+
+
+def test_embed_holds_one_layer_matrix_and_one_working_copy(tmp_path,
+                                                           monkeypatch):
+    """run_embed with all four methods on all three layers: its traced peak
+    above what is live when the comparison starts (cohort, subset, model)
+    stays under 2.5 x the L1 matrix. The fits see one layer matrix and one
+    working copy of it (about 2.3 x). Holding every layer while L1 is fitted,
+    with an n x p temporary in `standardize`, gives about 3.4 x."""
+    import tracemalloc
+
+    import latentscope.pipeline as pipeline
+
+    cfg = tiny_config(str(tmp_path))
+    cfg = replace(cfg,
+                  phantom=replace(cfg.phantom, class_counts={0: 24, 3: 24}),
+                  embed=replace(cfg.embed, methods=EMBED_METHODS,
+                                layers=("L1", "L2", "L3"), tsne_iters=20,
+                                umap_epochs=5))
+    run_generate(cfg, str(tmp_path))
+    run_train(cfg, str(tmp_path))
+    live = []
+    extract = pipeline.extract_activations
+
+    def recording(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "extract_activations", recording)
+    tracemalloc.start()
+    try:
+        run_embed(cfg, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    l1_matrix = 48 * 16 * 8 ** 3 * 8  # 48 subjects x L1's (16, 8, 8, 8), float64
+    assert len(live) == 1
+    assert peak - live[0] < 2.5 * l1_matrix
 
 
 class TestDeterminism:
