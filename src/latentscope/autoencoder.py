@@ -12,12 +12,17 @@ Everything runs in float64; training is bitwise deterministic for a fixed
 seed (init draws, then per-epoch shuffles, from one PRNG).
 
 Memory: a training step keeps, per layer, only what its backward pass reads:
-the layer input (the previous layer's output, so no copy), the batch-norm
-cache (xhat, 1/std, gamma) and either the relu mask z > 0 (bool, one byte a
-value; relu then runs in place on z) or the sigmoid output. backward drops
-each layer's cache as soon as that layer's gradients are done. Volumes are
-converted to float64 one batch at a time (float32 -> float64 is exact), so
-the cohort is never held in float64 as a whole.
+the batch-norm cache (xhat, 1/std, gamma, plus beta) and either the relu
+mask z > 0 (bool, one byte a value; relu then runs in place on z) or the
+sigmoid output. A layer input that is a batch-norm output, gamma * xhat +
+beta (every input but the batch, in this architecture), is not kept:
+backward rebuilds it from the producing layer's cache with the forward's
+own ops, so bitwise, just before the conv backward that reads it, and drops
+it right after. So each float array the size of a layer output exists
+once, as its xhat. backward drops each layer's cache entry once its batch
+norm and activation are differentiated, before its conv backward. Volumes
+are converted to float64 one batch at a time (float32 -> float64 is exact),
+so the cohort is never held in float64 as a whole.
 """
 
 from __future__ import annotations
@@ -181,7 +186,8 @@ def _layer_forward(spec: LayerSpec, p: LayerParams, h: np.ndarray, mode: str, ou
         running = (rm, rv)
     cache = None
     if want_cache:
-        cache = {"input": h, "act": act, "bn": bn_cache, "out_pad": out_pad}
+        cache = {"input": h, "act": act, "bn": bn_cache, "beta": p.beta,
+                 "out_pad": out_pad}
     return y, cache, running
 
 
@@ -200,12 +206,18 @@ def forward(model: AEParams, x: np.ndarray, mode: str = "eval", want_cache: bool
     Returns (reconstruction, encoder_activations, cache). Activations are the
     post-norm outputs of the three encoder layers. cache is None unless
     want_cache; then cache["layers"] holds, per layer, only what backward
-    reads: "input" (the layer's input array itself, not a copy), "act" (the
-    bool relu mask z > 0, or the sigmoid output), "bn" (batch norm's
-    (xhat, 1/std, gamma) or None) and "out_pad"; cache["running"] holds the
-    updated running statistics (the caller decides whether to apply them).
-    The conv output z and the activation are not kept. backward consumes
-    cache["layers"].
+    reads:
+      "input"    the layer's input array itself (not a copy), or None when
+                 that input is the previous layer's batch-norm output, which
+                 backward rebuilds from the previous entry (layers 2-6 of
+                 the default architecture; layer 1 keeps the batch);
+      "act"      the bool relu mask z > 0, or the sigmoid output;
+      "bn"       batch norm's (xhat, 1/std, gamma), or None;
+      "beta"     batch norm's beta (the array itself), or None;
+      "out_pad"  the transposed conv's output padding, or None.
+    cache["running"] holds the updated running statistics (the caller
+    decides whether to apply them). The conv output z, the activation and
+    the batch-norm output are not kept. backward consumes cache["layers"].
     """
     chain = _input_chain(model, x)
     n_enc = len(chain) - 1
@@ -218,6 +230,8 @@ def forward(model: AEParams, x: np.ndarray, mode: str = "eval", want_cache: bool
         op = None if spec.kind == "conv3d" else out_pads[i - n_enc]
         y, layer_cache, running = _layer_forward(spec, model.params[i], h, mode, op,
                                                  want_cache)
+        if want_cache and i > 0 and model.layers[i - 1].batch_norm:
+            layer_cache["input"] = None  # backward rebuilds it from the entry before
         new_running.append(running)
         layer_caches.append(layer_cache)
         if spec.kind == "conv3d":
@@ -277,14 +291,37 @@ def _loss_impl(recon, target, kind, alpha, want_grad):
     raise ConfigError(f"unknown loss kind {kind!r}")
 
 
+def _bn_output(lc) -> np.ndarray:
+    """The output gamma * xhat + beta of the batch-norm layer whose cache
+    entry is `lc`, rebuilt with batchnorm_forward's own two ops, so bitwise
+    the forward's output.
+
+    It is written channel-major, into a C-contiguous (C, N, X, Y, Z) buffer,
+    and returned as that buffer's (N, C, X, Y, Z) view: a transposed conv's
+    weight gradient reads its input as (C, N*X*Y*Z) rows, which are then a
+    view of the buffer, not a copy. A conv's backward copies its input into
+    a padded buffer, which takes either layout."""
+    xhat, _, gamma = lc["bn"]
+    shape = (-1, 1, 1, 1, 1)
+    xhat_t = xhat.transpose(1, 0, 2, 3, 4)
+    out = np.multiply(gamma.reshape(shape), xhat_t, out=np.empty(xhat_t.shape, xhat.dtype))
+    out += lc["beta"].reshape(shape)
+    return out.transpose(1, 0, 2, 3, 4)
+
+
 def backward(model: AEParams, cache, dloss_drecon: np.ndarray):
     """Reverse-mode gradients for every trainable parameter.
 
-    cache comes from forward(want_cache=True) and is consumed: each layer's
-    entry is popped from cache["layers"] once its gradients are done, so its
-    arrays can be freed before the next layer's backward, and cache["layers"]
-    is empty on return. Returns grads as a dict keyed (layer_index, name)
-    matching trainable_items order.
+    cache comes from forward(want_cache=True) and is consumed. Per layer,
+    last first, the entry is popped from cache["layers"], batch norm and the
+    activation are differentiated with it, and it is dropped before the conv
+    backward, so its xhat and mask are freed before the conv's buffers are
+    made. A layer whose entry holds no input then reads the previous
+    layer's batch-norm output, rebuilt from the previous entry (still in the
+    cache) just before the conv backward and dropped right after it: at most
+    one rebuilt input is alive at a time. cache["layers"] is empty on
+    return. Returns grads as a dict keyed (layer_index, name) matching
+    trainable_items order.
     """
     layer_caches = cache["layers"]
     if len(layer_caches) != len(model.layers):
@@ -305,10 +342,15 @@ def backward(model: AEParams, cache, dloss_drecon: np.ndarray):
             g = nn.relu_backward(g, lc["act"])
         else:
             g = nn.sigmoid_backward(g, lc["act"])
+        x, out_pad = lc["input"], lc["out_pad"]
+        del lc  # this layer's xhat and mask: done with before its conv backward
+        if x is None:
+            x = _bn_output(layer_caches[-1])
         if spec.kind == "conv3d":
-            g, dw, db = nn.conv3d_backward(g, lc["input"], p.w, input_grad=i > 0)
+            g, dw, db = nn.conv3d_backward(g, x, p.w, input_grad=i > 0)
         else:
-            g, dw, db = nn.conv_transpose3d_backward(g, lc["input"], p.w, lc["out_pad"])
+            g, dw, db = nn.conv_transpose3d_backward(g, x, p.w, out_pad)
+        del x
         grads[(i, "w")] = dw
         grads[(i, "b")] = db
     return grads

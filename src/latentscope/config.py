@@ -46,6 +46,8 @@ class EmbedConfig:
                                   f"are {', '.join(LAYER_KEYS)})")
         if self.components < 1:
             raise ConfigError("components must be >= 1")
+        if self.n_neighbors < 1:
+            raise ConfigError("n_neighbors must be >= 1")
 
 
 @dataclass

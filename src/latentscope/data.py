@@ -66,6 +66,11 @@ class AtlasMap:
             raise ValueError(
                 f"label {max_label} exceeds region_count {self.region_count}"
             )
+        # every id in 1..R on its own voxel needs R <= voxels; checked first,
+        # so that a forged label cannot size the id array below
+        if self.region_count > self.labels.size:
+            raise ValueError(f"region_count {self.region_count} exceeds the "
+                             f"atlas's {self.labels.size} voxels")
         present = np.unique(self.labels)
         wanted = np.arange(1, self.region_count + 1, dtype=np.uint32)
         missing = np.setdiff1d(wanted, present)

@@ -113,7 +113,11 @@ def save_volume(volume: Volume, path: str) -> None:
 
 
 def load_volume(path: str) -> Volume:
-    return Volume(_read_grid(path, VOLUME_MAGIC, "<f4")[0])
+    voxels, _ = _read_grid(path, VOLUME_MAGIC, "<f4")
+    try:
+        return Volume(voxels)
+    except ValueError as exc:  # non-finite or outside [0, 1]
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_atlas(atlas: AtlasMap, path: str) -> None:
@@ -123,8 +127,11 @@ def save_atlas(atlas: AtlasMap, path: str) -> None:
 def load_atlas(path: str) -> AtlasMap:
     labels, _ = _read_grid(path, ATLAS_MAGIC, "<u4")
     if labels.max() == 0:
-        raise FormatError("atlas has no foreground labels")
-    return AtlasMap(labels=labels, region_count=int(labels.max()))
+        raise FormatError(f"{path}: atlas has no foreground labels")
+    try:
+        return AtlasMap(labels=labels, region_count=int(labels.max()))
+    except ValueError as exc:  # not every id in 1..max present
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_latent(latent: np.ndarray, params_sha256: str, path: str) -> None:

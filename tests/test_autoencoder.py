@@ -196,36 +196,49 @@ class TestStepMemory:
         x = np.random.default_rng(2).uniform(size=(2, 1, 16, 16, 16))
         return model, x
 
-    def test_step_peak_is_pinned(self):
-        model, x = self._step_inputs()
-        ae.loss_and_gradients(model, x, x, "combined")  # one-off allocations
+    @staticmethod
+    def _step_peak(model, x, kind):
+        ae.loss_and_gradients(model, x, x, kind)  # one-off allocations
         tracemalloc.start()
         try:
-            ae.loss_and_gradients(model, x, x, "combined")
-            peak = tracemalloc.get_traced_memory()[1]
+            ae.loss_and_gradients(model, x, x, kind)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 2.0 MiB; a cache that also kept every layer's conv output and
-        # activation to the end of backward peaked at 3.2 MiB
-        assert peak < 2.5 * 2**20
+
+    def test_step_peak_is_pinned(self):
+        model, x = self._step_inputs()
+        # 2.0 MiB, mostly the conv kernels' block buffers at this size; a
+        # cache that also kept every layer's conv output and activation to
+        # the end of backward peaked at 3.2 MiB
+        assert self._step_peak(model, x, "combined") < 2.2 * 2**20
+        # at 32^3 the layer outputs dominate: 7.2 MiB; a cache that kept each
+        # batch-norm output next to its xhat (and copied the transposed
+        # convs' inputs for their weight gradients) peaked at 9.6 MiB
+        x = np.random.default_rng(2).uniform(size=(2, 1, 32, 32, 32))
+        assert self._step_peak(model, x, "mse") < 7.6 * 2**20
 
     def test_cache_keeps_masks_not_activations(self):
         model, x = self._step_inputs()
         recon, acts, cache = ae.forward(model, x, "train", want_cache=True)
         layers = cache["layers"]
-        # each layer's input is the previous layer's output itself
-        for lc, want in zip(layers, [x] + acts):
-            assert lc["input"] is want
-        for spec, lc in zip(model.layers, layers):
-            assert set(lc) == {"input", "act", "bn", "out_pad"}
+        # layer 1 keeps the batch itself; every other layer's input is a
+        # batch-norm output, which backward rebuilds from the entry before
+        assert layers[0]["input"] is x
+        for prev, lc in zip(model.layers, layers[1:]):
+            assert prev.batch_norm and lc["input"] is None
+        for spec, p, lc in zip(model.layers, model.params, layers):
+            assert set(lc) == {"input", "act", "bn", "beta", "out_pad"}
             if spec.activation == "relu":
                 assert lc["act"].dtype == np.bool_
                 xhat = lc["bn"][0]
                 assert xhat.shape == lc["act"].shape
-                # the only layer-sized float array besides the input
-                assert sum(a.size == xhat.size for a in lc["bn"]) == 1
+                assert lc["beta"] is p.beta
+                # xhat is the only layer-sized float array a layer keeps
+                held = [a for a in (*lc["bn"], lc["beta"]) if a.size == xhat.size]
+                assert len(held) == 1 and held[0] is xhat
             else:
-                assert lc["act"] is recon and lc["bn"] is None
+                assert lc["act"] is recon and lc["bn"] is None and lc["beta"] is None
 
     def test_backward_consumes_the_cache(self):
         model, x = self._step_inputs()
@@ -236,6 +249,75 @@ class TestStepMemory:
         assert set(grads) == {(i, name) for i, name, _ in model.trainable_items()}
         with pytest.raises(ShapeError, match="consumes"):
             ae.backward(model, cache, drecon)
+
+
+@pytest.mark.parametrize("dims", [(16, 16, 16), (17, 19, 23)])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_backward_rebuilds_each_input_bitwise(monkeypatch, mode, dims):
+    """Every conv backward reads bitwise the input its forward read: the
+    batch for layer 1, a rebuilt batch-norm output for the rest. The
+    transposed convs get it channel-major, so the weight gradient's
+    (C, N*X*Y*Z) rows are a view, and the gradients are those of the
+    forward's own inputs. 17 x 19 x 23 makes the decoder use output
+    padding 1 on some axes."""
+    from latentscope import nn
+
+    model = ae.init_params(seed=6)
+    rng = np.random.default_rng(6)
+    for spec, p in zip(model.layers, model.params):
+        if spec.batch_norm:  # away from the identity init, so xhat != output
+            c = spec.out_channels
+            p.gamma, p.beta = rng.uniform(0.5, 1.5, c), rng.normal(size=c)
+            p.running_mean, p.running_var = rng.normal(size=c), rng.uniform(0.5, 2, c)
+    x = rng.uniform(size=(2, 1, *dims))
+    originals = {name: getattr(nn, name) for name in (
+        "conv3d_forward", "conv_transpose3d_forward", "conv3d_backward",
+        "conv_transpose3d_backward", "_weight_grad")}
+    fwd_inputs, bwd_calls, row_views = [], [], []
+
+    def forward_recorder(name):
+        def record(h, *args):
+            fwd_inputs.append(h.copy())
+            return originals[name](h, *args)
+        return record
+
+    def backward_recorder(name):
+        def record(g, h, *args, **kwargs):
+            bwd_calls.append((name, g.copy(), h, args, kwargs))
+            return originals[name](g, h, *args, **kwargs)
+        return record
+
+    def weight_grad(a, src_padded):
+        rows = a.transpose(1, 0, 2, 3, 4).reshape(a.shape[1], -1)
+        row_views.append(np.shares_memory(rows, a))
+        return originals["_weight_grad"](a, src_padded)
+
+    for name in ("conv3d_forward", "conv_transpose3d_forward"):
+        monkeypatch.setattr(nn, name, forward_recorder(name))
+    for name in ("conv3d_backward", "conv_transpose3d_backward"):
+        monkeypatch.setattr(nn, name, backward_recorder(name))
+    monkeypatch.setattr(nn, "_weight_grad", weight_grad)
+
+    recon, _, cache = ae.forward(model, x, mode, want_cache=True)
+    _, drecon = ae.loss_and_grad(recon, x, "mse")
+    grads = ae.backward(model, cache, drecon)
+    monkeypatch.undo()
+
+    assert len(bwd_calls) == len(fwd_inputs) == len(model.layers)
+    for i, (name, g, h, args, kwargs) in zip(range(len(model.layers) - 1, -1, -1),
+                                             bwd_calls):
+        want = fwd_inputs[i]
+        assert h.shape == want.shape and h.tobytes() == want.tobytes(), i
+        if name == "conv_transpose3d_backward":
+            assert h.transpose(1, 0, 2, 3, 4).flags.c_contiguous
+        _, dw, db = getattr(nn, name)(g, want, *args, **kwargs)
+        assert dw.tobytes() == grads[(i, "w")].tobytes(), i
+        assert db.tobytes() == grads[(i, "b")].tobytes(), i
+    assert bwd_calls[-1][2] is x
+    # one _weight_grad per layer, in backward order; the transposed convs'
+    # rows are views of their channel-major input
+    kinds = [spec.kind for spec in reversed(model.layers)]
+    assert row_views == [k == "conv_transpose3d" for k in kinds]
 
 
 class TestEarlyStop:

@@ -126,6 +126,11 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="unknown layer"):
             EmbedConfig(layers=("L3", layer)).validate()
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_neighbourless_umap_rejected(self, value):
+        with pytest.raises(ConfigError, match="n_neighbors"):
+            parse_config_text(f"embed.n_neighbors={value}\n")
+
     def test_comparison_against_absent_class(self):
         with pytest.raises(ConfigError, match="absent"):
             parse_config_text(

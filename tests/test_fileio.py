@@ -1,5 +1,7 @@
 """Artifact file formats: volumes, atlases, cohort manifests, CSV."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,102 @@ def test_atlas_magic_differs_from_volume(tmp_path):
     save_volume(vol, path)
     with pytest.raises(FormatError):
         load_atlas(path)
+
+
+def _headed(magic: bytes, dims, payload: bytes) -> bytes:
+    """A grid file as `_write_grid` lays it out: magic, shape line, payload."""
+    return magic + " ".join(map(str, dims)).encode() + b"\n" + payload
+
+
+def _grid_bytes(magic: bytes, values: np.ndarray, dtype: str) -> bytes:
+    """The grid file of `values`, which no constructor need accept."""
+    return _headed(magic, values.shape, values.astype(dtype).tobytes(order="F"))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.5, 1.5])
+def test_volume_with_invalid_voxels_raises_format_error(tmp_path, value):
+    voxels = np.full((2, 2, 2), 0.5, dtype=np.float32)
+    voxels[1, 0, 1] = value
+    path = tmp_path / "v.vol"
+    path.write_bytes(_grid_bytes(b"LSVOL1\n", voxels, "<f4"))
+    with pytest.raises(FormatError, match="v.vol"):
+        load_volume(str(path))
+
+
+def test_atlas_missing_a_region_id_raises_format_error(tmp_path):
+    labels = np.array([0, 1, 3, 3, 1, 0, 3, 1], dtype=np.uint32).reshape(2, 2, 2)
+    path = tmp_path / "a.atl"
+    path.write_bytes(_grid_bytes(b"LSATL1\n", labels, "<u4"))
+    with pytest.raises(FormatError, match=r"a.atl: region ids missing from atlas: \[2\]"):
+        load_atlas(str(path))
+
+
+def test_atlas_with_a_huge_label_allocates_nothing_of_its_size(tmp_path):
+    # one label 2^32 - 1 names 4e9 regions; checking them must not allocate
+    # an id array that large
+    labels = np.full((4, 4, 4), 2**32 - 1, dtype=np.uint32)
+    path = tmp_path / "a.atl"
+    path.write_bytes(_grid_bytes(b"LSATL1\n", labels, "<u4"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="exceeds the atlas's 64 voxels"):
+            load_atlas(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _grid_blobs(magic: bytes, itemsize: int):
+    """Arbitrary bytes, bytes after the magic, and valid headers followed
+    by payloads of arbitrary content, of the right length or not."""
+    dims = st.tuples(*[st.integers(1, 3)] * 3)
+    exact = dims.flatmap(lambda d: st.binary(
+        min_size=itemsize * int(np.prod(d)), max_size=itemsize * int(np.prod(d))
+    ).map(lambda payload: _headed(magic, d, payload)))
+    return st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(lambda tail: magic + tail),
+        st.tuples(dims, st.binary(max_size=120)).map(lambda t: _headed(magic, *t)),
+        exact,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_blobs(b"LSVOL1\n", 4))
+def test_volume_loader_total_on_arbitrary_bytes(tmp_path_factory, blob):
+    """Any file content gives a valid volume or a package error."""
+    path = tmp_path_factory.getbasetemp() / "arbitrary.vol"
+    path.write_bytes(blob)
+    try:
+        volume = load_volume(str(path))
+    except LatentScopeError:
+        return
+    assert np.isfinite(volume.voxels).all()
+    assert volume.voxels.min() >= 0.0 and volume.voxels.max() <= 1.0
+    assert blob.endswith(volume.voxels.astype("<f4").tobytes(order="F"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    _grid_blobs(b"LSATL1\n", 4),
+    # valid headers whose labels are small, so that some atlases are valid
+    st.tuples(*[st.integers(1, 3)] * 3).flatmap(lambda d: st.lists(
+        st.integers(0, 4), min_size=int(np.prod(d)), max_size=int(np.prod(d))
+    ).map(lambda v: _grid_bytes(b"LSATL1\n", np.array(v).reshape(d), "<u4"))),
+))
+def test_atlas_loader_total_on_arbitrary_bytes(tmp_path_factory, blob):
+    """Any file content gives a valid atlas or a package error."""
+    path = tmp_path_factory.getbasetemp() / "arbitrary.atl"
+    path.write_bytes(blob)
+    try:
+        atlas = load_atlas(str(path))
+    except LatentScopeError:
+        return
+    ids = np.unique(atlas.labels)
+    assert ids[-1] == atlas.region_count
+    assert set(ids[ids > 0]) == set(range(1, atlas.region_count + 1))
+    assert blob.endswith(atlas.labels.astype("<u4").tobytes(order="F"))
 
 
 def test_cohort_round_trip(tmp_path, small_cohort):

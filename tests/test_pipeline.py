@@ -521,6 +521,21 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "dependency error" in err and "summary.csv" in err
 
+    def test_embed_zero_neighbors_exits_2(self, tiny_run, tmp_path, capsys):
+        # UMAP with no neighbours used to end in an IndexError traceback
+        # inside the embed stage
+        cfg, out = tiny_run
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        cfg = replace(cfg, embed=replace(cfg.embed, methods=("umap",), n_neighbors=0))
+        cfg_file = tmp_path / "study.cfg"
+        write_config(cfg, str(cfg_file))
+        code = main(["embed", "--config", str(cfg_file), "--out", str(copy),
+                     "--stage-force"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "n_neighbors" in err
+
     def _copy_with_config(self, tiny_run, tmp_path):
         cfg, out = tiny_run
         copy = tmp_path / "run"
@@ -551,6 +566,23 @@ class TestCLI:
         assert main(["embed"] + base) == EXIT_DEPENDENCY
         err = capsys.readouterr().err
         assert "dependency error" in err and "model.lsae" in err
+
+    def test_atlas_missing_a_region_exits_3(self, tiny_run, tmp_path, capsys):
+        # a well-formed atlas file whose region 2 is relabelled 1: every
+        # stage that loads the cohort used to end in a ValueError traceback
+        from latentscope.fileio import load_atlas
+
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        path = copy / "generate" / "cohort" / "atlas.atl"
+        labels = load_atlas(str(path)).labels
+        labels[labels == 2] = 1
+        head = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(b"\n".join(head[:2]) + b"\n"
+                         + labels.astype("<u4").tobytes(order="F"))
+        assert main(["correlate"] + base) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "atlas.atl" in err
+        assert "region ids missing from atlas: [2]" in err
 
     @pytest.mark.parametrize("old,new", [
         (",3,volumes/", ",x,volumes/"),           # a class label that is no int
