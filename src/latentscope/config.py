@@ -9,6 +9,7 @@ into every stage's artifacts for staleness checks.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .autoencoder import LAYER_KEYS, TrainConfig
@@ -48,6 +49,13 @@ class EmbedConfig:
             raise ConfigError("components must be >= 1")
         if self.n_neighbors < 1:
             raise ConfigError("n_neighbors must be >= 1")
+        if not 0.0 < self.perplexity < math.inf:
+            raise ConfigError("perplexity must be finite and > 0")
+        if self.tsne_iters < 1 or self.umap_epochs < 1:
+            raise ConfigError("tsne_iters and umap_epochs must be >= 1")
+        # UMAP takes min_dist <= spread, and fit_ab fits with spread 1
+        if not 0.0 <= self.min_dist <= 1.0:
+            raise ConfigError("min_dist must be in [0,1]")
 
 
 @dataclass

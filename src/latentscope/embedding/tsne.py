@@ -32,6 +32,13 @@ values and `kl_history` are the same bits as that form gives:
 - KL gathers Q on P's support (`flatnonzero(P > 0)`, found once) and runs
   divide, log, multiply and sum over it: the terms and the summation of
   `kl_divergence(P, Q)`, which stays the public reference.
+
+The perplexity bisection runs over all rows at once, and a row leaves it
+once its entropy is close enough. Each row gets the bits of the same steps
+on that row alone: `exp` and the divisions are elementwise, the row totals
+are `axis=1` sums, and the row dot products are one stacked
+`np.matmul(r[:, None, :], p[:, :, None])`, which numpy sends row by row to
+the same BLAS ddot as the 1-D `r @ p`.
 """
 
 from __future__ import annotations
@@ -48,17 +55,23 @@ EXAGGERATION_ITERS = 250
 MOMENTUM_EARLY = 0.5
 MOMENTUM_LATE = 0.8
 _BISECT_TRIES = 50
-_PERP_TOL = 1e-3
 
 
-def entropy_and_probs(d2_row: np.ndarray, beta: float):
-    """Shannon entropy (nats) and conditional probabilities for one row."""
-    p = np.exp(-d2_row * beta)
-    total = p.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        return 0.0, np.zeros_like(p)
-    h = np.log(total) + beta * float(d2_row @ p) / total
-    return float(h), p / total
+def entropy_and_probs(d2_rows: np.ndarray, beta: np.ndarray):
+    """Shannon entropies (nats) and conditional probabilities of each row of
+    `d2_rows` at its own `beta`; a row whose total is not positive and
+    finite gets entropy 0 and all-zero probabilities."""
+    p = np.exp(-d2_rows * beta[:, None])
+    total = p.sum(axis=1)
+    # one ddot per row, as 1-D `d2_row @ p` makes
+    dots = np.matmul(d2_rows[:, None, :], p[:, :, None])[:, 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.log(total) + beta * dots / total
+        p /= total[:, None]
+    failed = (total <= 0.0) | ~np.isfinite(total)
+    h[failed] = 0.0
+    p[failed] = 0.0
+    return h, p
 
 
 def perplexity_of(p_row: np.ndarray) -> float:
@@ -68,26 +81,36 @@ def perplexity_of(p_row: np.ndarray) -> float:
 
 
 def conditional_probabilities(d2: np.ndarray, perplexity: float) -> np.ndarray:
-    """Per-row bisection on the Gaussian bandwidth to hit the perplexity."""
+    """Bisection on each row's Gaussian bandwidth to hit the perplexity.
+
+    All rows are bisected at once; a row leaves the loop once its entropy is
+    within 1e-5 of log(perplexity), keeping the probabilities it had then,
+    and a row that never gets there keeps those of its last try."""
     n = d2.shape[0]
     target = np.log(perplexity)
-    p_cond = np.zeros((n, n))
     others = ~np.eye(n, dtype=bool)
-    for i in range(n):
-        row = d2[i, others[i]]
-        beta, beta_min, beta_max = 1.0, -np.inf, np.inf
-        h, p = entropy_and_probs(row, beta)
-        for _ in range(_BISECT_TRIES):
-            if abs(h - target) < 1e-5:
-                break
-            if h > target:
-                beta_min = beta
-                beta = beta * 2.0 if beta_max == np.inf else (beta + beta_max) / 2.0
-            else:
-                beta_max = beta
-                beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
-            h, p = entropy_and_probs(row, beta)
-        p_cond[i, others[i]] = p
+    rows = d2[others].reshape(n, n - 1)
+    beta = np.ones(n)
+    beta_min, beta_max = np.full(n, -np.inf), np.full(n, np.inf)
+    h, p = entropy_and_probs(rows, beta)
+    live = np.arange(n)
+    for _ in range(_BISECT_TRIES):
+        going = ~(np.abs(h - target) < 1e-5)
+        live, h = live[going], h[going]
+        if not live.size:
+            break
+        above = h > target
+        b = beta[live]
+        lo = np.where(above, b, beta_min[live])
+        hi = np.where(above, beta_max[live], b)
+        beta[live] = np.where(
+            above,
+            np.where(hi == np.inf, b * 2.0, (b + hi) / 2.0),
+            np.where(lo == -np.inf, b / 2.0, (b + lo) / 2.0))
+        beta_min[live], beta_max[live] = lo, hi
+        h, p[live] = entropy_and_probs(rows[live], beta[live])
+    p_cond = np.zeros((n, n))
+    p_cond[others] = p.reshape(-1)
     return p_cond
 
 

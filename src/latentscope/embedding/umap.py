@@ -19,20 +19,36 @@ meaning. The fit warns and notes `disconnected_graph`.
 
 The optimiser loop keeps its numpy calls few and cheap, and these forms
 hold its bits:
-- Active edges, the kept rows of each negative round and the `next_sample`
-  update are selected with `flatnonzero` and `take`, which pick the same
-  elements in the same order as a boolean mask.
-- Each update goes through one 1-D `np.add.at` on the flat view of `y`
-  (`_add_rows`). A head that occurs several times in one update has each
-  of its elements updated one occurrence at a time, in order, as the 2-D
-  row form does; summing a head's updates first (`bincount`) would round
-  differently. The flat indices of every edge head are built once per fit
-  (`_flat_rows`), and each update takes its rows of them.
+- `y` is held feature-major, as a (dims, n) array `yt`. A squared distance
+  is `(diff * diff).sum(axis=0)` over a (dims, m) `diff`: each column's
+  terms are added first to last, the same bits as the row sums of the
+  (m, dims) form.
+- Active edges and the `next_sample` update are selected with
+  `flatnonzero` and `take`, which pick the same elements in the same order
+  as a boolean mask.
+- Each update goes through one 1-D `np.add.at` on the flat view of `yt`
+  (`_add_rows`), where coordinate c of point r sits at c * n + r. A head
+  that occurs several times in one update has each of its elements updated
+  one occurrence at a time, in order, as the 2-D row form does; summing a
+  head's updates first (`bincount`) would round differently. The flat
+  indices of every edge head are built once per fit (`_flat_rows`), and
+  each update takes its columns of them.
+- A negative round keeps the draws whose target is the head itself. Such a
+  draw has `diff` +0.0 in every coordinate, so d2 = 0, its coefficient is
+  the finite 2b / 0.001 (the fitted b is > 0) and its step is +0.0. No
+  element of `y` is ever -0.0: it starts at -10 + 20u, and a sum of finite
+  doubles is -0.0 only when both terms are. Adding +0.0 to a value that is
+  not -0.0 returns that value, so the round gives the bits of one with the
+  self-draws filtered out.
 - Clipping is `np.minimum` then `np.maximum` in place, the same bits as
-  `np.clip`, and the scalar factors `-2ab`, `b - 1` and `2b` are computed
-  once, as the same left-to-right products.
+  `np.clip`, and the scalar factors `-2ab` and `b - 1` are computed once,
+  as the same left-to-right products.
 - The RNG draws one `integers` block per epoch with active edges; any other
   call sequence changes every later sample.
+
+The bandwidth bisection runs over all points at once, and a point leaves it
+once its sum is close enough; each row's `exp`, its `axis=1` sum and its
+mean are the bits of the same calls on that row alone.
 """
 
 from __future__ import annotations
@@ -65,27 +81,32 @@ def fit_ab(min_dist: float, spread: float = 1.0) -> tuple[float, float]:
 
 
 def smooth_knn_calibration(knn_dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point (rho, sigma): rho = first-NN distance, sigma by bisection."""
+    """Per-point (rho, sigma): rho = first-NN distance, sigma by bisection.
+
+    All rows are bisected at once; a row leaves the loop once its sum is
+    within 1e-5 of log2(k), keeping the sigma it had then, and a row that
+    never gets there keeps the midpoint after its last step."""
     n, k = knn_dists.shape
     target = np.log2(k)
     rho = knn_dists[:, 0].copy()
-    sigma = np.zeros(n)
-    for i in range(n):
-        shifted = np.maximum(knn_dists[i] - rho[i], 0.0)
-        lo, hi, mid = 0.0, np.inf, 1.0
-        for _ in range(_SMOOTH_ITERS):
-            s = np.exp(-shifted / mid).sum()
-            if abs(s - target) < 1e-5:
-                break
-            if s > target:
-                hi = mid
-                mid = (lo + hi) / 2.0
-            else:
-                lo = mid
-                mid = mid * 2.0 if hi == np.inf else (lo + hi) / 2.0
-        mean_d = knn_dists[i].mean()
-        sigma[i] = max(mid, _SIGMA_FLOOR_SCALE * mean_d) if mean_d > 0 else max(mid, _SIGMA_FLOOR_SCALE)
-    return rho, sigma
+    shifted = np.maximum(knn_dists - rho[:, None], 0.0)
+    lo, hi, mid = np.zeros(n), np.full(n, np.inf), np.ones(n)
+    live = np.arange(n)
+    for _ in range(_SMOOTH_ITERS):
+        s = np.exp(-shifted[live] / mid[live, None]).sum(axis=1)
+        going = ~(np.abs(s - target) < 1e-5)
+        live, s = live[going], s[going]
+        if not live.size:
+            break
+        above = s > target
+        m = mid[live]
+        lo_l = np.where(above, lo[live], m)
+        hi_l = np.where(above, m, hi[live])
+        mid[live] = np.where(hi_l == np.inf, m * 2.0, (lo_l + hi_l) / 2.0)
+        lo[live], hi[live] = lo_l, hi_l
+    mean_d = knn_dists.mean(axis=1)
+    floor = _SIGMA_FLOOR_SCALE * np.where(mean_d > 0, mean_d, 1.0)
+    return rho, np.maximum(mid, floor)
 
 
 def fuzzy_graph(x: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, list[str]]:
@@ -99,9 +120,8 @@ def fuzzy_graph(x: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, list[str]]
     knn_dists = np.take_along_axis(d, neigh, axis=1)
     rho, sigma = smooth_knn_calibration(knn_dists)
     a_dir = np.zeros((n, n))
-    for i in range(n):
-        w = np.exp(-np.maximum(knn_dists[i] - rho[i], 0.0) / sigma[i])
-        a_dir[i, neigh[i]] = w
+    a_dir[np.arange(n)[:, None], neigh] = np.exp(
+        -np.maximum(knn_dists - rho[:, None], 0.0) / sigma[:, None])
     graph = a_dir + a_dir.T - a_dir * a_dir.T
     if connected_components(graph, directed=False, return_labels=False) > 1:
         warnings.warn("kNN graph is disconnected; its components are embedded "
@@ -124,28 +144,38 @@ def cross_entropy(w: np.ndarray, w_hat: np.ndarray, eps: float = 1e-12) -> float
     return total
 
 
-def _flat_rows(rows: np.ndarray, dims: int) -> np.ndarray:
-    """(len(rows), dims) indices into the flat view of a C-contiguous
-    (n, dims) array: element (r, c) sits at r * dims + c."""
-    return (rows * dims)[:, None] + np.arange(dims)
+def _flat_rows(rows: np.ndarray, n: int, dims: int) -> np.ndarray:
+    """(dims, len(rows)) indices into the flat view of a C-contiguous
+    (dims, n) array: element (c, r) sits at c * n + r."""
+    return np.arange(dims)[:, None] * n + rows
 
 
-def _add_rows(y: np.ndarray, flat: np.ndarray, upd: np.ndarray) -> None:
-    """`np.add.at(y, rows, upd)` for a C-contiguous 2-D `y`, given
-    `flat = _flat_rows(rows, dims)`, as one 1-D `add.at` on its flat view:
-    each element still receives its updates one at a time, in order of
-    occurrence."""
-    np.add.at(y.reshape(-1), flat.reshape(-1), upd.reshape(-1))
+def _add_rows(yt: np.ndarray, flat: np.ndarray, upd: np.ndarray) -> None:
+    """`np.add.at(yt.T, rows, upd.T)` for a C-contiguous (dims, n) `yt`,
+    given `flat = _flat_rows(rows, n, dims)` and a (dims, len(rows))
+    `upd`, as one 1-D `add.at` on its flat view: each element still
+    receives its updates one at a time, in order of occurrence."""
+    np.add.at(yt.reshape(-1), flat.reshape(-1), upd.reshape(-1))
 
 
 def _clipped_step(coef: np.ndarray, diff: np.ndarray, alpha: float) -> np.ndarray:
-    """`np.clip(coef[:, None] * diff, -_GRAD_CLIP, _GRAD_CLIP) * alpha`,
-    in place in the product."""
-    step = coef[:, None] * diff
+    """`np.clip(coef * diff, -_GRAD_CLIP, _GRAD_CLIP) * alpha` for a
+    (dims, m) `diff`, in place in the product."""
+    step = coef * diff
     np.minimum(step, _GRAD_CLIP, out=step)
     np.maximum(step, -_GRAD_CLIP, out=step)
     step *= alpha
     return step
+
+
+def _repel(yt: np.ndarray, h: np.ndarray, h_flat: np.ndarray, targets: np.ndarray,
+           a: float, b: float, alpha: float) -> None:
+    """One negative round: push each head `h[j]` (flat indices `h_flat`)
+    away from `targets[j]`, in place in the feature-major `yt`."""
+    diff = yt.take(h, axis=1) - yt.take(targets, axis=1)
+    d2 = (diff * diff).sum(axis=0)
+    coef = 2.0 * b / ((0.001 + d2) * (1.0 + a * d2**b))
+    _add_rows(yt, h_flat, _clipped_step(coef, diff, alpha))
 
 
 def umap_embed(x: np.ndarray, dims: int = 3, n_neighbors: int = 15,
@@ -167,41 +197,33 @@ def umap_embed(x: np.ndarray, dims: int = 3, n_neighbors: int = 15,
     epochs_per_sample = weights.max() / weights
     next_sample = epochs_per_sample.copy()
 
-    head_rows = _flat_rows(heads, dims)
+    head_flat = _flat_rows(heads, n, dims)
     attract = -2.0 * a * b
     attract_power = b - 1.0
-    repel = 2.0 * b
 
-    y = rng.uniform(-10.0, 10.0, size=(n, dims))
+    # feature-major: yt[c, i] is coordinate c of point i
+    yt = np.ascontiguousarray(rng.uniform(-10.0, 10.0, size=(n, dims)).T)
     for epoch in range(1, epochs + 1):
         alpha = 1.0 - (epoch - 1) / epochs
         active = np.flatnonzero(next_sample <= epoch)
         if active.size:
             h = heads.take(active)
-            t = tails.take(active)
-            h_rows = head_rows.take(active, axis=0)
-            diff = y.take(h, axis=0) - y.take(t, axis=0)
-            d2 = (diff * diff).sum(axis=1)
+            h_flat = head_flat.take(active, axis=1)
+            diff = yt.take(h, axis=1) - yt.take(tails.take(active), axis=1)
+            d2 = (diff * diff).sum(axis=0)
             pos = d2 > 0.0
             coef = np.zeros_like(d2)
             coef[pos] = (attract * d2[pos] ** attract_power) / (
                 1.0 + a * d2[pos] ** b
             )
-            _add_rows(y, h_rows, _clipped_step(coef, diff, alpha))
-            # negative samples: uniformly random targets, repulsive push on heads
-            m = h.shape[0]
-            neg_targets = rng.integers(0, n, size=(m, NEGATIVE_RATE))
-            for c in range(NEGATIVE_RATE):
-                tneg = neg_targets[:, c]
-                keep = np.flatnonzero(tneg != h)
-                diff_n = (y.take(h.take(keep), axis=0)
-                          - y.take(tneg.take(keep), axis=0))
-                d2n = (diff_n * diff_n).sum(axis=1)
-                coef_n = repel / ((0.001 + d2n) * (1.0 + a * d2n**b))
-                _add_rows(y, h_rows.take(keep, axis=0),
-                          _clipped_step(coef_n, diff_n, alpha))
+            _add_rows(yt, h_flat, _clipped_step(coef, diff, alpha))
+            # negative samples: uniformly random targets, repulsive push on
+            # heads; a target equal to its head moves nothing (see above)
+            neg_targets = rng.integers(0, n, size=(h.size, NEGATIVE_RATE))
+            for targets in neg_targets.T:
+                _repel(yt, h, h_flat, targets, a, b, alpha)
             next_sample[active] += epochs_per_sample.take(active)
-        if not np.isfinite(y).all():
+        if not np.isfinite(yt).all():
             raise NumericError(f"non-finite UMAP embedding at epoch {epoch}")
 
     if subject_ids is None:
@@ -209,7 +231,7 @@ def umap_embed(x: np.ndarray, dims: int = 3, n_neighbors: int = 15,
     return EmbeddingMatrix(
         method="umap",
         layer=layer,
-        values=y,
+        values=np.ascontiguousarray(yt.T),
         subject_ids=list(subject_ids),
         metadata={
             "n_neighbors": n_neighbors,

@@ -24,7 +24,7 @@ import os
 import numpy as np
 
 from .data import AtlasMap, Cohort, Subject, Volume
-from .errors import DependencyError, FormatError
+from .errors import DependencyError, FormatError, ShapeError
 
 VOLUME_MAGIC = b"LSVOL1\n"
 ATLAS_MAGIC = b"LSATL1\n"
@@ -234,3 +234,5 @@ def load_cohort(directory: str) -> Cohort:
         return Cohort(subjects=subjects, atlas=atlas, seed=seed)
     except ValueError as exc:  # a seed or class label that is no int, a repeated id
         raise FormatError(f"malformed manifest {manifest}: {exc!r}") from exc
+    except ShapeError as exc:  # a volume on another grid than the atlas
+        raise FormatError(f"cohort {directory}: {exc}") from exc

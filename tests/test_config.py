@@ -131,6 +131,27 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="n_neighbors"):
             parse_config_text(f"embed.n_neighbors={value}\n")
 
+    @pytest.mark.parametrize("line,match", [
+        ("embed.perplexity=0.0", "perplexity"),
+        ("embed.perplexity=-5.0", "perplexity"),
+        ("embed.perplexity=nan", "perplexity"),
+        ("embed.perplexity=inf", "perplexity"),
+        ("embed.tsne_iters=0", "tsne_iters"),
+        ("embed.umap_epochs=0", "umap_epochs"),
+        ("embed.min_dist=-1.0", "min_dist"),
+        ("embed.min_dist=1.5", "min_dist"),
+        ("embed.min_dist=nan", "min_dist"),
+    ])
+    def test_embedding_parameter_out_of_range_rejected(self, line, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config_text(line + "\n")
+
+    @pytest.mark.parametrize("line", ["embed.min_dist=0.0", "embed.min_dist=1.0",
+                                      "embed.perplexity=0.5", "embed.tsne_iters=1",
+                                      "embed.umap_epochs=1"])
+    def test_embedding_parameter_at_its_limit_accepted(self, line):
+        parse_config_text(line + "\n")
+
     def test_comparison_against_absent_class(self):
         with pytest.raises(ConfigError, match="absent"):
             parse_config_text(
@@ -229,10 +250,11 @@ def valid_configs(draw):
                                     max_size=4))),
         layers=tuple(draw(st.lists(st.sampled_from(LAYER_KEYS),
                                    min_size=1, max_size=3))),
-        components=draw(st.integers(1, 10)), perplexity=draw(_any_float),
-        tsne_iters=draw(st.integers(0, 5000)),
-        n_neighbors=draw(st.integers(1, 100)), min_dist=draw(_any_float),
-        umap_epochs=draw(st.integers(0, 5000)))
+        components=draw(st.integers(1, 10)),
+        perplexity=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        tsne_iters=draw(st.integers(1, 5000)),
+        n_neighbors=draw(st.integers(1, 100)), min_dist=draw(_unit()),
+        umap_epochs=draw(st.integers(1, 5000)))
     bound = BoundConfig(delta=draw(_unit(exclude_min=True, exclude_max=True)),
                         eta=draw(_unit(exclude_max=True)))
     forest = ForestConfig(n_trees=draw(st.integers(1, 500)),

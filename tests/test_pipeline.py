@@ -552,6 +552,20 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "dependency error" in err and volume.name in err
 
+    def test_train_volume_off_the_atlas_grid_exits_3(self, tiny_run, tmp_path,
+                                                     capsys):
+        # a well-formed volume on another grid than the atlas used to exit 4
+        # (numeric failure) through Cohort's ShapeError
+        from latentscope.data import Volume
+        from latentscope.fileio import save_volume
+
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        volume = sorted((copy / "generate" / "cohort" / "volumes").iterdir())[0]
+        save_volume(Volume(np.zeros((4, 4, 4))), str(volume))
+        assert main(["train"] + base + ["--stage-force"]) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "!= atlas dims" in err
+
     def test_embed_missing_model_exits_3(self, tiny_run, tmp_path, capsys):
         copy, base = self._copy_with_config(tiny_run, tmp_path)
         (copy / "train" / "NOR_AD" / "model.lsae").unlink()

@@ -9,6 +9,7 @@ import pytest
 
 from latentscope.embedding.common import pairwise_sq_dists, standardize
 from latentscope.embedding.tsne import (
+    _BISECT_TRIES,
     _kl_on_support,
     conditional_probabilities,
     kl_divergence,
@@ -281,3 +282,74 @@ class TestKlCheckpoints:
     def test_zero_interval_rejected(self):
         with pytest.raises(ConfigError, match="kl_every"):
             tsne_embed(two_clusters(seed=1), perplexity=3.0, iters=10, kl_every=0)
+
+
+def _row_entropy_and_probs(d2_row, beta):
+    """One row at a time, as `entropy_and_probs` did before it took rows."""
+    p = np.exp(-d2_row * beta)
+    total = p.sum()
+    if total <= 0.0 or not np.isfinite(total):
+        return 0.0, np.zeros_like(p)
+    h = np.log(total) + beta * float(d2_row @ p) / total
+    return float(h), p / total
+
+
+def _rowwise_conditional_probabilities(d2, perplexity):
+    """The per-row bisection that `conditional_probabilities` vectorises,
+    and the number of tries each row took."""
+    n = d2.shape[0]
+    target = np.log(perplexity)
+    p_cond = np.zeros((n, n))
+    tries = np.zeros(n, dtype=int)
+    others = ~np.eye(n, dtype=bool)
+    for i in range(n):
+        row = d2[i, others[i]]
+        beta, beta_min, beta_max = 1.0, -np.inf, np.inf
+        h, p = _row_entropy_and_probs(row, beta)
+        for _ in range(_BISECT_TRIES):
+            if abs(h - target) < 1e-5:
+                break
+            tries[i] += 1
+            if h > target:
+                beta_min = beta
+                beta = beta * 2.0 if beta_max == np.inf else (beta + beta_max) / 2.0
+            else:
+                beta_max = beta
+                beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
+            h, p = _row_entropy_and_probs(row, beta)
+        p_cond[i, others[i]] = p
+    return p_cond, tries
+
+
+class TestVectorisedBisection:
+    """`conditional_probabilities` bisects all rows at once and gives the
+    bytes of the per-row loop."""
+
+    def _same_bytes(self, d2, perplexity):
+        want, tries = _rowwise_conditional_probabilities(d2, perplexity)
+        assert conditional_probabilities(d2, perplexity).tobytes() == want.tobytes()
+        return want, tries
+
+    def test_cohort_sized_rows(self):
+        # n = 240 as in cohort-analysis: rows converge after different tries
+        x = np.random.default_rng(240).normal(size=(240, 16))
+        _, tries = self._same_bytes(pairwise_sq_dists(standardize(x)[0]), 30.0)
+        assert len(set(tries.tolist())) > 3
+
+    def test_rows_that_use_every_try(self):
+        # a cluster 1e-12 wide needs a bandwidth beyond 50 doublings, so its
+        # rows stop at the cap while the others converge
+        rng = np.random.default_rng(0)
+        x = np.vstack([rng.normal(size=(20, 3)),
+                       rng.normal(size=(5, 3)) * 1e-12 + 5.0])
+        _, tries = self._same_bytes(pairwise_sq_dists(x), 3.0)
+        assert (tries == _BISECT_TRIES).any()
+        assert (tries < _BISECT_TRIES).any()
+
+    def test_rows_whose_total_underflows(self):
+        # interior points on a unit grid have two nearest neighbours, so at
+        # perplexity 1 beta doubles until every exp underflows to 0
+        x = np.arange(8.0)[:, None]
+        want, _ = self._same_bytes(pairwise_sq_dists(x), 1.0)
+        np.testing.assert_array_equal(want.sum(axis=1) == 0.0,
+                                      [False] + [True] * 6 + [False])

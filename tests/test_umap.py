@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentscope.embedding.common import standardize
+from latentscope.embedding.common import pairwise_sq_dists, standardize
 from latentscope.embedding.umap import (
+    _SMOOTH_ITERS,
     _add_rows,
     _flat_rows,
+    _repel,
     cross_entropy,
     fit_ab,
     fuzzy_graph,
@@ -178,12 +180,118 @@ class TestFlatAddAt:
     @settings(max_examples=300, deadline=None)
     @given(row_updates())
     def test_flat_add_at_equals_row_add_at_bitwise(self, case):
+        # the optimiser holds y feature-major, as a C-contiguous (dims, n)
         y, rows, upd = case
         want = y.copy()
         np.add.at(want, rows, upd)
-        got = y.copy()
-        _add_rows(got, _flat_rows(rows, y.shape[1]), upd)
-        assert got.tobytes() == want.tobytes()
+        got = np.ascontiguousarray(y.T)
+        _add_rows(got, _flat_rows(rows, *y.shape), np.ascontiguousarray(upd.T))
+        assert got.T.tobytes() == want.tobytes()
+
+
+# (a, b) at the ends and inside of the min_dist range that config accepts
+_KERNELS = [fit_ab(min_dist) for min_dist in (0.0, 0.1, 0.5, 1.0)]
+
+
+@st.composite
+def negative_rounds(draw):
+    """A feature-major y that holds no -0.0, heads and negative targets
+    with some targets equal to their heads, and the round's scalars."""
+    n = draw(st.integers(1, 6))
+    dims = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 20))
+    # + 0.0 turns a drawn -0.0 into +0.0 and leaves every other value
+    values = st.floats(-20.0, 20.0).map(lambda v: v + 0.0)
+    yt = np.array(draw(st.lists(values, min_size=n * dims, max_size=n * dims)))
+    index = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    heads = np.array(draw(index), dtype=np.intp)
+    targets = np.array(draw(index), dtype=np.intp)
+    targets[::3] = heads[::3]
+    a, b = draw(st.sampled_from(_KERNELS))
+    alpha = draw(st.floats(0.002, 1.0))
+    return yt.reshape(dims, n), heads, targets, a, b, alpha
+
+
+class TestSelfDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(negative_rounds())
+    def test_round_with_self_draws_kept_equals_dropped_bitwise(self, case):
+        # a self-draw has diff +0.0, so its step is +0.0, and adding +0.0
+        # to a y that holds no -0.0 changes no bit
+        yt, heads, targets, a, b, alpha = case
+        dims, n = yt.shape
+        kept = yt.copy()
+        _repel(kept, heads, _flat_rows(heads, n, dims), targets, a, b, alpha)
+        keep = np.flatnonzero(targets != heads)
+        dropped = yt.copy()
+        _repel(dropped, heads[keep], _flat_rows(heads[keep], n, dims),
+               targets[keep], a, b, alpha)
+        assert kept.tobytes() == dropped.tobytes()
+
+
+def _rowwise_smooth_knn_calibration(knn_dists):
+    """The per-row bisection that `smooth_knn_calibration` vectorises, and
+    the number of tries each row took."""
+    n, k = knn_dists.shape
+    target = np.log2(k)
+    rho = knn_dists[:, 0].copy()
+    sigma = np.zeros(n)
+    tries = np.zeros(n, dtype=int)
+    for i in range(n):
+        shifted = np.maximum(knn_dists[i] - rho[i], 0.0)
+        lo, hi, mid = 0.0, np.inf, 1.0
+        for _ in range(_SMOOTH_ITERS):
+            s = np.exp(-shifted / mid).sum()
+            if abs(s - target) < 1e-5:
+                break
+            tries[i] += 1
+            if s > target:
+                hi = mid
+                mid = (lo + hi) / 2.0
+            else:
+                lo = mid
+                mid = mid * 2.0 if hi == np.inf else (lo + hi) / 2.0
+        mean_d = knn_dists[i].mean()
+        sigma[i] = max(mid, 1e-3 * mean_d) if mean_d > 0 else max(mid, 1e-3)
+    return rho, sigma, tries
+
+
+def _knn_dists(x, k):
+    d = np.sqrt(pairwise_sq_dists(x))
+    order = np.argsort(d, axis=1, kind="stable")
+    return np.take_along_axis(d, order[:, 1 : k + 1], axis=1)
+
+
+class TestVectorisedCalibration:
+    """`smooth_knn_calibration` bisects all rows at once and gives the
+    bytes of the per-row loop."""
+
+    def _same_bytes(self, knn):
+        rho, sigma, tries = _rowwise_smooth_knn_calibration(knn)
+        got_rho, got_sigma = smooth_knn_calibration(knn)
+        assert got_rho.tobytes() == rho.tobytes()
+        assert got_sigma.tobytes() == sigma.tobytes()
+        return sigma, tries
+
+    def test_cohort_sized_rows(self):
+        x = standardize(np.random.default_rng(240).normal(size=(240, 16)))[0]
+        _, tries = self._same_bytes(_knn_dists(x, 15))
+        assert len(set(tries.tolist())) > 3
+
+    def test_duplicates_and_rows_that_use_every_try(self):
+        # a point with 5 exact duplicates has k zero distances (mean 0,
+        # sigma floored at 1e-3); a point 1e-9 from tight pairs needs more
+        # halvings than the cap allows
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(30, 3))
+        x = np.vstack([base, np.repeat(base[:1], 5, axis=0),
+                       base[1:4] + 1e-9 * rng.normal(size=(3, 3))])
+        knn = _knn_dists(x, 5)
+        assert (knn.mean(axis=1) == 0.0).any()
+        sigma, tries = self._same_bytes(knn)
+        assert (tries == _SMOOTH_ITERS).any()
+        assert (tries < _SMOOTH_ITERS).any()
+        assert (sigma[knn.mean(axis=1) == 0.0] == 1e-3).all()
 
 
 def _star(center: np.ndarray, rng, k: int = 12) -> np.ndarray:
