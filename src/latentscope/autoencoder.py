@@ -28,24 +28,19 @@ so the cohort is never held in float64 as a whole.
 from __future__ import annotations
 
 import hashlib
-import math
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn
 from .data import Cohort
-from .errors import (ConfigError, DependencyError, FormatError, NumericError,
-                     ShapeError)
+from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .fileio import _read_grid, _write_grid
 from .ssim import ssim3d, ssim3d_with_grad
 
 ENCODER_CHANNELS = (1, 16, 32, 64)
 LAYER_KEYS = ("L1", "L2", "L3")
-MODEL_MAGIC = b"LSAE1\n"
-_LAYER_KINDS = ("conv3d", "conv_transpose3d")
-_ACTIVATIONS = ("relu", "sigmoid")
+MODEL_MAGIC = b"LSAE2\n"
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -571,83 +566,34 @@ def decode(model: AEParams, latent: np.ndarray, dims) -> np.ndarray:
 
 
 def save_model(model: AEParams, path: str) -> None:
-    """Versioned binary: magic, layer table, little-endian float64 params."""
-    with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(f"layers {len(model.layers)}\n".encode("ascii"))
-        for spec in model.layers:
-            f.write(
-                f"{spec.kind} {spec.in_channels} {spec.out_channels} "
-                f"{spec.activation} {int(spec.batch_norm)}\n".encode("ascii")
-            )
-        for arr in model.all_arrays():
-            data = np.ascontiguousarray(arr, dtype="<f8")
-            f.write(struct.pack("<I", data.ndim))
-            f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            f.write(data.tobytes())
+    """The model's arrays in `all_arrays` order, flattened into one float64
+    grid (magic "LSAE2\\n"; see fileio). The file records no layer table
+    and no array shapes, so only the default architecture can be saved:
+    any other layer table, or an array off its shape, is a ShapeError."""
+    if model.layers != default_architecture():
+        raise ShapeError("only the default architecture can be saved")
+    got = [np.shape(a) for a in model.all_arrays()]
+    want = [a.shape for a in init_params(0).all_arrays()]
+    if got != want:
+        raise ShapeError(f"model arrays have shapes {got}, the default "
+                         f"architecture needs {want}")
+    flat = np.concatenate([np.ravel(a) for a in model.all_arrays()])
+    _write_grid(path, MODEL_MAGIC, flat, "<f8")
 
 
 def load_model(path: str) -> AEParams:
-    try:
-        with open(path, "rb") as f:
-            return _read_model(f)
-    except OSError as exc:  # missing or unreadable
-        raise DependencyError(f"cannot read model {path}: {exc}") from exc
-    except (FormatError, struct.error, ValueError) as exc:  # incl. UnicodeDecodeError
-        raise FormatError(f"malformed model file {path}: {exc}") from exc
-
-
-def _read_model(f) -> AEParams:
-    magic = f.read(len(MODEL_MAGIC))
-    if magic != MODEL_MAGIC:
-        raise FormatError(f"bad model magic {magic!r}")
-    header = f.readline(64).decode("ascii").split()
-    if len(header) != 2 or header[0] != "layers":
-        raise FormatError("malformed layer-count line")
-    n_layers = int(header[1])
-    layers = []
-    for _ in range(n_layers):
-        parts = f.readline(128).decode("ascii").split()
-        if (len(parts) != 5 or parts[0] not in _LAYER_KINDS
-                or parts[3] not in _ACTIVATIONS or parts[4] not in ("0", "1")):
-            raise FormatError(f"malformed layer spec line {parts!r}")
-        spec = LayerSpec(parts[0], int(parts[1]), int(parts[2]), parts[3],
-                         parts[4] == "1")
-        if min(spec.in_channels, spec.out_channels) < 1:
-            raise FormatError(f"non-positive channel count in {parts!r}")
-        if layers and layers[-1].out_channels != spec.in_channels:
-            raise FormatError(f"layer {len(layers) + 1} takes {spec.in_channels} "
-                              f"channels, layer {len(layers)} gives "
-                              f"{layers[-1].out_channels}")
-        layers.append(spec)
-
-    size = os.fstat(f.fileno()).st_size
-
-    def read_exact(nbytes: int) -> bytes:
-        # checked against the file size first: a forged shape word must not
-        # make the read allocate more than the file holds
-        if nbytes > size - f.tell():
-            raise FormatError("truncated model file")
-        return f.read(nbytes)
-
-    def read_array():
-        (ndim,) = struct.unpack("<I", read_exact(4))
-        shape = struct.unpack(f"<{ndim}I", read_exact(4 * ndim))
-        data = read_exact(8 * math.prod(shape))
-        return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-
-    params = []
-    for i, spec in enumerate(layers):
-        # all_arrays order: w, b, then the four batch-norm arrays in field order
-        arrays = [read_array() for _ in range(6 if spec.batch_norm else 2)]
-        cin, cout = spec.in_channels, spec.out_channels
-        w_shape = (cout, cin) if spec.kind == "conv3d" else (cin, cout)
-        want = [w_shape + (nn.KERNEL,) * 3] + [(cout,)] * (len(arrays) - 1)
-        got = [a.shape for a in arrays]
-        if got != want:
-            raise FormatError(f"layer {i + 1} arrays have shapes {got}, "
-                              f"its spec needs {want}")
-        params.append(LayerParams(*arrays))
-    if f.read(1):
-        raise FormatError("trailing bytes in model file")
-    return AEParams(layers=layers, params=params)
+    """The default-architecture model that `save_model` wrote to `path`: a
+    missing or unreadable file is a DependencyError, any other value count
+    than the architecture's a FormatError."""
+    flat, _ = _read_grid(path, MODEL_MAGIC, "<f8", ndim=1)
+    model = init_params(0)
+    arrays = list(model.all_arrays())
+    want = sum(a.size for a in arrays)
+    if flat.size != want:
+        raise FormatError(f"{path}: {flat.size} values, the autoencoder "
+                          f"architecture has {want}")
+    start = 0
+    for a in arrays:
+        a[...] = flat[start : start + a.size].reshape(a.shape)
+        start += a.size
+    return model

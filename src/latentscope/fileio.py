@@ -6,6 +6,10 @@ p = x + dx*(y + dy*z)). Atlas: same layout with magic "LSATL1\\n" and
 little-endian uint32 labels. Latent: magic "LSLAT1\\n", ASCII lines
 "params_sha256=<hex>\\n" (the hash of the model that computed it) and
 "n C x y z\\n", then little-endian float64 values in C order (z fastest).
+Model: magic "LSAE2\\n", ASCII line "P\\n", then the P parameters of the
+fixed autoencoder architecture as little-endian float64, its arrays in
+`AEParams.all_arrays` order, each flattened in C order (see
+autoencoder.save_model).
 Cohort manifest: CSV id,class_label,volume_path with volume paths relative
 to the manifest's directory.
 
@@ -183,7 +187,10 @@ def _data_lines(path: str) -> list[str]:
 def read_table(path: str, columns: list[str]) -> list[dict[str, str]]:
     """Rows of a CSV artifact whose header must be exactly `columns`, with one
     field per column in every row; anything else is a FormatError."""
-    rows = [row for row in csv.reader(_data_lines(path)) if row]
+    try:
+        rows = [row for row in csv.reader(_data_lines(path)) if row]
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise FormatError(f"{path}: {exc}") from exc
     header = rows[0] if rows else []
     if header != columns:
         raise FormatError(f"{path}: header {','.join(header)!r}, "

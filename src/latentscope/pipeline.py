@@ -19,9 +19,8 @@ import numpy as np
 
 from .attribution import attribute_class, build_shap_volume, total_reconstruction_error
 from .autoencoder import (ENCODER_CHANNELS, AEParams, TrainConfig,
-                          default_architecture, encoder_chain_dims,
-                          extract_activations, load_model, params_hash, save_model,
-                          train)
+                          encoder_chain_dims, extract_activations, load_model,
+                          params_hash, save_model, train)
 from .config import PipelineConfig, config_hash, parse_comparison, write_config
 from .data import CLASS_NAMES, Cohort, balanced_subset, build_region_profiles
 from .embedding import EmbeddingMatrix, embed_once
@@ -93,10 +92,15 @@ def _write_stamp(out: Path, stage: str, config: PipelineConfig) -> None:
 
 
 def _read_stamp_hash(out: Path, stage: str) -> str | None:
+    """The config hash in `stage`'s stamp, or None if it has none."""
     path = _stamp_path(out, stage)
-    if not path.exists():
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
         return None
-    for line in path.read_text(encoding="utf-8").splitlines():
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable or undecodable
+        raise DependencyError(f"cannot read stage stamp {path}: {exc}") from exc
+    for line in text.splitlines():
         key, _, value = line.partition("=")
         if key == "config_hash":
             return value
@@ -177,14 +181,8 @@ def _load_cohort(out: Path) -> Cohort:
 
 
 def _load_model(out: Path, name: str) -> AEParams:
-    """The train stage's model of comparison `name`, which must have the
-    architecture `train` builds."""
-    path = out / "train" / name / "model.lsae"
-    model = load_model(str(path))
-    if model.layers != default_architecture():
-        raise FormatError(f"{path}: layer table is not the trained "
-                          "autoencoder architecture")
-    return model
+    """The train stage's model of comparison `name`."""
+    return load_model(str(out / "train" / name / "model.lsae"))
 
 
 def run_train(config: PipelineConfig, out_dir, force: bool = False) -> Path:
@@ -516,8 +514,8 @@ def run_report(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                   ["comparison"] + _IMPORTANCE_COLUMNS, importance_rows,
                   comments=comments)
 
-        stamp_rows = [{"stage": dep, "config_hash": _read_stamp_hash(out, dep)}
-                      for dep in STAGES if _read_stamp_hash(out, dep) is not None]
+        stamp_rows = [{"stage": dep, "config_hash": have} for dep in STAGES
+                      if (have := _read_stamp_hash(out, dep)) is not None]
         write_csv(str(stage / "provenance.csv"), ["stage", "config_hash"],
                   stamp_rows, comments=comments)
     return stage

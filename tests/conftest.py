@@ -1,7 +1,6 @@
 """Shared fixtures: small phantom cohorts, a trained desk-scale model, and
 the session-wide pipeline run reused by the acceptance tests."""
 
-import struct
 import warnings
 
 import numpy as np
@@ -28,16 +27,6 @@ def cluster_margin(values: np.ndarray, n_per: int = 10) -> float:
     va, vb = values[:n_per], values[n_per:]
     w = vb.mean(axis=0) - va.mean(axis=0)
     return float((vb @ w).min() - (va @ w).max())
-
-
-def forge_first_shape(blob: bytes, shape) -> bytes:
-    """A save_model file with the shape words of its first array replaced
-    by `shape`; the payload bytes are left as they are."""
-    n_layers = int(blob.split(b"\n")[1].split()[1])
-    head = b"\n".join(blob.split(b"\n", n_layers + 2)[: n_layers + 2]) + b"\n"
-    (ndim,) = struct.unpack_from("<I", blob, len(head))
-    rest = blob[len(head) + 4 + 4 * ndim:]
-    return head + struct.pack(f"<{1 + len(shape)}I", len(shape), *shape) + rest
 
 
 # The exact headers of lrcp/grid.csv and lrcp/summary.csv.

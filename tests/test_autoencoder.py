@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forge_first_shape
 from latentscope import autoencoder as ae
 from latentscope.data import AtlasMap, Cohort, Subject, Volume
 from latentscope.errors import (ConfigError, DependencyError, FormatError,
@@ -552,38 +551,48 @@ class TestPersistence:
         with pytest.raises(FormatError):
             ae.load_model(str(path))
 
-    def _header_length(self, blob: bytes, n_layers: int) -> int:
-        # magic line, "layers N" line, one line per layer, then the payload
-        return len(b"\n".join(blob.split(b"\n", n_layers + 2)[: n_layers + 2])) + 1
+    def test_file_is_one_float64_grid_of_all_arrays(self, tmp_path):
+        model = ae.init_params(seed=21)
+        path = tmp_path / "model.lsm"
+        ae.save_model(model, str(path))
+        flat = np.concatenate([a.ravel() for a in model.all_arrays()])
+        assert path.read_bytes() == (ae.MODEL_MAGIC + b"%d\n" % flat.size
+                                     + flat.astype("<f8").tobytes())
 
     @pytest.mark.parametrize("case", ["truncated_shape", "non_integer_count",
-                                      "non_ascii_header"])
+                                      "non_ascii_header", "claims_2_31_values",
+                                      "two_dims", "first_format"])
     def test_malformed_blobs_raise_format_error(self, tmp_path, case):
         model = ae.init_params(seed=21)
         path = tmp_path / "model.lsm"
         ae.save_model(model, str(path))
         blob = path.read_bytes()
-        if case == "truncated_shape":
-            # cut two bytes into the first array's shape words
-            blob = blob[: self._header_length(blob, len(model.layers)) + 4 + 2]
+        dims, payload = blob[len(ae.MODEL_MAGIC):].split(b"\n", 1)
+        if case == "truncated_shape":  # cut inside the dims line
+            blob = ae.MODEL_MAGIC + dims[:2]
         elif case == "non_integer_count":
-            blob = ae.MODEL_MAGIC + b"layers six\n"
-        else:
-            blob = ae.MODEL_MAGIC + b"layers \xff\n"
+            blob = ae.MODEL_MAGIC + b"six\n" + payload
+        elif case == "non_ascii_header":
+            blob = ae.MODEL_MAGIC + b"\xff\n" + payload
+        elif case == "claims_2_31_values":
+            blob = ae.MODEL_MAGIC + b"%d\n" % 2**31 + payload
+        elif case == "two_dims":
+            blob = ae.MODEL_MAGIC + dims + b" 1\n" + payload
+        else:  # the magic of the format with a layer table
+            blob = b"LSAE1\n" + blob[len(ae.MODEL_MAGIC):]
         path.write_bytes(blob)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="model.lsm"):
             ae.load_model(str(path))
 
-    @pytest.mark.parametrize("shape", [(1 << 20, 1 << 20), (1 << 31, 1 << 31),
-                                       (0xFFFFFFFF,) * 4, (2,) * 64])
-    def test_forged_shape_raises_format_error(self, tmp_path, shape):
-        # the first array claims more payload than the whole file holds
-        model = ae.init_params(seed=21)
+    def test_other_value_count_raises_format_error(self, tmp_path):
+        from latentscope.fileio import _write_grid
+
         path = tmp_path / "model.lsm"
-        ae.save_model(model, str(path))
-        path.write_bytes(forge_first_shape(path.read_bytes(), shape))
-        with pytest.raises(FormatError):
-            ae.load_model(str(path))
+        flat = np.concatenate([a.ravel() for a in ae.init_params(seed=21).all_arrays()])
+        for values in (flat[:-1], np.append(flat, 0.0), np.zeros(7)):
+            _write_grid(str(path), ae.MODEL_MAGIC, values, "<f8")
+            with pytest.raises(FormatError, match="architecture"):
+                ae.load_model(str(path))
 
     def test_missing_file_is_dependency_error(self, tmp_path):
         with pytest.raises(DependencyError, match="absent.lsae"):
@@ -591,25 +600,9 @@ class TestPersistence:
         with pytest.raises(DependencyError):
             ae.load_model(str(tmp_path))  # a directory, not a file
 
-    @pytest.mark.parametrize("old,new", [
-        (b"\nconv3d 1 16 relu 1", b"\nconv4d 1 16 relu 1"),
-        (b"\nconv3d 1 16 relu 1", b"\nconv3d 1 16 tanh 1"),
-        (b"\nconv3d 1 16 relu 1", b"\nconv3d 1 16 relu 2"),
-        (b"\nconv3d 1 16 relu 1", b"\nconv3d 0 16 relu 1"),
-        (b"\nconv3d 16 32 relu 1", b"\nconv3d 8 32 relu 1"),  # L1 gives 16
-    ], ids=["kind", "activation", "bn_flag", "channels", "chain"])
-    def test_bad_layer_line_raises_format_error(self, tmp_path, old, new):
-        path = tmp_path / "model.lsm"
-        ae.save_model(ae.init_params(seed=21), str(path))
-        blob = path.read_bytes()
-        assert blob.count(old) == 1
-        path.write_bytes(blob.replace(old, new))
-        with pytest.raises(FormatError):
-            ae.load_model(str(path))
-
     @pytest.mark.parametrize("case", ["l1_bias", "l2_gamma", "t1_weight_order",
                                       "t3_weight_kernel"])
-    def test_arrays_off_their_spec_raise_format_error(self, tmp_path, case):
+    def test_save_refuses_arrays_off_their_spec(self, tmp_path, case):
         model = ae.init_params(seed=21)
         if case == "l1_bias":
             model.params[0].b = np.zeros(5)
@@ -620,24 +613,44 @@ class TestPersistence:
         else:
             model.params[5].w = np.zeros((16, 1, 3, 3, 2))
         path = tmp_path / "model.lsm"
-        ae.save_model(model, str(path))
-        with pytest.raises(FormatError, match="spec needs"):
-            ae.load_model(str(path))
+        with pytest.raises(ShapeError, match="needs"):
+            ae.save_model(model, str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("case", ["two_layers", "relu_output"])
+    def test_save_refuses_other_architectures(self, tmp_path, case):
+        if case == "two_layers":
+            layers = SMALL_LAYERS
+        else:  # the default arrays, so only the layer table tells
+            layers = ae.default_architecture()
+            layers[-1] = ae.LayerSpec("conv_transpose3d", 16, 1, "relu", False)
+        path = tmp_path / "model.lsm"
+        with pytest.raises(ShapeError, match="default architecture"):
+            ae.save_model(ae.init_params(seed=3, layers=layers), str(path))
+        assert not path.exists()
 
 
 SMALL_LAYERS = [ae.LayerSpec("conv3d", 1, 2, "relu", True),
                 ae.LayerSpec("conv_transpose3d", 2, 1, "sigmoid", False)]
 
 
+@pytest.fixture(scope="module")
+def valid_model_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.lsae"
+    ae.save_model(ae.init_params(seed=3), str(path))
+    return path.read_bytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_model_loader_total_on_arbitrary_bytes(tmp_path_factory, data):
-    """Arbitrary bytes, and single-byte edits of a valid model file, give
-    a model whose every array fits its layer spec, or a package error."""
+def test_model_loader_total_on_arbitrary_bytes(tmp_path_factory, valid_model_blob,
+                                               data):
+    """Arbitrary bytes, and truncations and single-byte edits of a valid
+    model file, give a default-architecture model whose arrays are the
+    file's payload, or a package error."""
     path = tmp_path_factory.getbasetemp() / "arbitrary.lsae"
-    ae.save_model(ae.init_params(seed=3, layers=SMALL_LAYERS), str(path))
-    valid = path.read_bytes()
-    header = len(b"\n".join(valid.split(b"\n", 4)[:4])) + 1
+    valid = valid_model_blob
+    header = valid.index(b"\n", len(ae.MODEL_MAGIC)) + 1
     blob = data.draw(st.one_of(
         st.binary(max_size=300),
         st.binary(max_size=300).map(lambda tail: ae.MODEL_MAGIC + tail),
@@ -653,18 +666,11 @@ def test_model_loader_total_on_arbitrary_bytes(tmp_path_factory, data):
         model = ae.load_model(str(path))
     except LatentScopeError:
         return
-    for spec, p in zip(model.layers, model.params, strict=True):
-        assert spec.kind in ("conv3d", "conv_transpose3d")
-        assert spec.activation in ("relu", "sigmoid")
-        cin, cout = spec.in_channels, spec.out_channels
-        w_shape = (cout, cin) if spec.kind == "conv3d" else (cin, cout)
-        assert p.w.shape == w_shape + (3, 3, 3)
-        assert p.b.shape == (cout,)
-        norm = (p.gamma, p.beta, p.running_mean, p.running_var)
-        if spec.batch_norm:
-            assert all(a.shape == (cout,) for a in norm)
-        else:
-            assert all(a is None for a in norm)
+    assert model.layers == ae.default_architecture()
+    want = [a.shape for a in ae.init_params(seed=3).all_arrays()]
+    assert [a.shape for a in model.all_arrays()] == want
+    flat = np.concatenate([a.ravel() for a in model.all_arrays()])
+    assert blob.endswith(flat.astype("<f8").tobytes())
 
 
 def test_short_training_run_params_pinned():

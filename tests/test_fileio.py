@@ -249,6 +249,36 @@ def test_table_needs_exact_header_and_full_rows(tmp_path):
         read_table(str(tmp_path / "absent.csv"), ["a", "b"])
 
 
+def test_field_over_the_csv_limit_raises_format_error(tmp_path):
+    # the csv module refuses fields over 131072 characters; that used to
+    # escape as _csv.Error
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n" + "x" * 200_000 + ",1\n")
+    with pytest.raises(FormatError, match="t.csv: field larger"):
+        read_table(str(path), ["a", "b"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=200).map(lambda tail: b"a,b\n" + tail),
+    # one field on either side of the csv module's size limit
+    st.integers(0, 200_000).map(lambda n: b"a,b\n" + b"x" * n + b",1\n"),
+))
+def test_read_table_total_on_arbitrary_bytes(tmp_path_factory, blob):
+    """Any file content gives rows of exactly the asked columns or a
+    package error."""
+    path = tmp_path_factory.getbasetemp() / "arbitrary.csv"
+    path.write_bytes(blob)
+    try:
+        rows = read_table(str(path), ["a", "b"])
+    except LatentScopeError:
+        return
+    for row in rows:
+        assert list(row) == ["a", "b"]
+        assert all(isinstance(v, str) for v in row.values())
+
+
 def test_grid_missing_or_unreadable_is_dependency_error(tmp_path):
     with pytest.raises(DependencyError, match="absent.vol"):
         load_volume(str(tmp_path / "absent.vol"))

@@ -11,19 +11,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import LRCP_GRID_COLUMNS, LRCP_SUMMARY_COLUMNS, forge_first_shape
-from latentscope.autoencoder import TrainConfig
+from conftest import LRCP_GRID_COLUMNS, LRCP_SUMMARY_COLUMNS
+from latentscope.autoencoder import MODEL_MAGIC, TrainConfig
 import latentscope
 from latentscope.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_NUMERIC,
                              EXIT_OK, build_parser, main)
 from latentscope.config import (EMBED_METHODS, EmbedConfig, PipelineConfig,
                                 canonical_lines, config_hash, write_config)
-from latentscope.errors import DependencyError, NumericError
+from latentscope.errors import DependencyError, LatentScopeError, NumericError
+from latentscope.fileio import _write_grid
 from latentscope.phantom import PhantomConfig
 from latentscope.pipeline import (STAGE_DEPS, STAGES, pipeline_lock,
-                                  run_all, run_correlate, run_embed,
-                                  run_generate, run_report, run_train)
+                                  require_stages, run_all, run_correlate,
+                                  run_embed, run_generate, run_report,
+                                  run_train)
 
 
 def tiny_config(out_dir: str, seed: int = 7) -> PipelineConfig:
@@ -168,6 +172,32 @@ class TestStamps:
         text = (out / "config.txt").read_text()
         assert text == "\n".join(canonical_lines(cfg)) + "\n"
         assert str(out) not in text  # run location never lands in artifacts
+
+
+_GOOD_STAMP = f"stage=generate\nconfig_hash={config_hash(tiny_config('.'))}\n".encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=60).map(lambda tail: b"config_hash=" + tail),
+    st.tuples(st.binary(max_size=20), st.binary(max_size=20)).map(
+        lambda t: t[0] + _GOOD_STAMP + t[1]),
+))
+def test_require_stages_total_on_arbitrary_stamps(tmp_path_factory, blob):
+    """Any predecessor stamp lets the stage run or raises a package error;
+    it runs only if the stamp's first config_hash line names its config."""
+    cfg = tiny_config(".")
+    out = tmp_path_factory.getbasetemp() / "stamps"
+    (out / "generate").mkdir(parents=True, exist_ok=True)
+    (out / "generate" / "stage.stamp").write_bytes(blob)
+    try:
+        require_stages(out, "train", cfg)
+    except LatentScopeError:
+        return
+    lines = [ln for ln in blob.decode("utf-8").splitlines()
+             if ln.partition("=")[0] == "config_hash"]
+    assert lines[0] == f"config_hash={config_hash(cfg)}"
 
 
 class TestArtifactLayout:
@@ -574,9 +604,12 @@ class TestCLI:
         assert "dependency error" in err and "model.lsae" in err
 
     def test_embed_forged_model_shape_exits_3(self, tiny_run, tmp_path, capsys):
+        # the dims line claims far more values than the file holds
         copy, base = self._copy_with_config(tiny_run, tmp_path)
-        model = copy / "train" / "NOR_AD" / "model.lsae"
-        model.write_bytes(forge_first_shape(model.read_bytes(), (1 << 20, 1 << 20)))
+        path = copy / "train" / "NOR_AD" / "model.lsae"
+        blob = path.read_bytes()
+        dims = blob.split(b"\n", 2)[1]
+        path.write_bytes(blob.replace(b"\n" + dims + b"\n", b"\n%d\n" % (1 << 40), 1))
         assert main(["embed"] + base) == EXIT_DEPENDENCY
         err = capsys.readouterr().err
         assert "dependency error" in err and "model.lsae" in err
@@ -771,14 +804,17 @@ class TestCLI:
     @pytest.mark.parametrize("stage", ["embed", "shap"])
     def test_model_of_other_architecture_exits_3(self, tiny_run, tmp_path,
                                                  capsys, stage):
-        # a well-formed model file, but not the autoencoder train builds
-        from latentscope.autoencoder import LayerSpec, init_params, save_model
+        # a well-formed model file, but with the value count of another
+        # autoencoder than the one train builds
+        from latentscope.autoencoder import LayerSpec, init_params
 
         copy, base = self._copy_with_config(tiny_run, tmp_path)
         path = copy / "train" / "NOR_AD" / "model.lsae"
-        save_model(init_params(seed=1, layers=[
+        other = init_params(seed=1, layers=[
             LayerSpec("conv3d", 1, 4, "relu", True),
-            LayerSpec("conv_transpose3d", 4, 1, "sigmoid", False)]), str(path))
+            LayerSpec("conv_transpose3d", 4, 1, "sigmoid", False)])
+        _write_grid(str(path), MODEL_MAGIC,
+                    np.concatenate([a.ravel() for a in other.all_arrays()]), "<f8")
         assert main([stage] + base) == EXIT_DEPENDENCY
         err = capsys.readouterr().err
         assert "dependency error" in err and "model.lsae" in err
@@ -798,16 +834,62 @@ class TestCLI:
 
     def test_embed_model_arrays_off_spec_exits_3(self, tiny_run, tmp_path,
                                                  capsys):
-        from latentscope.autoencoder import load_model, save_model
-
+        # the payload ends one value short of what the dims line says
         copy, base = self._copy_with_config(tiny_run, tmp_path)
         path = copy / "train" / "NOR_AD" / "model.lsae"
-        model = load_model(str(path))
-        model.params[0].b = np.zeros(5)  # L1 has 16 output channels
-        save_model(model, str(path))
+        path.write_bytes(path.read_bytes()[:-8])
         assert main(["embed"] + base) == EXIT_DEPENDENCY
         err = capsys.readouterr().err
         assert "dependency error" in err and "model.lsae" in err
+
+    @pytest.mark.parametrize("stage", ["embed", "shap"])
+    @pytest.mark.parametrize("case", ["first_format", "half_payload",
+                                      "trailing_bytes", "forged_dims"])
+    def test_bad_model_file_exits_3(self, tiny_run, tmp_path, capsys, stage,
+                                    case):
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        path = copy / "train" / "NOR_AD" / "model.lsae"
+        blob = path.read_bytes()
+        dims, payload = blob.split(b"\n", 2)[1:]
+        path.write_bytes({
+            "first_format": b"LSAE1\n" + dims + b"\n" + payload,
+            "half_payload": blob[: len(blob) // 2],
+            "trailing_bytes": blob + b"\x00",
+            "forged_dims": MODEL_MAGIC + dims + b" 1\n" + payload,
+        }[case])
+        assert main([stage] + base) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "model.lsae" in err
+
+    def test_manifest_field_over_the_csv_limit_exits_3(self, tiny_run,
+                                                       tmp_path, capsys):
+        # a subject id longer than the csv module's field limit (131072)
+        # used to end in a _csv.Error traceback and exit 1
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        manifest = copy / "generate" / "cohort" / "manifest.csv"
+        lines = manifest.read_text().splitlines(keepends=True)
+        row = lines.index("id,class_label,volume_path\n") + 1
+        lines[row] = "x" * 200_000 + lines[row][lines[row].index(","):]
+        manifest.write_text("".join(lines))
+        assert main(["train"] + base) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "manifest.csv" in err
+        assert "field larger than field limit" in err
+
+    @pytest.mark.parametrize("case", ["undecodable", "directory"])
+    def test_unreadable_stamp_exits_3(self, tiny_run, tmp_path, capsys, case):
+        # a stamp that is not UTF-8 used to end in a UnicodeDecodeError
+        # traceback and exit 1, a directory in its place in an OSError one
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        stamp = copy / "generate" / "stage.stamp"
+        if case == "undecodable":
+            stamp.write_bytes(b"config_hash=\xff\xfe\n")
+        else:
+            stamp.unlink()
+            stamp.mkdir()
+        assert main(["train"] + base) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "stage.stamp" in err
 
     def test_numeric_failure_exits_4(self, tmp_path, capsys):
         # four subjects per class is enough to generate and train on but too
