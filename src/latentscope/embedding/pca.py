@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DegenerateInputError
-from .common import EmbeddingMatrix, center
+from .common import EmbeddingMatrix, PreparedLayer
 
 
 @dataclass
@@ -52,19 +52,20 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def pca_fit_transform(x: np.ndarray, k: int = 3,
+def pca_fit_transform(x: np.ndarray | PreparedLayer, k: int = 3,
                       subject_ids: list[str] | None = None,
                       layer: str = "L3") -> tuple[PcaModel, EmbeddingMatrix]:
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+    """PCA of the rows of `x`, a layer prepared by the caller, which this
+    centres, or an array, which this centres in a private copy."""
+    prepared = PreparedLayer.of(x)
+    n, p = prepared.shape
     if n < 2:
         raise DegenerateInputError("PCA needs at least 2 rows")
-    xc, mean = center(x)
+    xc = prepared.centred()
     # eigenpairs of the Gram matrix, descending
     w, u = np.linalg.eigh(xc @ xc.T)
     w, u = w[::-1], u[:, ::-1]
     rank = int((w > w[0] * n * np.finfo(np.float64).eps).sum())
-    p = x.shape[1]
     components = np.zeros((k, p))
     eigenvalues = np.zeros(k)
     usable = min(k, rank)
@@ -74,7 +75,7 @@ def pca_fit_transform(x: np.ndarray, k: int = 3,
     components = _fix_signs(components)
     scores = xc @ components.T
     model = PcaModel(
-        mean=mean,
+        mean=prepared.mean,
         components=components,
         eigenvalues=eigenvalues,
         rank=rank,

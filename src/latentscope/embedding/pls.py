@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DegenerateInputError
-from .common import EmbeddingMatrix, standardize, center
+from .common import EmbeddingMatrix, PreparedLayer, center
 
 _TINY = 1e-12
 
@@ -42,20 +42,23 @@ def one_hot(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def pls_fit_transform(x: np.ndarray, y: np.ndarray, k: int = 3,
+def pls_fit_transform(x: np.ndarray | PreparedLayer, y: np.ndarray, k: int = 3,
                       subject_ids: list[str] | None = None,
                       layer: str = "L3") -> tuple[PlsModel, EmbeddingMatrix]:
-    x = np.asarray(x, dtype=np.float64)
+    """PLS of the rows of `x` on `y`. `x` is a layer prepared by the caller,
+    which this consumes, or an array, which this standardizes and deflates
+    in a private copy."""
+    prepared = PreparedLayer.of(x)
     y = np.asarray(y, dtype=np.float64)
     if y.ndim == 1:
         y = y[:, None]
-    n, p = x.shape
+    n, p = prepared.shape
     if n != y.shape[0]:
         raise DegenerateInputError("X and Y row counts differ")
     if np.allclose(y, y[0], atol=_TINY):
         raise DegenerateInputError("constant Y: PLS target carries no signal")
-    # fresh arrays, deflated in place below
-    xd, x_mean, x_scale, _ = standardize(x)
+    # deflated in place below
+    xd = prepared.consume()
     yd, y_mean = center(y)
 
     weights = np.zeros((k, p))
@@ -91,8 +94,8 @@ def pls_fit_transform(x: np.ndarray, y: np.ndarray, k: int = 3,
         y_loadings[comp] = q_load
         scores[:, comp] = t
     model = PlsModel(
-        x_mean=x_mean,
-        x_scale=x_scale,
+        x_mean=prepared.mean,
+        x_scale=prepared.scale,
         y_mean=y_mean,
         x_weights=weights,
         x_loadings=x_loadings,

@@ -18,14 +18,18 @@ The optimiser loop works in place, and every element gets the float
 operations, in the order, of the textbook form
 `4 (diag(rowsum(pq)) - pq) @ y` with `pq = (P - Q) * num`, so the returned
 values and `kl_history` are the same bits as that form gives:
-- `num` and `pq` are allocated once per fit and every n x n step writes into
-  them with `out=`; `P * 12` is computed once.
-- The Gram product stays `y @ y.T`, a fresh array each iteration that then
-  holds Q. numpy sends a matrix times its own transpose to BLAS syrk and any
-  other product to gemm, and the two round differently.
+- `num` and `q` are the loop's two n x n buffers, allocated once per fit;
+  every n x n step writes into them with `out=`, and `P * 12` is computed
+  once.
+- The Gram product is `np.matmul(y, y.T, out=q)`. numpy sends a matrix
+  times its own transpose to BLAS syrk and any other product to gemm, and
+  the two round differently; an `out=` buffer keeps the syrk path. `q` then
+  holds Q.
+- The KL checkpoint reads Q as soon as it is final, and `pq` is then built
+  over it, in `q`'s buffer.
 - `num` is `1 / (1 + d2)` with d2 computed as `pairwise_sq_dists` does it,
   except that d2's diagonal is not zeroed first: `num`'s is set to 0 anyway.
-- `diag(s) - pq` is built in `pq` as `0.0 - pq` with the row sums s written
+- `diag(s) - pq` is built in place as `0.0 - pq` with the row sums s written
   onto the diagonal. The diagonal of `pq` is (0 - 1e-12) * 0 = -0.0 and no
   s is -0.0, so s - (-0.0) = s exactly. The factor 4 is applied to that
   matrix before the product with `y`, as in `(4.0 * M) @ y`.
@@ -48,7 +52,7 @@ import warnings
 import numpy as np
 
 from ..errors import ConfigError, DegenerateInputError, NumericError
-from .common import EmbeddingMatrix, pairwise_sq_dists, standardize
+from .common import EmbeddingMatrix, PreparedLayer, pairwise_sq_dists
 
 EXAGGERATION = 12.0
 EXAGGERATION_ITERS = 250
@@ -131,17 +135,20 @@ def _kl_on_support(p_support: np.ndarray, q: np.ndarray, support: np.ndarray,
     return float(out.sum())
 
 
-def tsne_embed(x: np.ndarray, dims: int = 3, perplexity: float = 30.0,
-               lr: float = 200.0, iters: int = 1000, seed: int = 0,
-               subject_ids: list[str] | None = None,
+def tsne_embed(x: np.ndarray | PreparedLayer, dims: int = 3,
+               perplexity: float = 30.0, lr: float = 200.0, iters: int = 1000,
+               seed: int = 0, subject_ids: list[str] | None = None,
                layer: str = "L3", kl_every: int = 1) -> EmbeddingMatrix:
-    """`kl_history` holds KL(P||Q) after iterations `kl_every`,
+    """t-SNE of the rows of `x`, a layer prepared by the caller or an array
+    prepared on a private copy; it reads the layer's `sq_dists()`.
+
+    `kl_history` holds KL(P||Q) after iterations `kl_every`,
     `2 * kl_every`, ... and after the last one: `ceil(iters / kl_every)`
     values, each the same bits as at that iteration with `kl_every=1`."""
     if kl_every < 1:
         raise ConfigError(f"t-SNE kl_every must be >= 1, got {kl_every}")
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+    prepared = PreparedLayer.of(x)
+    n = prepared.shape[0]
     if n < 4:
         raise DegenerateInputError(f"t-SNE needs at least 4 rows, got {n}")
     notes = []
@@ -154,14 +161,14 @@ def tsne_embed(x: np.ndarray, dims: int = 3, perplexity: float = 30.0,
         perplexity = float(lowered)
     rng = np.random.default_rng(seed)
 
-    xs, _, _, _ = standardize(x)
-    d2 = pairwise_sq_dists(xs)
+    d2 = prepared.sq_dists()
     off_diag = d2[~np.eye(n, dtype=bool)]
     if (off_diag == 0.0).any():
-        # duplicate points: deterministic seeded jitter at 1e-10 scale
+        # duplicate points: deterministic seeded jitter at 1e-10 scale, added
+        # to a copy, so the layer and its distances stay as they are
         notes.append("duplicate_points_jittered")
-        xs = xs + rng.normal(0.0, 1e-10, size=xs.shape)
-        d2 = pairwise_sq_dists(xs)
+        d2 = pairwise_sq_dists(prepared.standardized()
+                               + rng.normal(0.0, 1e-10, size=prepared.shape))
 
     p_cond = conditional_probabilities(d2, perplexity)
     p = (p_cond + p_cond.T) / (2.0 * n)
@@ -177,14 +184,14 @@ def tsne_embed(x: np.ndarray, dims: int = 3, perplexity: float = 30.0,
     gains = np.ones_like(y)
     kl_history = np.zeros(-(-iters // kl_every))
     num = np.empty((n, n))
-    pq = np.empty((n, n))
+    q = np.empty((n, n))
     kl_terms = np.empty(support.size)
     for it in range(iters):
         p_eff = p_exaggerated if it < EXAGGERATION_ITERS else p
         momentum = MOMENTUM_EARLY if it < EXAGGERATION_ITERS else MOMENTUM_LATE
         # num = 1 / (1 + pairwise_sq_dists(y)) with a zero diagonal
         sq = (y * y).sum(axis=1)
-        q = y @ y.T
+        np.matmul(y, y.T, out=q)
         np.multiply(q, 2.0, out=q)
         num[:] = sq[:, None]
         np.add(num, sq, out=num)
@@ -195,9 +202,13 @@ def tsne_embed(x: np.ndarray, dims: int = 3, perplexity: float = 30.0,
         np.fill_diagonal(num, 0.0)
         np.divide(num, num.sum(), out=q)
         np.maximum(q, 1e-12, out=q)
+        if (it + 1) % kl_every == 0 or it == iters - 1:
+            kl_history[it // kl_every] = _kl_on_support(p_support, q, support,
+                                                        kl_terms)
+        # pq = (P - Q) * num, then 4 (diag(row sums) - pq), in q's buffer
+        pq = q
         np.subtract(p_eff, q, out=pq)
         np.multiply(pq, num, out=pq)
-        # 4 (diag(row sums) - pq), built in place
         row_sums = pq.sum(axis=1)
         np.subtract(0.0, pq, out=pq)
         np.fill_diagonal(pq, row_sums)
@@ -211,9 +222,6 @@ def tsne_embed(x: np.ndarray, dims: int = 3, perplexity: float = 30.0,
         velocity = momentum * velocity - lr * (gains * grad)
         y += velocity
         y -= y.mean(axis=0)
-        if (it + 1) % kl_every == 0 or it == iters - 1:
-            kl_history[it // kl_every] = _kl_on_support(p_support, q, support,
-                                                        kl_terms)
 
     if subject_ids is None:
         subject_ids = [f"S{i:04d}" for i in range(n)]

@@ -60,7 +60,7 @@ from scipy.optimize import curve_fit
 from scipy.sparse.csgraph import connected_components
 
 from ..errors import DegenerateInputError, NumericError
-from .common import EmbeddingMatrix, pairwise_sq_dists, standardize
+from .common import EmbeddingMatrix, PreparedLayer
 
 _SMOOTH_ITERS = 64
 _SIGMA_FLOOR_SCALE = 1e-3
@@ -109,11 +109,13 @@ def smooth_knn_calibration(knn_dists: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return rho, np.maximum(mid, floor)
 
 
-def fuzzy_graph(x: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, list[str]]:
-    """Symmetric fuzzy membership matrix (dense) via exact kNN + fuzzy union."""
-    n = x.shape[0]
+def fuzzy_graph(d2: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, list[str]]:
+    """Symmetric fuzzy membership matrix (dense) via exact kNN + fuzzy union,
+    from the squared distances `d2` of the points (`pairwise_sq_dists`),
+    which it leaves as they are."""
+    n = d2.shape[0]
     notes = []
-    d = np.sqrt(pairwise_sq_dists(x))
+    d = np.sqrt(d2)
     order = np.argsort(d, axis=1, kind="stable")
     # column 0 is the point itself (distance 0)
     neigh = order[:, 1 : n_neighbors + 1]
@@ -178,18 +180,20 @@ def _repel(yt: np.ndarray, h: np.ndarray, h_flat: np.ndarray, targets: np.ndarra
     _add_rows(yt, h_flat, _clipped_step(coef, diff, alpha))
 
 
-def umap_embed(x: np.ndarray, dims: int = 3, n_neighbors: int = 15,
-               min_dist: float = 0.1, epochs: int = 500, seed: int = 0,
-               subject_ids: list[str] | None = None, layer: str = "L3") -> EmbeddingMatrix:
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+def umap_embed(x: np.ndarray | PreparedLayer, dims: int = 3,
+               n_neighbors: int = 15, min_dist: float = 0.1, epochs: int = 500,
+               seed: int = 0, subject_ids: list[str] | None = None,
+               layer: str = "L3") -> EmbeddingMatrix:
+    """UMAP of the rows of `x`, a layer prepared by the caller or an array
+    prepared on a private copy; it reads the layer's `sq_dists()`."""
+    prepared = PreparedLayer.of(x)
+    n = prepared.shape[0]
     if n <= n_neighbors:
         raise DegenerateInputError(
             f"UMAP needs n > n_neighbors, got n={n}, n_neighbors={n_neighbors}"
         )
     rng = np.random.default_rng(seed)
-    xs, _, _, _ = standardize(x)
-    graph, notes = fuzzy_graph(xs, n_neighbors)
+    graph, notes = fuzzy_graph(prepared.sq_dists(), n_neighbors)
     a, b = fit_ab(min_dist)
 
     heads, tails = np.nonzero(graph)

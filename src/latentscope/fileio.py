@@ -239,6 +239,8 @@ def load_cohort(directory: str) -> Cohort:
                 Subject(id=row["id"], class_label=int(row["class_label"]), volume=vol)
             )
         return Cohort(subjects=subjects, atlas=atlas, seed=seed)
+    except OSError as exc:  # unreadable, e.g. a directory in its place
+        raise DependencyError(f"cannot read artifact {manifest}: {exc}") from exc
     except ValueError as exc:  # a seed or class label that is no int, a repeated id
         raise FormatError(f"malformed manifest {manifest}: {exc!r}") from exc
     except ShapeError as exc:  # a volume on another grid than the atlas

@@ -23,7 +23,8 @@ from .autoencoder import (ENCODER_CHANNELS, AEParams, TrainConfig,
                           params_hash, save_model, train)
 from .config import PipelineConfig, config_hash, parse_comparison, write_config
 from .data import CLASS_NAMES, Cohort, balanced_subset, build_region_profiles
-from .embedding import EmbeddingMatrix, embed_once
+from .embedding import (PREPARED_ORDER, EmbeddingMatrix, PreparedLayer,
+                        embed_once)
 from .errors import DependencyError, FormatError
 from .fileio import (fmt_value, load_cohort, load_latent, read_table, save_cohort,
                      save_latent, save_volume, write_csv)
@@ -237,6 +238,8 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                      "min_dist": config.embed.min_dist,
                      "epochs": config.embed.umap_epochs},
         }
+        methods = sorted(dict.fromkeys(config.embed.methods),
+                         key=PREPARED_ORDER.index)
         for name, _, subset in _comparisons(config, cohort):
             model = _load_model(out, name)
             acts = extract_activations(model, subset,
@@ -250,10 +253,11 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
             # matrix leaves `acts` when its fits start and is freed when they
             # end, so the largest is fitted with the others already freed.
             # `acts` goes before the next comparison's activations are built.
+            # Each matrix is prepared once, in place, for all its fits.
             for layer in sorted(dict.fromkeys(config.embed.layers),
                                 key=lambda k: acts.matrix(k).shape[1]):
-                x = acts.layers.pop(layer)
-                for method in config.embed.methods:
+                x = PreparedLayer(acts.layers.pop(layer))
+                for method in methods:
                     emb = embed_once(
                         x, method,
                         seed=derive_seed(config.seed, "embed", name, method, layer),

@@ -238,7 +238,7 @@ def test_09_projection_correctness():
         for row in p:
             assert perplexity_of(row) == pytest.approx(30.0, abs=1e-3)
 
-        weights, _ = fuzzy_graph(data[:60], n_neighbors=10)
+        weights, _ = fuzzy_graph(pairwise_sq_dists(data[:60]), n_neighbors=10)
         np.testing.assert_array_equal(weights, weights.T)
 
         for seed in range(10):

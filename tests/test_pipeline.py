@@ -333,6 +333,42 @@ def test_tsne_meta_holds_kl_checkpoints(tmp_path):
     assert all(float(v) > 0.0 for v in kl)
 
 
+# sha256 over the names and bytes of every embed/*/*.csv and *.meta of
+# `_pinned_embed_config`, recorded when each method still prepared its own copy
+# of the layer matrix
+EMBED_DIGEST = "b6e00aafe5607486481f992f8f9a50ca3f4fc92573e26d9820d45d267e72c2f0"
+
+
+def _pinned_embed_config(out_dir: str) -> PipelineConfig:
+    cfg = tiny_config(out_dir, seed=5)
+    return replace(cfg,
+                   phantom=replace(cfg.phantom, class_counts={0: 10, 3: 10}),
+                   embed=EmbedConfig(methods=EMBED_METHODS,
+                                     layers=("L1", "L2", "L3"), components=3,
+                                     perplexity=5.0, tsne_iters=120,
+                                     n_neighbors=6, umap_epochs=40))
+
+
+@pytest.mark.filterwarnings("ignore:kNN graph is disconnected")
+def test_embed_artifacts_are_pinned(tmp_path):
+    """Every embedding file of a seeded run with all four methods on all
+    three layers is the bits recorded before the methods shared one
+    prepared layer matrix."""
+    import hashlib
+
+    cfg = _pinned_embed_config(str(tmp_path))
+    for run in (run_generate, run_train, run_embed):
+        run(cfg, str(tmp_path))
+    files = sorted(p for p in (tmp_path / "embed").glob("*/*")
+                   if p.suffix in (".csv", ".meta"))
+    assert len(files) == 2 * 4 * 3
+    h = hashlib.sha256()
+    for path in files:
+        h.update(str(path.relative_to(tmp_path)).encode() + b"\0")
+        h.update(path.read_bytes())
+    assert h.hexdigest() == EMBED_DIGEST
+
+
 class TestStageRerun:
     """A rerun of a stage starts from an empty stage directory."""
 
@@ -386,13 +422,14 @@ class TestStageRerun:
         assert tree_bytes(run / "report") == tree_bytes(out / "report")
 
 
-def test_embed_holds_one_layer_matrix_and_one_working_copy(tmp_path,
-                                                           monkeypatch):
+def test_embed_holds_no_working_copy_of_a_layer(tmp_path, monkeypatch):
     """run_embed with all four methods on all three layers: its traced peak
     above what is live when the comparison starts (cohort, subset, model)
-    stays under 2.5 x the L1 matrix. The fits see one layer matrix and one
-    working copy of it (about 2.3 x). Holding every layer while L1 is fitted,
-    with an n x p temporary in `standardize`, gives about 3.4 x."""
+    stays under 2.1 x the L1 matrix. `extract_activations`, with the three
+    layer matrices and one batch's forward pass, sets it (about 1.95 x); the
+    fits on the prepared layers stay under 1.5 x. One working copy of the
+    layer beside it, as each method made before they shared one prepared
+    layer, gives about 2.3 x."""
     import tracemalloc
 
     import latentscope.pipeline as pipeline
@@ -421,7 +458,7 @@ def test_embed_holds_one_layer_matrix_and_one_working_copy(tmp_path,
         tracemalloc.stop()
     l1_matrix = 48 * 16 * 8 ** 3 * 8  # 48 subjects x L1's (16, 8, 8, 8), float64
     assert len(live) == 1
-    assert peak - live[0] < 2.5 * l1_matrix
+    assert peak - live[0] < 2.1 * l1_matrix
 
 
 class TestDeterminism:
@@ -644,6 +681,16 @@ class TestCLI:
         text = manifest.read_text()
         assert old in text
         manifest.write_text(text.replace(old, new, 1))
+        assert main(["train"] + base + ["--stage-force"]) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "dependency error" in err and "manifest.csv" in err
+
+    def test_train_manifest_that_is_a_directory_exits_3(self, tiny_run,
+                                                        tmp_path, capsys):
+        copy, base = self._copy_with_config(tiny_run, tmp_path)
+        manifest = copy / "generate" / "cohort" / "manifest.csv"
+        manifest.unlink()
+        manifest.mkdir()
         assert main(["train"] + base + ["--stage-force"]) == EXIT_DEPENDENCY
         err = capsys.readouterr().err
         assert "dependency error" in err and "manifest.csv" in err

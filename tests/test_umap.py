@@ -29,7 +29,8 @@ from conftest import cluster_margin, two_clusters
 class TestFuzzyGraph:
     def test_weights_in_unit_interval(self):
         rng = np.random.default_rng(0)
-        graph, _ = fuzzy_graph(rng.normal(size=(30, 4)), n_neighbors=5)
+        graph, _ = fuzzy_graph(pairwise_sq_dists(rng.normal(size=(30, 4))),
+                               n_neighbors=5)
         w = graph[graph > 0]
         assert np.all(w <= 1.0 + 1e-12)
         assert np.all(w > 0.0)
@@ -38,7 +39,8 @@ class TestFuzzyGraph:
     def test_exact_symmetry(self):
         # fuzzy union w1 + w2 - w1*w2 is symmetric in floating point too
         rng = np.random.default_rng(1)
-        graph, _ = fuzzy_graph(rng.normal(size=(40, 6)), n_neighbors=8)
+        graph, _ = fuzzy_graph(pairwise_sq_dists(rng.normal(size=(40, 6))),
+                               n_neighbors=8)
         np.testing.assert_array_equal(graph, graph.T)
 
     def test_nearest_neighbor_weight_is_one(self):
@@ -46,7 +48,7 @@ class TestFuzzyGraph:
         # exp(0) = 1 in the directed graph, so the union keeps it at 1
         rng = np.random.default_rng(2)
         x = rng.normal(size=(25, 3))
-        graph, _ = fuzzy_graph(x, n_neighbors=5)
+        graph, _ = fuzzy_graph(pairwise_sq_dists(x), n_neighbors=5)
         d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, np.inf)
         for i in range(25):
@@ -57,7 +59,8 @@ class TestFuzzyGraph:
         a = rng.normal(size=(10, 3)) * 0.01
         b = rng.normal(size=(10, 3)) * 0.01 + 1000.0
         with pytest.warns(UserWarning, match="disconnected"):
-            graph, notes = fuzzy_graph(np.vstack([a, b]), n_neighbors=3)
+            graph, notes = fuzzy_graph(pairwise_sq_dists(np.vstack([a, b])),
+                                         n_neighbors=3)
         assert "disconnected_graph" in notes
         assert np.all(graph[:10, 10:] == 0.0)
 
@@ -312,7 +315,7 @@ class TestPinnedBits:
         rng = np.random.default_rng(13)
         x = np.vstack([_star(np.zeros(3), rng), _star(np.full(3, 1000.0), rng)])
         with pytest.warns(UserWarning, match="disconnected"):
-            graph, _ = fuzzy_graph(standardize(x)[0], 4)
+            graph, _ = fuzzy_graph(pairwise_sq_dists(standardize(x)[0]), 4)
         heads, _ = np.nonzero(graph)
         # point 0 heads 11 edges, all of weight 1: they are sampled in the
         # same epochs, so its row gets repeated updates in one add.at
