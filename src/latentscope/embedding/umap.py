@@ -15,7 +15,20 @@ samples per attractive update, with linearly decaying learning rate.
 A disconnected kNN graph is optimised as one graph, like a connected one:
 its components are embedded together, and only the random negative samples
 act between them, so their placement relative to each other carries no
-meaning. The fit warns and notes `disconnected_graph`.
+meaning. The fit warns and notes `disconnected_graph`. Connectivity is a
+breadth-first sweep from point 0 over the memberships above 1e-8, the
+edges that `scipy.sparse.csgraph` reads from a dense matrix.
+
+The (a, b) fit is MINPACK's `lmdif`, operation for operation (`minpack`),
+started at (1, 1) with the settings `scipy.optimize.curve_fit` passes it
+(ftol = xtol = 1.49012e-8, gtol = 0, epsfcn = machine epsilon, factor =
+100, maxfev = 10000), so (a, b), and with them every UMAP embedding, carry
+the bits `curve_fit` gives. The port and the sweep stand in for
+`curve_fit` and `connected_components` because importing `scipy.optimize`
+and `scipy.sparse` brings `scipy.linalg`, `fft` and `spatial` into every
+process, about 22 MB of resident memory, for two problems of a few
+hundred numbers. A fit that ends without converging raises
+`NumericError`.
 
 The optimiser loop keeps its numpy calls few and cheap, and these forms
 hold its bits:
@@ -56,16 +69,16 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.optimize import curve_fit
-from scipy.sparse.csgraph import connected_components
 
 from ..errors import DegenerateInputError, NumericError
 from .common import EmbeddingMatrix, PreparedLayer
+from .minpack import lmdif
 
 _SMOOTH_ITERS = 64
 _SIGMA_FLOOR_SCALE = 1e-3
 _GRAD_CLIP = 4.0
 NEGATIVE_RATE = 5
+_EDGE_FLOOR = 1e-8
 
 
 def low_dim_curve(d, a, b):
@@ -76,8 +89,32 @@ def fit_ab(min_dist: float, spread: float = 1.0) -> tuple[float, float]:
     """Least-squares (a, b) so the kernel tracks the min_dist plateau curve."""
     xv = np.linspace(0.0, spread * 3.0, 300)
     yv = np.where(xv < min_dist, 1.0, np.exp(-(xv - min_dist) / spread))
-    (a, b), _ = curve_fit(low_dim_curve, xv, yv, p0=(1.0, 1.0), maxfev=10000)
+    (a, b), info = lmdif(lambda p: low_dim_curve(xv, *p) - yv, (1.0, 1.0),
+                         ftol=1.49012e-8, xtol=1.49012e-8, gtol=0.0,
+                         maxfev=10000, epsfcn=float(np.finfo(np.float64).eps),
+                         factor=100.0)
+    if info not in (1, 2, 3, 4):
+        raise NumericError(f"UMAP (a, b) fit for min_dist={min_dist} did not "
+                           f"converge (MINPACK info {info})")
     return float(a), float(b)
+
+
+def is_connected(graph: np.ndarray) -> bool:
+    """Whether every point is reached from point 0 over the edges of the
+    square membership matrix `graph` (entries in [0, 1]), read in both
+    directions. An edge is an entry above 1e-8: `scipy.sparse.csgraph`
+    reads a dense matrix through `np.isclose(graph, 0)`, whose default
+    tolerance makes any weight of at most 1e-8 no edge."""
+    edges = graph > _EDGE_FLOOR
+    edges |= edges.T
+    reached = np.zeros(graph.shape[0], dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        new = edges[frontier].any(axis=0) & ~reached
+        reached |= new
+        frontier = np.flatnonzero(new)
+    return bool(reached.all())
 
 
 def smooth_knn_calibration(knn_dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +162,7 @@ def fuzzy_graph(d2: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, list[str]
     a_dir[np.arange(n)[:, None], neigh] = np.exp(
         -np.maximum(knn_dists - rho[:, None], 0.0) / sigma[:, None])
     graph = a_dir + a_dir.T - a_dir * a_dir.T
-    if connected_components(graph, directed=False, return_labels=False) > 1:
+    if not is_connected(graph):
         warnings.warn("kNN graph is disconnected; its components are embedded "
                       "together and their relative placement carries no meaning")
         notes.append("disconnected_graph")

@@ -332,19 +332,19 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     if mode == "train":
         count = x.shape[0] * x.shape[2] * x.shape[3] * x.shape[4]
         mu = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        xhat = np.subtract(x, mu.reshape(shape))
+        # x.var(axis=axes) takes these steps on a centred copy of its own
+        var = np.multiply(xhat, xhat).sum(axis=axes) / count
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        center = mu
         unbiased = var * count / (count - 1) if count > 1 else var
         new_rm = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
         new_rv = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * unbiased
     elif mode == "eval":
         inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
-        center = running_mean
+        xhat = np.subtract(x, running_mean.reshape(shape))
         new_rm, new_rv = running_mean, running_var
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    xhat = np.subtract(x, center.reshape(shape))
     xhat *= inv_std.reshape(shape)
     out = np.multiply(gamma.reshape(shape), xhat)
     out += beta.reshape(shape)

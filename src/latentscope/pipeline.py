@@ -63,19 +63,48 @@ def _embedding_columns(components: int) -> list[str]:
     return ["subject_id", "method", "layer"] + [f"d{i}" for i in range(components)]
 
 
+def _owner_gone(lock: Path) -> bool:
+    """Whether `lock` names this host and a pid that no longer runs."""
+    try:
+        fields = dict(line.split("=", 1)
+                      for line in lock.read_text(encoding="utf-8").splitlines())
+        pid, host = int(fields["pid"]), fields["host"]
+    except (OSError, UnicodeDecodeError, ValueError, KeyError):
+        return False
+    if pid <= 0 or host != os.uname().nodename:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # alive, under another user
+        pass
+    return False
+
+
 @contextmanager
 def pipeline_lock(out_dir):
-    """Exclusive ownership of an output directory for the duration of a stage."""
+    """Exclusive ownership of an output directory for the duration of a stage.
+
+    The `lock` file records the owner's pid and host. A lock whose owner
+    ran on this host and has exited is removed and taken again, once; a
+    lock whose owner is alive, is on another host or cannot be read blocks.
+    Two runs that recover the same dead lock at the same moment can both
+    take it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lock = out / "lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise DependencyError(
-            f"output directory {out} is locked by another run "
-            f"(remove {lock} if that run is dead)") from None
-    os.write(fd, b"latentscope\n")
+    for attempt in range(2):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _owner_gone(lock):
+                raise DependencyError(
+                    f"output directory {out} is locked by another run "
+                    f"(remove {lock} if that run is dead)") from None
+            lock.unlink(missing_ok=True)
+    os.write(fd, f"pid={os.getpid()}\nhost={os.uname().nodename}\n".encode())
     os.close(fd)
     try:
         yield out

@@ -193,7 +193,9 @@ def test_batchnorm_running_stats_not_mutated():
 
 # Reference copies of batchnorm_forward/batchnorm_backward as they were
 # written before their elementwise steps went in place: one fresh array per
-# step. The in-place versions must give the same bits.
+# step, and train mode's statistics from `x.mean` then `x.var`, where
+# batchnorm_forward now squares the centred array that becomes xhat. The
+# in-place versions must give the same bits.
 
 def _ref_batchnorm_forward(x, gamma, beta, running_mean, running_var, mode,
                            momentum=0.1, eps=1e-5):
@@ -234,7 +236,8 @@ def _ref_batchnorm_backward(g, cache, mode):
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
-@pytest.mark.parametrize("shape", [(3, 2, 4, 5, 6), (8, 16, 16, 16, 16), (1, 1, 1, 1, 1)])
+@pytest.mark.parametrize("shape", [(3, 2, 4, 5, 6), (8, 16, 16, 16, 16), (1, 1, 1, 1, 1),
+                                   (3, 16, 5, 7, 9), (8, 32, 16, 16, 16)])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_batchnorm_matches_reference_bitwise(mode, shape, dtype):
     """Outputs, cache, running stats and gradients are bitwise those of the

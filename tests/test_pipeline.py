@@ -108,6 +108,40 @@ class TestLock:
                 with pipeline_lock(tmp_path):
                     pass
 
+    def test_lock_of_an_exited_process_is_recovered(self, tmp_path):
+        """A run that died holding the lock (here a subprocess that exits
+        without leaving the `with`) leaves its pid and host behind: the
+        next stage removes that lock and takes its own."""
+        script = textwrap.dedent(f"""
+            import os
+            from latentscope.pipeline import pipeline_lock
+            with pipeline_lock({str(tmp_path)!r}):
+                os._exit(0)
+        """)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(latentscope.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        assert (tmp_path / "lock").read_text().startswith("pid=")
+        run_generate(tiny_config(str(tmp_path)), str(tmp_path))
+        assert not (tmp_path / "lock").exists()
+        assert (tmp_path / "generate" / "stage.stamp").exists()
+
+    @pytest.mark.parametrize("owner", ["live", "other_host"])
+    def test_lock_of_a_live_or_remote_owner_blocks(self, tmp_path, owner):
+        host = os.uname().nodename
+        pid = os.getpid()
+        if owner == "other_host":
+            host += ".elsewhere"
+            # a pid that has exited here: only the other host keeps it
+            pid = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                                 capture_output=True, text=True, check=True).stdout
+        text = f"pid={int(pid)}\nhost={host}\n"
+        (tmp_path / "lock").write_text(text)
+        with pytest.raises(DependencyError, match="locked by another run"):
+            with pipeline_lock(tmp_path):
+                pass
+        assert (tmp_path / "lock").read_text() == text
+
 
 class TestDependencies:
     def test_train_needs_generate(self, tmp_path):
@@ -367,6 +401,40 @@ def test_embed_artifacts_are_pinned(tmp_path):
         h.update(str(path.relative_to(tmp_path)).encode() + b"\0")
         h.update(path.read_bytes())
     assert h.hexdigest() == EMBED_DIGEST
+
+
+def test_process_loads_no_scipy_optimize_sparse_or_linalg(tmp_path):
+    """A `latentscope` process runs only scipy.special and scipy.ndimage:
+    neither importing the CLI nor running all seven stages with every
+    embedding method loads scipy.optimize, scipy.sparse or scipy.linalg."""
+    run = tmp_path / "run"
+    cfg = _pinned_embed_config(str(run))
+    cfg = replace(cfg, embed=replace(cfg.embed, tsne_iters=20, umap_epochs=5))
+    cfg_file = tmp_path / "run.cfg"
+    write_config(cfg, str(cfg_file))
+    args = ["--config", str(cfg_file), "--out", str(run)]
+    script = textwrap.dedent(f"""
+        import sys
+        import warnings
+
+        def heavy():
+            return "loaded: " + " ".join(sorted(m for m in sys.modules if m.startswith(
+                ("scipy.optimize", "scipy.sparse", "scipy.linalg"))))
+
+        from latentscope import cli
+        print(heavy())
+        warnings.simplefilter("ignore")
+        for stage in cli.STAGES:
+            assert cli.main([stage, *{args!r}]) == 0, stage
+        print(heavy())
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(latentscope.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    loaded = [line for line in out.stdout.splitlines() if line.startswith("loaded:")]
+    assert loaded == ["loaded: ", "loaded: "]
+    assert (run / "report" / "stage.stamp").exists()
 
 
 class TestStageRerun:

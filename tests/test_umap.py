@@ -17,11 +17,12 @@ from latentscope.embedding.umap import (
     cross_entropy,
     fit_ab,
     fuzzy_graph,
+    is_connected,
     low_dim_curve,
     smooth_knn_calibration,
     umap_embed,
 )
-from latentscope.errors import DegenerateInputError
+from latentscope.errors import DegenerateInputError, NumericError
 
 from conftest import cluster_margin, two_clusters
 
@@ -64,6 +65,30 @@ class TestFuzzyGraph:
         assert "disconnected_graph" in notes
         assert np.all(graph[:10, 10:] == 0.0)
 
+    def test_is_connected_agrees_with_csgraph(self):
+        """Random symmetric graphs, connected and disconnected, some with an
+        edge weight that underflows to 0 or sits at csgraph's 1e-8 floor:
+        the sweep from point 0 reaches every point exactly when csgraph
+        finds one component."""
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(5)
+        edge_weights = [np.exp(-800.0), 5e-324, 1e-8, np.nextafter(1e-8, 1.0)]
+        seen = set()
+        for trial in range(400):
+            n = int(rng.integers(2, 40))
+            w = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.15)
+            # a weak link between the first half and the rest
+            w[rng.integers(0, n // 2 + 1), rng.integers(n // 2, n)] = (
+                edge_weights[trial % len(edge_weights)])
+            graph = np.triu(w, 1)
+            graph = graph + graph.T
+            want = connected_components(graph, directed=False,
+                                        return_labels=False) == 1
+            assert is_connected(graph) == want
+            seen.add(want)
+        assert seen == {True, False}
+
     def test_calibration_hits_log2_k(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(40, 5))
@@ -90,6 +115,25 @@ class TestKernelFit:
             assert err <= 0.03
         a, b = fit_ab(0.1)
         assert a > 0 and b > 0
+
+    def test_fit_is_curve_fit_bitwise(self):
+        """The MINPACK port returns the bits of scipy's `curve_fit` at the
+        settings `fit_ab` used to pass it, on 501 min_dist values."""
+        from scipy.optimize import curve_fit
+
+        xv = np.linspace(0.0, 3.0, 300)
+        for min_dist in np.linspace(0.0, 1.0, 501):
+            yv = np.where(xv < min_dist, 1.0, np.exp(-(xv - min_dist)))
+            (a, b), _ = curve_fit(low_dim_curve, xv, yv, p0=(1.0, 1.0),
+                                  maxfev=10000)
+            assert fit_ab(float(min_dist)) == (float(a), float(b)), min_dist
+
+    def test_fit_that_does_not_converge_raises(self, monkeypatch):
+        import latentscope.embedding.umap as umap
+
+        monkeypatch.setattr(umap, "lmdif", lambda *args, **kwargs: ((1.0, 1.0), 5))
+        with pytest.raises(NumericError, match="did not converge"):
+            fit_ab(0.1)
 
     def test_kernel_monotone_decreasing(self):
         a, b = fit_ab(0.1)
