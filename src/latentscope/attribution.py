@@ -63,16 +63,17 @@ def total_reconstruction_error(cohort: Cohort, model: AEParams, chunk: int = 8,
     subject id so they survive reordering. `latent` holds the subjects'
     bottleneck activations in cohort order (`ActivationSet.latent()`, as the
     embed stage writes them), so only the decoder runs; when omitted, the
-    encoder computes them first.
+    encoder computes them first. Volumes are read one chunk at a time.
     """
     if latent is None:
-        latent = extract_activations(model, cohort, batch_size=chunk,
-                                     layers=()).latent()
+        with extract_activations(model, cohort, batch_size=chunk,
+                                 layers=()) as acts:
+            latent = acts.latent()
     errors: dict[str, float] = {}
     subjects = cohort.subjects
     for start in range(0, len(subjects), chunk):
         part = subjects[start:start + chunk]
-        x = _as_batch_array([s.volume.voxels for s in part])
+        x = _as_batch_array([s.volume for s in part])
         recon = decode(model, latent[start:start + chunk], x.shape[2:])
         per = ((recon - x) ** 2).sum(axis=(1, 2, 3, 4))
         for subj, err in zip(part, per):

@@ -20,20 +20,27 @@ backward rebuilds it from the producing layer's cache with the forward's
 own ops, so bitwise, just before the conv backward that reads it, and drops
 it right after. So each float array the size of a layer output exists
 once, as its xhat. backward drops each layer's cache entry once its batch
-norm and activation are differentiated, before its conv backward. Volumes
-are converted to float64 one batch at a time (float32 -> float64 is exact),
-so the cohort is never held in float64 as a whole.
+norm and activation are differentiated, before its conv backward.
+
+Volumes are read (`Volume.voxels`, from disk for a loaded cohort) and
+converted to float64 one batch at a time (float32 -> float64 is exact), so
+training and extraction hold one batch of the cohort, never all of it.
+`extract_activations` writes each batch's encoder rows to an anonymous
+temporary file, and `ActivationSet.matrix` reads one layer matrix back per
+call: the caller holds one layer matrix at a time, never all of them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .data import Cohort
+from .data import Cohort, Volume
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .fileio import _read_grid, _write_grid
 from .ssim import ssim3d, ssim3d_with_grad
@@ -410,23 +417,33 @@ def early_stop_epoch(losses: list[float], patience: int) -> int | None:
     return None
 
 
-def _volumes(cohort) -> list[np.ndarray]:
-    """The cohort's volumes in order, as stored (not converted or copied)."""
+def _volumes(cohort) -> list:
+    """The cohort's volumes in order, unread: a Cohort's `Volume`s, or the
+    arrays given. A batch reads its own (`_as_batch_array`)."""
     if isinstance(cohort, Cohort):
-        vols = [s.volume.voxels for s in cohort.subjects]
+        vols = [s.volume for s in cohort.subjects]
+        shapes = {v.dims for v in vols}
     else:
         vols = [np.asarray(v) for v in cohort]
+        shapes = {v.shape for v in vols}
     if not vols:
         raise ConfigError("empty training cohort")
-    shapes = {v.shape for v in vols}
     if len(shapes) > 1:
         raise ShapeError(f"volumes differ in shape: {sorted(shapes)}")
     return vols
 
 
 def _as_batch_array(vols) -> np.ndarray:
-    """Volumes as one float64 (n, 1, X, Y, Z) batch; each converts exactly."""
-    return np.stack([np.asarray(v, dtype=np.float64) for v in vols])[:, None]
+    """Volumes (`Volume`s or arrays of one shape) as one float64
+    (n, 1, X, Y, Z) batch, each read and converted (exactly) into its slot
+    in turn."""
+    batch = None
+    for i, v in enumerate(vols):
+        voxels = v.voxels if isinstance(v, Volume) else v
+        if batch is None:
+            batch = np.empty((len(vols), 1, *voxels.shape))
+        batch[i, 0] = voxels
+    return batch
 
 
 def train(cohort, config: TrainConfig) -> tuple[AEParams, TrainReport]:
@@ -498,19 +515,37 @@ def _apply_running(model: AEParams, running):
             model.params[i].running_var = upd[1]
 
 
-@dataclass
 class ActivationSet:
-    """Flattened eval-mode activations per subject for layers L1, L2, L3, or
-    the requested ones and the bottleneck."""
+    """Flattened eval-mode encoder activations of a cohort: per kept layer,
+    an (n_subjects, C*x*y*z) float64 matrix in C order, spilled to an
+    anonymous temporary file. `matrix` reads one layer back into a fresh
+    array per call, so a caller holds only the matrices it keeps. The file
+    has no name on disk; `close`, leaving a `with` block or the process's
+    end deletes it."""
 
-    subject_ids: list[str]
-    layers: dict[str, np.ndarray]  # key -> (n_subjects, C*x*y*z) float64
-    shapes: dict[str, tuple[int, int, int, int]] = field(default_factory=dict)
+    def __init__(self, subject_ids: list[str], shapes: dict, offsets: dict, spill):
+        self.subject_ids = subject_ids
+        self.shapes = shapes  # key -> (C, x, y, z), in encoder order
+        self._offsets = offsets  # key -> byte offset of its rows in `spill`
+        self._spill = spill
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        self._spill.close()
 
     def matrix(self, layer: str) -> np.ndarray:
-        if layer not in self.layers:
-            raise KeyError(f"unknown layer {layer!r}; have {sorted(self.layers)}")
-        return self.layers[layer]
+        if layer not in self.shapes:
+            raise KeyError(f"unknown layer {layer!r}; have {sorted(self.shapes)}")
+        out = np.empty((len(self.subject_ids), math.prod(self.shapes[layer])))
+        self._spill.seek(self._offsets[layer])
+        if self._spill.readinto(out) != out.nbytes:
+            raise FormatError(f"activation spill file ends inside layer {layer}")
+        return out
 
     def latent(self) -> np.ndarray:
         """The bottleneck (last encoder layer) activations, (n, C, x, y, z):
@@ -520,11 +555,14 @@ class ActivationSet:
 
 
 def extract_activations(model: AEParams, cohort, subject_ids=None,
-                        batch_size: int = 8, layers=None) -> ActivationSet:
+                        batch_size: int = 8, layers=None,
+                        spill_dir=None) -> ActivationSet:
     """Eval-mode encoder activations, flattened, subject order preserved;
-    only the encoder layers run, one batch at a time, each batch written
-    into its rows of the preallocated (n, features) matrices. With `layers`
-    (keys such as "L1"), only those layers and the bottleneck are kept."""
+    only the encoder layers run, one batch at a time. Each batch's rows of
+    every kept layer are written to their place in an anonymous temporary
+    file in `spill_dir` (the system's temporary directory when None), so
+    extraction holds one batch, not the matrices. With `layers` (keys such
+    as "L1"), only those layers and the bottleneck are kept."""
     vols = _volumes(cohort)
     n = len(vols)
     if isinstance(cohort, Cohort):
@@ -537,20 +575,26 @@ def extract_activations(model: AEParams, cohort, subject_ids=None,
     if not keep <= set(encoder_keys):
         raise KeyError(f"unknown layers {sorted(keep - set(encoder_keys))}; "
                        f"have {encoder_keys}")
-    kept: dict[str, np.ndarray] = {}
-    shapes = {}
-    for start in range(0, n, batch_size):
-        h = _as_batch_array(vols[start : start + batch_size])
-        _input_chain(model, h)  # checks the batch against the model
-        for j, key in enumerate(encoder_keys):
-            h = _layer_forward(model.layers[j], model.params[j], h, "eval", None)[0]
-            if key not in keep:
-                continue
-            if key not in kept:
-                shapes[key] = tuple(h.shape[1:])
-                kept[key] = np.empty((n, h[0].size), dtype=h.dtype)
-            kept[key][start : start + len(h)] = h.reshape(len(h), -1)
-    return ActivationSet(subject_ids=list(subject_ids), layers=kept, shapes=shapes)
+    spill = tempfile.TemporaryFile(dir=spill_dir)
+    try:
+        shapes, offsets, size = {}, {}, 0
+        for start in range(0, n, batch_size):
+            h = _as_batch_array(vols[start : start + batch_size])
+            _input_chain(model, h)  # checks the batch against the model
+            for j, key in enumerate(encoder_keys):
+                h = _layer_forward(model.layers[j], model.params[j], h, "eval", None)[0]
+                if key not in keep:
+                    continue
+                row_bytes = h[0].nbytes
+                if key not in offsets:
+                    shapes[key], offsets[key] = tuple(h.shape[1:]), size
+                    size += n * row_bytes
+                spill.seek(offsets[key] + start * row_bytes)
+                spill.write(np.ascontiguousarray(h))
+    except BaseException:
+        spill.close()
+        raise
+    return ActivationSet(list(subject_ids), shapes, offsets, spill)
 
 
 def decode(model: AEParams, latent: np.ndarray, dims) -> np.ndarray:

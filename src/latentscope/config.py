@@ -22,6 +22,14 @@ from .validation import BoundConfig
 EMBED_METHODS = ("pca", "pls", "tsne", "umap")
 
 
+def _refuse_duplicates(key: str, values: tuple[str, ...]) -> None:
+    """A list-valued key names each entry once: a repeated one would repeat
+    its rows in every table built from the list."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{key} lists {', '.join(repeated)} more than once")
+
+
 @dataclass
 class EmbedConfig:
     methods: tuple[str, ...] = EMBED_METHODS
@@ -45,6 +53,8 @@ class EmbedConfig:
             if layer not in LAYER_KEYS:
                 raise ConfigError(f"unknown layer {layer!r} (the encoder layers "
                                   f"are {', '.join(LAYER_KEYS)})")
+        _refuse_duplicates("embed.methods", self.methods)
+        _refuse_duplicates("embed.layers", self.layers)
         if self.components < 1:
             raise ConfigError("components must be >= 1")
         if self.n_neighbors < 1:
@@ -83,6 +93,7 @@ class PipelineConfig:
             raise ConfigError("top_n must be >= 1")
         if not self.comparisons:
             raise ConfigError("at least one comparison required")
+        _refuse_duplicates("comparisons", self.comparisons)
         for name in self.comparisons:
             pair = parse_comparison(name)
             for label in pair:

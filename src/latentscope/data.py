@@ -1,9 +1,12 @@
 """Core data model: volumes, atlases, subjects, cohorts, region profiles.
 
-Volumes are dense 3D scalar fields with intensities in [0,1], stored as
-float32 in memory in (dx, dy, dz) index order. Atlases share the volume grid
-and assign every voxel a region id in {0..R}, 0 meaning background. All
-region statistics exclude background voxels.
+Volumes are dense 3D scalar fields with intensities in [0,1], float32 in
+(dx, dy, dz) index order, read through `Volume.voxels`: held in memory, or
+read from the volume's file on each use (`fileio.StoredVolume`, what
+`fileio.load_cohort` builds), so a stage holds one subject's voxels at a
+time, not the cohort's. Atlases share the volume grid and assign every
+voxel a region id in {0..R}, 0 meaning background. All region statistics
+exclude background voxels.
 """
 
 from __future__ import annotations
@@ -24,27 +27,36 @@ CLASS_IDS = {name: label for label, name in CLASS_NAMES.items()}
 VALID_CLASS_LABELS = frozenset(CLASS_NAMES)
 
 
-@dataclass
 class Volume:
-    """Dense scalar field with values in [0,1]."""
+    """Dense scalar field with values in [0,1], float32 in (dx, dy, dz) order.
 
-    voxels: np.ndarray
+    `voxels` is the one way to the values. A volume built from an array holds
+    it and returns it as stored; a `fileio.StoredVolume` holds only its path
+    and dims and reads the file on every call. Consumers read one volume at
+    a time through `voxels`, so a cohort loaded from disk is never in memory
+    as a whole.
+    """
 
-    def __post_init__(self):
-        self.voxels = np.asarray(self.voxels, dtype=np.float32)
-        if self.voxels.ndim != 3:
-            raise ShapeError(f"volume must be 3D, got shape {self.voxels.shape}")
-        if any(d <= 0 for d in self.voxels.shape):
-            raise ShapeError(f"volume dims must be positive, got {self.voxels.shape}")
-        if not np.isfinite(self.voxels).all():
+    def __init__(self, voxels):
+        voxels = np.asarray(voxels, dtype=np.float32)
+        if voxels.ndim != 3:
+            raise ShapeError(f"volume must be 3D, got shape {voxels.shape}")
+        if any(d <= 0 for d in voxels.shape):
+            raise ShapeError(f"volume dims must be positive, got {voxels.shape}")
+        if not np.isfinite(voxels).all():
             raise ValueError("volume contains non-finite voxels")
-        lo, hi = float(self.voxels.min()), float(self.voxels.max())
+        lo, hi = float(voxels.min()), float(voxels.max())
         if lo < 0.0 or hi > 1.0:
             raise ValueError(f"voxel values outside [0,1]: min={lo}, max={hi}")
+        self._voxels = voxels
+
+    @property
+    def voxels(self) -> np.ndarray:
+        return self._voxels
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return tuple(int(d) for d in self.voxels.shape)
+        return tuple(int(d) for d in self._voxels.shape)
 
 
 @dataclass
@@ -167,7 +179,8 @@ def region_means(volume: Volume, atlas: AtlasMap) -> np.ndarray:
 
 
 def build_region_profiles(cohort: Cohort) -> RegionProfileMatrix:
-    """Stack region_means of every subject, rows in cohort order."""
+    """Stack region_means of every subject, rows in cohort order; each
+    subject's voxels are read once and dropped before the next's."""
     if len(cohort) == 0:
         raise DegenerateInputError("cohort is empty")
     rows = [region_means(s.volume, cohort.atlas) for s in cohort.subjects]

@@ -11,7 +11,10 @@ fixed autoencoder architecture as little-endian float64, its arrays in
 `AEParams.all_arrays` order, each flattened in C order (see
 autoencoder.save_model).
 Cohort manifest: CSV id,class_label,volume_path with volume paths relative
-to the manifest's directory.
+to the manifest's directory. `load_cohort` reads and checks every volume,
+then keeps only its path and dims (`StoredVolume`): a stage reads a
+subject's voxels from its file each time it uses them, one batch or one
+subject at a time.
 
 CSV writers emit floats via repr() of the Python float (shortest round-trip
 form) so artifact bytes are reproducible across runs. Leading '#' lines are
@@ -124,6 +127,30 @@ def load_volume(path: str) -> Volume:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+class StoredVolume(Volume):
+    """A volume file that has been read and checked once: only its path and
+    dims are kept, and `voxels` reads and checks the file again on every
+    call. A file gone since is a DependencyError; one truncated, corrupted
+    or on other dims since, a FormatError. A float32 file read again gives
+    the same bits."""
+
+    def __init__(self, path: str, dims: tuple[int, int, int]):
+        self.path = path
+        self._dims = dims
+
+    @property
+    def voxels(self) -> np.ndarray:
+        voxels = load_volume(self.path).voxels
+        if voxels.shape != self._dims:
+            raise FormatError(f"{self.path}: dims {voxels.shape} changed from "
+                              f"{self._dims} since the cohort was loaded")
+        return voxels
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self._dims
+
+
 def save_atlas(atlas: AtlasMap, path: str) -> None:
     _write_grid(path, ATLAS_MAGIC, atlas.labels, "<u4")
 
@@ -220,6 +247,8 @@ def save_cohort(directory: str, cohort: Cohort) -> None:
 
 
 def load_cohort(directory: str) -> Cohort:
+    """The cohort `save_cohort` wrote: every volume is read and checked,
+    but only its path and dims are kept (`StoredVolume`)."""
     manifest = os.path.join(directory, "manifest.csv")
     if not os.path.exists(manifest):
         raise FormatError(f"missing manifest {manifest}")
@@ -234,7 +263,8 @@ def load_cohort(directory: str) -> Cohort:
                 if not ln.startswith("#"):
                     break
         for row in read_table(manifest, _MANIFEST_COLUMNS):
-            vol = load_volume(os.path.join(directory, row["volume_path"]))
+            path = os.path.join(directory, row["volume_path"])
+            vol = StoredVolume(path, load_volume(path).dims)
             subjects.append(
                 Subject(id=row["id"], class_label=int(row["class_label"]), volume=vol)
             )

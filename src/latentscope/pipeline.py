@@ -9,6 +9,7 @@ path, so a full rerun with the same config is byte-identical.
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 from contextlib import contextmanager
@@ -267,44 +268,45 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                      "min_dist": config.embed.min_dist,
                      "epochs": config.embed.umap_epochs},
         }
-        methods = sorted(dict.fromkeys(config.embed.methods),
-                         key=PREPARED_ORDER.index)
+        methods = sorted(config.embed.methods, key=PREPARED_ORDER.index)
         for name, _, subset in _comparisons(config, cohort):
             model = _load_model(out, name)
-            acts = extract_activations(model, subset,
-                                       batch_size=config.train.batch_size,
-                                       layers=config.embed.layers)
             labels = subset.class_labels
             comp_dir = stage / name
             comp_dir.mkdir(parents=True, exist_ok=True)
-            save_latent(acts.latent(), params_hash(model), str(comp_dir / "latent.lat"))
-            # Smallest layer first (L3, L2, L1 for the trained encoder): each
-            # matrix leaves `acts` when its fits start and is freed when they
-            # end, so the largest is fitted with the others already freed.
-            # `acts` goes before the next comparison's activations are built.
-            # Each matrix is prepared once, in place, for all its fits.
-            for layer in sorted(dict.fromkeys(config.embed.layers),
-                                key=lambda k: acts.matrix(k).shape[1]):
-                x = PreparedLayer(acts.layers.pop(layer))
-                for method in methods:
-                    emb = embed_once(
-                        x, method,
-                        seed=derive_seed(config.seed, "embed", name, method, layer),
-                        labels=labels if method == "pls" else None,
-                        subject_ids=subset.subject_ids, layer=layer,
-                        dims=config.embed.components,
-                        **hyper.get(method, {}))
-                    base = comp_dir / f"{method}_{layer}"
-                    write_csv(str(base.with_suffix(".csv")),
-                              _embedding_columns(emb.n_components),
-                              [(sid, method, layer, *row)
-                               for sid, row in zip(emb.subject_ids, emb.values)],
-                              comments=_hash_comment(config))
-                    meta = _scalar_metadata(emb.metadata)
-                    base.with_suffix(".meta").write_text(
-                        "\n".join(meta) + "\n", encoding="utf-8")
-                del x
-            del acts
+            # The activations go to an anonymous file in the stage directory,
+            # which leaving the `with` block deletes, on success or error.
+            # Each layer matrix is read back just before its fits, smallest
+            # first (L3, L2, L1 for the trained encoder), prepared once, in
+            # place, for all of them, and freed when they end: embed holds
+            # one layer matrix at a time.
+            with extract_activations(model, subset,
+                                     batch_size=config.train.batch_size,
+                                     layers=config.embed.layers,
+                                     spill_dir=stage) as acts:
+                save_latent(acts.latent(), params_hash(model),
+                            str(comp_dir / "latent.lat"))
+                for layer in sorted(config.embed.layers,
+                                    key=lambda k: math.prod(acts.shapes[k])):
+                    x = PreparedLayer(acts.matrix(layer))
+                    for method in methods:
+                        emb = embed_once(
+                            x, method,
+                            seed=derive_seed(config.seed, "embed", name, method, layer),
+                            labels=labels if method == "pls" else None,
+                            subject_ids=subset.subject_ids, layer=layer,
+                            dims=config.embed.components,
+                            **hyper.get(method, {}))
+                        base = comp_dir / f"{method}_{layer}"
+                        write_csv(str(base.with_suffix(".csv")),
+                                  _embedding_columns(emb.n_components),
+                                  [(sid, method, layer, *row)
+                                   for sid, row in zip(emb.subject_ids, emb.values)],
+                                  comments=_hash_comment(config))
+                        meta = _scalar_metadata(emb.metadata)
+                        base.with_suffix(".meta").write_text(
+                            "\n".join(meta) + "\n", encoding="utf-8")
+                    del x  # before the next layer's matrix is read
     return stage
 
 

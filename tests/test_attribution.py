@@ -399,7 +399,8 @@ class TestReconstructionError:
         want = eval_forward_errors(cohort, model, chunk)
         assert total_reconstruction_error(cohort, model, chunk=chunk) == want
         # the embed stage's route: the latent through its file
-        latent = extract_activations(model, cohort, batch_size=chunk).latent()
+        with extract_activations(model, cohort, batch_size=chunk) as acts:
+            latent = acts.latent()
         path = str(tmp_path / "latent.lat")
         save_latent(latent, params_hash(model), path)
         back, _ = load_latent(path)

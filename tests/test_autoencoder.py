@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from latentscope import autoencoder as ae
 from latentscope.data import AtlasMap, Cohort, Subject, Volume
 from latentscope.errors import (ConfigError, DependencyError, FormatError,
-                               LatentScopeError, ShapeError)
+                               LatentScopeError, NumericError, ShapeError)
 
 
 def constant_cohort(dims=(8, 8, 8), n=16, value=0.5):
@@ -418,22 +418,22 @@ class TestTraining:
 class TestActivations:
     def test_shapes_and_widths(self, small_cohort, trained_small):
         model, _ = trained_small
-        acts = ae.extract_activations(model, small_cohort, batch_size=8)
         n = len(small_cohort.subjects)
-        assert acts.matrix("L1").shape == (n, 16 * 8 ** 3)
-        assert acts.matrix("L2").shape == (n, 32 * 4 ** 3)
-        assert acts.matrix("L3").shape == (n, 64 * 2 ** 3)
+        with ae.extract_activations(model, small_cohort, batch_size=8) as acts:
+            assert acts.matrix("L1").shape == (n, 16 * 8 ** 3)
+            assert acts.matrix("L2").shape == (n, 32 * 4 ** 3)
+            assert acts.matrix("L3").shape == (n, 64 * 2 ** 3)
         assert acts.shapes["L1"] == (16, 8, 8, 8)
         assert acts.shapes["L3"] == (64, 2, 2, 2)
         assert acts.subject_ids == small_cohort.subject_ids
 
     def test_batching_invariance(self, small_cohort, trained_small):
         model, _ = trained_small
-        a = ae.extract_activations(model, small_cohort, batch_size=3)
-        b = ae.extract_activations(model, small_cohort, batch_size=64)
-        for key in ("L1", "L2", "L3"):
-            np.testing.assert_allclose(a.matrix(key), b.matrix(key),
-                                       rtol=0, atol=1e-12)
+        with (ae.extract_activations(model, small_cohort, batch_size=3) as a,
+              ae.extract_activations(model, small_cohort, batch_size=64) as b):
+            for key in ("L1", "L2", "L3"):
+                np.testing.assert_allclose(a.matrix(key), b.matrix(key),
+                                           rtol=0, atol=1e-12)
 
     def test_encoder_only_matches_forward_bitwise(self, small_cohort,
                                                    trained_small, monkeypatch):
@@ -446,11 +446,11 @@ class TestActivations:
             raise AssertionError("extract_activations ran a decoder layer")
 
         monkeypatch.setattr(ae.nn, "conv_transpose3d_forward", decoder)
-        got = ae.extract_activations(model, small_cohort, batch_size=len(x))
-        for j, key in enumerate(("L1", "L2", "L3")):
-            want = acts[j].reshape(len(x), -1)
-            assert got.layers[key].shape == want.shape
-            assert np.array_equal(got.layers[key], want)
+        with ae.extract_activations(model, small_cohort, batch_size=len(x)) as got:
+            for j, key in enumerate(("L1", "L2", "L3")):
+                want = acts[j].reshape(len(x), -1)
+                assert got.matrix(key).shape == want.shape
+                assert np.array_equal(got.matrix(key), want)
 
     def test_batchwise_float32_matches_stacked_chunks(self):
         """5 float32 volumes at batch 2: bitwise the matrices of the whole
@@ -460,19 +460,19 @@ class TestActivations:
         model = ae.init_params(seed=6)
         x = np.stack([v.astype(np.float64) for v in vols])[:, None]
         chunks = [ae.forward(model, x[s:s + 2], "eval")[1] for s in range(0, 5, 2)]
-        got = ae.extract_activations(model, vols, batch_size=2)
-        assert list(got.layers) == list(ae.LAYER_KEYS)
-        for j, key in enumerate(ae.LAYER_KEYS):
-            want = np.vstack([c[j].reshape(len(c[j]), -1) for c in chunks])
-            m = got.layers[key]
-            assert m.flags.c_contiguous and m.dtype == want.dtype
-            assert m.shape == want.shape and m.tobytes() == want.tobytes()
+        with ae.extract_activations(model, vols, batch_size=2) as got:
+            assert list(got.shapes) == list(ae.LAYER_KEYS)
+            for j, key in enumerate(ae.LAYER_KEYS):
+                want = np.vstack([c[j].reshape(len(c[j]), -1) for c in chunks])
+                m = got.matrix(key)
+                assert m.flags.c_contiguous and m.dtype == want.dtype
+                assert m.shape == want.shape and m.tobytes() == want.tobytes()
 
     def test_unknown_layer_key(self, small_cohort, trained_small):
         model, _ = trained_small
-        acts = ae.extract_activations(model, small_cohort)
-        with pytest.raises(KeyError):
-            acts.matrix("L9")
+        with ae.extract_activations(model, small_cohort) as acts:
+            with pytest.raises(KeyError):
+                acts.matrix("L9")
 
     @pytest.mark.parametrize("layers", [("L1",), ("L2",), ("L3",), (),
                                         ("L3", "L1"), ("L1", "L2", "L3")])
@@ -481,16 +481,16 @@ class TestActivations:
         """Only the requested layers and the bottleneck are kept, each the
         bits of the matrix that the whole extraction builds."""
         model, _ = trained_small
-        every = ae.extract_activations(model, small_cohort, batch_size=5)
-        got = ae.extract_activations(model, small_cohort, batch_size=5,
-                                     layers=layers)
-        assert sorted(got.layers) == sorted(set(layers) | {"L3"})
-        for key, m in got.layers.items():
-            want = every.layers[key]
-            assert m.shape == want.shape and m.tobytes() == want.tobytes()
-            assert got.shapes[key] == every.shapes[key]
-        assert got.latent().tobytes() == every.latent().tobytes()
-        assert got.latent().shape == every.latent().shape
+        with (ae.extract_activations(model, small_cohort, batch_size=5) as every,
+              ae.extract_activations(model, small_cohort, batch_size=5,
+                                     layers=layers) as got):
+            assert sorted(got.shapes) == sorted(set(layers) | {"L3"})
+            for key in got.shapes:
+                m, want = got.matrix(key), every.matrix(key)
+                assert m.shape == want.shape and m.tobytes() == want.tobytes()
+                assert got.shapes[key] == every.shapes[key]
+            assert got.latent().tobytes() == every.latent().tobytes()
+            assert got.latent().shape == every.latent().shape
 
     def test_unknown_requested_layer(self, small_cohort, trained_small):
         model, _ = trained_small
@@ -508,11 +508,93 @@ class TestActivations:
         tracemalloc.start()
         try:
             ae.extract_activations(model, small_cohort, batch_size=2,
-                                   layers=("L3",))
+                                   layers=("L3",)).close()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < l1_matrix
+
+
+    def test_extraction_holds_less_than_one_l1_matrix(self, small_cohort,
+                                                      trained_small):
+        """All three layers kept: each batch's rows go to the spill file, so
+        the traced peak stays below the L1 matrix alone (building the three
+        matrices in memory took about 1.3 x it, plus a batch)."""
+        model, _ = trained_small
+        l1_matrix = len(small_cohort.subjects) * 16 * 8 ** 3 * 8
+        tracemalloc.start()
+        try:
+            with ae.extract_activations(model, small_cohort, batch_size=2) as acts:
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(acts.shapes) == ["L1", "L2", "L3"]
+        assert peak < l1_matrix
+
+    def test_spill_file_is_anonymous_and_closed_on_exit(self, small_cohort,
+                                                        trained_small, tmp_path):
+        model, _ = trained_small
+        with ae.extract_activations(model, small_cohort, spill_dir=tmp_path) as acts:
+            assert list(tmp_path.iterdir()) == []  # no name on disk
+            first = acts.matrix("L2")
+            again = acts.matrix("L2")
+            assert again is not first and again.tobytes() == first.tobytes()
+        assert acts._spill.closed
+        with pytest.raises(ValueError):  # read after close
+            acts.matrix("L2")
+
+    def test_failed_extraction_closes_its_spill_file(self, small_cohort,
+                                                     trained_small, monkeypatch):
+        import tempfile
+
+        model, _ = trained_small
+        opened = []
+        make = tempfile.TemporaryFile
+
+        def recording(*args, **kwargs):
+            opened.append(make(*args, **kwargs))
+            return opened[-1]
+
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:  # the second batch's L1
+                raise NumericError("injected")
+            return conv(*args, **kwargs)
+
+        conv = ae.nn.conv3d_forward
+        monkeypatch.setattr(ae.tempfile, "TemporaryFile", recording)
+        monkeypatch.setattr(ae.nn, "conv3d_forward", failing)
+        with pytest.raises(NumericError):
+            ae.extract_activations(model, small_cohort, batch_size=4)
+        assert len(opened) == 1 and opened[0].closed
+
+
+def test_loaded_cohort_gives_the_bits_of_the_cohort_in_memory(small_cohort,
+                                                              tmp_path):
+    """Training, extraction and the reconstruction error read a loaded
+    cohort's volumes from disk one batch at a time: bitwise the results of
+    the same cohort held in memory."""
+    from latentscope.attribution import total_reconstruction_error
+    from latentscope.fileio import StoredVolume, load_cohort, save_cohort
+
+    save_cohort(str(tmp_path / "cohort"), small_cohort)
+    loaded = load_cohort(str(tmp_path / "cohort"))
+    assert isinstance(loaded.subjects[0].volume, StoredVolume)
+    cfg = ae.TrainConfig(loss_kind="combined", max_epochs=2, patience=2,
+                         batch_size=5, seed=3)
+    model, report = ae.train(small_cohort, cfg)
+    assert ae.train(loaded, cfg)[1].params_sha256 == report.params_sha256
+    with (ae.extract_activations(model, small_cohort, batch_size=5,
+                                 spill_dir=tmp_path) as want,
+          ae.extract_activations(model, loaded, batch_size=5,
+                                 spill_dir=tmp_path) as got):
+        for key in ae.LAYER_KEYS:
+            assert got.matrix(key).tobytes() == want.matrix(key).tobytes()
+        assert got.subject_ids == want.subject_ids
+    assert (total_reconstruction_error(loaded, model, chunk=5)
+            == total_reconstruction_error(small_cohort, model, chunk=5))
 
 
 class TestPersistence:

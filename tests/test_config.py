@@ -152,6 +152,27 @@ class TestRoundTrip:
     def test_embedding_parameter_at_its_limit_accepted(self, line):
         parse_config_text(line + "\n")
 
+    @pytest.mark.parametrize("text,key", [
+        ("embed.methods=pca,pca\n", "embed.methods"),
+        ("embed.methods=pca,tsne,pca\n", "embed.methods"),
+        ("embed.layers=L3,L3\n", "embed.layers"),
+        ("phantom.class_counts=NOR:10,AD:10\ncomparisons=NOR_AD,NOR_AD\n",
+         "comparisons"),
+    ])
+    def test_repeated_list_entry_rejected(self, text, key):
+        # a repeated method, layer or comparison used to repeat its rows in
+        # correlations.csv, top_regions.csv and corrected_pvalue.csv
+        with pytest.raises(ConfigError, match=f"{key} lists"):
+            parse_config_text(text)
+
+    def test_repeated_entries_rejected_by_validate(self):
+        with pytest.raises(ConfigError, match="embed.methods"):
+            EmbedConfig(methods=("pca", "pca")).validate()
+        with pytest.raises(ConfigError, match="embed.layers"):
+            EmbedConfig(layers=("L3", "L1", "L3")).validate()
+        with pytest.raises(ConfigError, match="comparisons"):
+            PipelineConfig(comparisons=("NOR_AD", "NOR_MCI", "NOR_AD")).validate()
+
     def test_comparison_against_absent_class(self):
         with pytest.raises(ConfigError, match="absent"):
             parse_config_text(
@@ -228,8 +249,9 @@ def valid_configs(draw):
     if len(present) < 2:
         counts[labels[0]] = counts[labels[1]] = 1
         present = labels[:2]
-    pairs = draw(st.lists(st.permutations(present).map(lambda p: p[:2]),
-                          min_size=1, max_size=3))
+    pairs = draw(st.lists(
+        st.permutations(present).map(lambda p: tuple(p[:2])),
+        min_size=1, max_size=3, unique=True))
     regions = draw(st.integers(2, 8))
     effects = draw(st.lists(st.tuples(st.integers(1, regions),
                                       st.sampled_from(sorted(CLASS_NAMES)),
@@ -247,9 +269,9 @@ def valid_configs(draw):
         batch_size=draw(st.integers(1, 64)))
     embed = EmbedConfig(
         methods=tuple(draw(st.lists(st.sampled_from(EMBED_METHODS), min_size=1,
-                                    max_size=4))),
+                                    max_size=4, unique=True))),
         layers=tuple(draw(st.lists(st.sampled_from(LAYER_KEYS),
-                                   min_size=1, max_size=3))),
+                                   min_size=1, max_size=3, unique=True))),
         components=draw(st.integers(1, 10)),
         perplexity=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
         tsne_iters=draw(st.integers(1, 5000)),

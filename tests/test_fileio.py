@@ -1,5 +1,6 @@
 """Artifact file formats: volumes, atlases, cohort manifests, CSV."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 from latentscope.data import AtlasMap, Volume
 from latentscope.errors import DependencyError, FormatError, LatentScopeError
-from latentscope.fileio import (load_atlas, load_cohort, load_latent,
-                                load_volume, read_table, save_atlas,
-                                save_cohort, save_latent, save_volume,
-                                write_csv)
+from latentscope.fileio import (StoredVolume, load_atlas, load_cohort,
+                                load_latent, load_volume, read_table,
+                                save_atlas, save_cohort, save_latent,
+                                save_volume, write_csv)
 
 
 def _random_volume(seed, dims=(4, 5, 6)):
@@ -198,6 +199,63 @@ def test_cohort_round_trip(tmp_path, small_cohort):
     assert np.array_equal(back.atlas.labels, small_cohort.atlas.labels)
     for sa, sb in zip(back.subjects, small_cohort.subjects):
         assert np.array_equal(sa.volume.voxels, sb.volume.voxels)
+
+
+def _saved_cohort(directory, dims=(32, 32, 32), n=8):
+    from latentscope.phantom import PhantomConfig, generate_phantom_cohort
+
+    cohort = generate_phantom_cohort(PhantomConfig(
+        dims=dims, region_count=4, class_counts={0: n // 2, 3: n - n // 2},
+        effect_spec=[], noise_sigma=0.05, smoothness=1.0, seed=2))
+    save_cohort(str(directory), cohort)
+    return cohort
+
+
+def test_load_cohort_keeps_no_voxel_array(tmp_path):
+    """A loaded cohort keeps each subject's path and dims, not its voxels:
+    what stays allocated is the atlas (the size of one volume) and
+    bookkeeping, against 8 volumes' worth when the voxels were kept."""
+    _saved_cohort(tmp_path)
+    one_volume = 32 ** 3 * 4
+    tracemalloc.start()
+    try:
+        loaded = load_cohort(str(tmp_path))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * one_volume
+    for s in loaded.subjects:
+        assert isinstance(s.volume, StoredVolume)
+        assert not any(isinstance(v, np.ndarray) for v in vars(s.volume).values())
+        assert s.volume.dims == (32, 32, 32)
+
+
+def test_stored_volume_reads_its_file_on_every_use(tmp_path):
+    cohort = _saved_cohort(tmp_path, dims=(8, 9, 10), n=2)
+    loaded = load_cohort(str(tmp_path))
+    stored = loaded.subjects[0].volume
+    first = stored.voxels
+    assert first.tobytes() == cohort.subjects[0].volume.voxels.tobytes()
+    assert stored.voxels is not first  # read again, not cached
+    save_volume(Volume(np.full((8, 9, 10), 0.25)), stored.path)
+    assert (stored.voxels == np.float32(0.25)).all()
+
+
+@pytest.mark.parametrize("damage,error", [
+    ("truncate", FormatError), ("other dims", FormatError),
+    ("delete", DependencyError)])
+def test_stored_volume_damaged_after_loading(tmp_path, damage, error):
+    _saved_cohort(tmp_path, dims=(8, 9, 10), n=2)
+    stored = load_cohort(str(tmp_path)).subjects[0].volume
+    if damage == "truncate":
+        with open(stored.path, "r+b") as f:
+            f.truncate(os.path.getsize(stored.path) - 4)
+    elif damage == "other dims":
+        save_volume(Volume(np.zeros((10, 9, 8))), stored.path)
+    else:
+        os.unlink(stored.path)
+    with pytest.raises(error, match=os.path.basename(stored.path)):
+        stored.voxels
 
 
 def test_csv_round_trip_with_comments(tmp_path):
