@@ -45,7 +45,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .autoencoder import AEParams, _as_batch_array, decode, extract_activations
+from .autoencoder import AEParams, _as_batch_array, decode
 from .data import AtlasMap, Cohort, Volume
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .forest import ForestConfig, ForestModel, forest_predict, rf_fit
@@ -55,22 +55,21 @@ EPSILON = 1e-8
 MAX_LEAF_FEATURES = 8
 
 
-def total_reconstruction_error(cohort: Cohort, model: AEParams, chunk: int = 8,
-                               latent: np.ndarray | None = None) -> dict[str, float]:
+def total_reconstruction_error(cohort: Cohort, model: AEParams, latent: np.ndarray,
+                               chunk: int = 8) -> dict[str, float]:
     """Per-subject sum of squared voxel differences under the trained model.
 
     Evaluation mode (running batch-norm statistics); values are keyed by
     subject id so they survive reordering. `latent` holds the subjects'
     bottleneck activations in cohort order (`ActivationSet.latent()`, as the
-    embed stage writes them), so only the decoder runs; when omitted, the
-    encoder computes them first. Volumes are read one chunk at a time.
+    embed stage writes them to `latent.lat`), so only the decoder runs; a
+    row count other than the cohort's is a ShapeError. Volumes are read one
+    chunk at a time.
     """
-    if latent is None:
-        with extract_activations(model, cohort, batch_size=chunk,
-                                 layers=()) as acts:
-            latent = acts.latent()
-    errors: dict[str, float] = {}
     subjects = cohort.subjects
+    if len(latent) != len(subjects):
+        raise ShapeError(f"latent has {len(latent)} rows for {len(subjects)} subjects")
+    errors: dict[str, float] = {}
     for start in range(0, len(subjects), chunk):
         part = subjects[start:start + chunk]
         x = _as_batch_array([s.volume for s in part])
@@ -208,15 +207,14 @@ class ShapResult:
     flags: list[str] = field(default_factory=list)
 
 
-def attribute_class(profiles, targets, class_label: int,
-                    config: ForestConfig | None = None,
-                    subject_ids=None) -> ShapResult:
-    """Fit the class forest and explain every subject against the class
-    profiles as background; `residual` checks the explanation's local
-    accuracy against the forest's own predictions."""
-    values = np.asarray(getattr(profiles, "values", profiles), dtype=np.float64)
-    if subject_ids is None:
-        subject_ids = list(getattr(profiles, "subject_ids", [str(i) for i in range(values.shape[0])]))
+def attribute_class(values: np.ndarray, targets, class_label: int,
+                    config: ForestConfig | None = None, *,
+                    subject_ids: list[str]) -> ShapResult:
+    """Fit the class forest on the profile rows `values` of the subjects
+    `subject_ids` and explain every subject against those rows as
+    background; `residual` checks the explanation's local accuracy against
+    the forest's own predictions."""
+    values = np.asarray(values, dtype=np.float64)
     model = rf_fit(values, targets, config)
     phi, base = shap_values(model, values, values)
     s, s_tilde, flags = shap_region_importance(phi)

@@ -22,9 +22,11 @@ it right after. So each float array the size of a layer output exists
 once, as its xhat. backward drops each layer's cache entry once its batch
 norm and activation are differentiated, before its conv backward.
 
-Volumes are read (`Volume.voxels`, from disk for a loaded cohort) and
-converted to float64 one batch at a time (float32 -> float64 is exact), so
-training and extraction hold one batch of the cohort, never all of it.
+`train` and `extract_activations` take a `Cohort`, whose subjects share
+the atlas grid. Volumes are read (`Volume.voxels`, from disk for a loaded
+cohort) and converted to float64 one batch at a time (float32 -> float64
+is exact), so training and extraction hold one batch of the cohort, never
+all of it.
 `extract_activations` writes each batch's encoder rows to an anonymous
 temporary file, and `ActivationSet.matrix` reads one layer matrix back per
 call: the caller holds one layer matrix at a time, never all of them.
@@ -46,7 +48,6 @@ from .fileio import _read_grid, _write_grid
 from .ssim import ssim3d, ssim3d_with_grad
 
 ENCODER_CHANNELS = (1, 16, 32, 64)
-LAYER_KEYS = ("L1", "L2", "L3")
 MODEL_MAGIC = b"LSAE2\n"
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1 = 0.9
@@ -74,6 +75,16 @@ def default_architecture() -> list[LayerSpec]:
         LayerSpec("conv_transpose3d", c[1], c[0], "sigmoid", False),
     ]
     return enc + dec
+
+
+def encoder_keys(layers: list[LayerSpec]) -> tuple[str, ...]:
+    """The keys "L1", "L2", ... of the encoder layers of a layer table, in
+    order, so the bottleneck's comes last. The encoder is the table's
+    conv3d layers, which precede its transposed convs."""
+    return tuple(f"L{j + 1}" for j, s in enumerate(layers) if s.kind == "conv3d")
+
+
+LAYER_KEYS = encoder_keys(default_architecture())
 
 
 @dataclass
@@ -198,8 +209,7 @@ def _input_chain(model: AEParams, x: np.ndarray):
     chain dims (see encoder_chain_dims)."""
     if x.ndim != 5 or x.shape[1] != model.layers[0].in_channels:
         raise ShapeError(f"expected (N,{model.layers[0].in_channels},X,Y,Z), got {x.shape}")
-    n_enc = sum(1 for s in model.layers if s.kind == "conv3d")
-    return encoder_chain_dims(x.shape[2:], n_enc)
+    return encoder_chain_dims(x.shape[2:], len(encoder_keys(model.layers)))
 
 
 def forward(model: AEParams, x: np.ndarray, mode: str = "eval", want_cache: bool = False):
@@ -417,36 +427,25 @@ def early_stop_epoch(losses: list[float], patience: int) -> int | None:
     return None
 
 
-def _volumes(cohort) -> list:
-    """The cohort's volumes in order, unread: a Cohort's `Volume`s, or the
-    arrays given. A batch reads its own (`_as_batch_array`)."""
-    if isinstance(cohort, Cohort):
-        vols = [s.volume for s in cohort.subjects]
-        shapes = {v.dims for v in vols}
-    else:
-        vols = [np.asarray(v) for v in cohort]
-        shapes = {v.shape for v in vols}
-    if not vols:
+def _volumes(cohort: Cohort) -> list[Volume]:
+    """The cohort's volumes in order, unread; a batch reads its own
+    (`_as_batch_array`). `Cohort` has checked that they share its atlas's
+    dims."""
+    if not cohort.subjects:
         raise ConfigError("empty training cohort")
-    if len(shapes) > 1:
-        raise ShapeError(f"volumes differ in shape: {sorted(shapes)}")
-    return vols
+    return [s.volume for s in cohort.subjects]
 
 
-def _as_batch_array(vols) -> np.ndarray:
-    """Volumes (`Volume`s or arrays of one shape) as one float64
-    (n, 1, X, Y, Z) batch, each read and converted (exactly) into its slot
-    in turn."""
-    batch = None
+def _as_batch_array(vols: list[Volume]) -> np.ndarray:
+    """Volumes of one shape as one float64 (n, 1, X, Y, Z) batch, each read
+    and converted (exactly) into its slot in turn."""
+    batch = np.empty((len(vols), 1, *vols[0].dims))
     for i, v in enumerate(vols):
-        voxels = v.voxels if isinstance(v, Volume) else v
-        if batch is None:
-            batch = np.empty((len(vols), 1, *voxels.shape))
-        batch[i, 0] = voxels
+        batch[i, 0] = v.voxels
     return batch
 
 
-def train(cohort, config: TrainConfig) -> tuple[AEParams, TrainReport]:
+def train(cohort: Cohort, config: TrainConfig) -> tuple[AEParams, TrainReport]:
     """Adam mini-batch training with early stopping; target = input."""
     config.validate()
     vols = _volumes(cohort)
@@ -549,39 +548,34 @@ class ActivationSet:
 
     def latent(self) -> np.ndarray:
         """The bottleneck (last encoder layer) activations, (n, C, x, y, z):
-        the input of `decode`."""
-        key = max(self.shapes, key=lambda k: int(k[1:]))
+        the input of `decode`. `shapes` is in encoder order and always
+        holds the bottleneck, so its key is the last."""
+        key = list(self.shapes)[-1]
         return self.matrix(key).reshape(-1, *self.shapes[key])
 
 
-def extract_activations(model: AEParams, cohort, subject_ids=None,
-                        batch_size: int = 8, layers=None,
-                        spill_dir=None) -> ActivationSet:
-    """Eval-mode encoder activations, flattened, subject order preserved;
-    only the encoder layers run, one batch at a time. Each batch's rows of
-    every kept layer are written to their place in an anonymous temporary
-    file in `spill_dir` (the system's temporary directory when None), so
-    extraction holds one batch, not the matrices. With `layers` (keys such
-    as "L1"), only those layers and the bottleneck are kept."""
+def extract_activations(model: AEParams, cohort: Cohort, batch_size: int = 8,
+                        layers=None, spill_dir=None) -> ActivationSet:
+    """Eval-mode encoder activations of the cohort's subjects, flattened,
+    in cohort order; only the encoder layers run, one batch at a time. Each
+    batch's rows of every kept layer are written to their place in an
+    anonymous temporary file in `spill_dir` (the system's temporary
+    directory when None), so extraction holds one batch, not the matrices.
+    With `layers` (keys such as "L1"), only those layers and the bottleneck
+    are kept."""
     vols = _volumes(cohort)
     n = len(vols)
-    if isinstance(cohort, Cohort):
-        subject_ids = cohort.subject_ids
-    elif subject_ids is None:
-        subject_ids = [f"S{i:04d}" for i in range(n)]
-    n_enc = sum(1 for s in model.layers if s.kind == "conv3d")
-    encoder_keys = [f"L{j + 1}" for j in range(n_enc)]
-    keep = set(encoder_keys if layers is None else layers) | {encoder_keys[-1]}
-    if not keep <= set(encoder_keys):
-        raise KeyError(f"unknown layers {sorted(keep - set(encoder_keys))}; "
-                       f"have {encoder_keys}")
+    keys = encoder_keys(model.layers)
+    keep = set(keys if layers is None else layers) | {keys[-1]}
+    if not keep <= set(keys):
+        raise KeyError(f"unknown layers {sorted(keep - set(keys))}; have {list(keys)}")
     spill = tempfile.TemporaryFile(dir=spill_dir)
     try:
         shapes, offsets, size = {}, {}, 0
         for start in range(0, n, batch_size):
             h = _as_batch_array(vols[start : start + batch_size])
             _input_chain(model, h)  # checks the batch against the model
-            for j, key in enumerate(encoder_keys):
+            for j, key in enumerate(keys):
                 h = _layer_forward(model.layers[j], model.params[j], h, "eval", None)[0]
                 if key not in keep:
                     continue
@@ -594,14 +588,21 @@ def extract_activations(model: AEParams, cohort, subject_ids=None,
     except BaseException:
         spill.close()
         raise
-    return ActivationSet(list(subject_ids), shapes, offsets, spill)
+    return ActivationSet(cohort.subject_ids, shapes, offsets, spill)
+
+
+def latent_shape(model: AEParams, dims) -> tuple[int, ...]:
+    """(C, x, y, z) of one subject's bottleneck activations under `model`
+    for a volume of spatial size `dims`: a row of `ActivationSet.latent()`."""
+    n_enc = len(encoder_keys(model.layers))
+    return (model.layers[n_enc - 1].out_channels, *encoder_chain_dims(dims, n_enc)[-1])
 
 
 def decode(model: AEParams, latent: np.ndarray, dims) -> np.ndarray:
     """Eval-mode reconstruction (N,1,*dims) of volumes of spatial size `dims`
-    from their bottleneck activations (N,C,*encoder_chain_dims(dims)[-1]);
-    only the decoder layers run."""
-    n_enc = sum(1 for s in model.layers if s.kind == "conv3d")
+    from their bottleneck activations (N, *latent_shape(model, dims)); only
+    the decoder layers run."""
+    n_enc = len(encoder_keys(model.layers))
     out_pads = _decoder_output_paddings(encoder_chain_dims(dims, n_enc))
     h = latent
     for spec, p, op in zip(model.layers[n_enc:], model.params[n_enc:], out_pads):

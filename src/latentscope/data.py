@@ -107,11 +107,12 @@ class Subject:
 
 @dataclass
 class Cohort:
-    """Ordered list of subjects sharing one atlas grid."""
+    """Ordered list of subjects sharing one atlas grid: a volume on other
+    dims than the atlas's is a ShapeError, and a repeated subject id a
+    ValueError."""
 
     subjects: list[Subject]
     atlas: AtlasMap
-    seed: int = 0
 
     def __post_init__(self):
         ids = [s.id for s in self.subjects]
@@ -220,4 +221,4 @@ def balanced_subset(cohort: Cohort, groups: set[int], seed: int) -> Cohort:
     membership and order."""
     keep = balanced_indices([s.class_label for s in cohort.subjects], groups, seed)
     subjects = [cohort.subjects[i] for i in keep]
-    return Cohort(subjects=subjects, atlas=cohort.atlas, seed=cohort.seed)
+    return Cohort(subjects=subjects, atlas=cohort.atlas)

@@ -51,13 +51,16 @@ class EmbeddingMatrix:
     method: str  # pca | pls | tsne | umap
     layer: str  # L1 | L2 | L3
     values: np.ndarray  # (n_subjects, 3) float64
-    subject_ids: list[str]
+    subject_ids: list[str] | None = None  # None: "S0000", "S0001", ...
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ShapeError("embedding values must be 2D")
+        if self.subject_ids is None:
+            self.subject_ids = [f"S{i:04d}" for i in range(self.values.shape[0])]
+        self.subject_ids = list(self.subject_ids)
         if len(self.subject_ids) != self.values.shape[0]:
             raise ShapeError("subject id count != embedding row count")
         if not np.isfinite(self.values).all():

@@ -82,13 +82,11 @@ def pca_fit_transform(x: np.ndarray | PreparedLayer, k: int = 3,
         rank_deficient=rank < k,
         metadata={"n": n, "k": k},
     )
-    if subject_ids is None:
-        subject_ids = [f"S{i:04d}" for i in range(n)]
     emb = EmbeddingMatrix(
         method="pca",
         layer=layer,
         values=scores,
-        subject_ids=list(subject_ids),
+        subject_ids=subject_ids,
         metadata={"rank_deficient": model.rank_deficient},
     )
     return model, emb

@@ -104,13 +104,11 @@ def pls_fit_transform(x: np.ndarray | PreparedLayer, y: np.ndarray, k: int = 3,
         degenerate_components=degenerate,
         metadata={"n": n},
     )
-    if subject_ids is None:
-        subject_ids = [f"S{i:04d}" for i in range(n)]
     emb = EmbeddingMatrix(
         method="pls",
         layer=layer,
         values=scores,
-        subject_ids=list(subject_ids),
+        subject_ids=subject_ids,
         metadata={"degenerate_components": degenerate},
     )
     return model, emb

@@ -223,13 +223,11 @@ def tsne_embed(x: np.ndarray | PreparedLayer, dims: int = 3,
         y += velocity
         y -= y.mean(axis=0)
 
-    if subject_ids is None:
-        subject_ids = [f"S{i:04d}" for i in range(n)]
     return EmbeddingMatrix(
         method="tsne",
         layer=layer,
         values=y,
-        subject_ids=list(subject_ids),
+        subject_ids=subject_ids,
         metadata={
             "perplexity": perplexity,
             "lr": lr,

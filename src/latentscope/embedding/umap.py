@@ -85,10 +85,11 @@ def low_dim_curve(d, a, b):
     return 1.0 / (1.0 + a * d ** (2.0 * b))
 
 
-def fit_ab(min_dist: float, spread: float = 1.0) -> tuple[float, float]:
-    """Least-squares (a, b) so the kernel tracks the min_dist plateau curve."""
-    xv = np.linspace(0.0, spread * 3.0, 300)
-    yv = np.where(xv < min_dist, 1.0, np.exp(-(xv - min_dist) / spread))
+def fit_ab(min_dist: float) -> tuple[float, float]:
+    """Least-squares (a, b) so the kernel tracks the min_dist plateau curve
+    (spread 1)."""
+    xv = np.linspace(0.0, 3.0, 300)
+    yv = np.where(xv < min_dist, 1.0, np.exp(-(xv - min_dist)))
     (a, b), info = lmdif(lambda p: low_dim_curve(xv, *p) - yv, (1.0, 1.0),
                          ftol=1.49012e-8, xtol=1.49012e-8, gtol=0.0,
                          maxfev=10000, epsfcn=float(np.finfo(np.float64).eps),
@@ -267,13 +268,11 @@ def umap_embed(x: np.ndarray | PreparedLayer, dims: int = 3,
         if not np.isfinite(yt).all():
             raise NumericError(f"non-finite UMAP embedding at epoch {epoch}")
 
-    if subject_ids is None:
-        subject_ids = [f"S{i:04d}" for i in range(n)]
     return EmbeddingMatrix(
         method="umap",
         layer=layer,
         values=np.ascontiguousarray(yt.T),
-        subject_ids=list(subject_ids),
+        subject_ids=subject_ids,
         metadata={
             "n_neighbors": n_neighbors,
             "min_dist": min_dist,

@@ -10,11 +10,11 @@ Model: magic "LSAE2\\n", ASCII line "P\\n", then the P parameters of the
 fixed autoencoder architecture as little-endian float64, its arrays in
 `AEParams.all_arrays` order, each flattened in C order (see
 autoencoder.save_model).
-Cohort manifest: CSV id,class_label,volume_path with volume paths relative
-to the manifest's directory. `load_cohort` reads and checks every volume,
-then keeps only its path and dims (`StoredVolume`): a stage reads a
-subject's voxels from its file each time it uses them, one batch or one
-subject at a time.
+Cohort manifest: CSV id,class_label,volume_path, with no comment line, and
+volume paths relative to the manifest's directory. `load_cohort` reads
+and checks every volume, then keeps only its path and dims
+(`StoredVolume`): a stage reads a subject's voxels from its file each time
+it uses them, one batch or one subject at a time.
 
 CSV writers emit floats via repr() of the Python float (shortest round-trip
 form) so artifact bytes are reproducible across runs. Leading '#' lines are
@@ -238,12 +238,7 @@ def save_cohort(directory: str, cohort: Cohort) -> None:
         rel = os.path.join("volumes", f"{s.id}.vol")
         save_volume(s.volume, os.path.join(directory, rel))
         rows.append((s.id, s.class_label, rel))
-    write_csv(
-        os.path.join(directory, "manifest.csv"),
-        _MANIFEST_COLUMNS,
-        rows,
-        comments=(f"seed={cohort.seed}",),
-    )
+    write_csv(os.path.join(directory, "manifest.csv"), _MANIFEST_COLUMNS, rows)
 
 
 def load_cohort(directory: str) -> Cohort:
@@ -253,25 +248,16 @@ def load_cohort(directory: str) -> Cohort:
     if not os.path.exists(manifest):
         raise FormatError(f"missing manifest {manifest}")
     atlas = load_atlas(os.path.join(directory, "atlas.atl"))
-    seed = 0
     subjects = []
     try:
-        with open(manifest) as f:
-            for ln in f:
-                if ln.startswith("# seed="):
-                    seed = int(ln.split("=", 1)[1])
-                if not ln.startswith("#"):
-                    break
         for row in read_table(manifest, _MANIFEST_COLUMNS):
             path = os.path.join(directory, row["volume_path"])
             vol = StoredVolume(path, load_volume(path).dims)
             subjects.append(
                 Subject(id=row["id"], class_label=int(row["class_label"]), volume=vol)
             )
-        return Cohort(subjects=subjects, atlas=atlas, seed=seed)
-    except OSError as exc:  # unreadable, e.g. a directory in its place
-        raise DependencyError(f"cannot read artifact {manifest}: {exc}") from exc
-    except ValueError as exc:  # a seed or class label that is no int, a repeated id
+        return Cohort(subjects=subjects, atlas=atlas)
+    except ValueError as exc:  # a class label that is no int, a repeated id
         raise FormatError(f"malformed manifest {manifest}: {exc!r}") from exc
     except ShapeError as exc:  # a volume on another grid than the atlas
         raise FormatError(f"cohort {directory}: {exc}") from exc

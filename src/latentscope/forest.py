@@ -176,8 +176,9 @@ def _grow_tree(x, y, rng, max_depth, min_leaf, m_try):
     )
 
 
-def rf_fit(profiles, targets, config: ForestConfig | None = None) -> ForestModel:
-    """Fit a seeded random forest regressor.
+def rf_fit(values, targets, config: ForestConfig | None = None) -> ForestModel:
+    """Fit a seeded random forest regressor to the rows of the profile
+    array `values`.
 
     Each tree draws a bootstrap sample and, at every node, a random subset of
     ceil(R/3) candidate features; splits greedily minimize within-node target
@@ -186,7 +187,7 @@ def rf_fit(profiles, targets, config: ForestConfig | None = None) -> ForestModel
     """
     config = config or ForestConfig()
     config.validate()
-    x = np.asarray(getattr(profiles, "values", profiles), dtype=np.float64)
+    x = np.asarray(values, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2:
         raise ConfigError(f"profile matrix must be 2-D, got shape {x.shape}")

@@ -137,4 +137,4 @@ def generate_phantom_cohort(config: PhantomConfig) -> Cohort:
                 )
             )
             index += 1
-    return Cohort(subjects=subjects, atlas=atlas, seed=config.seed)
+    return Cohort(subjects=subjects, atlas=atlas)

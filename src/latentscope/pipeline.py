@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .attribution import attribute_class, build_shap_volume, total_reconstruction_error
-from .autoencoder import (ENCODER_CHANNELS, AEParams, TrainConfig,
-                          encoder_chain_dims, extract_activations, load_model,
-                          params_hash, save_model, train)
+from .autoencoder import (AEParams, TrainConfig, extract_activations, latent_shape,
+                          load_model, params_hash, save_model, train)
 from .config import PipelineConfig, config_hash, parse_comparison, write_config
 from .data import CLASS_NAMES, Cohort, balanced_subset, build_region_profiles
 from .embedding import (PREPARED_ORDER, EmbeddingMatrix, PreparedLayer,
@@ -242,18 +241,16 @@ def run_train(config: PipelineConfig, out_dir, force: bool = False) -> Path:
 _TSNE_KL_EVERY = 50
 
 
-def _scalar_metadata(metadata: dict) -> list[str]:
-    """`key=value` lines of an embedding's metadata in key order: scalars,
-    and the notes and t-SNE's KL checkpoints as `;`-joined lists. Other
-    arrays are left out."""
+def _metadata_lines(metadata: dict) -> list[str]:
+    """`key=value` lines of an embedding's metadata in key order; a list or
+    array (the notes, t-SNE's KL checkpoints) is `;`-joined."""
     lines = []
     for key in sorted(metadata):
         value = metadata[key]
         if isinstance(value, (list, tuple, np.ndarray)):
-            if key in ("notes", "kl_history"):
-                lines.append(f"{key}={';'.join(fmt_value(v) for v in value)}")
-            continue
-        lines.append(f"{key}={fmt_value(value)}")
+            lines.append(f"{key}={';'.join(fmt_value(v) for v in value)}")
+        else:
+            lines.append(f"{key}={fmt_value(value)}")
     return lines
 
 
@@ -303,7 +300,7 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                                   [(sid, method, layer, *row)
                                    for sid, row in zip(emb.subject_ids, emb.values)],
                                   comments=_hash_comment(config))
-                        meta = _scalar_metadata(emb.metadata)
+                        meta = _metadata_lines(emb.metadata)
                         base.with_suffix(".meta").write_text(
                             "\n".join(meta) + "\n", encoding="utf-8")
                     del x  # before the next layer's matrix is read
@@ -389,7 +386,7 @@ def run_correlate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                     kept_sar_rows.extend(_correlation_rows(
                         table, correct_table(table, "sar", delta=config.bound.delta)))
                     if method == overlap_method and layer == overlap_layer:
-                        per_comparison_top[name] = ranked
+                        per_comparison_top[name] = [t.region for t in ranked]
             comments = _hash_comment(config)
             write_csv(str(comp_dir / "correlations.csv"), _CORRELATION_COLUMNS,
                       all_rows, comments=comments)
@@ -419,8 +416,7 @@ def _load_latent(path: Path, model, subset: Cohort) -> np.ndarray:
     if params_sha256 != params_hash(model):
         raise FormatError(f"{path}: written under model {params_sha256[:12]}..., "
                           "not the trained one; rerun the embed stage")
-    spatial = encoder_chain_dims(subset.atlas.dims)[-1]
-    want = (len(subset), ENCODER_CHANNELS[-1], *spatial)
+    want = (len(subset), *latent_shape(model, subset.atlas.dims))
     if latent.shape != want:
         raise FormatError(f"{path}: shape {latent.shape}, expected {want}")
     return latent

@@ -66,13 +66,21 @@ def _pvalues(r, n: int):
     return np.where(one_minus_r2 <= 1e-15, 0.0, p)
 
 
+def _row_means(rows: np.ndarray) -> np.ndarray:
+    """Mean of each row; a row of one repeated value has that value as its
+    mean, so its deviations are exactly zero and it counts as constant. The
+    sum can miss such a mean (twelve 0.1s sum to 1.2000000000000002), which
+    would give deviations of about 1e-17 and a finite r."""
+    return np.where(np.ptp(rows, axis=1) == 0.0, rows[:, 0], rows.mean(axis=1))
+
+
 def _block(x: np.ndarray, y: np.ndarray) -> _Block:
     """Pearson and SAR terms of every column of x (n x C) against every
     column of y (n x R); see the module docstring for the forms it keeps."""
     xt = np.ascontiguousarray(x.T, dtype=np.float64)
     yt = np.ascontiguousarray(y.T, dtype=np.float64)
-    x_mean = xt.mean(axis=1)
-    y_mean = yt.mean(axis=1)
+    x_mean = _row_means(xt)
+    y_mean = _row_means(yt)
     xd = xt - x_mean[:, None]
     yd = yt - y_mean[:, None]
     sxx = np.vecdot(xd, xd)
@@ -224,19 +232,16 @@ class OverlapReport:
     recurring_regions: list[int]  # regions present in >= 3 pairwise overlaps
 
 
-def overlap_report(top_lists: dict) -> OverlapReport:
+def overlap_report(top_lists: dict[str, list[int]]) -> OverlapReport:
     """Intersect per-comparison top-N region sets pairwise.
 
-    top_lists maps comparison name to either a list of TopRegion entries or a
-    plain list of region ids. Regions appearing in at least 3 of the pairwise
-    overlaps are reported as recurring.
+    top_lists maps comparison name to the region ids of its top-N list.
+    Regions appearing in at least 3 of the pairwise overlaps are reported
+    as recurring.
     """
     if len(top_lists) < 2:
         raise ConfigError("overlap report needs at least 2 comparisons")
-    sets = {}
-    for name, entries in top_lists.items():
-        regions = [e.region if isinstance(e, TopRegion) else int(e) for e in entries]
-        sets[name] = set(regions)
+    sets = {name: set(regions) for name, regions in top_lists.items()}
     names = sorted(sets)
     pair_overlaps = {}
     counts: dict[int, int] = {}

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from latentscope.autoencoder import TrainConfig, train
+from latentscope.autoencoder import TrainConfig, extract_activations, train
 from latentscope.config import study_config
 from latentscope.phantom import PhantomConfig, generate_phantom_cohort
 from latentscope.pipeline import run_all
@@ -27,6 +27,13 @@ def cluster_margin(values: np.ndarray, n_per: int = 10) -> float:
     va, vb = values[:n_per], values[n_per:]
     w = vb.mean(axis=0) - va.mean(axis=0)
     return float((vb @ w).min() - (va @ w).max())
+
+
+def bottleneck(model, cohort, chunk: int = 8) -> np.ndarray:
+    """The cohort's bottleneck activations under `model`, extracted `chunk`
+    subjects at a time: the latent the reconstruction error decodes."""
+    with extract_activations(model, cohort, batch_size=chunk, layers=()) as acts:
+        return acts.latent()
 
 
 # The exact headers of lrcp/grid.csv and lrcp/summary.csv.

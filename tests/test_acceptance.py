@@ -34,8 +34,8 @@ from latentscope.seeds import derive_seed
 from latentscope.validation import (concentration_bound, cubv_corrected_error,
                                     sar_relevance)
 
-from conftest import (LRCP_GRID_COLUMNS, LRCP_SUMMARY_COLUMNS, cluster_margin,
-                      two_clusters)
+from conftest import (LRCP_GRID_COLUMNS, LRCP_SUMMARY_COLUMNS, bottleneck,
+                      cluster_margin, two_clusters)
 from test_attribution import brute_force_shap, small_forest
 from test_pipeline import tree_bytes
 
@@ -174,7 +174,8 @@ def test_07_shap_exactness(small_cohort, trained_small):
 
         # local accuracy for every subject of a full phantom attribution
         ae_model, _ = trained_small
-        errors = total_reconstruction_error(small_cohort, ae_model)
+        errors = total_reconstruction_error(small_cohort, ae_model,
+                                            bottleneck(ae_model, small_cohort))
         profiles = build_region_profiles(small_cohort)
         labels = np.asarray(small_cohort.class_labels)
         ids = np.asarray(profiles.subject_ids)
@@ -205,7 +206,8 @@ def test_08_shap_ground_truth_recovery():
             model, _ = train(normals, TrainConfig(loss_kind="mse",
                                                   max_epochs=5, patience=5,
                                                   batch_size=8, seed=seed))
-            errors = total_reconstruction_error(cohort, model)
+            errors = total_reconstruction_error(cohort, model,
+                                                bottleneck(model, cohort))
             profiles = build_region_profiles(cohort)
             labels = np.asarray(cohort.class_labels)
             mask = labels >= 1

@@ -21,6 +21,8 @@ from latentscope.data import AtlasMap
 from latentscope.errors import ConfigError, DegenerateInputError, ShapeError
 from latentscope.forest import ForestConfig, forest_predict, rf_fit
 
+from conftest import bottleneck
+
 
 def brute_force_shap(model, x_row, bg):
     """Textbook Shapley values of the interventional game, all coalitions.
@@ -271,8 +273,11 @@ class TestImportance:
         rng = np.random.default_rng(5)
         x = rng.uniform(size=(40, 5))
         y = 3.0 * x[:, 2] + x[:, 0] + 0.1 * rng.normal(size=40)
-        res1 = attribute_class(x, y, 3, config=ForestConfig(n_trees=10, seed=6))
-        res2 = attribute_class(x, 8.0 * y, 3, config=ForestConfig(n_trees=10, seed=6))
+        ids = [str(i) for i in range(40)]
+        res1 = attribute_class(x, y, 3, config=ForestConfig(n_trees=10, seed=6),
+                               subject_ids=ids)
+        res2 = attribute_class(x, 8.0 * y, 3, config=ForestConfig(n_trees=10, seed=6),
+                               subject_ids=ids)
         np.testing.assert_allclose(8.0 * res1.phi, res2.phi, atol=1e-12)
         np.testing.assert_allclose(res1.s_tilde, res2.s_tilde, atol=1e-6)
 
@@ -282,7 +287,8 @@ class TestAttributeClass:
         rng = np.random.default_rng(7)
         x = rng.uniform(size=(60, 6))
         y = 5.0 * x[:, 4] + 0.05 * rng.normal(size=60)
-        res = attribute_class(x, y, 3, config=ForestConfig(seed=0))
+        res = attribute_class(x, y, 3, config=ForestConfig(seed=0),
+                              subject_ids=[str(i) for i in range(60)])
         assert int(np.argmax(res.s_tilde)) == 4
         assert res.s_tilde[4] == pytest.approx(1.0, abs=1e-6)
         assert res.class_label == 3
@@ -294,7 +300,8 @@ class TestAttributeClass:
         x = rng.uniform(size=(30, 5))
         y = x[:, 1] * x[:, 3] + 0.1 * rng.normal(size=30)
         fc = ForestConfig(n_trees=8, seed=2)
-        res = attribute_class(x, y, 0, config=fc)
+        res = attribute_class(x, y, 0, config=fc,
+                              subject_ids=[str(i) for i in range(30)])
         preds = forest_predict(rf_fit(x, y, fc), x)
         assert res.residual == np.abs(res.base_value + res.phi.sum(axis=1)
                                       - preds).max()
@@ -368,7 +375,8 @@ class TestReconstructionError:
         from latentscope.autoencoder import forward
 
         model, _ = trained_small
-        errors = total_reconstruction_error(small_cohort, model)
+        errors = total_reconstruction_error(small_cohort, model,
+                                            bottleneck(model, small_cohort))
         assert set(errors) == set(small_cohort.subject_ids)
         subj = small_cohort.subjects[0]
         x = subj.volume.voxels[None, None]
@@ -378,10 +386,21 @@ class TestReconstructionError:
         # agreement is to high precision rather than bitwise
         assert errors[subj.id] == pytest.approx(manual, rel=1e-9)
 
+    def test_latent_of_other_row_count_raises(self, small_cohort, trained_small):
+        # a short latent would otherwise broadcast one reconstruction
+        # against every subject of its chunk
+        model, _ = trained_small
+        latent = bottleneck(model, small_cohort)
+        for rows in (latent[:1], latent[1:], np.concatenate([latent, latent[:1]])):
+            with pytest.raises(ShapeError, match="rows"):
+                total_reconstruction_error(small_cohort, model, rows)
+
     def test_chunk_invariance(self, small_cohort, trained_small):
         model, _ = trained_small
-        a = total_reconstruction_error(small_cohort, model, chunk=3)
-        b = total_reconstruction_error(small_cohort, model, chunk=100)
+        a = total_reconstruction_error(small_cohort, model,
+                                       bottleneck(model, small_cohort, 3), chunk=3)
+        b = total_reconstruction_error(small_cohort, model,
+                                       bottleneck(model, small_cohort, 100), chunk=100)
         assert a == b
 
     @pytest.mark.parametrize("grid", ["cubic", "odd"])
@@ -389,7 +408,7 @@ class TestReconstructionError:
     def test_decoder_only_equals_eval_forward_bitwise(
             self, small_cohort, trained_small, odd_grid_model, tmp_path,
             grid, chunk):
-        from latentscope.autoencoder import extract_activations, params_hash
+        from latentscope.autoencoder import params_hash
         from latentscope.fileio import load_latent, save_latent
 
         if grid == "cubic":
@@ -397,12 +416,8 @@ class TestReconstructionError:
         else:
             cohort, model = odd_grid_model
         want = eval_forward_errors(cohort, model, chunk)
-        assert total_reconstruction_error(cohort, model, chunk=chunk) == want
         # the embed stage's route: the latent through its file
-        with extract_activations(model, cohort, batch_size=chunk) as acts:
-            latent = acts.latent()
         path = str(tmp_path / "latent.lat")
-        save_latent(latent, params_hash(model), path)
+        save_latent(bottleneck(model, cohort, chunk), params_hash(model), path)
         back, _ = load_latent(path)
-        assert total_reconstruction_error(cohort, model, chunk=chunk,
-                                          latent=back) == want
+        assert total_reconstruction_error(cohort, model, back, chunk=chunk) == want

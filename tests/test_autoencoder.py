@@ -13,10 +13,15 @@ from latentscope.errors import (ConfigError, DependencyError, FormatError,
                                LatentScopeError, NumericError, ShapeError)
 
 
+def cohort_of(vols):
+    """A one-region cohort carrying the arrays `vols` as its volumes."""
+    atlas = AtlasMap(np.ones(vols[0].shape, dtype=np.int32), region_count=1)
+    return Cohort(subjects=[Subject(f"S{i:03d}", 0, Volume(v))
+                            for i, v in enumerate(vols)], atlas=atlas)
+
+
 def constant_cohort(dims=(8, 8, 8), n=16, value=0.5):
-    atlas = AtlasMap(np.ones(dims, dtype=np.int32), region_count=1)
-    subs = [Subject(f"S{i:03d}", 0, Volume(np.full(dims, value))) for i in range(n)]
-    return Cohort(subjects=subs, atlas=atlas)
+    return cohort_of([np.full(dims, value)] * n)
 
 
 class TestEncoderChain:
@@ -385,21 +390,18 @@ class TestTraining:
         float32 volumes at batch 3, so the last batch is short)."""
         rng = np.random.default_rng(8)
         vols = [rng.uniform(size=(8, 9, 8)).astype(np.float32) for _ in range(7)]
-        _, report = ae.train(vols, ae.TrainConfig(
+        _, report = ae.train(cohort_of(vols), ae.TrainConfig(
             loss_kind="combined", max_epochs=2, patience=2, batch_size=3,
             seed=8, lr=0.01))
         assert report.params_sha256 == (
             "6c97261d9645e08c23cae5db5d627a240409440337bbb179723a3ca9e3842bd0")
 
-    def test_volumes_of_two_shapes_raise(self):
-        vols = [np.zeros((8, 8, 8)), np.zeros((8, 8, 9))]
-        with pytest.raises(ShapeError):
-            ae.train(vols, ae.TrainConfig(batch_size=1))
-
     def test_empty_cohort_raises(self):
-        cfg = ae.TrainConfig()
+        empty = Cohort(subjects=[], atlas=constant_cohort(n=1).atlas)
         with pytest.raises(ConfigError):
-            ae.train([], cfg)
+            ae.train(empty, ae.TrainConfig())
+        with pytest.raises(ConfigError):
+            ae.extract_activations(ae.init_params(seed=0), empty)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -460,13 +462,34 @@ class TestActivations:
         model = ae.init_params(seed=6)
         x = np.stack([v.astype(np.float64) for v in vols])[:, None]
         chunks = [ae.forward(model, x[s:s + 2], "eval")[1] for s in range(0, 5, 2)]
-        with ae.extract_activations(model, vols, batch_size=2) as got:
+        with ae.extract_activations(model, cohort_of(vols), batch_size=2) as got:
             assert list(got.shapes) == list(ae.LAYER_KEYS)
             for j, key in enumerate(ae.LAYER_KEYS):
                 want = np.vstack([c[j].reshape(len(c[j]), -1) for c in chunks])
                 m = got.matrix(key)
                 assert m.flags.c_contiguous and m.dtype == want.dtype
                 assert m.shape == want.shape and m.tobytes() == want.tobytes()
+
+    def test_two_level_encoder_layout(self):
+        """test_02's two-level net: keys L1 and L2, the bottleneck L2, and
+        its decoded latent the bits of the eval forward's reconstruction."""
+        layers = [ae.LayerSpec("conv3d", 1, 4, "relu", True),
+                  ae.LayerSpec("conv3d", 4, 8, "relu", True),
+                  ae.LayerSpec("conv_transpose3d", 8, 4, "relu", True),
+                  ae.LayerSpec("conv_transpose3d", 4, 1, "sigmoid", False)]
+        model = ae.init_params(seed=3, layers=layers)
+        rng = np.random.default_rng(3)
+        cohort = cohort_of([rng.uniform(size=(6, 7, 6)) for _ in range(3)])
+        assert ae.encoder_keys(layers) == ("L1", "L2")
+        assert ae.latent_shape(model, (6, 7, 6)) == (8, 2, 2, 2)
+        x = np.stack([s.volume.voxels for s in cohort.subjects])[:, None]
+        recon, acts, _ = ae.forward(model, x.astype(np.float64), "eval")
+        with ae.extract_activations(model, cohort) as got:
+            assert list(got.shapes) == ["L1", "L2"]
+            latent = got.latent()
+        assert latent.shape == (3, 8, 2, 2, 2)
+        assert latent.tobytes() == acts[1].tobytes()
+        assert ae.decode(model, latent, (6, 7, 6)).tobytes() == recon.tobytes()
 
     def test_unknown_layer_key(self, small_cohort, trained_small):
         model, _ = trained_small
@@ -593,8 +616,9 @@ def test_loaded_cohort_gives_the_bits_of_the_cohort_in_memory(small_cohort,
         for key in ae.LAYER_KEYS:
             assert got.matrix(key).tobytes() == want.matrix(key).tobytes()
         assert got.subject_ids == want.subject_ids
-    assert (total_reconstruction_error(loaded, model, chunk=5)
-            == total_reconstruction_error(small_cohort, model, chunk=5))
+        got_latent, want_latent = got.latent(), want.latent()
+    assert (total_reconstruction_error(loaded, model, got_latent, chunk=5)
+            == total_reconstruction_error(small_cohort, model, want_latent, chunk=5))
 
 
 class TestPersistence:

@@ -125,6 +125,14 @@ class TestCellCategories:
         assert "degenerate_constant_feature" in cell.flags
         assert np.isnan(cell.r)
 
+    def test_constant_component_with_inexact_mean(self):
+        # the computed mean of twelve 0.1s is an ulp off 0.1; the region
+        # alone would classify the two classes perfectly
+        cell = lrcp_cell(np.full(12, 0.1), np.arange(12.0), paired_labels(6))
+        assert cell.category == "neither"
+        assert cell.flags == ["degenerate_constant_feature"]
+        assert np.isnan(cell.r)
+
     def test_validation_errors(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=40)

@@ -856,7 +856,6 @@ class TestCLI:
 
     @pytest.mark.parametrize("old,new", [
         (",3,volumes/", ",x,volumes/"),           # a class label that is no int
-        ("# seed=", "# seed=x"),                  # a seed line that does not parse
         ("id,class_label,volume_path", "id,class_label,path"),
         ("id,class_label,volume_path", "name,class_label,volume_path"),
     ])

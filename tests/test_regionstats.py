@@ -62,6 +62,14 @@ class TestPearson:
         with pytest.raises(DegenerateInputError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    def test_constant_with_inexact_mean_raises(self):
+        # twelve 0.1s sum to 1.2000000000000002: the mean is an ulp off 0.1
+        x = np.full(12, 0.1)
+        assert x.mean() != 0.1
+        for a, b in ((x, np.arange(12.0)), (np.arange(12.0), x)):
+            with pytest.raises(DegenerateInputError):
+                pearson(a, b)
+
     def test_short_raises(self):
         with pytest.raises(DegenerateInputError):
             pearson([1.0, 2.0], [3.0, 4.0])
@@ -257,12 +265,12 @@ class TestOverlapReport:
         assert report.pair_overlaps[("NOR_MCI", "NOR_MCIc")] == [3, 5]
         assert report.recurring_regions == [3]
 
-    def test_accepts_top_region_entries(self):
+    def test_region_ids_of_top_region_lists(self):
         emb, profiles = make_table()
         table = correlate_embedding_regions(emb, profiles)
-        top = top_regions(table, n=2)
-        report = overlap_report({"A": top, "B": [t.region for t in top]})
-        assert report.pair_overlaps[("A", "B")] == sorted(t.region for t in top)
+        top = [t.region for t in top_regions(table, n=2)]
+        report = overlap_report({"A": top, "B": top[::-1]})
+        assert report.pair_overlaps[("A", "B")] == sorted(top)
 
     def test_single_comparison_raises(self):
         with pytest.raises(ConfigError):
@@ -346,9 +354,13 @@ class TestBitPins:
 
 def per_cell_reference(x, y):
     """r, p, slope, intercept, model MAE and baseline MAE of one pair by the
-    1-D formulas the block kernel must reproduce bit for bit."""
-    xd = x - x.mean()
-    yd = y - y.mean()
+    1-D formulas the block kernel must reproduce bit for bit; a vector of
+    one repeated value has that value as its mean."""
+    def mean(v):
+        return float(v[0]) if v.min() == v.max() else float(v.mean())
+
+    xd = x - mean(x)
+    yd = y - mean(y)
     sx = math.sqrt(float(xd @ xd))
     sy = math.sqrt(float(yd @ yd))
     if sx == 0.0 or sy == 0.0:
@@ -356,12 +368,12 @@ def per_cell_reference(x, y):
     else:
         r = min(1.0, max(-1.0, float(xd @ yd) / (sx * sy)))
         p = pearson_pvalue(r, x.size)
-    y_mean = float(y.mean())
+    y_mean = mean(y)
     baseline = float(np.abs(y - y_mean).mean())
     if sx == 0.0:
         return r, p, 0.0, y_mean, baseline, baseline
     slope = float(xd @ (y - y_mean)) / float(xd @ xd)
-    intercept = y_mean - slope * float(x.mean())
+    intercept = y_mean - slope * mean(x)
     model = float(np.abs(y - (slope * x + intercept)).mean())
     return r, p, slope, intercept, model, baseline
 
@@ -371,8 +383,8 @@ class TestBlockKernel:
     def test_matches_per_cell_formulas(self, n):
         rng = np.random.default_rng(n)
         s = rng.normal(size=n)
-        # constant 0.1 has an inexact mean (tiny nonzero deviations), 0.25 an
-        # exact one (sxx == 0: r undefined and a flat SAR line)
+        # constant 0.1 has an inexact computed mean, 0.25 an exact one; both
+        # are constant (sxx == 0: r undefined and a flat SAR line)
         x = np.column_stack([s, np.full(n, 0.1), 3.0 + 1e-3 * rng.normal(size=n),
                              np.full(n, 0.25), 0.5 * s + rng.normal(size=n)])
         y = np.column_stack([0.5 + 0.1 * s + 0.01 * rng.normal(size=n),
@@ -385,4 +397,17 @@ class TestBlockKernel:
         want = np.array([[per_cell_reference(x[:, c], y[:, j]) for j in range(5)]
                          for c in range(5)])
         assert got.tobytes() == want.tobytes()
-        assert block.sxx[3] == 0.0
+        assert block.sxx[1] == block.sxx[3] == 0.0
+
+    def test_constant_column_with_inexact_mean_is_constant(self):
+        """A zero-range column is constant even where its computed mean is
+        not its value: zero deviations, r and p undefined, a flat line."""
+        x, y = np.full((12, 1), 0.1), np.arange(12.0)[:, None]
+        block = _block(x, y)
+        assert block.sxx[0] == 0.0 and block.slope[0, 0] == 0.0
+        assert np.isnan(block.r[0, 0]) and np.isnan(block.p[0, 0])
+        assert block.intercept[0, 0] == 5.5
+        assert block.model_mae[0, 0] == block.baseline_mae[0] == 3.0
+        back = _block(y, x)
+        assert np.isnan(back.r[0, 0]) and np.isnan(back.p[0, 0])
+        assert back.baseline_mae[0] == back.model_mae[0, 0] == 0.0

@@ -165,6 +165,12 @@ class TestSar:
         assert "degenerate_constant_x" in res.flags
         assert res.slope == 0.0
 
+    def test_constant_x_with_inexact_mean_flagged(self):
+        # the computed mean of twelve 0.1s is an ulp off 0.1
+        res = sar_relevance(np.full(12, 0.1), np.arange(12.0))
+        assert res.flags == ["degenerate_constant_x"]
+        assert res.relevant is False and res.slope == 0.0
+
     def test_null_rejection_rate(self):
         # independent pairs at n = 300: SAR should essentially never declare
         # relevance (it demands a 2-psi MAE gap, far beyond chance wiggle)
