@@ -213,8 +213,12 @@ def attribute_class(values: np.ndarray, targets, class_label: int,
     """Fit the class forest on the profile rows `values` of the subjects
     `subject_ids` and explain every subject against those rows as
     background; `residual` checks the explanation's local accuracy against
-    the forest's own predictions."""
+    the forest's own predictions. One id per row of `values`, else a
+    ShapeError."""
     values = np.asarray(values, dtype=np.float64)
+    if len(subject_ids) != values.shape[0]:
+        raise ShapeError(f"{len(subject_ids)} subject ids for {values.shape[0]} "
+                         "profile rows")
     model = rf_fit(values, targets, config)
     phi, base = shap_values(model, values, values)
     s, s_tilde, flags = shap_region_importance(phi)

@@ -17,10 +17,13 @@ mask z > 0 (bool, one byte a value; relu then runs in place on z) or the
 sigmoid output. A layer input that is a batch-norm output, gamma * xhat +
 beta (every input but the batch, in this architecture), is not kept:
 backward rebuilds it from the producing layer's cache with the forward's
-own ops, so bitwise, just before the conv backward that reads it, and drops
-it right after. So each float array the size of a layer output exists
-once, as its xhat. backward drops each layer's cache entry once its batch
-norm and activation are differentiated, before its conv backward.
+own ops, so bitwise, just before the conv backward that reads it. So each
+float array the size of a layer output exists once, as its xhat. A
+training forward keeps no encoder activations. backward drops each layer's
+cache entry once its batch norm and activation are differentiated, before
+its conv backward, and every other large array goes after its last read:
+dL/drecon once the output layer's gradient is taken, and each conv
+backward's input and incoming gradient inside that call (see backward).
 
 `train` and `extract_activations` take a `Cohort`, whose subjects share
 the atlas grid. Volumes are read (`Volume.voxels`, from disk for a loaded
@@ -216,9 +219,11 @@ def forward(model: AEParams, x: np.ndarray, mode: str = "eval", want_cache: bool
     """Run the full autoencoder on a batch (N,1,X,Y,Z).
 
     Returns (reconstruction, encoder_activations, cache). Activations are the
-    post-norm outputs of the three encoder layers. cache is None unless
-    want_cache; then cache["layers"] holds, per layer, only what backward
-    reads:
+    post-norm outputs of the three encoder layers; with want_cache (a
+    training step, which never reads them) the list is empty, so each
+    encoder output is freed once the next layer has read it. cache is None
+    unless want_cache; then cache["layers"] holds, per layer, only what
+    backward reads:
       "input"    the layer's input array itself (not a copy), or None when
                  that input is the previous layer's batch-norm output, which
                  backward rebuilds from the previous entry (layers 2-6 of
@@ -246,7 +251,7 @@ def forward(model: AEParams, x: np.ndarray, mode: str = "eval", want_cache: bool
             layer_cache["input"] = None  # backward rebuilds it from the entry before
         new_running.append(running)
         layer_caches.append(layer_cache)
-        if spec.kind == "conv3d":
+        if spec.kind == "conv3d" and not want_cache:
             acts.append(y)
         h = y
     cache = None
@@ -275,8 +280,10 @@ def _loss_impl(recon, target, kind, alpha, want_grad):
     def mse_part():
         diff = recon - target
         value = float(np.mean(diff * diff))
-        grad = (2.0 / diff.size) * diff if want_grad else None
-        return value, grad
+        if not want_grad:
+            return value, None
+        diff *= 2.0 / diff.size  # the gradient, in diff's place
+        return value, diff
 
     def ssim_part():
         total = 0.0
@@ -295,11 +302,17 @@ def _loss_impl(recon, target, kind, alpha, want_grad):
     if kind == "ssim":
         return ssim_part()
     if kind == "combined":
-        mv, mg = mse_part()
+        # SSIM first, so its per-volume temporaries are gone before diff is
+        # made; the gradients combine in place, each element by the same
+        # product and sum as alpha * mg + (1 - alpha) * sg
         sv, sg = ssim_part()
+        mv, mg = mse_part()
         value = alpha * mv + (1.0 - alpha) * sv
-        grad = alpha * mg + (1.0 - alpha) * sg if want_grad else None
-        return value, grad
+        if want_grad:
+            mg *= alpha
+            sg *= 1.0 - alpha
+            mg += sg
+        return value, mg
     raise ConfigError(f"unknown loss kind {kind!r}")
 
 
@@ -330,10 +343,20 @@ def backward(model: AEParams, cache, dloss_drecon: np.ndarray):
     backward, so its xhat and mask are freed before the conv's buffers are
     made. A layer whose entry holds no input then reads the previous
     layer's batch-norm output, rebuilt from the previous entry (still in the
-    cache) just before the conv backward and dropped right after it: at most
-    one rebuilt input is alive at a time. cache["layers"] is empty on
-    return. Returns grads as a dict keyed (layer_index, name) matching
-    trainable_items order.
+    cache) just before the conv backward: at most one rebuilt input is
+    alive at a time.
+
+    Each large array is freed after its last read. backward keeps no
+    reference to dloss_drecon past the output layer's activation backward,
+    so a caller that hands it over, keeping none itself, has it freed there
+    (CPython 3.11 moves a call's arguments into the callee's frame). The
+    gradient and the conv input are handed to each conv backward the same
+    way, and that call frees each after its last read. Below the
+    output layer, the gradient reaching a batch norm is one backward made:
+    batch norm writes dx into it when it is C-contiguous (a transposed
+    conv's dx), into a fresh array otherwise (a conv's dx is a crop).
+    cache["layers"] is empty on return. Returns grads as a dict keyed
+    (layer_index, name) matching trainable_items order.
     """
     layer_caches = cache["layers"]
     if len(layer_caches) != len(model.layers):
@@ -342,12 +365,15 @@ def backward(model: AEParams, cache, dloss_drecon: np.ndarray):
     grads: dict[tuple[int, str], np.ndarray] = {}
     mode = cache["mode"]
     g = dloss_drecon
+    del dloss_drecon
     for i in range(len(model.layers) - 1, -1, -1):
         spec = model.layers[i]
         p = model.params[i]
         lc = layer_caches.pop()
         if spec.batch_norm:
-            g, dgamma, dbeta = nn.batchnorm_backward(g, lc["bn"], mode)
+            own = i < len(model.layers) - 1 and g.flags.c_contiguous
+            g, dgamma, dbeta = nn.batchnorm_backward(g, lc["bn"], mode,
+                                                     out=g if own else None)
             grads[(i, "gamma")] = dgamma
             grads[(i, "beta")] = dbeta
         if spec.activation == "relu":
@@ -356,13 +382,16 @@ def backward(model: AEParams, cache, dloss_drecon: np.ndarray):
             g = nn.sigmoid_backward(g, lc["act"])
         x, out_pad = lc["input"], lc["out_pad"]
         del lc  # this layer's xhat and mask: done with before its conv backward
-        if x is None:
-            x = _bn_output(layer_caches[-1])
+        # popped as call arguments, so the conv backward holds their only
+        # references (the batch, layer 1's input, is the caller's)
+        handed = {"g": g, "x": _bn_output(layer_caches[-1]) if x is None else x}
+        del g, x
         if spec.kind == "conv3d":
-            g, dw, db = nn.conv3d_backward(g, x, p.w, input_grad=i > 0)
+            g, dw, db = nn.conv3d_backward(handed.pop("g"), handed.pop("x"), p.w,
+                                           input_grad=i > 0)
         else:
-            g, dw, db = nn.conv_transpose3d_backward(g, x, p.w, out_pad)
-        del x
+            g, dw, db = nn.conv_transpose3d_backward(handed.pop("g"), handed.pop("x"),
+                                                     p.w, out_pad)
         grads[(i, "w")] = dw
         grads[(i, "b")] = db
     return grads
@@ -370,11 +399,13 @@ def backward(model: AEParams, cache, dloss_drecon: np.ndarray):
 
 def loss_and_gradients(model: AEParams, batch: np.ndarray, target: np.ndarray,
                        kind: str, alpha: float = 0.5, mode: str = "train"):
-    """One forward+backward pass; returns (loss, grads, new_running_stats)."""
+    """One forward+backward pass; returns (loss, grads, new_running_stats).
+    dL/drecon is handed to backward as a temporary, so it is freed once the
+    output layer's gradient is taken."""
     recon, _, cache = forward(model, batch, mode=mode, want_cache=True)
-    value, drecon = loss_and_grad(recon, target, kind, alpha)
+    value, *drecon = loss_and_grad(recon, target, kind, alpha)
     del recon, _  # the caches hold what backward needs
-    grads = backward(model, cache, drecon)
+    grads = backward(model, cache, drecon.pop())
     return value, grads, cache["running"]
 
 

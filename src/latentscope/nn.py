@@ -23,14 +23,15 @@ The kernels never call one another.
 
 Each tap's product is one GEMM on (M, C) rows (M = batch x grid, channel
 last, as _rows builds them) or on their transpose. The operand that does not
-depend on the tap is built once per call, and each accumulator has the
-layout its GEMM writes, so the only other data movement is one transpose:
+depend on the tap is built once per call (per block in _scatter), and each
+accumulator has the layout its GEMM writes, so the only other data movement
+is one transpose:
 
-    primitive                built once        accumulator     final transpose
-    _gather (weights_first)  -                 (C, Mb)         -> (N, C, *out)
-    _gather (otherwise)      -                 (Mb, C)         -> (N, C, *out)
-    _scatter                 src rows (M, Co)  (N, *buf, Ci)   by the caller
-    _weight_grad             a as (Ca, M)      dw, per tap     none
+    primitive                built once          accumulator     final transpose
+    _gather (weights_first)  -                   (C, Mb)         -> (N, C, *out)
+    _gather (otherwise)      -                   (Mb, C)         -> (N, C, *out)
+    _scatter                 src rows (Mb, Co)   (N, *buf, Ci)   by the caller
+    _weight_grad             a as (Ca, M)        dw, per tap     none
 
 _gather and _scatter loop over blocks of M (Goto and van de Geijn, 2008) so
 that a block's accumulator stays in L2 for all 27 taps: each block runs the
@@ -40,11 +41,12 @@ measured). Whole samples are grouped while they fit, and the batch is cut
 into groups of even size. A larger sample is a block on its own; _gather
 splits it further into even slabs along its first output axis, but _scatter
 does not: slabs of one sample overlap at their edges in its buffer, so
-splitting there would reorder the tap sums. A block's GEMM operand is a row
-slice of one C-contiguous copy (the tap copy of _gather, _rows(src) in
-_scatter), never a per-sample _rows view: numpy hands a strided operand to
-another BLAS kernel, which rounds differently. _weight_grad is not blocked:
-its sum over M is inside the GEMM, and cutting M would reorder it.
+splitting there would reorder the tap sums. A block's GEMM operand is
+C-contiguous wherever _rows would copy (the tap copy of _gather, the
+block's own _rows copy in _scatter), never a strided per-sample view:
+numpy hands a strided operand to another BLAS kernel, which rounds
+differently. _weight_grad is not blocked: its sum over M is inside the
+GEMM, and cutting M would reorder it.
 
 A block's GEMM returns bitwise the rows the whole GEMM would only if BLAS
 runs the same kernels on them, and OpenBLAS picks its small-matrix, gemv
@@ -136,6 +138,15 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 3, 4, 1).reshape(-1, a.shape[1])
 
 
+def _rows_view(a: np.ndarray) -> np.ndarray | None:
+    """_rows(a) if it is a view of `a`, else None (_rows would copy); finding
+    out allocates nothing (reshape's copy=False needs numpy 2.1)."""
+    try:
+        return np.reshape(a.transpose(0, 2, 3, 4, 1), (-1, a.shape[1]), copy=False)
+    except ValueError:
+        return None
+
+
 def _copy_taps(src: np.ndarray, k, dims, buf: np.ndarray, axes) -> None:
     """Copy taps_k(src), transposed by `axes`, into the C-contiguous `buf`
     of the same size: the GEMM operand _rows (or tensordot) would allocate,
@@ -213,26 +224,34 @@ def _scatter(src: np.ndarray, w: np.ndarray, buf_dims) -> np.ndarray:
     """Adjoint of _gather: taps_k(buf) += w[:, :, k]^T . src over w's axis 0,
     into a zero buffer returned as an (N, w.shape[1], *buf_dims) view.
 
-    src's GEMM operand is built once; the buffer is channel last, the layout
-    each tap's product comes out of the GEMM in, and the view keeps that
-    layout: each caller copies the part it needs to C order once. Blocks
-    are whole samples, whose GEMM operand is a row slice of the one rows
-    copy (slabs of one sample would overlap at their edges in the buffer).
+    The buffer is channel last, the layout each tap's product comes out of
+    the GEMM in, and the view keeps that layout: each caller copies the
+    part it needs to C order once. Blocks are whole samples (slabs of one
+    sample would overlap at their edges in the buffer). A block's GEMM
+    operand is its rows of _rows(src), built once per block: where _rows
+    copies (a C-order src), each block copies only its own samples into
+    the same C-contiguous rows a slice of the whole copy would hold; where
+    _rows is a view of src, the block slices that view.
     """
     n, dims, ci = src.shape[0], src.shape[2:], w.shape[1]
     dtype = np.result_type(src, w)
     grid = math.prod(dims)
     groups = _sample_groups(n, ci * math.prod(buf_dims) * dtype.itemsize, grid)
     buf = np.zeros((n, *buf_dims, ci), dtype=src.dtype)
-    rows = _rows(src)
+    view = _rows_view(src)
     prod_buf = np.empty(max(s1 - s0 for s0, s1 in groups) * grid * ci, dtype=dtype)
     for s0, s1 in groups:
+        if view is None:  # ascontiguousarray: one sample's _rows is a strided view
+            rows = np.ascontiguousarray(_rows(src[s0:s1]))
+        else:
+            rows = view[s0 * grid:s1 * grid]
         prod = prod_buf[:(s1 - s0) * grid * ci].reshape(-1, ci)
         contrib = np.moveaxis(prod.reshape(s1 - s0, *dims, ci), -1, 1)
         block = np.moveaxis(buf[s0:s1], -1, 1)
         for k in _offsets():
-            np.dot(rows[s0 * grid:s1 * grid], w[(..., *k)], out=prod)
+            np.dot(rows, w[(..., *k)], out=prod)
             _taps(block, k, dims)[...] += contrib
+        del rows  # this block's copy, before the next block makes its own
     return np.moveaxis(buf, -1, 1)
 
 
@@ -262,11 +281,21 @@ def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def conv3d_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray, input_grad: bool = True):
     """Gradients of sum(g * conv3d_forward(x, w, b)) -> (dx, dw, db); dx is
-    None unless input_grad (a first layer has no use for it)."""
+    None unless input_grad (a first layer has no use for it).
+
+    db, then dw, then dx: x is dropped once dw is taken, and g once dx's
+    buffer is filled, so a caller that passes them as temporaries (holding
+    no reference of its own) has each freed after its last read."""
     dims = x.shape[2:]
     padded = [d + 2 for d in dims]
-    dx = _crop(np.ascontiguousarray(_scatter(g, w, padded)), dims) if input_grad else None
-    return dx, _weight_grad(g, _pad(x, padded)), g.sum(axis=(0, 2, 3, 4))
+    db = g.sum(axis=(0, 2, 3, 4))
+    dw = _weight_grad(g, _pad(x, padded))
+    del x
+    if not input_grad:
+        return None, dw, db
+    buf = _scatter(g, w, padded)
+    del g
+    return _crop(np.ascontiguousarray(buf), dims), dw, db
 
 
 def conv_transpose3d_forward(
@@ -294,10 +323,18 @@ def conv_transpose3d_backward(
     output_padding: tuple[int, int, int] = (0, 0, 0),
 ):
     """Gradients of sum(g * conv_transpose3d_forward(x, w, b, output_padding))
-    -> (dx, dw, db); the output padding is read from g's shape."""
+    -> (dx, dw, db); the output padding is read from g's shape.
+
+    g is dropped once it is padded and db is taken, x once dw is taken,
+    before dx is built, so a caller that passes them as temporaries has
+    each freed after its last read."""
     dims = x.shape[2:]
     gpad = _pad(g, [2 * d + 1 for d in dims])
-    return _gather(gpad, w, dims, False), _weight_grad(x, gpad), g.sum(axis=(0, 2, 3, 4))
+    db = g.sum(axis=(0, 2, 3, 4))
+    del g
+    dw = _weight_grad(x, gpad)
+    del x
+    return _gather(gpad, w, dims, False), dw, db
 
 
 def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -351,12 +388,17 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return out, (xhat, inv_std, gamma), new_rm, new_rv
 
 
-def batchnorm_backward(g: np.ndarray, cache, mode: str):
+def batchnorm_backward(g: np.ndarray, cache, mode: str, out: np.ndarray | None = None):
     """Gradients through batchnorm_forward -> (dx, dgamma, dbeta).
 
     Train mode differentiates through the batch statistics; eval mode treats
     the running statistics as constants. Each elementwise step writes into
-    one of two buffers; neither g nor the cache is written to.
+    a fresh buffer or into dx, which is `out` if given, else fresh too.
+    g is read for the last time before dx is first
+    written, so out=g computes dx in g's place (a C-contiguous g only:
+    the reductions below sum in memory order, so writing into a strided g
+    would change their bits). Without `out`, neither g nor the cache is
+    written to.
     """
     xhat, inv_std, gamma = cache
     axes = (0, 2, 3, 4)
@@ -365,9 +407,10 @@ def batchnorm_backward(g: np.ndarray, cache, mode: str):
     dgamma = buf.sum(axis=axes)
     dbeta = g.sum(axis=axes)
     if mode == "eval":
-        return np.multiply(g, (gamma * inv_std).reshape(shape), out=buf), dgamma, dbeta
+        dx = buf if out is None else out
+        return np.multiply(g, (gamma * inv_std).reshape(shape), out=dx), dgamma, dbeta
     # dx = inv_std * (gs - mean(gs) - xhat * mean(gs * xhat)), gs = gamma * g
-    gs = np.multiply(gamma.reshape(shape), g)
+    gs = np.multiply(gamma.reshape(shape), g, out=out)
     mean_gs = gs.mean(axis=axes).reshape(shape)
     mean_gs_xhat = np.multiply(gs, xhat, out=buf).mean(axis=axes).reshape(shape)
     np.multiply(xhat, mean_gs_xhat, out=buf)

@@ -9,9 +9,11 @@ path, so a full rerun with the same config is byte-identical.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import shutil
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -155,6 +157,22 @@ def require_stages(out: Path, stage: str, config: PipelineConfig,
                 "use the stale artifacts anyway)")
 
 
+def trim_heap() -> None:
+    """Hand the memory that malloc holds free back to the system: glibc's
+    malloc_trim(0) releases the free top of the heap and the free pages
+    inside it. A stage that starts on a trimmed heap peaks at its own
+    working set, not at whatever an earlier stage in the process happened
+    to leave free and placed. A no-op off Linux or where the C library has
+    no malloc_trim."""
+    if not sys.platform.startswith("linux"):
+        return
+    malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if malloc_trim is not None:
+        malloc_trim.argtypes = [ctypes.c_size_t]
+        malloc_trim.restype = ctypes.c_int
+        malloc_trim(0)
+
+
 @contextmanager
 def _stage(name: str, config: PipelineConfig, out_dir, force: bool):
     """The contract every stage runs under: a valid config, the run
@@ -163,7 +181,9 @@ def _stage(name: str, config: PipelineConfig, out_dir, force: bool):
     written only once the body returns. A rerun deletes the old stamp, then
     the old directory, so an exception leaves no stamp, and no file of an
     earlier run survives beside the new ones. The lock is released either
-    way. Yields the run directory and the stage directory."""
+    way. Yields the run directory and the stage directory. The stage
+    starts on a trimmed heap (trim_heap)."""
+    trim_heap()
     config.validate()
     with pipeline_lock(out_dir) as out:
         require_stages(out, name, config, force)

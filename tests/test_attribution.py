@@ -316,6 +316,14 @@ class TestAttributeClass:
                               subject_ids=ids)
         assert res.subject_ids == ids
 
+    def test_subject_ids_must_match_rows(self):
+        # a short id list would pair ids with the wrong rows downstream
+        rng = np.random.default_rng(8)
+        x = rng.uniform(size=(10, 3))
+        with pytest.raises(ShapeError, match="2 subject ids for 10"):
+            attribute_class(x, x[:, 0], 1, config=ForestConfig(n_trees=5, seed=0),
+                            subject_ids=["A0", "A1"])
+
 
 class TestShapVolume:
     def test_paints_regions(self):

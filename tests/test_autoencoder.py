@@ -212,15 +212,28 @@ class TestStepMemory:
 
     def test_step_peak_is_pinned(self):
         model, x = self._step_inputs()
-        # 2.0 MiB, mostly the conv kernels' block buffers at this size; a
-        # cache that also kept every layer's conv output and activation to
-        # the end of backward peaked at 3.2 MiB
-        assert self._step_peak(model, x, "combined") < 2.2 * 2**20
-        # at 32^3 the layer outputs dominate: 7.2 MiB; a cache that kept each
-        # batch-norm output next to its xhat (and copied the transposed
-        # convs' inputs for their weight gradients) peaked at 9.6 MiB
+        # 1.84 MiB, mostly the conv kernels' block buffers at this size; a
+        # step that kept the encoder activations, dL/drecon and each conv
+        # input to the end of their callers peaked at 1.98 MiB, and a cache
+        # that also kept every layer's conv output and activation at 3.2
+        assert self._step_peak(model, x, "combined") < 1.9 * 2**20
+        # at 32^3 the layer outputs dominate: 5.75 MiB for mse, 7.60 for
+        # combined (SSIM's per-volume temporaries); holding buffers past
+        # their last reader as above peaked at 7.17 and 9.41 MiB, and a
+        # cache that kept each batch-norm output next to its xhat at 9.6
         x = np.random.default_rng(2).uniform(size=(2, 1, 32, 32, 32))
-        assert self._step_peak(model, x, "mse") < 7.6 * 2**20
+        assert self._step_peak(model, x, "mse") < 6.0 * 2**20
+        assert self._step_peak(model, x, "combined") < 7.9 * 2**20
+
+    def test_training_forward_keeps_no_activation(self):
+        """Training never reads the encoder activations, so forward with a
+        cache returns none: each encoder output is freed once the next
+        layer has read it. Eval forward still returns all three."""
+        model, x = self._step_inputs()
+        recon, acts, cache = ae.forward(model, x, "train", want_cache=True)
+        assert acts == []
+        _, eval_acts, _ = ae.forward(model, x, "eval")
+        assert [a.shape[1] for a in eval_acts] == [16, 32, 64]
 
     def test_cache_keeps_masks_not_activations(self):
         model, x = self._step_inputs()

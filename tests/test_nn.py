@@ -262,6 +262,26 @@ def test_batchnorm_matches_reference_bitwise(mode, shape, dtype):
     assert out.flags.c_contiguous and got[0].flags.c_contiguous
 
 
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("shape", [(3, 2, 4, 5, 6), (8, 16, 16, 16, 16), (1, 1, 1, 1, 1)])
+def test_batchnorm_backward_into_g_matches_reference_bitwise(mode, shape):
+    """out=g writes dx into g's buffer, with the bits of the fresh-array
+    path; the cache is not written to."""
+    rng = np.random.default_rng([*shape, len(mode)])
+    c = shape[1]
+    x = rng.normal(loc=0.3, scale=2.0, size=shape)
+    gamma, beta = rng.uniform(0.5, 1.5, size=c), rng.normal(size=c)
+    _, cache, _, _ = batchnorm_forward(x, gamma, beta, rng.normal(size=c) * 0.1,
+                                       rng.uniform(0.5, 1.5, size=c), mode)
+    cached = [a.copy() for a in cache]
+    g = rng.normal(size=shape)
+    want = _ref_batchnorm_backward(g, cache, mode)
+    got = batchnorm_backward(g, cache, mode, out=g)
+    assert got[0] is g
+    _assert_all_equal(got, want)
+    _assert_all_equal(list(cache), cached)
+
+
 def test_batchnorm_backward_of_a_cropped_gradient_matches_reference_bitwise():
     """conv3d_backward's dx, the g of the norm below it, is a crop of a
     C-contiguous buffer."""

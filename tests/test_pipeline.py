@@ -8,6 +8,7 @@ import sys
 import textwrap
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from latentscope.autoencoder import MODEL_MAGIC, TrainConfig
 import latentscope
 from latentscope.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_NUMERIC,
                              EXIT_OK, build_parser, main)
-from latentscope.config import (EMBED_METHODS, EmbedConfig, PipelineConfig,
-                                canonical_lines, config_hash, write_config)
+from latentscope.config import (AD_EFFECTS, EMBED_METHODS, EmbedConfig,
+                                PipelineConfig, canonical_lines, config_hash,
+                                load_config, write_config)
 from latentscope.errors import DependencyError, LatentScopeError, NumericError
 from latentscope.fileio import _write_grid
 from latentscope.phantom import PhantomConfig
@@ -461,6 +463,49 @@ def test_stage_peaks_script_reports_every_stage_both_ways(tmp_path):
     assert one == own and "report/stage.stamp" in one
 
 
+def test_stage_peaks_script_own_only(tmp_path):
+    """--own-only runs each stage in its own process and nothing else."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "stage_peaks.py"
+    cfg_file = tmp_path / "tiny.cfg"
+    write_config(tiny_config(str(tmp_path)), str(cfg_file))
+    out = subprocess.run(
+        [sys.executable, str(script), "--config", str(cfg_file),
+         "--out", str(tmp_path / "runs"), "--own-only"],
+        capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "each stage in its own process"
+    assert [line.split()[0] for line in lines[2:2 + len(STAGES)]] == list(STAGES)
+    assert sorted(os.listdir(tmp_path / "runs")) == ["per-stage"]
+
+
+def test_paper_grid_config_is_the_probe():
+    """scripts/paper_grid.cfg is the paper-grid probe: SPM's 121x145x121
+    grid, 116 regions, AD_EFFECTS, mse, batch 8, one epoch, NOR_AD, n = 48."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "scripts" / "paper_grid.cfg")
+    assert cfg.phantom.dims == (121, 145, 121)
+    assert cfg.phantom.region_count == 116
+    assert sorted(cfg.phantom.effect_spec) == sorted(AD_EFFECTS)
+    assert sum(cfg.phantom.class_counts.values()) == 48
+    assert (cfg.train.loss_kind, cfg.train.batch_size, cfg.train.max_epochs) == ("mse", 8, 1)
+    assert cfg.comparisons == ("NOR_AD",)
+
+
+def test_step_peak_script_reports_each_phase():
+    """scripts/step_peak.py prints the step's peak and one line per phase,
+    each with a positive size and a latentscope call site."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "step_peak.py"
+    out = subprocess.run([sys.executable, str(script), "12x10x14", "combined",
+                          "--batch", "2"], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    head, *phases = out.stdout.splitlines()
+    assert head.startswith("grid 12x10x14, batch 2, loss combined: step peak")
+    assert [line.split()[0] for line in phases] == ["forward", "loss", "backward"]
+    for line in phases:
+        size, site = line.split()[1], line.split(" at ", 1)[1]
+        assert float(size) > 0 and ".py:" in site
+
+
 class TestStageRerun:
     """A rerun of a stage starts from an empty stage directory."""
 
@@ -552,6 +597,40 @@ def test_embed_holds_no_working_copy_of_a_layer(tmp_path, monkeypatch):
     l1_matrix = 48 * 16 * 8 ** 3 * 8  # 48 subjects x L1's (16, 8, 8, 8), float64
     assert len(live) == 1
     assert peak - live[0] < 1.4 * l1_matrix
+
+
+class TestTrimHeap:
+    """Each stage starts on a trimmed heap: glibc's malloc_trim(0) where the
+    C library has it, nothing where it does not."""
+
+    def test_calls_malloc_trim_with_no_padding(self, monkeypatch):
+        import latentscope.pipeline as pipeline
+
+        calls = []
+
+        def malloc_trim(pad):
+            calls.append(pad)
+
+        libc = SimpleNamespace(malloc_trim=malloc_trim)
+        monkeypatch.setattr(pipeline.sys, "platform", "linux")
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda name: libc)
+        pipeline.trim_heap()
+        assert calls == [0]
+
+    def test_no_op_without_malloc_trim(self, monkeypatch):
+        import latentscope.pipeline as pipeline
+
+        monkeypatch.setattr(pipeline.sys, "platform", "linux")
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda name: object())
+        assert pipeline.trim_heap() is None
+
+    def test_stage_starts_with_a_trim(self, tmp_path, monkeypatch):
+        import latentscope.pipeline as pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "trim_heap", lambda: calls.append("trim"))
+        with pipeline._stage("generate", tiny_config(str(tmp_path)), tmp_path, False):
+            assert calls == ["trim"]
 
 
 def _open_files() -> dict[str, str]:
