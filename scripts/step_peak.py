@@ -12,8 +12,16 @@ GRID is one side (64) or three sides (121x145x121); LOSS is mse, ssim or
 combined. A line-level tracer finds the sites, so the step runs a little
 slower than in training; the sizes it reports do not depend on that.
 
+The step's peak is often a band of near-tied sites, so --sites MIB also
+lists, per phase, every site that reached MIB or more, highest first:
+lowering one of them lowers the step's peak only down to the next. A site
+is a latentscope line, with its latentscope callers, that raised the
+traced memory by at least MIB / 1024 above the level it started at (a
+line that only runs at the level the lines before it left is not one);
+its figure is the highest traced memory while it ran.
+
 Usage:
-    python3 scripts/step_peak.py GRID LOSS [--batch 8] [--seed 0]
+    python3 scripts/step_peak.py GRID LOSS [--batch 8] [--seed 0] [--sites MIB]
 """
 
 import argparse
@@ -66,28 +74,36 @@ def _describe(stack) -> str:
 
 class PeakSites:
     """A trace function that, at each line or return event in latentscope
-    code, charges a rise of the traced peak to the line that ran since the
-    previous event. The peak is reset whenever the phase changes, so each
-    phase's figure is its own."""
+    code, charges the traced peak since the previous event to the line
+    that ran in between (with its callers), then resets the peak, so each
+    line's figure is the highest it reached itself. `peaks` keeps each
+    phase's highest line as (size, stack); `sites` each phase's sites (see
+    the module docstring) that reached `floor` bytes, by stack."""
 
-    def __init__(self):
+    def __init__(self, floor: float = float("inf")):
+        self.floor = floor
         self.peaks: dict[str, tuple[int, tuple]] = {}
+        self.sites: dict[str, dict[tuple, int]] = {}
         self._phase: str | None = None
         self._stack: tuple = ()
+        self._level = 0
 
     def __call__(self, frame, event, arg):
         if not frame.f_code.co_filename.startswith(PACKAGE):
             return None
         if event in ("line", "return"):
-            peak = tracemalloc.get_traced_memory()[1]
+            level, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
             phase = self._phase
             if phase is not None and peak > self.peaks.get(phase, (0,))[0]:
                 self.peaks[phase] = (peak, self._stack)
+            if phase is not None and peak >= self.floor and peak - self._level >= self.floor / 1024:
+                sites = self.sites.setdefault(phase, {})
+                sites[self._stack] = max(peak, sites.get(self._stack, 0))
+            self._level = level
             # after a return, the caller's line is the one that runs on
             self._stack = _stack(frame if event == "line" else frame.f_back)
             self._phase = _phase(self._stack)
-            if self._phase != phase:
-                tracemalloc.reset_peak()
         return self
 
 
@@ -97,6 +113,8 @@ def main() -> int:
     parser.add_argument("loss", choices=("mse", "ssim", "combined"))
     parser.add_argument("--batch", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--sites", type=float, metavar="MIB",
+                        help="also list every site of each phase at or above MIB")
     args = parser.parse_args()
 
     model = ae.init_params(seed=args.seed)
@@ -104,7 +122,7 @@ def main() -> int:
     warm = np.zeros((1, 1, 8, 8, 8))
     ae.loss_and_gradients(model, warm, warm, args.loss)
     batch = np.random.default_rng(args.seed).uniform(size=(args.batch, 1, *args.grid))
-    sites = PeakSites()
+    sites = PeakSites(float("inf") if args.sites is None else args.sites * 2**20)
     tracemalloc.start()
     sys.settrace(sites)
     try:
@@ -119,6 +137,12 @@ def main() -> int:
     for phase in PHASES.values():
         size, stack = sites.peaks.get(phase, (0, ()))
         print(f"  {phase:<9} {size / 2**20:>8.1f} MiB  at {_describe(stack)}")
+    if args.sites is not None:
+        for phase in PHASES.values():
+            band = sorted(sites.sites.get(phase, {}).items(), key=lambda item: -item[1])
+            print(f"{phase} sites at or above {args.sites:g} MiB: {len(band)}")
+            for site, size in band:
+                print(f"  {size / 2**20:>8.1f} MiB  at {_describe(site)}")
     return 0
 
 

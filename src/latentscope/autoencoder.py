@@ -13,17 +13,27 @@ seed (init draws, then per-epoch shuffles, from one PRNG).
 
 Memory: a training step keeps, per layer, only what its backward pass reads:
 the batch-norm cache (xhat, 1/std, gamma, plus beta) and either the relu
-mask z > 0 (bool, one byte a value; relu then runs in place on z) or the
-sigmoid output. A layer input that is a batch-norm output, gamma * xhat +
-beta (every input but the batch, in this architecture), is not kept:
-backward rebuilds it from the producing layer's cache with the forward's
-own ops, so bitwise, just before the conv backward that reads it. So each
-float array the size of a layer output exists once, as its xhat. A
-training forward keeps no encoder activations. backward drops each layer's
-cache entry once its batch norm and activation are differentiated, before
-its conv backward, and every other large array goes after its last read:
+mask z > 0 (packed, eight values a byte) or the sigmoid output. A layer
+input that is a batch-norm output, gamma * xhat + beta (every input but
+the batch, in this architecture), is not kept: backward rebuilds it from
+the producing layer's cache with the forward's own ops, so bitwise, just
+before the conv backward that reads it. So each float array the size of
+a layer output exists once, as its xhat. A training forward keeps no
+encoder activations and frees each layer's input once its conv has read
+it. The conv output z is the buffer of the layer's other steps: the
+activation runs in place on it, batch norm writes xhat into it, and only
+the batch-norm output is a fresh array. backward drops each layer's cache
+entry once its batch norm and activation are differentiated, before its
+conv backward, and every other large array goes after its last read:
 dL/drecon once the output layer's gradient is taken, and each conv
 backward's input and incoming gradient inside that call (see backward).
+The activation and batch-norm backward write into the gradient they
+receive where backward made it, and the output layer's gradient is
+written into the buffer its transposed conv pads it in (nn.grad_buffer).
+Batch norm forms the products behind its reductions one sample at a time
+and the SSIM loss runs in a few window-sized buffers, so no step makes a
+full-size scratch array. Every float operation and its order are as
+before, so every result keeps its bits.
 
 `train` and `extract_activations` take a `Cohort`, whose subjects share
 the atlas grid. Volumes are read (`Volume.voxels`, from disk for a loaded
@@ -183,27 +193,36 @@ def _layer_forward(spec: LayerSpec, p: LayerParams, h: np.ndarray, mode: str, ou
 
     Returns (output, cache, running): running is the updated (mean, var)
     pair or None; cache is None unless want_cache, else what backward reads
-    for this layer (see forward).
+    for this layer (see forward), but for its "input", which forward fills.
+    h is handed to the conv as a temporary, so a caller that hands it over
+    in turn has it freed once the conv has read it. The conv output z is
+    the only layer-sized float array made: the activation runs in place on it
+    and batch norm writes into it (xhat in train mode, its whole output in
+    an eval forward that keeps no cache), so only a train-mode or cached
+    batch norm makes its output afresh.
     """
+    handed = [h]
+    del h
     if spec.kind == "conv3d":
-        z = nn.conv3d_forward(h, p.w, p.b)
+        z = nn.conv3d_forward(handed.pop(), p.w, p.b)
     else:
-        z = nn.conv_transpose3d_forward(h, p.w, p.b, out_pad)
+        z = nn.conv_transpose3d_forward(handed.pop(), p.w, p.b, out_pad)
     if spec.activation == "relu":
-        act = z > 0.0 if want_cache else None
-        a = nn.relu_forward(z, out=z)  # in place: z itself is not kept
+        act = np.packbits(z > 0.0) if want_cache else None
+        nn.relu_forward(z, out=z)
     else:
-        a = act = nn.sigmoid_forward(z)
-    y, bn_cache, running = a, None, None
+        act = nn.sigmoid_forward(z, out=z)
+    y, bn_cache, running = z, None, None
     if spec.batch_norm:
+        # in place unless the result would be wider than z (a float32 batch)
+        into = z if ((mode == "train" or not want_cache)
+                     and np.result_type(z, p.running_mean) == z.dtype) else None
         y, bn_cache, rm, rv = nn.batchnorm_forward(
-            a, p.gamma, p.beta, p.running_mean, p.running_var, mode
-        )
+            z, p.gamma, p.beta, p.running_mean, p.running_var, mode, out=into)
         running = (rm, rv)
     cache = None
     if want_cache:
-        cache = {"input": h, "act": act, "bn": bn_cache, "beta": p.beta,
-                 "out_pad": out_pad}
+        cache = {"act": act, "bn": bn_cache, "beta": p.beta, "out_pad": out_pad}
     return y, cache, running
 
 
@@ -228,13 +247,16 @@ def forward(model: AEParams, x: np.ndarray, mode: str = "eval", want_cache: bool
                  that input is the previous layer's batch-norm output, which
                  backward rebuilds from the previous entry (layers 2-6 of
                  the default architecture; layer 1 keeps the batch);
-      "act"      the bool relu mask z > 0, or the sigmoid output;
+      "act"      the relu mask z > 0 packed 8 values a byte (np.packbits),
+                 or the sigmoid output;
       "bn"       batch norm's (xhat, 1/std, gamma), or None;
       "beta"     batch norm's beta (the array itself), or None;
       "out_pad"  the transposed conv's output padding, or None.
     cache["running"] holds the updated running statistics (the caller
-    decides whether to apply them). The conv output z, the activation and
-    the batch-norm output are not kept. backward consumes cache["layers"].
+    decides whether to apply them). The batch-norm output is not kept (nor
+    z, whose buffer holds xhat). Each layer's input but the batch is
+    handed to the layer as a temporary, so it is freed once the conv has
+    read it. backward consumes cache["layers"].
     """
     chain = _input_chain(model, x)
     n_enc = len(chain) - 1
@@ -242,22 +264,26 @@ def forward(model: AEParams, x: np.ndarray, mode: str = "eval", want_cache: bool
     acts = []
     layer_caches = []
     new_running = []
-    h = x
+    handed = [x]  # each layer's input, handed over as a temporary
     for i, spec in enumerate(model.layers):
         op = None if spec.kind == "conv3d" else out_pads[i - n_enc]
-        y, layer_cache, running = _layer_forward(spec, model.params[i], h, mode, op,
-                                                 want_cache)
-        if want_cache and i > 0 and model.layers[i - 1].batch_norm:
-            layer_cache["input"] = None  # backward rebuilds it from the entry before
+        # backward rebuilds a batch-norm output from the entry before
+        rebuilt = i > 0 and model.layers[i - 1].batch_norm
+        kept = handed[-1] if want_cache and not rebuilt else None
+        y, layer_cache, running = _layer_forward(spec, model.params[i], handed.pop(), mode,
+                                                 op, want_cache)
+        if want_cache:
+            layer_cache["input"] = kept
         new_running.append(running)
         layer_caches.append(layer_cache)
         if spec.kind == "conv3d" and not want_cache:
             acts.append(y)
-        h = y
+        handed.append(y)
+        del y, kept
     cache = None
     if want_cache:
         cache = {"layers": layer_caches, "running": new_running, "mode": mode}
-    return h, acts, cache
+    return handed.pop(), acts, cache
 
 
 def loss_value(recon: np.ndarray, target: np.ndarray, kind: str,
@@ -278,10 +304,12 @@ def _loss_impl(recon, target, kind, alpha, want_grad):
     n = recon.shape[0]
 
     def mse_part():
-        diff = recon - target
-        value = float(np.mean(diff * diff))
+        sq = np.subtract(recon, target)
+        value = float(np.mean(np.multiply(sq, sq, out=sq)))
         if not want_grad:
             return value, None
+        del sq  # the difference is made again, so it never exists next to its square
+        diff = recon - target
         diff *= 2.0 / diff.size  # the gradient, in diff's place
         return value, diff
 
@@ -290,8 +318,9 @@ def _loss_impl(recon, target, kind, alpha, want_grad):
         grad = np.zeros_like(recon) if want_grad else None
         for i in range(n):
             if want_grad:
-                s, g = ssim3d_with_grad(recon[i, 0], target[i, 0])
-                grad[i, 0] = -g / n
+                s, g = ssim3d_with_grad(recon[i, 0], target[i, 0], out=grad[i, 0])
+                np.negative(g, out=g)  # -g / n, in the gradient's place
+                g /= n
             else:
                 s = ssim3d(recon[i, 0], target[i, 0])
             total += 1.0 - s
@@ -354,9 +383,12 @@ def backward(model: AEParams, cache, dloss_drecon: np.ndarray):
     way, and that call frees each after its last read. Below the
     output layer, the gradient reaching a batch norm is one backward made:
     batch norm writes dx into it when it is C-contiguous (a transposed
-    conv's dx), into a fresh array otherwise (a conv's dx is a crop).
-    cache["layers"] is empty on return. Returns grads as a dict keyed
-    (layer_index, name) matching trainable_items order.
+    conv's dx), into a fresh array otherwise (a conv's dx is a crop), and
+    the activation backward writes into that dx. The output layer's
+    gradient, dL/drecon being the caller's, goes into a fresh array, or
+    for a transposed conv into an nn.grad_buffer, which its conv backward
+    pads in place. cache["layers"] is empty on return. Returns grads as a
+    dict keyed (layer_index, name) matching trainable_items order.
     """
     layer_caches = cache["layers"]
     if len(layer_caches) != len(model.layers):
@@ -370,16 +402,29 @@ def backward(model: AEParams, cache, dloss_drecon: np.ndarray):
         spec = model.layers[i]
         p = model.params[i]
         lc = layer_caches.pop()
+        # g is written in place where this loop made it (not the caller's
+        # dL/drecon) and it is C-contiguous (the reductions downstream sum
+        # in memory order)
+        in_place = i < len(model.layers) - 1 and g.flags.c_contiguous
         if spec.batch_norm:
-            own = i < len(model.layers) - 1 and g.flags.c_contiguous
             g, dgamma, dbeta = nn.batchnorm_backward(g, lc["bn"], mode,
-                                                     out=g if own else None)
+                                                     out=g if in_place else None)
+            in_place = g.flags.c_contiguous  # dx: this call's own array
             grads[(i, "gamma")] = dgamma
             grads[(i, "beta")] = dbeta
-        if spec.activation == "relu":
-            g = nn.relu_backward(g, lc["act"])
+        # a transposed conv pads a fresh gradient in its own buffer
+        in_room = not in_place and spec.kind == "conv_transpose3d"
+        if in_room:
+            into = nn.grad_buffer(g.shape, lc["out_pad"], g.dtype)
         else:
-            g = nn.sigmoid_backward(g, lc["act"])
+            into = g if in_place else None
+        if spec.activation == "relu":
+            mask = np.unpackbits(lc["act"], count=g.size).reshape(g.shape).view(np.bool_)
+            g = nn.relu_backward(g, mask, out=into)
+            del mask
+        else:
+            g = nn.sigmoid_backward(g, lc["act"], out=into)
+        del into
         x, out_pad = lc["input"], lc["out_pad"]
         del lc  # this layer's xhat and mask: done with before its conv backward
         # popped as call arguments, so the conv backward holds their only
@@ -391,7 +436,7 @@ def backward(model: AEParams, cache, dloss_drecon: np.ndarray):
                                            input_grad=i > 0)
         else:
             g, dw, db = nn.conv_transpose3d_backward(handed.pop("g"), handed.pop("x"),
-                                                     p.w, out_pad)
+                                                     p.w, out_pad, pad_in_place=in_room)
         grads[(i, "w")] = dw
         grads[(i, "b")] = db
     return grads
@@ -604,18 +649,22 @@ def extract_activations(model: AEParams, cohort: Cohort, batch_size: int = 8,
     try:
         shapes, offsets, size = {}, {}, 0
         for start in range(0, n, batch_size):
-            h = _as_batch_array(vols[start : start + batch_size])
-            _input_chain(model, h)  # checks the batch against the model
+            handed = [_as_batch_array(vols[start : start + batch_size])]
+            _input_chain(model, handed[0])  # checks the batch against the model
             for j, key in enumerate(keys):
-                h = _layer_forward(model.layers[j], model.params[j], h, "eval", None)[0]
+                # each layer frees its input once read (see _layer_forward)
+                handed.append(_layer_forward(model.layers[j], model.params[j], handed.pop(),
+                                             "eval", None)[0])
                 if key not in keep:
                     continue
+                h = handed[0]
                 row_bytes = h[0].nbytes
                 if key not in offsets:
                     shapes[key], offsets[key] = tuple(h.shape[1:]), size
                     size += n * row_bytes
                 spill.seek(offsets[key] + start * row_bytes)
                 spill.write(np.ascontiguousarray(h))
+                del h
     except BaseException:
         spill.close()
         raise
@@ -635,10 +684,10 @@ def decode(model: AEParams, latent: np.ndarray, dims) -> np.ndarray:
     the decoder layers run."""
     n_enc = len(encoder_keys(model.layers))
     out_pads = _decoder_output_paddings(encoder_chain_dims(dims, n_enc))
-    h = latent
+    handed = [latent]  # each layer frees its input once read (see _layer_forward)
     for spec, p, op in zip(model.layers[n_enc:], model.params[n_enc:], out_pads):
-        h = _layer_forward(spec, p, h, "eval", op)[0]
-    return h
+        handed.append(_layer_forward(spec, p, handed.pop(), "eval", op)[0])
+    return handed.pop()
 
 
 def save_model(model: AEParams, path: str) -> None:

@@ -75,6 +75,17 @@ result has C-order (N, C, X, Y, Z) strides (conv3d_backward's dx is a crop
 of a C-contiguous buffer): relu keeps its input's memory order and batch
 norm sums in memory order, so a channel-last result would have the same
 values but change the trained weights' bits.
+
+What each op writes. Without `out`, no op writes an argument. With it:
+relu_forward, relu_backward, sigmoid_forward and sigmoid_backward write
+their result into `out` (out=x or out=g runs them in place);
+batchnorm_forward writes xhat into `out` in train mode and its output in
+eval mode; batchnorm_backward writes dx into `out`. The conv kernels write
+no argument, except that conv_transpose3d_backward with pad_in_place
+pads a g made by grad_buffer in that g's own buffer. Batch norm forms the products behind
+its reductions one sample at a time, in a buffer of one sample
+(_sum_of_product), so that the sums keep their bits without a scratch
+array of the input's size.
 """
 
 from __future__ import annotations
@@ -125,11 +136,46 @@ def _crop(a: np.ndarray, dims) -> np.ndarray:
     return a[(..., *(slice(1, 1 + d) for d in dims))]
 
 
-def _pad(a: np.ndarray, buf_dims) -> np.ndarray:
-    """`a` placed at offset 1 in a zero (N, C, *buf_dims) buffer."""
-    buf = np.zeros(a.shape[:2] + tuple(buf_dims), dtype=a.dtype)
-    _crop(buf, a.shape[2:])[...] = a
+def _pad(a: np.ndarray, buf_dims, in_place: bool = False) -> np.ndarray:
+    """`a` placed at offset 1 in a zero (N, C, *buf_dims) buffer: a fresh
+    one, and `a` is not written to, unless in_place.
+
+    in_place pads an array of grad_buffer in that buffer, overwriting `a`:
+    its samples move into place from the last back (each value lands at or
+    after where it was read, so none is overwritten unread), then the
+    margins are zeroed. Any other `a` is a ShapeError."""
+    shape = a.shape[:2] + tuple(buf_dims)
+    if not in_place:
+        buf = np.zeros(shape, dtype=a.dtype)
+        _crop(buf, a.shape[2:])[...] = a
+        return buf
+    room = a.base
+    if (room is None or room.ndim != 1 or room.size < math.prod(shape) or not a.flags.c_contiguous
+            or room.ctypes.data != a.ctypes.data):
+        raise ShapeError(f"{a.shape} gradient is not at the start of a buffer with room "
+                         f"for {shape} (see grad_buffer)")
+    buf = room[:math.prod(shape)].reshape(shape)
+    crop = _crop(buf, a.shape[2:])
+    for n in reversed(range(a.shape[0])):
+        crop[n] = a[n]  # numpy copies an overlapping source first
+    for axis, d in enumerate(a.shape[2:], start=2):
+        index = [slice(None)] * buf.ndim
+        for margin in (slice(0, 1), slice(1 + d, None)):
+            index[axis] = margin
+            buf[tuple(index)] = 0
     return buf
+
+
+def grad_buffer(shape, output_padding=(0, 0, 0), dtype=np.float64) -> np.ndarray:
+    """An uninitialised C-contiguous array of `shape`, the gradient of a
+    transposed conv's output with that output padding, at the start of a
+    flat buffer with room for the zero-padded array that
+    conv_transpose3d_backward makes of it. A gradient written here and
+    handed to that backward with pad_in_place is padded in this buffer, so
+    it never exists next to a padded copy of itself."""
+    padded = [d + 2 - op for d, op in zip(shape[2:], output_padding)]
+    room = np.empty(math.prod(shape[:2]) * math.prod(padded), dtype=dtype)
+    return room[:math.prod(shape)].reshape(shape)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -270,11 +316,16 @@ def _weight_grad(a: np.ndarray, src_padded: np.ndarray) -> np.ndarray:
 
 
 def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x (N,Ci,X,Y,Z), w (Co,Ci,3,3,3), b (Co,) -> (N,Co,ox,oy,oz)."""
+    """x (N,Ci,X,Y,Z), w (Co,Ci,3,3,3), b (Co,) -> (N,Co,ox,oy,oz).
+
+    x is dropped once padded, so a caller that passes it as a temporary has
+    it freed before the taps are summed."""
     ci, dims = x.shape[1], x.shape[2:]
     if w.shape[1] != ci:
         raise ShapeError(f"input channels {ci} != weight in_channels {w.shape[1]}")
-    out = _gather(_pad(x, [d + 2 for d in dims]), w, [conv_out_dim(d) for d in dims], True)
+    padded = _pad(x, [d + 2 for d in dims])
+    del x
+    out = _gather(padded, w, [conv_out_dim(d) for d in dims], True)
     out += b[None, :, None, None, None]
     return out
 
@@ -304,14 +355,19 @@ def conv_transpose3d_forward(
     b: np.ndarray,
     output_padding: tuple[int, int, int] = (0, 0, 0),
 ) -> np.ndarray:
-    """x (N,Ci,X,Y,Z), w (Ci,Co,3,3,3), b (Co,) -> (N,Co,2X-1+opx,...)."""
+    """x (N,Ci,X,Y,Z), w (Ci,Co,3,3,3), b (Co,) -> (N,Co,2X-1+opx,...).
+
+    x is dropped once its products are scattered, so a caller that passes
+    it as a temporary has it freed before the result is copied out."""
     ci, dims = x.shape[1], x.shape[2:]
     if w.shape[0] != ci:
         raise ShapeError(f"input channels {ci} != weight in_channels {w.shape[0]}")
     if any(op not in (0, 1) for op in output_padding):
         raise ShapeError(f"output_padding must be 0 or 1 per axis, got {output_padding}")
     out_dims = [transpose_out_dim(d, op) for d, op in zip(dims, output_padding)]
-    out = _crop(_scatter(x, w, [2 * d + 1 for d in dims]), out_dims).copy()
+    buf = _scatter(x, w, [2 * d + 1 for d in dims])
+    del x
+    out = _crop(buf, out_dims).copy()
     out += b[None, :, None, None, None]
     return out
 
@@ -321,16 +377,19 @@ def conv_transpose3d_backward(
     x: np.ndarray,
     w: np.ndarray,
     output_padding: tuple[int, int, int] = (0, 0, 0),
+    pad_in_place: bool = False,
 ):
     """Gradients of sum(g * conv_transpose3d_forward(x, w, b, output_padding))
     -> (dx, dw, db); the output padding is read from g's shape.
 
     g is dropped once it is padded and db is taken, x once dw is taken,
     before dx is built, so a caller that passes them as temporaries has
-    each freed after its last read."""
+    each freed after its last read. g is not written to, unless
+    pad_in_place: then g must be an array of grad_buffer, and it is padded
+    in that buffer, overwriting g's values."""
     dims = x.shape[2:]
-    gpad = _pad(g, [2 * d + 1 for d in dims])
     db = g.sum(axis=(0, 2, 3, 4))
+    gpad = _pad(g, [2 * d + 1 for d in dims], pad_in_place)
     del g
     dw = _weight_grad(x, gpad)
     del x
@@ -342,80 +401,119 @@ def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, 0.0, out=out)
 
 
-def relu_backward(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """g where the relu was active: `mask` is the bool array x > 0.0 of the
-    relu's input x (what forward keeps instead of x itself)."""
-    return g * mask
+def relu_backward(g: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """g where the relu was active, into `out` if given (out=g runs it in
+    place): `mask` is the bool array x > 0.0 of the relu's input x (what
+    forward keeps instead of x itself)."""
+    return np.multiply(g, mask, out=out)
 
 
-def sigmoid_forward(x: np.ndarray) -> np.ndarray:
-    return expit(x)
+def sigmoid_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """expit(x), into `out` if given (out=x runs it in place)."""
+    return expit(x, out=out)
 
 
-def sigmoid_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return g * out * (1.0 - out)
+def sigmoid_backward(g: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """g * y * (1 - y) for the sigmoid's output y, into `out` if given
+    (out=g runs it in place); 1 - y is formed one sample at a time, so no
+    other array of g's size is made. y is not written to."""
+    dx = np.multiply(g, y, out=out)
+    one_minus = np.empty(y.shape[1:], dtype=y.dtype)
+    for n in range(y.shape[0]):
+        dx[n] *= np.subtract(1.0, y[n], out=one_minus)
+    return dx
+
+
+def _sum_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a * b).sum(axis=(0, 2, 3, 4)), bitwise, for a and b with C-order
+    strides (b contiguous, a contiguous or a crop of a contiguous array).
+
+    With two or more channels numpy sums a C-contiguous product one
+    (sample, channel) row at a time and adds the samples' sums in sample
+    order, so the product is formed one sample at a time, in one buffer,
+    and its per-sample sums are added in that order. A single channel is
+    reduced as one flat array, so its product is formed whole."""
+    if a.shape[1] < 2:
+        return np.multiply(a, b).sum(axis=(0, 2, 3, 4))
+    buf = np.empty(a.shape[1:], dtype=np.result_type(a, b))
+    total = np.multiply(a[0], b[0], out=buf).sum(axis=(1, 2, 3))
+    for n in range(1, a.shape[0]):
+        total += np.multiply(a[n], b[n], out=buf).sum(axis=(1, 2, 3))
+    return total
 
 
 def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                      running_mean: np.ndarray, running_var: np.ndarray, mode: str):
+                      running_mean: np.ndarray, running_var: np.ndarray, mode: str,
+                      out: np.ndarray | None = None):
     """Per-channel batch norm over (batch, spatial) axes.
 
     Returns (out, cache, new_running_mean, new_running_var). Running stats are
     never mutated in place; train mode returns the updated copies (with the
     unbiased variance, torch-style), eval mode returns the inputs unchanged.
+
+    Writes: without `out`, nothing passed in is written. With `out` (out=x
+    runs it in place), train mode writes xhat, which the cache keeps, into
+    `out` and returns a fresh output; eval mode writes the output itself
+    into `out` and returns None for the cache (xhat is overwritten), so an
+    eval forward that needs no gradient makes no array of x's size.
     """
     axes = (0, 2, 3, 4)
     shape = (1, -1, 1, 1, 1)
     if mode == "train":
         count = x.shape[0] * x.shape[2] * x.shape[3] * x.shape[4]
         mu = x.mean(axis=axes)
-        xhat = np.subtract(x, mu.reshape(shape))
+        xhat = np.subtract(x, mu.reshape(shape), out=out)
         # x.var(axis=axes) takes these steps on a centred copy of its own
-        var = np.multiply(xhat, xhat).sum(axis=axes) / count
+        var = _sum_of_product(xhat, xhat) / count
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         unbiased = var * count / (count - 1) if count > 1 else var
         new_rm = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
         new_rv = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * unbiased
     elif mode == "eval":
         inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
-        xhat = np.subtract(x, running_mean.reshape(shape))
+        xhat = np.subtract(x, running_mean.reshape(shape), out=out)
         new_rm, new_rv = running_mean, running_var
     else:
         raise ValueError(f"unknown mode {mode!r}")
     xhat *= inv_std.reshape(shape)
-    out = np.multiply(gamma.reshape(shape), xhat)
-    out += beta.reshape(shape)
-    return out, (xhat, inv_std, gamma), new_rm, new_rv
+    in_place = mode == "eval" and out is not None
+    y = np.multiply(gamma.reshape(shape), xhat, out=xhat if in_place else None)
+    y += beta.reshape(shape)
+    return y, None if in_place else (xhat, inv_std, gamma), new_rm, new_rv
 
 
 def batchnorm_backward(g: np.ndarray, cache, mode: str, out: np.ndarray | None = None):
     """Gradients through batchnorm_forward -> (dx, dgamma, dbeta).
 
     Train mode differentiates through the batch statistics; eval mode treats
-    the running statistics as constants. Each elementwise step writes into
-    a fresh buffer or into dx, which is `out` if given, else fresh too.
-    g is read for the last time before dx is first
-    written, so out=g computes dx in g's place (a C-contiguous g only:
-    the reductions below sum in memory order, so writing into a strided g
-    would change their bits). Without `out`, neither g nor the cache is
-    written to.
+    the running statistics as constants. dx is written into `out` if given,
+    else into a fresh array; neither g nor the cache is written to
+    otherwise. g is read for the last time before dx is first written, so
+    out=g computes dx in g's place (a C-contiguous g only: the reductions
+    below sum in memory order, so writing into a strided g would change
+    their bits). The two products that feed a reduction, and the last
+    product of dx, are formed one sample at a time (see _sum_of_product),
+    so the only array of g's size made here is dx, and only without `out`.
     """
     xhat, inv_std, gamma = cache
     axes = (0, 2, 3, 4)
     shape = (1, -1, 1, 1, 1)
-    buf = np.multiply(g, xhat)
-    dgamma = buf.sum(axis=axes)
+    dgamma = _sum_of_product(g, xhat)
     dbeta = g.sum(axis=axes)
     if mode == "eval":
-        dx = buf if out is None else out
-        return np.multiply(g, (gamma * inv_std).reshape(shape), out=dx), dgamma, dbeta
+        return np.multiply(g, (gamma * inv_std).reshape(shape), out=out), dgamma, dbeta
     # dx = inv_std * (gs - mean(gs) - xhat * mean(gs * xhat)), gs = gamma * g
     gs = np.multiply(gamma.reshape(shape), g, out=out)
     mean_gs = gs.mean(axis=axes).reshape(shape)
-    mean_gs_xhat = np.multiply(gs, xhat, out=buf).mean(axis=axes).reshape(shape)
-    np.multiply(xhat, mean_gs_xhat, out=buf)
+    # divided as ndarray.mean divides its sum
+    count = np.intp(gs.shape[0] * gs.shape[2] * gs.shape[3] * gs.shape[4])
+    mean_gs_xhat = _sum_of_product(gs, xhat)
+    np.true_divide(mean_gs_xhat, count, out=mean_gs_xhat, casting="unsafe")
+    mean_gs_xhat = mean_gs_xhat.reshape(shape[1:])
     gs -= mean_gs
-    gs -= buf
+    buf = np.empty(xhat.shape[1:], dtype=np.result_type(xhat, mean_gs_xhat))
+    for n in range(gs.shape[0]):
+        gs[n] -= np.multiply(xhat[n], mean_gs_xhat, out=buf)
     gs *= inv_std.reshape(shape)
     return gs, dgamma, dbeta
 

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import expit
+
+from latentscope import nn
 from latentscope.errors import ShapeError
 from latentscope.nn import (batchnorm_backward, batchnorm_forward,
                             conv3d_backward, conv3d_forward, conv_out_dim,
                             conv_transpose3d_backward,
-                            conv_transpose3d_forward, relu_backward,
-                            relu_forward, sigmoid_backward, sigmoid_forward,
-                            transpose_out_dim)
+                            conv_transpose3d_forward, grad_buffer,
+                            relu_backward, relu_forward, sigmoid_backward,
+                            sigmoid_forward, transpose_out_dim)
 
 
 def test_conv_shape_law_scan_dims():
@@ -293,6 +296,119 @@ def test_batchnorm_backward_of_a_cropped_gradient_matches_reference_bitwise():
         _, cache, _, _ = batchnorm_forward(x, gamma, beta, np.zeros(4), np.ones(4), mode)
         _assert_all_equal(batchnorm_backward(g, cache, mode),
                           _ref_batchnorm_backward(g, cache, mode))
+
+
+def _bn_case(shape, mode, seed=0):
+    rng = np.random.default_rng([*shape, len(mode), seed])
+    c = shape[1]
+    x = rng.normal(loc=0.3, scale=2.0, size=shape)
+    params = (rng.uniform(0.5, 1.5, size=c), rng.normal(size=c),
+              rng.normal(size=c) * 0.1, rng.uniform(0.5, 1.5, size=c))
+    return rng, x, params
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("shape", [(3, 2, 4, 5, 6), (5, 16, 9, 8, 7), (1, 1, 1, 1, 1),
+                                   (4, 1, 6, 5, 4), (8, 32, 16, 16, 16)])
+def test_batchnorm_forward_into_out_matches_reference_bitwise(mode, shape):
+    """out=x runs batch norm in x's place: train mode writes xhat there (the
+    cache keeps x's buffer) and returns a fresh output, eval mode writes
+    the output itself there and returns no cache; the bits are the
+    reference's either way."""
+    _, x, params = _bn_case(shape, mode)
+    ref_out, ref_cache, ref_rm, ref_rv = _ref_batchnorm_forward(x, *params, mode)
+    out, cache, rm, rv = batchnorm_forward(x, *params, mode, out=x)
+    _assert_all_equal([out, rm, rv], [ref_out, ref_rm, ref_rv])
+    if mode == "train":
+        assert cache[0] is x and not np.shares_memory(out, x)
+        _assert_all_equal(list(cache), list(ref_cache))
+    else:
+        assert out is x and cache is None
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("shape", [(5, 3, 6, 7, 5), (7, 16, 4, 3, 5), (6, 1, 5, 6, 7)])
+def test_batchnorm_backward_by_sample_matches_reference_bitwise(mode, shape):
+    """The products that feed batch norm's reductions, and dx's last one,
+    are formed one sample at a time (several here); the gradients keep the
+    reference's bits, for a fresh dx, for dx in g's place and for a g that
+    is a crop. A single channel is summed over its whole product."""
+    rng, x, params = _bn_case(shape, mode, seed=1)
+    _, cache, _, _ = batchnorm_forward(x, *params, mode)
+    cached = [a.copy() for a in cache]
+    g = rng.normal(size=shape)
+    want = _ref_batchnorm_backward(g, cache, mode)
+    _assert_all_equal(batchnorm_backward(g, cache, mode), want)
+    crop = np.pad(g, [(0, 0), (0, 0), (1, 2), (2, 1), (1, 1)])[:, :, 1:-2, 2:-1, 1:-1]
+    _assert_all_equal(batchnorm_backward(crop, cache, mode), want)
+    got = batchnorm_backward(g, cache, mode, out=g)
+    assert got[0] is g
+    _assert_all_equal(got, want)
+    _assert_all_equal(list(cache), cached)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 4, 5, 6), (3, 2, 5, 9, 7), (8, 16, 8, 8, 8),
+                                   (3, 1, 33, 31, 29), (2, 64, 3, 3, 3)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sum_of_product_matches_numpy_bitwise(shape, dtype):
+    """(a * b).sum over (batch, space) without the full product, signed
+    zeros included; a may be a crop."""
+    rng = np.random.default_rng([*shape, np.dtype(dtype).itemsize])
+    a, b = rng.normal(size=shape).astype(dtype), rng.normal(size=shape).astype(dtype)
+    a[:, 0] = -0.0
+    want = (a * b).sum(axis=(0, 2, 3, 4))
+    got = nn._sum_of_product(a, b)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    crop = np.pad(a, [(0, 0), (0, 0), (1, 1), (0, 2), (1, 0)])[:, :, 1:-1, :-2, 1:]
+    assert nn._sum_of_product(crop, b).tobytes() == want.tobytes()
+
+
+def test_activations_in_place_match_fresh_bitwise():
+    """relu and sigmoid, forward and backward, into out=: the bits of the
+    fresh-array ops, in out's buffer; without out, no input is written."""
+    rng = np.random.default_rng(43)
+    x = rng.normal(size=(3, 4, 5, 6, 7))
+    x[0, 0, 0] = -0.0
+    g = rng.normal(size=x.shape)
+    mask = x > 0.0
+    y = expit(x)
+    before = [a.copy() for a in (x, g, mask, y)]
+    fresh = [relu_forward(x), relu_backward(g, mask), sigmoid_forward(x),
+             sigmoid_backward(g, y)]
+    _assert_all_equal([x, g, mask, y], before)
+    _assert_all_equal(fresh, [np.maximum(x, 0.0), g * mask, y, g * y * (1.0 - y)])
+    for op, args in ((relu_forward, (x,)), (sigmoid_forward, (x,)),
+                     (relu_backward, (g, mask)), (sigmoid_backward, (g, y))):
+        buf = args[0].copy()
+        assert op(buf, *args[1:], out=buf) is buf
+        _assert_all_equal([buf], [op(*args)])
+
+
+@pytest.mark.parametrize("output_padding", [(0, 0, 0), (1, 0, 1), (1, 1, 1)])
+def test_grad_buffer_is_padded_in_place_bitwise(output_padding):
+    """With pad_in_place, conv_transpose3d_backward pads a gradient of
+    grad_buffer in its own buffer, with the bits of the padded copy it
+    makes otherwise (without writing g); any other g is refused."""
+    rng, x, w, _, op = _transpose_case(47, (3, 4, 5, 4, 6), 2, output_padding)
+    dims = [transpose_out_dim(d, p) for d, p in zip(x.shape[2:], op)]
+    buf_dims = [2 * d + 1 for d in x.shape[2:]]
+    g = rng.normal(size=(3, 2, *dims))
+    g_before = g.copy()
+    want = conv_transpose3d_backward(g, x, w, op)
+    _assert_all_equal([g], [g_before])
+    _assert_all_equal(want, _ref_conv_transpose3d_backward(g, x, w))
+    room = grad_buffer(g.shape, op)
+    room[...] = g
+    base = room.base
+    padded = nn._pad(room, buf_dims, in_place=True)
+    assert np.shares_memory(padded, base)
+    _assert_all_equal([padded], [nn._pad(g, buf_dims)])
+    room = grad_buffer(g.shape, op)
+    room[...] = g
+    _assert_all_equal(conv_transpose3d_backward(room, x, w, op, pad_in_place=True), want)
+    for other in (g, np.zeros(2 * base.size)[1:g.size + 1].reshape(g.shape)):
+        with pytest.raises(ShapeError, match="grad_buffer"):
+            conv_transpose3d_backward(other, x, w, op, pad_in_place=True)
 
 
 def test_activation_gradients():

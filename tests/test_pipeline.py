@@ -506,6 +506,26 @@ def test_step_peak_script_reports_each_phase():
         assert float(size) > 0 and ".py:" in site
 
 
+def test_step_peak_script_lists_the_sites_of_each_phase():
+    """--sites MIB adds, per phase, a count line and every site at or
+    above MIB, highest first, none above the phase's peak."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "step_peak.py"
+    out = subprocess.run([sys.executable, str(script), "16", "combined", "--batch", "2",
+                          "--sites", "0.5"], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    peaks = {line.split()[0]: line.split()[1] for line in lines[1:4]}
+    counts = [i for i, line in enumerate(lines) if " sites at or above 0.5 MiB: " in line]
+    assert [lines[i].split()[0] for i in counts] == ["forward", "loss", "backward"]
+    for i, end in zip(counts, counts[1:] + [len(lines)]):
+        band = lines[i + 1:end]
+        assert len(band) == int(lines[i].rsplit(" ", 1)[1]) > 0
+        sizes = [float(line.split()[0]) for line in band]
+        assert sizes == sorted(sizes, reverse=True) and min(sizes) >= 0.5
+        assert sizes[0] <= float(peaks[lines[i].split()[0]])
+        assert all(".py:" in line.split(" at ", 1)[1] for line in band)
+
+
 class TestStageRerun:
     """A rerun of a stage starts from an empty stage directory."""
 

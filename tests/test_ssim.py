@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from latentscope.ssim import ssim3d, ssim3d_with_grad
+from latentscope.ssim import C1, C2, ssim3d, ssim3d_with_grad
 
 
 def _pair(seed, dims=(9, 9, 9), scale=0.2):
@@ -73,3 +73,101 @@ def test_gradient_matches_finite_differences():
         flat[idx] = orig
         fd = (up - down) / (2 * eps)
         assert grad.reshape(-1)[idx] == pytest.approx(fd, abs=1e-6)
+
+
+# Reference copies of ssim3d_with_grad, ssim3d and their filters as they
+# were written before they ran in reused buffers: cumulative sums with a
+# concatenated zero, np.roll for the spread, and a fresh array per step.
+# The buffered versions must give the same bits.
+
+def _ref_box_valid(a, w, axis):
+    cs = np.cumsum(a, axis=axis)
+    pad_shape = list(a.shape)
+    pad_shape[axis] = 1
+    cs = np.concatenate([np.zeros(pad_shape, dtype=a.dtype), cs], axis=axis)
+    upper = [slice(None)] * a.ndim
+    lower = [slice(None)] * a.ndim
+    upper[axis] = slice(w, None)
+    lower[axis] = slice(0, a.shape[axis] - w + 1)
+    return cs[tuple(upper)] - cs[tuple(lower)]
+
+
+def _ref_box3(a, w):
+    for axis in range(3):
+        a = _ref_box_valid(a, w, axis)
+    return a
+
+
+def _ref_spread_axis(g, w, axis, out_len):
+    pad_shape = list(g.shape)
+    pad_shape[axis] = out_len - g.shape[axis]
+    gp = np.concatenate([g, np.zeros(pad_shape, dtype=g.dtype)], axis=axis)
+    cs = np.cumsum(gp, axis=axis)
+    shifted = np.roll(cs, w, axis=axis)
+    idx = [slice(None)] * g.ndim
+    idx[axis] = slice(0, w)
+    shifted[tuple(idx)] = 0.0
+    return cs - shifted
+
+
+def _ref_spread3(g, w, out_shape):
+    for axis in range(3):
+        g = _ref_spread_axis(g, w, axis, out_shape[axis])
+    return g
+
+
+def _ref_moments(x, y, w):
+    p = float(w**3)
+    mx = _ref_box3(x, w) / p
+    my = _ref_box3(y, w) / p
+    vx = _ref_box3(x * x, w) / p - mx * mx
+    vy = _ref_box3(y * y, w) / p - my * my
+    cxy = _ref_box3(x * y, w) / p - mx * my
+    return mx, my, vx, vy, cxy, p
+
+
+def _ref_ssim3d(x, y):
+    w = min(7, min(x.shape))
+    mx, my, vx, vy, cxy, _ = _ref_moments(x, y, w)
+    a1 = 2.0 * mx * my + C1
+    a2 = 2.0 * cxy + C2
+    b1 = mx * mx + my * my + C1
+    b2 = vx + vy + C2
+    return float(np.mean((a1 * a2) / (b1 * b2)))
+
+
+def _ref_ssim3d_with_grad(x, y):
+    w = min(7, min(x.shape))
+    mx, my, vx, vy, cxy, p = _ref_moments(x, y, w)
+    a1 = 2.0 * mx * my + C1
+    a2 = 2.0 * cxy + C2
+    b1 = mx * mx + my * my + C1
+    b2 = vx + vy + C2
+    s = (a1 * a2) / (b1 * b2)
+    n_windows = s.size
+    g_mu = 2.0 * (my * a2 * b1 - mx * a1 * a2) / (b1 * b1 * b2)
+    g_v = -(a1 * a2) / (b1 * b2 * b2)
+    g_c = 2.0 * a1 / (b1 * b2)
+    grad = _ref_spread3(g_mu - 2.0 * g_v * mx - g_c * my, w, x.shape)
+    grad += 2.0 * x * _ref_spread3(g_v, w, x.shape)
+    grad += y * _ref_spread3(g_c, w, x.shape)
+    grad /= n_windows * p
+    return float(np.mean(s)), grad
+
+
+@pytest.mark.parametrize("dims", [(5, 9, 7), (16, 16, 16), (33, 31, 29), (61, 73, 61)])
+def test_matches_reference_bitwise(dims):
+    """Value and gradient keep the reference's bits, into a fresh array
+    and into out=; 5 x 9 x 7 shrinks the window to 5. Signed zeros in x
+    reach the spread's zero tail."""
+    x, y = _pair(dims[0], dims=dims)
+    x[0] = -0.0
+    inputs = [x.copy(), y.copy()]
+    value, grad = _ref_ssim3d_with_grad(x, y)
+    assert ssim3d(x, y) == _ref_ssim3d(x, y)
+    got_value, got = ssim3d_with_grad(x, y)
+    assert got_value == value and got.tobytes() == grad.tobytes()
+    out = np.full(dims, np.nan)
+    got_value, got = ssim3d_with_grad(x, y, out=out)
+    assert got is out and got_value == value and out.tobytes() == grad.tobytes()
+    assert x.tobytes() == inputs[0].tobytes() and y.tobytes() == inputs[1].tobytes()
