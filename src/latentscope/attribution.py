@@ -48,6 +48,7 @@ import numpy as np
 from .autoencoder import AEParams, _as_batch_array, decode
 from .data import AtlasMap, Cohort, Volume
 from .errors import ConfigError, DegenerateInputError, ShapeError
+from .fileio import LatentFile
 from .forest import ForestConfig, ForestModel, forest_predict, rf_fit
 
 EPSILON = 1e-8
@@ -55,16 +56,18 @@ EPSILON = 1e-8
 MAX_LEAF_FEATURES = 8
 
 
-def total_reconstruction_error(cohort: Cohort, model: AEParams, latent: np.ndarray,
+def total_reconstruction_error(cohort: Cohort, model: AEParams,
+                               latent: np.ndarray | LatentFile,
                                chunk: int = 8) -> dict[str, float]:
     """Per-subject sum of squared voxel differences under the trained model.
 
     Evaluation mode (running batch-norm statistics); values are keyed by
     subject id so they survive reordering. `latent` holds the subjects'
     bottleneck activations in cohort order (`ActivationSet.latent()`, as the
-    embed stage writes them to `latent.lat`), so only the decoder runs; a
-    row count other than the cohort's is a ShapeError. Volumes are read one
-    chunk at a time.
+    embed stage writes them to `latent.lat`), an array or the file itself
+    (`LatentFile`), so only the decoder runs; a row count other than the
+    cohort's is a ShapeError. Volumes and latent rows are read one chunk at
+    a time.
     """
     subjects = cohort.subjects
     if len(latent) != len(subjects):

@@ -41,8 +41,9 @@ cohort) and converted to float64 one batch at a time (float32 -> float64
 is exact), so training and extraction hold one batch of the cohort, never
 all of it.
 `extract_activations` writes each batch's encoder rows to an anonymous
-temporary file, and `ActivationSet.matrix` reads one layer matrix back per
-call: the caller holds one layer matrix at a time, never all of them.
+temporary file, laid out in column blocks, and `ActivationSet.blocks` reads
+a layer back one block at a time: the embed stage holds one block of one
+layer, never a layer matrix.
 """
 
 from __future__ import annotations
@@ -51,11 +52,13 @@ import hashlib
 import math
 import tempfile
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import nn
 from .data import Cohort, Volume
+from .embedding.common import column_blocks
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .fileio import _read_grid, _write_grid
 from .ssim import ssim3d, ssim3d_with_grad
@@ -593,15 +596,16 @@ def _apply_running(model: AEParams, running):
 class ActivationSet:
     """Flattened eval-mode encoder activations of a cohort: per kept layer,
     an (n_subjects, C*x*y*z) float64 matrix in C order, spilled to an
-    anonymous temporary file. `matrix` reads one layer back into a fresh
-    array per call, so a caller holds only the matrices it keeps. The file
-    has no name on disk; `close`, leaving a `with` block or the process's
-    end deletes it."""
+    anonymous temporary file column-block-major: the layer's
+    `column_blocks`, one after another, each block's n rows contiguous.
+    `blocks` reads a layer back one block per read, so a caller holds one
+    block at a time. The file has no name on disk; `close`, leaving a
+    `with` block or the process's end deletes it."""
 
     def __init__(self, subject_ids: list[str], shapes: dict, offsets: dict, spill):
         self.subject_ids = subject_ids
         self.shapes = shapes  # key -> (C, x, y, z), in encoder order
-        self._offsets = offsets  # key -> byte offset of its rows in `spill`
+        self._offsets = offsets  # key -> byte offset of its blocks in `spill`
         self._spill = spill
 
     def __enter__(self):
@@ -613,13 +617,34 @@ class ActivationSet:
     def close(self) -> None:
         self._spill.close()
 
-    def matrix(self, layer: str) -> np.ndarray:
+    def width(self, layer: str) -> int:
+        """The feature count C*x*y*z of `layer`."""
         if layer not in self.shapes:
             raise KeyError(f"unknown layer {layer!r}; have {sorted(self.shapes)}")
-        out = np.empty((len(self.subject_ids), math.prod(self.shapes[layer])))
-        self._spill.seek(self._offsets[layer])
-        if self._spill.readinto(out) != out.nbytes:
-            raise FormatError(f"activation spill file ends inside layer {layer}")
+        return math.prod(self.shapes[layer])
+
+    def blocks(self, layer: str) -> Iterator[np.ndarray]:
+        """`layer`'s column blocks in order, each read into a fresh
+        (n_subjects, w) array."""
+        p = self.width(layer)
+        return self._read_blocks(self._offsets[layer], p)
+
+    def _read_blocks(self, offset: int, p: int) -> Iterator[np.ndarray]:
+        n = len(self.subject_ids)
+        for start, stop in column_blocks(p):
+            out = np.empty((n, stop - start))
+            self._spill.seek(offset + n * start * out.itemsize)
+            if self._spill.readinto(out) != out.nbytes:
+                raise FormatError("activation spill file ends inside a layer")
+            yield out
+
+    def matrix(self, layer: str) -> np.ndarray:
+        """The whole (n_subjects, C*x*y*z) matrix of `layer`, assembled from
+        its blocks into a fresh array."""
+        p = self.width(layer)
+        out = np.empty((len(self.subject_ids), p))
+        for (start, stop), block in zip(column_blocks(p), self.blocks(layer)):
+            out[:, start:stop] = block
         return out
 
     def latent(self) -> np.ndarray:
@@ -630,13 +655,23 @@ class ActivationSet:
         return self.matrix(key).reshape(-1, *self.shapes[key])
 
 
+def spill_rows(spill, offset: int, n: int, start: int, rows: np.ndarray) -> None:
+    """Write `rows`, rows `start`.. of an n-row float64 layer whose column
+    blocks begin at byte `offset` of `spill`, into their place in each
+    block."""
+    for a, b in column_blocks(rows.shape[1]):
+        spill.seek(offset + (n * a + start * (b - a)) * rows.itemsize)
+        spill.write(np.ascontiguousarray(rows[:, a:b]))
+
+
 def extract_activations(model: AEParams, cohort: Cohort, batch_size: int = 8,
                         layers=None, spill_dir=None) -> ActivationSet:
     """Eval-mode encoder activations of the cohort's subjects, flattened,
     in cohort order; only the encoder layers run, one batch at a time. Each
     batch's rows of every kept layer are written to their place in an
     anonymous temporary file in `spill_dir` (the system's temporary
-    directory when None), so extraction holds one batch, not the matrices.
+    directory when None), as the batch's rows of each column block, so
+    extraction holds one batch, not the matrices.
     With `layers` (keys such as "L1"), only those layers and the bottleneck
     are kept."""
     vols = _volumes(cohort)
@@ -657,14 +692,11 @@ def extract_activations(model: AEParams, cohort: Cohort, batch_size: int = 8,
                                              "eval", None)[0])
                 if key not in keep:
                     continue
-                h = handed[0]
-                row_bytes = h[0].nbytes
                 if key not in offsets:
-                    shapes[key], offsets[key] = tuple(h.shape[1:]), size
-                    size += n * row_bytes
-                spill.seek(offsets[key] + start * row_bytes)
-                spill.write(np.ascontiguousarray(h))
-                del h
+                    shapes[key], offsets[key] = tuple(handed[0].shape[1:]), size
+                    size += n * handed[0][0].nbytes
+                spill_rows(spill, offsets[key], n, start,
+                           handed[0].reshape(len(handed[0]), -1))
     except BaseException:
         spill.close()
         raise

@@ -1,18 +1,19 @@
 """Dimensionality reduction of latent activations into 3-component embeddings."""
 
-from .common import (EmbeddingMatrix, PreparedLayer, center, standardize,
-                     pairwise_sq_dists)
+from .common import (COLUMN_BLOCK, EmbeddingMatrix, GramLayer, column_blocks,
+                     gram_sq_dists, pairwise_sq_dists)
 from .pca import PcaModel, pca_fit_transform
 from .pls import PlsModel, pls_fit_transform, one_hot
 from .tsne import tsne_embed, conditional_probabilities, kl_divergence
 from .umap import umap_embed, fit_ab, fuzzy_graph, cross_entropy
-from .bootstrap import PREPARED_ORDER, embed_once
+from .bootstrap import embed_once
 
 __all__ = [
     "EmbeddingMatrix",
-    "PreparedLayer",
-    "center",
-    "standardize",
+    "COLUMN_BLOCK",
+    "GramLayer",
+    "column_blocks",
+    "gram_sq_dists",
     "pairwise_sq_dists",
     "PcaModel",
     "pca_fit_transform",
@@ -26,6 +27,5 @@ __all__ = [
     "fit_ab",
     "fuzzy_graph",
     "cross_entropy",
-    "PREPARED_ORDER",
     "embed_once",
 ]

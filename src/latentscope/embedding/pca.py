@@ -4,21 +4,20 @@ Encoder activations are far wider than they are tall: a 64^3 volume gives
 2^19 L1 features for a few dozen subjects. So the eigenpairs of the empirical
 covariance S = X_c^T X_c / (n-1) are taken in subject space, by the snapshot
 method (Sirovich, 1987, Q. Appl. Math.). The Gram matrix G = X_c X_c^T is
-only n x n; its eigenpairs (w_i, u_i) give the singular values
-s_i = sqrt(w_i) of X_c, and the axes v_i = X_c^T u_i / s_i, built for all
-kept axes in one product. The cost is one n x n x p product for G and one
-k x n x p product for the axes, in place of a full SVD of the n x p matrix.
-Eigenvalues are lambda_i = w_i/(n-1), and scores are the centered rows
-projected onto the axes. The price is accuracy on axes far below the first:
-G squares the singular values, so axis i is resolved to about
-eps * w_0 / (w_i - w_{i+1}), against eps * s_0 / (s_i - s_{i+1}) from an
-SVD of X_c.
+only n x n (`GramLayer.gram_centred`, summed over column blocks); its
+eigenpairs (w_i, u_i) give the singular values s_i = sqrt(w_i) of X_c, the
+scores u_i s_i and the axes v_i = X_c^T u_i / s_i. The axes are built in one
+pass over the column blocks of X_c, a k x w product per block, and no SVD of
+the n x p matrix is taken. Eigenvalues are lambda_i = w_i/(n-1). The price
+is accuracy on axes far below the first: G squares the singular values, so
+axis i is resolved to about eps * w_0 / (w_i - w_{i+1}), against
+eps * s_0 / (s_i - s_{i+1}) from an SVD of X_c.
 
 Rank is numpy's `matrix_rank` rule for a Hermitian matrix, applied to G:
 eigenvalues above w_0 * n * eps count. Axes beyond the rank are zero rows
-with zero eigenvalues. Sign convention: each axis is flipped so its
-largest-magnitude loading is positive, which makes axes reproducible across
-runs and platforms.
+with zero eigenvalues and zero scores. Sign convention: each axis is flipped
+so its largest-magnitude loading (the first, on a tie) is positive, and its
+scores with it, which makes axes reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DegenerateInputError
-from .common import EmbeddingMatrix, PreparedLayer
+from .common import EmbeddingMatrix, GramLayer, sign_flips
 
 
 @dataclass
@@ -41,41 +40,35 @@ class PcaModel:
     metadata: dict = field(default_factory=dict)
 
 
-def _fix_signs(components: np.ndarray) -> np.ndarray:
-    out = components.copy()
-    for i in range(out.shape[0]):
-        row = out[i]
-        if row.any():
-            j = int(np.argmax(np.abs(row)))
-            if row[j] < 0:
-                out[i] = -row
-    return out
-
-
-def pca_fit_transform(x: np.ndarray | PreparedLayer, k: int = 3,
+def pca_fit_transform(x: np.ndarray | GramLayer, k: int = 3,
                       subject_ids: list[str] | None = None,
                       layer: str = "L3") -> tuple[PcaModel, EmbeddingMatrix]:
-    """PCA of the rows of `x`, a layer prepared by the caller, which this
-    centres, or an array, which this centres in a private copy."""
-    prepared = PreparedLayer.of(x)
-    n, p = prepared.shape
+    """PCA of the rows of `x`, a layer the caller shares between fits or an
+    array, read in column blocks."""
+    grams = GramLayer.of(x)
+    n, p = grams.shape
     if n < 2:
         raise DegenerateInputError("PCA needs at least 2 rows")
-    xc = prepared.centred()
     # eigenpairs of the Gram matrix, descending
-    w, u = np.linalg.eigh(xc @ xc.T)
+    w, u = np.linalg.eigh(grams.gram_centred)
     w, u = w[::-1], u[:, ::-1]
     rank = int((w > w[0] * n * np.finfo(np.float64).eps).sum())
+    usable = min(k, rank)
     components = np.zeros((k, p))
     eigenvalues = np.zeros(k)
-    usable = min(k, rank)
-    s = np.sqrt(w[:usable])
-    components[:usable] = (u[:, :usable].T @ xc) / s[:, None]
-    eigenvalues[:usable] = w[:usable] / (n - 1)
-    components = _fix_signs(components)
-    scores = xc @ components.T
+    scores = np.zeros((n, k))
+    if usable:
+        s = np.sqrt(w[:usable])
+        basis = np.ascontiguousarray(u[:, :usable].T)
+        for start, stop, xc in grams.centred_blocks():
+            components[:usable, start:stop] = (basis @ xc) / s[:, None]
+        eigenvalues[:usable] = w[:usable] / (n - 1)
+        scores[:, :usable] = u[:, :usable] * s
+        flip = sign_flips(components[:usable])
+        components[:usable][flip] *= -1.0
+        scores[:, :usable][:, flip] *= -1.0
     model = PcaModel(
-        mean=prepared.mean,
+        mean=grams.mean,
         components=components,
         eigenvalues=eigenvalues,
         rank=rank,

@@ -52,7 +52,7 @@ import warnings
 import numpy as np
 
 from ..errors import ConfigError, DegenerateInputError, NumericError
-from .common import EmbeddingMatrix, PreparedLayer, pairwise_sq_dists
+from .common import EmbeddingMatrix, GramLayer, gram_sq_dists
 
 EXAGGERATION = 12.0
 EXAGGERATION_ITERS = 250
@@ -135,20 +135,24 @@ def _kl_on_support(p_support: np.ndarray, q: np.ndarray, support: np.ndarray,
     return float(out.sum())
 
 
-def tsne_embed(x: np.ndarray | PreparedLayer, dims: int = 3,
+def tsne_embed(x: np.ndarray | GramLayer, dims: int = 3,
                perplexity: float = 30.0, lr: float = 200.0, iters: int = 1000,
                seed: int = 0, subject_ids: list[str] | None = None,
                layer: str = "L3", kl_every: int = 1) -> EmbeddingMatrix:
-    """t-SNE of the rows of `x`, a layer prepared by the caller or an array
-    prepared on a private copy; it reads the layer's `sq_dists()`.
+    """t-SNE of the rows of `x`, a layer the caller shares between fits or
+    an array, read in column blocks; it reads the layer's `sq_dists()`.
+    Duplicate rows (a zero off-diagonal distance) are jittered: one more
+    pass over the standardized blocks adds N(0, 1e-10) draws, block by
+    block from the fit's generator, and sums their Gram matrix, from which
+    the distances are taken instead.
 
     `kl_history` holds KL(P||Q) after iterations `kl_every`,
     `2 * kl_every`, ... and after the last one: `ceil(iters / kl_every)`
     values, each the same bits as at that iteration with `kl_every=1`."""
     if kl_every < 1:
         raise ConfigError(f"t-SNE kl_every must be >= 1, got {kl_every}")
-    prepared = PreparedLayer.of(x)
-    n = prepared.shape[0]
+    grams = GramLayer.of(x)
+    n = grams.shape[0]
     if n < 4:
         raise DegenerateInputError(f"t-SNE needs at least 4 rows, got {n}")
     notes = []
@@ -161,14 +165,17 @@ def tsne_embed(x: np.ndarray | PreparedLayer, dims: int = 3,
         perplexity = float(lowered)
     rng = np.random.default_rng(seed)
 
-    d2 = prepared.sq_dists()
+    d2 = grams.sq_dists()
     off_diag = d2[~np.eye(n, dtype=bool)]
     if (off_diag == 0.0).any():
         # duplicate points: deterministic seeded jitter at 1e-10 scale, added
-        # to a copy, so the layer and its distances stay as they are
+        # to the blocks as read, so the layer and its distances stay as they are
         notes.append("duplicate_points_jittered")
-        d2 = pairwise_sq_dists(prepared.standardized()
-                               + rng.normal(0.0, 1e-10, size=prepared.shape))
+        gram = np.zeros((n, n))
+        for _, _, xs in grams.standardized_blocks():
+            xs += rng.normal(0.0, 1e-10, size=xs.shape)
+            gram += xs @ xs.T
+        d2 = gram_sq_dists(gram)
 
     p_cond = conditional_probabilities(d2, perplexity)
     p = (p_cond + p_cond.T) / (2.0 * n)

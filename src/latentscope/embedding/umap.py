@@ -71,7 +71,7 @@ import warnings
 import numpy as np
 
 from ..errors import DegenerateInputError, NumericError
-from .common import EmbeddingMatrix, PreparedLayer
+from .common import EmbeddingMatrix, GramLayer
 from .minpack import lmdif
 
 _SMOOTH_ITERS = 64
@@ -218,20 +218,20 @@ def _repel(yt: np.ndarray, h: np.ndarray, h_flat: np.ndarray, targets: np.ndarra
     _add_rows(yt, h_flat, _clipped_step(coef, diff, alpha))
 
 
-def umap_embed(x: np.ndarray | PreparedLayer, dims: int = 3,
+def umap_embed(x: np.ndarray | GramLayer, dims: int = 3,
                n_neighbors: int = 15, min_dist: float = 0.1, epochs: int = 500,
                seed: int = 0, subject_ids: list[str] | None = None,
                layer: str = "L3") -> EmbeddingMatrix:
-    """UMAP of the rows of `x`, a layer prepared by the caller or an array
-    prepared on a private copy; it reads the layer's `sq_dists()`."""
-    prepared = PreparedLayer.of(x)
-    n = prepared.shape[0]
+    """UMAP of the rows of `x`, a layer the caller shares between fits or
+    an array, read in column blocks; it reads the layer's `sq_dists()`."""
+    grams = GramLayer.of(x)
+    n = grams.shape[0]
     if n <= n_neighbors:
         raise DegenerateInputError(
             f"UMAP needs n > n_neighbors, got n={n}, n_neighbors={n_neighbors}"
         )
     rng = np.random.default_rng(seed)
-    graph, notes = fuzzy_graph(prepared.sq_dists(), n_neighbors)
+    graph, notes = fuzzy_graph(grams.sq_dists(), n_neighbors)
     a, b = fit_ab(min_dist)
 
     heads, tails = np.nonzero(graph)

@@ -5,7 +5,8 @@ little-endian float32 values in x-fastest order (stream index
 p = x + dx*(y + dy*z)). Atlas: same layout with magic "LSATL1\\n" and
 little-endian uint32 labels. Latent: magic "LSLAT1\\n", ASCII lines
 "params_sha256=<hex>\\n" (the hash of the model that computed it) and
-"n C x y z\\n", then little-endian float64 values in C order (z fastest).
+"n C x y z\\n", then little-endian float64 values in C order (z fastest),
+so each subject's row is contiguous and `LatentFile` reads a slice of rows.
 Model: magic "LSAE2\\n", ASCII line "P\\n", then the P parameters of the
 fixed autoencoder architecture as little-endian float64, its arrays in
 `AEParams.all_arrays` order, each flattened in C order (see
@@ -77,36 +78,43 @@ def _write_grid(path: str, magic: bytes, arr: np.ndarray, dtype: str,
         f.write(np.asarray(arr, dtype=dtype).tobytes(order=order))
 
 
+def _read_header(f, magic: bytes, dtype: str, ndim: int,
+                 keys: tuple[str, ...]) -> tuple[dict[str, str], tuple[int, ...]]:
+    """The header of a `_write_grid` file open at its start: checks the
+    magic, each header key in turn, the shape line and that the payload
+    left is exactly as long as the shape says, reading no payload; `f` is
+    left at the payload's first byte."""
+    got = f.read(len(magic))
+    if got != magic:
+        raise FormatError(f"bad magic {got!r}, expected {magic!r}")
+    header = {}
+    for key in keys:
+        line = _read_line(f, key, limit=128)
+        text = line[:-1].decode("ascii", errors="replace")
+        name, sep, value = text.partition("=")
+        if name != key or not sep:
+            raise FormatError(f"expected a {key}= line, got {line!r}")
+        header[key] = value
+    shape = _parse_shape(_read_line(f, "dims"), ndim)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    # sized from the file first: a forged shape line must not make a read
+    # allocate more than the file holds
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left < nbytes:
+        raise FormatError(f"truncated payload: expected {nbytes} bytes, got {left}")
+    if left > nbytes:
+        raise FormatError("trailing bytes after payload")
+    return header, shape
+
+
 def _read_grid(path: str, magic: bytes, dtype: str, ndim: int = 3,
                order: str = "F", keys: tuple[str, ...] = ()):
-    """Inverse of `_write_grid`: returns (array, {key: value}) after checking
-    the magic, each header key in turn, the shape line and that the payload
-    is exactly as long as the shape says."""
-    itemsize = np.dtype(dtype).itemsize
+    """Inverse of `_write_grid`: returns (array, {key: value}) after
+    `_read_header`'s checks."""
     try:
         with open(path, "rb") as f:
-            got = f.read(len(magic))
-            if got != magic:
-                raise FormatError(f"bad magic {got!r}, expected {magic!r}")
-            header = {}
-            for key in keys:
-                line = _read_line(f, key, limit=128)
-                text = line[:-1].decode("ascii", errors="replace")
-                name, sep, value = text.partition("=")
-                if name != key or not sep:
-                    raise FormatError(f"expected a {key}= line, got {line!r}")
-                header[key] = value
-            shape = _parse_shape(_read_line(f, "dims"), ndim)
-            nbytes = math.prod(shape) * itemsize
-            # sized from the file first: a forged shape line must not make
-            # the read allocate more than the file holds
-            left = os.fstat(f.fileno()).st_size - f.tell()
-            if left < nbytes:
-                raise FormatError(
-                    f"truncated payload: expected {nbytes} bytes, got {left}")
-            if left > nbytes:
-                raise FormatError("trailing bytes after payload")
-            payload = f.read(nbytes)
+            header, shape = _read_header(f, magic, dtype, ndim, keys)
+            payload = f.read(math.prod(shape) * np.dtype(dtype).itemsize)
     except OSError as exc:  # missing or unreadable
         raise DependencyError(f"cannot read artifact {path}: {exc}") from exc
     except FormatError as exc:
@@ -172,11 +180,51 @@ def save_latent(latent: np.ndarray, params_sha256: str, path: str) -> None:
                 header={"params_sha256": params_sha256})
 
 
+class LatentFile:
+    """A latent file as `save_latent` wrote it, read a slice of rows at a
+    time: `latent[a:b]` is rows a to b, (b - a, C, x, y, z), read from the
+    file, and `len(latent)` the row count. Opening it checks the magic, the
+    header, the shape and the file size, and reads no values; a file
+    missing or unreadable is a DependencyError, one malformed or truncated
+    a FormatError."""
+
+    def __init__(self, path: str):
+        self.path = path
+        try:
+            with open(path, "rb") as f:
+                header, self.shape = _read_header(f, LATENT_MAGIC, "<f8", 5,
+                                                  ("params_sha256",))
+                self._offset = f.tell()
+            self._row_bytes = math.prod(self.shape[1:]) * 8
+        except OSError as exc:
+            raise DependencyError(f"cannot read artifact {path}: {exc}") from exc
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+        self.params_sha256 = header["params_sha256"]
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, step = rows.indices(len(self))
+        if step != 1:
+            raise ValueError("latent rows are read as a contiguous slice")
+        out = np.empty((max(stop - start, 0), *self.shape[1:]), dtype="<f8")
+        try:
+            with open(self.path, "rb") as f:
+                f.seek(self._offset + start * self._row_bytes)
+                got = f.readinto(out)
+        except OSError as exc:
+            raise DependencyError(f"cannot read artifact {self.path}: {exc}") from exc
+        if got != out.nbytes:
+            raise FormatError(f"{self.path}: file ends inside rows {start}:{stop}")
+        return out
+
+
 def load_latent(path: str) -> tuple[np.ndarray, str]:
     """(latent, params_sha256) as `save_latent` wrote them."""
-    latent, header = _read_grid(path, LATENT_MAGIC, "<f8", ndim=5, order="C",
-                                keys=("params_sha256",))
-    return latent, header["params_sha256"]
+    latent = LatentFile(path)
+    return latent[:], latent.params_sha256
 
 
 def fmt_value(v) -> str:

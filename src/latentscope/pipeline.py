@@ -10,12 +10,12 @@ path, so a full rerun with the same config is byte-identical.
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 import shutil
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +25,14 @@ from .autoencoder import (AEParams, TrainConfig, extract_activations, latent_sha
                           load_model, params_hash, save_model, train)
 from .config import PipelineConfig, config_hash, parse_comparison, write_config
 from .data import CLASS_NAMES, Cohort, balanced_subset, build_region_profiles
-from .embedding import (PREPARED_ORDER, EmbeddingMatrix, PreparedLayer,
-                        embed_once)
+from .embedding import EmbeddingMatrix, GramLayer, embed_once
 from .errors import DependencyError, FormatError
-from .fileio import (fmt_value, load_cohort, load_latent, read_table, save_cohort,
+from .fileio import (LatentFile, fmt_value, load_cohort, read_table, save_cohort,
                      save_latent, save_volume, write_csv)
 from .lrcp import LRCPGrid, accuracy_map, lrcp_grid, summary_counts
 from .regionstats import correlate_embedding_regions, overlap_report, top_regions
 from .seeds import derive_seed
-from .validation import correct_table
+from .validation import correct_table, sar_margin
 
 STAGES = ("generate", "train", "embed", "correlate", "shap", "lrcp", "report")
 
@@ -52,6 +51,8 @@ _CORRELATION_COLUMNS = ["method", "layer", "component", "region", "class", "n",
                         "r", "r2", "p", "flag"]
 _TOP_REGION_COLUMNS = ["method", "layer", "rank", "region", "r", "p",
                       "component", "class"]
+_SAR_MARGIN_COLUMNS = ["method", "layer", "pairs", "delta", "pair_delta", "n",
+                       "two_psi", "max_gap", "kept"]
 _OVERLAP_COLUMNS = ["comparison_a", "comparison_b", "region"]
 _IMPORTANCE_COLUMNS = ["class", "region", "s_r", "s_tilde"]
 _DIAGNOSTIC_COLUMNS = ["class", "residual", "flags"]
@@ -285,7 +286,6 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                      "min_dist": config.embed.min_dist,
                      "epochs": config.embed.umap_epochs},
         }
-        methods = sorted(config.embed.methods, key=PREPARED_ORDER.index)
         for name, _, subset in _comparisons(config, cohort):
             model = _load_model(out, name)
             labels = subset.class_labels
@@ -293,20 +293,21 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
             comp_dir.mkdir(parents=True, exist_ok=True)
             # The activations go to an anonymous file in the stage directory,
             # which leaving the `with` block deletes, on success or error.
-            # Each layer matrix is read back just before its fits, smallest
-            # first (L3, L2, L1 for the trained encoder), prepared once, in
-            # place, for all of them, and freed when they end: embed holds
-            # one layer matrix at a time.
+            # Each layer is read back in column blocks just before its fits,
+            # smallest first (L3, L2, L1 for the trained encoder): one pass
+            # builds the n x n Gram matrices all four methods share, and
+            # each fit that needs feature-space outputs reads the blocks
+            # again. Embed holds one block at a time, never a layer matrix.
             with extract_activations(model, subset,
                                      batch_size=config.train.batch_size,
                                      layers=config.embed.layers,
                                      spill_dir=stage) as acts:
                 save_latent(acts.latent(), params_hash(model),
                             str(comp_dir / "latent.lat"))
-                for layer in sorted(config.embed.layers,
-                                    key=lambda k: math.prod(acts.shapes[k])):
-                    x = PreparedLayer(acts.matrix(layer))
-                    for method in methods:
+                for layer in sorted(config.embed.layers, key=acts.width):
+                    x = GramLayer(len(subset), acts.width(layer),
+                                  partial(acts.blocks, layer))
+                    for method in config.embed.methods:
                         emb = embed_once(
                             x, method,
                             seed=derive_seed(config.seed, "embed", name, method, layer),
@@ -323,7 +324,6 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                         meta = _metadata_lines(emb.metadata)
                         base.with_suffix(".meta").write_text(
                             "\n".join(meta) + "\n", encoding="utf-8")
-                    del x  # before the next layer's matrix is read
     return stage
 
 
@@ -388,7 +388,7 @@ def run_correlate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
             comp_dir = stage / name
             comp_dir.mkdir(parents=True, exist_ok=True)
             all_rows, top_rows = [], []
-            kept_p_rows, kept_sar_rows = [], []
+            kept_p_rows, kept_sar_rows, margin_rows = [], [], []
             for method in config.embed.methods:
                 for layer in config.embed.layers:
                     emb = embeddings[(name, method, layer)]
@@ -405,6 +405,10 @@ def run_correlate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                         table, correct_table(table, "pvalue")))
                     kept_sar_rows.extend(_correlation_rows(
                         table, correct_table(table, "sar", delta=config.bound.delta)))
+                    margin = sar_margin(table, delta=config.bound.delta)
+                    margin_rows.append({**margin, "method": method, "layer": layer,
+                                        "n": ";".join(map(fmt_value, margin["n"])),
+                                        "two_psi": ";".join(map(fmt_value, margin["two_psi"]))})
                     if method == overlap_method and layer == overlap_layer:
                         per_comparison_top[name] = [t.region for t in ranked]
             comments = _hash_comment(config)
@@ -416,6 +420,8 @@ def run_correlate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                       kept_p_rows, comments=comments)
             write_csv(str(comp_dir / "corrected_sar.csv"), _CORRELATION_COLUMNS,
                       kept_sar_rows, comments=comments)
+            write_csv(str(comp_dir / "sar_margin.csv"), _SAR_MARGIN_COLUMNS,
+                      margin_rows, comments=comments)
         overlap_rows = []
         if len(per_comparison_top) >= 2:
             report = overlap_report(per_comparison_top)
@@ -429,12 +435,14 @@ def run_correlate(config: PipelineConfig, out_dir, force: bool = False) -> Path:
     return stage
 
 
-def _load_latent(path: Path, model, subset: Cohort) -> np.ndarray:
+def _load_latent(path: Path, model, subset: Cohort) -> LatentFile:
     """The embed stage's bottleneck activations of `subset`, which `model`
-    must have computed."""
-    latent, params_sha256 = load_latent(str(path))
-    if params_sha256 != params_hash(model):
-        raise FormatError(f"{path}: written under model {params_sha256[:12]}..., "
+    must have computed, opened to be read a chunk of rows at a time; the
+    hash, the shape and the file size are checked before any value is
+    read."""
+    latent = LatentFile(str(path))
+    if latent.params_sha256 != params_hash(model):
+        raise FormatError(f"{path}: written under model {latent.params_sha256[:12]}..., "
                           "not the trained one; rerun the embed stage")
     want = (len(subset), *latent_shape(model, subset.atlas.dims))
     if latent.shape != want:

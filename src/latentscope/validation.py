@@ -191,14 +191,45 @@ def correct_table(table: CorrelationTable, mode: str,
     if mode not in ("pvalue", "sar"):
         raise ConfigError(f"unknown correction mode {mode!r}")
     rows = table.rows
-    valid = rows["flag"] == ""
     if mode == "pvalue":
-        return rows[valid & (rows["p_value"] < ALPHA)]
+        return rows[(rows["flag"] == "") & (rows["p_value"] < ALPHA)]
+    return rows[_sar_split(rows, delta)[1]]
+
+
+def _sar_split(rows: np.ndarray, delta: float):
+    """SAR's view of correlation-table rows: (testable, kept, per-pair
+    delta). delta is split evenly across the valid rows; a row is testable
+    when it is valid and its class has at least `SAR_MIN_N` subjects, and
+    kept when it is testable and its gap baseline - model MAE exceeds
+    2 psi at its own n."""
+    valid = rows["flag"] == ""
     per_pair_delta = delta / max(1, int(valid.sum()))
     n = rows["n"]
     testable = valid & (n >= SAR_MIN_N)
     psi = np.zeros(rows.shape)
     for size in np.unique(n[testable]):
         psi[n == size] = concentration_bound(int(size), per_pair_delta, 1.0)
-    relevant = rows["model_mae"] + psi < rows["baseline_mae"] - psi
-    return rows[testable & relevant]
+    kept = testable & (rows["model_mae"] + psi < rows["baseline_mae"] - psi)
+    return testable, kept, per_pair_delta
+
+
+def sar_margin(table: CorrelationTable, delta: float = 0.05) -> dict:
+    """How far a table's rows are from SAR relevance: the valid pair count
+    P, delta and delta / P, each testable class size n with its margin
+    2 psi(n), the largest baseline - model MAE gap over the testable rows
+    (NaN when none is testable) and the number of rows `correct_table`
+    keeps. A row is kept when its gap exceeds 2 psi at its n."""
+    rows = table.rows
+    testable, kept, per_pair_delta = _sar_split(rows, delta)
+    gaps = (rows["baseline_mae"] - rows["model_mae"])[testable]
+    sizes = np.unique(rows["n"][testable])
+    return {
+        "pairs": int((rows["flag"] == "").sum()),
+        "delta": delta,
+        "pair_delta": per_pair_delta,
+        "n": [int(size) for size in sizes],
+        "two_psi": [2.0 * concentration_bound(int(size), per_pair_delta, 1.0)
+                    for size in sizes],
+        "max_gap": float(gaps.max()) if gaps.size else math.nan,
+        "kept": int(kept.sum()),
+    }

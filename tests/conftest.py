@@ -29,6 +29,27 @@ def cluster_margin(values: np.ndarray, n_per: int = 10) -> float:
     return float((vb @ w).min() - (va @ w).max())
 
 
+def _ref_center(x):
+    """(x - mean, mean) over the whole array: the centring the embedding
+    methods apply to each column block."""
+    x = np.asarray(x, dtype=np.float64)
+    mean = x.mean(axis=0)
+    return x - mean, mean
+
+
+def _ref_standardize(x):
+    """(standardized, mean, scale, n_degenerate) over the whole array:
+    z-scores, with a feature whose sigma is below `SIGMA_GUARD` left
+    centred (scale 1)."""
+    from latentscope.embedding.common import SIGMA_GUARD
+
+    xc, mean = _ref_center(x)
+    sigma = xc.std(axis=0)
+    degenerate = sigma < SIGMA_GUARD
+    scale = np.where(degenerate, 1.0, sigma)
+    return xc / scale, mean, scale, int(degenerate.sum())
+
+
 def bottleneck(model, cohort, chunk: int = 8) -> np.ndarray:
     """The cohort's bottleneck activations under `model`, extracted `chunk`
     subjects at a time: the latent the reconstruction error decodes."""

@@ -411,6 +411,51 @@ class TestReconstructionError:
                                        bottleneck(model, small_cohort, 100), chunk=100)
         assert a == b
 
+    def test_reads_the_latent_file_a_chunk_at_a_time(self, tmp_path):
+        """From the latent file itself, the reconstruction error has the
+        bits of the in-memory latent, and its traced peak stays below the
+        file: it reads `chunk` rows at a time, never the whole latent."""
+        import os
+        import tracemalloc
+
+        from latentscope.autoencoder import init_params, params_hash
+        from latentscope.fileio import LatentFile, save_latent
+        from latentscope.phantom import PhantomConfig, generate_phantom_cohort
+
+        cohort = generate_phantom_cohort(PhantomConfig(
+            dims=(8, 8, 8), region_count=4, class_counts={0: 120, 3: 120},
+            effect_spec=[(3, 2, 0.35)], noise_sigma=0.05, smoothness=1.0,
+            seed=3))
+        model = init_params(seed=0)
+        latent = bottleneck(model, cohort)
+        path = str(tmp_path / "latent.lat")
+        save_latent(latent, params_hash(model), path)
+        want = total_reconstruction_error(cohort, model, latent, chunk=1)
+        opened = LatentFile(path)
+        del latent
+        tracemalloc.start()
+        try:
+            got = total_reconstruction_error(cohort, model, opened, chunk=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < os.path.getsize(path)
+
+    def test_latent_file_cut_after_opening_raises(self, small_cohort,
+                                                  trained_small, tmp_path):
+        from latentscope.autoencoder import params_hash
+        from latentscope.errors import FormatError
+        from latentscope.fileio import LatentFile, save_latent
+
+        model, _ = trained_small
+        path = tmp_path / "latent.lat"
+        save_latent(bottleneck(model, small_cohort), params_hash(model), str(path))
+        opened = LatentFile(str(path))
+        path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(FormatError, match="rows"):
+            total_reconstruction_error(small_cohort, model, opened)
+
     @pytest.mark.parametrize("grid", ["cubic", "odd"])
     @pytest.mark.parametrize("chunk", [3, 8, 100])
     def test_decoder_only_equals_eval_forward_bitwise(

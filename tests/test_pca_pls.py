@@ -5,12 +5,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from latentscope.embedding.common import center, standardize
-from latentscope.embedding.pca import _fix_signs, pca_fit_transform
+from latentscope.embedding.common import sign_flips
+from latentscope.embedding.pca import pca_fit_transform
 from latentscope.embedding.pls import one_hot, pls_fit_transform
 from latentscope.errors import DegenerateInputError
 
-from conftest import two_clusters
+from conftest import _ref_center, _ref_standardize, two_clusters
 
 
 class TestPcaOracles:
@@ -33,7 +33,7 @@ class TestPcaOracles:
         x = rng.normal(size=(50, 20)) @ np.diag(rng.uniform(0.5, 3.0, 20))
         k = 5
         model, _ = pca_fit_transform(x, k=k)
-        xc, _ = center(x)
+        xc, _ = _ref_center(x)
         cov = xc.T @ xc / (x.shape[0] - 1)
         evals, evecs = np.linalg.eigh(cov)
         evals = evals[::-1]
@@ -48,7 +48,7 @@ class TestPcaOracles:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(30, 8))
         model, emb = pca_fit_transform(x, k=3)
-        xc, _ = center(x)
+        xc, _ = _ref_center(x)
         np.testing.assert_allclose(emb.values, xc @ model.components.T, atol=1e-12)
         np.testing.assert_allclose(emb.values.mean(axis=0), 0.0, atol=1e-10)
         # per-component score variance equals the eigenvalue
@@ -84,7 +84,7 @@ class TestPcaInvariants:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(12, 4))
         model, emb = pca_fit_transform(x, k=4)
-        xc, _ = center(x)
+        xc, _ = _ref_center(x)
         np.testing.assert_allclose(emb.values @ model.components, xc, atol=1e-10)
 
     def test_rank_deficient_padding(self):
@@ -118,7 +118,7 @@ def _pca_svd_reference(x: np.ndarray, k: int):
     Returns (components, eigenvalues, rank)."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    xc, _ = center(x)
+    xc, _ = _ref_center(x)
     _, s, vt = np.linalg.svd(xc, full_matrices=False)
     tol = s[0] * max(x.shape) * np.finfo(np.float64).eps if s.size else 0.0
     rank = int((s > tol).sum())
@@ -127,7 +127,8 @@ def _pca_svd_reference(x: np.ndarray, k: int):
     usable = min(k, rank)
     components[:usable] = vt[:usable]
     eigenvalues[:usable] = (s[:usable] ** 2) / (n - 1)
-    return _fix_signs(components), eigenvalues, rank
+    components[sign_flips(components)] *= -1.0
+    return components, eigenvalues, rank
 
 
 def _low_rank_plus_noise(seed: int, n: int, p: int, r: int = 6,
@@ -154,7 +155,7 @@ class TestGramRoute:
         for ours, ref in zip(model.components, ref_components):
             cos = (ours @ ref) / (np.linalg.norm(ours) * np.linalg.norm(ref))
             assert cos >= 1.0 - 1e-10  # same axis and the same sign
-        xc, _ = center(x)
+        xc, _ = _ref_center(x)
         np.testing.assert_allclose(emb.values, xc @ ref_components.T,
                                    rtol=1e-8, atol=1e-8 * np.abs(emb.values).max())
 
@@ -205,8 +206,9 @@ class TestGramRoute:
 
 
 class TestPcaPinnedBits:
-    """Digests recorded after PCA moved to the n x n Gram matrix. Any change
-    to the float operations of the fit, or to their order, moves them."""
+    """Digests recorded when the Gram matrix became a sum over column blocks
+    and the scores U S. Any change to the float operations of the fit, or to
+    their order, moves them."""
 
     def _check(self, x, k, expected):
         model, emb = pca_fit_transform(x, k=k)
@@ -218,9 +220,9 @@ class TestPcaPinnedBits:
 
     def test_wide(self):
         self._check(_low_rank_plus_noise(51, 24, 6000), 3, {
-            "components": "2b83830b9af6056c6b6b5bba17655f49445d35d6bdb1217373083c20fd7f5791",
-            "eigenvalues": "606ff768e6df673b7abfb2bd7490464cb32238fd4f864b8ded566000c1d48a8f",
-            "scores": "64ef8432c752efad418978ed271cfd40e2c3c6f0fabd9944e0dcffecd171f412",
+            "components": "be39aafcecde9dc0b2c47e24e0408784cd03237759febce7f3da4b9f5bd44b9b",
+            "eigenvalues": "33b3354bb1e47a4b8af3036166f98ab269289d565787c79016ff2cf8dc9e9d99",
+            "scores": "514694fe330f8c81be7eef6b2ac548b4e8abd7fd8d13e14f94211163f5f027e8",
         })
 
     def test_rank_deficient(self):
@@ -229,7 +231,7 @@ class TestPcaPinnedBits:
         model = self._check(x, 3, {
             "components": "2c988b90f0ae17cb1b7d2e96ce9824d8c171914394675aa6dec39409a148fcc3",
             "eigenvalues": "9e509aaf61f8b9458228deb5904868f3476f6c340e2c2ed1aaf399d34c21e0ba",
-            "scores": "235f00c9c94a8e7a28dec2573090142dcac113356e593d1713bb883b837207db",
+            "scores": "b82df3de5dface6d6bb1a3f3b49c9ae819b1dad966fcdf60ec8931dd8cd0d1fe",
         })
         assert model.rank == 2
 
@@ -242,8 +244,8 @@ class TestPlsOracles:
         x = rng.normal(size=(40, 5))
         y = rng.normal(size=40)
         model, _ = pls_fit_transform(x, y, k=1)
-        xs, _, _, _ = standardize(x)
-        yc, _ = center(y[:, None])
+        xs, _, _, _ = _ref_standardize(x)
+        yc, _ = _ref_center(y[:, None])
         c = (xs.T @ yc)[:, 0]
         w_ref = c / np.linalg.norm(c)
         j = np.argmax(np.abs(w_ref))
@@ -258,8 +260,8 @@ class TestPlsOracles:
         x = rng.normal(size=(30, 6))
         y = one_hot(rng.integers(0, 3, size=30))
         model, _ = pls_fit_transform(x, y, k=1)
-        xs, _, _, _ = standardize(x)
-        yc, _ = center(y)
+        xs, _, _, _ = _ref_standardize(x)
+        yc, _ = _ref_center(y)
         c = xs.T @ yc
         best = np.linalg.norm(c.T @ model.x_weights[0])
         for _ in range(1000):
@@ -331,9 +333,9 @@ def _digest(a: np.ndarray) -> str:
 
 
 class TestPlsPinnedBits:
-    """Digests of the fitted arrays, recorded before X was deflated in place
-    row by row. Any change to the float operations of the fit, or to their
-    order, moves them."""
+    """Digests of the fitted arrays, recorded when PLS moved to the kernel
+    form on the block-summed Gram matrix. Any change to the float operations
+    of the fit, or to their order, moves them."""
 
     def _check(self, x, y, k, expected):
         model, emb = pls_fit_transform(x, y, k=k)
@@ -348,10 +350,10 @@ class TestPlsPinnedBits:
         x = rng.normal(size=(40, 3000))
         y = one_hot(rng.integers(0, 3, size=40))
         self._check(x, y, 3, {
-            "x_weights": "25173a83d0aad9e49fd4648f09e93560631ef15385b91ab9a74ff1ee9c8f8ea5",
-            "x_loadings": "6d2d74d00411e8e6f418c0d29a7eef6d626d30bacd232e293dbced3a609ea117",
-            "y_loadings": "c1092849de97429aef0ff6ec4fa46d05092920a28701707d71fcbde826126e97",
-            "scores": "de3d5a87ec35caf6e6fd7bd8e972496b6e36e1918848c8d5b92c378186819514",
+            "x_weights": "6da4b442dabe19fb7ff860d4dbd4404807accfa3eb4e0d2dcb0be08c15d3e6ac",
+            "x_loadings": "e5a7798e41b4af640ab96e14e44c8fd01b9fd9bb94a9d1042cadcd3416e99279",
+            "y_loadings": "9289b3fa6d9536aa048a910c5427597405094f1d74f80913a89f7f5dc2005496",
+            "scores": "d00b95b5815a85146ea609a70b2b2fde084e30a6c0a8da880241fc11b2623e67",
         })
 
     def test_tall_multivariate_y(self):
@@ -359,10 +361,10 @@ class TestPlsPinnedBits:
         x = rng.normal(size=(60, 12)) * rng.uniform(0.1, 5.0, 12)
         y = rng.normal(size=(60, 2))
         self._check(x, y, 3, {
-            "x_weights": "d1d8f70d06f4cd766db81c345afecaf49143d924f1f60751f8c13604a3d45f4b",
-            "x_loadings": "9e3a4e8b7fc5e7367c15e096dbee289883302e703b12a8de05e1bc8d6327da6b",
-            "y_loadings": "b0f4646f657786387207890c24f615b0ede7256bd3cc49c834067b969f9f5a63",
-            "scores": "2f65e0b67a445076d6fb1212eac21795f216440f769766a50632bb56063ad8b0",
+            "x_weights": "e3ee5db3bd766eab493c60a8c0fa23b2253286cca8f7201d853f05d6fba7582d",
+            "x_loadings": "292b7daf2d60cd8edafa879219828f7cb7f915631298172dc3055f1926c261ea",
+            "y_loadings": "17b1ca2867fba172e7e19a8e16420ed488a6d09a8c229434d14f98f10615bec5",
+            "scores": "fec4f8a7d991d241a8b0278238f2e8e90f9787b154001104ccadac42c0d1c1e7",
         })
 
     def test_degenerate_tail(self):
@@ -371,10 +373,10 @@ class TestPlsPinnedBits:
         x = np.column_stack([base, base])
         y = base + 0.1 * rng.normal(size=20)
         model = self._check(x, y, 3, {
-            "x_weights": "0773de8c617c9b13610ca33533e6fd10286f4e2ab61641ea0d0e24ac8d57676f",
+            "x_weights": "2c5d09cdb877c9456f1e5c25af18c9b383b4cdc28e2ba3b04d07d6d737d69d4c",
             "x_loadings": "070dbf5f97d89b3513e359bd3c4f95257b57f587388e8ad0db702e3710845b48",
-            "y_loadings": "aff77ddffa11fc2a0893653606b9344f14b35bdc6e0065e8ba353905b2242926",
-            "scores": "96ed49bfc74a0184b12207178562d6ef23869d6e600733f907d107524853cc42",
+            "y_loadings": "0247bf49b23ec324aecf1f4da227035a210152b8d298a875221de0885f3f9d1e",
+            "scores": "bb5048e73c945b123a33e6ea357d2b9b85cf056fa09d3a61378a8511422054fb",
         })
         assert model.degenerate_components == 2
 

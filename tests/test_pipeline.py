@@ -253,6 +253,7 @@ class TestArtifactLayout:
             "correlate/NOR_AD/top_regions.csv",
             "correlate/NOR_AD/corrected_pvalue.csv",
             "correlate/NOR_AD/corrected_sar.csv",
+            "correlate/NOR_AD/sar_margin.csv",
             "correlate/overlap.csv",
             "shap/NOR_AD/shap_values.csv",
             "shap/NOR_AD/importance.csv",
@@ -370,9 +371,9 @@ def test_tsne_meta_holds_kl_checkpoints(tmp_path):
 
 
 # sha256 over the names and bytes of every embed/*/*.csv and *.meta of
-# `_pinned_embed_config`, recorded when each method still prepared its own copy
-# of the layer matrix
-EMBED_DIGEST = "b6e00aafe5607486481f992f8f9a50ca3f4fc92573e26d9820d45d267e72c2f0"
+# `_pinned_embed_config`, recorded when the four methods moved to the Gram
+# matrices summed over the layer's column blocks
+EMBED_DIGEST = "f35f486aa2233943504503972b87379964d118ebcdf4b8b2a2108cad9d6ee464"
 
 
 def _pinned_embed_config(out_dir: str) -> PipelineConfig:
@@ -388,8 +389,8 @@ def _pinned_embed_config(out_dir: str) -> PipelineConfig:
 @pytest.mark.filterwarnings("ignore:kNN graph is disconnected")
 def test_embed_artifacts_are_pinned(tmp_path):
     """Every embedding file of a seeded run with all four methods on all
-    three layers is the bits recorded before the methods shared one
-    prepared layer matrix."""
+    three layers is the bits recorded when the methods moved to the
+    block-summed Gram matrices."""
     import hashlib
 
     cfg = _pinned_embed_config(str(tmp_path))
@@ -579,18 +580,14 @@ class TestStageRerun:
         assert tree_bytes(run / "report") == tree_bytes(out / "report")
 
 
-def test_embed_holds_no_working_copy_of_a_layer(tmp_path, monkeypatch):
-    """run_embed with all four methods on all three layers: its traced peak
-    above what is live when the comparison starts (cohort, subset, model)
-    stays under 1.4 x the L1 matrix. The activations are spilled to disk and
-    read back one layer at a time, so the L1 matrix and the working arrays
-    of its fits set the peak (about 1.28 x). Building the three layer
-    matrices in memory gave about 1.95 x, and one working copy of the layer
-    beside them, as each method made before they shared one prepared
-    layer, about 2.3 x."""
+def test_embed_peaks_below_one_l1_matrix(tmp_path):
+    """run_embed with all four methods on all three layers, traced from
+    before the stage starts: the peak stays under one L1 n x p matrix. The
+    activations are spilled to disk and each layer is read back one column
+    block at a time into n x n Gram matrices, so no layer matrix is built;
+    reading whole layer matrices put the peak at about 1.3 x L1 above what
+    was live before."""
     import tracemalloc
-
-    import latentscope.pipeline as pipeline
 
     cfg = tiny_config(str(tmp_path))
     cfg = replace(cfg,
@@ -600,14 +597,6 @@ def test_embed_holds_no_working_copy_of_a_layer(tmp_path, monkeypatch):
                                 umap_epochs=5))
     run_generate(cfg, str(tmp_path))
     run_train(cfg, str(tmp_path))
-    live = []
-    extract = pipeline.extract_activations
-
-    def recording(*args, **kwargs):
-        live.append(tracemalloc.get_traced_memory()[0])
-        return extract(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "extract_activations", recording)
     tracemalloc.start()
     try:
         run_embed(cfg, str(tmp_path))
@@ -615,8 +604,7 @@ def test_embed_holds_no_working_copy_of_a_layer(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     l1_matrix = 48 * 16 * 8 ** 3 * 8  # 48 subjects x L1's (16, 8, 8, 8), float64
-    assert len(live) == 1
-    assert peak - live[0] < 1.4 * l1_matrix
+    assert peak < l1_matrix
 
 
 class TestTrimHeap:

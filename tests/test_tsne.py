@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from latentscope.embedding.common import pairwise_sq_dists, standardize
+from latentscope.embedding.common import GramLayer, pairwise_sq_dists
 from latentscope.embedding.tsne import (
     _BISECT_TRIES,
     _kl_on_support,
@@ -18,7 +18,7 @@ from latentscope.embedding.tsne import (
 )
 from latentscope.errors import ConfigError, DegenerateInputError
 
-from conftest import cluster_margin, two_clusters
+from conftest import _ref_standardize, cluster_margin, two_clusters
 
 
 class TestAffinities:
@@ -114,8 +114,7 @@ class TestKl:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(40, 5))
         emb = tsne_embed(x, dims=3, perplexity=8.0, iters=1, seed=4)
-        p_cond = conditional_probabilities(
-            pairwise_sq_dists(standardize(x)[0]), 8.0)
+        p_cond = conditional_probabilities(GramLayer.of(x).sq_dists(), 8.0)
         p = (p_cond + p_cond.T) / (2.0 * 40)
         y = np.random.default_rng(4).normal(0.0, 1e-4, size=(40, 3))
         num = 1.0 / (1.0 + pairwise_sq_dists(y))
@@ -188,8 +187,8 @@ class TestBenchmark:
         values = two_clusters(seed=1)
         scaled = values.copy()
         scaled[:, 0] *= 1000.0
-        xs_a, _, _, _ = standardize(values)
-        xs_b, _, _, _ = standardize(scaled)
+        xs_a, _, _, _ = _ref_standardize(values)
+        xs_b, _, _, _ = _ref_standardize(scaled)
         np.testing.assert_allclose(xs_a, xs_b, atol=1e-12)
         # rounding noise in the rescaled z-scores amplifies through the
         # optimizer, so the invariant is checked on the affinities
@@ -205,14 +204,15 @@ def _digest(a: np.ndarray) -> str:
 def _symmetric_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     n = x.shape[0]
     p_cond = conditional_probabilities(
-        pairwise_sq_dists(standardize(x)[0]), perplexity)
+        pairwise_sq_dists(_ref_standardize(x)[0]), perplexity)
     return (p_cond + p_cond.T) / (2.0 * n)
 
 
 class TestPinnedBits:
-    """Digests of `values` and `kl_history`, recorded before the optimiser
-    loop was rewritten to reuse its buffers. Any change to the float
-    operations of the loop, or to their order, moves them."""
+    """Digests of `values` and `kl_history`, recorded when the input
+    distances came to be taken from the block-summed Gram matrix of the
+    standardized rows. Any change to the float operations of the
+    distances or the loop, or to their order, moves them."""
 
     def test_full_support(self):
         # n = 240 as in the cohort-analysis embeddings; every off-diagonal
@@ -222,9 +222,9 @@ class TestPinnedBits:
         assert (_symmetric_affinities(x, 30.0)[off] > 0).all()
         emb = tsne_embed(x, perplexity=30.0, iters=300, seed=3)
         assert _digest(emb.values) == (
-            "3dfbe633d778e9806ff4555d74901cc317d845f4981a26025698b1bc2c82525c")
+            "3ae8e7932b5f5f597631c5ed4f2dc9cbba8b9754eabc1fb4c02f305af97758e3")
         assert _digest(emb.metadata["kl_history"]) == (
-            "a58c8c7b50850d45122f1789a01529b35a4f0633148756421b366a18e6ccd70d")
+            "4c7d6cd44bb6f8ca3f5afb4be47e3907360c793517c3b6be10662621b20710e3")
 
     def test_underflowing_affinities(self):
         # two tight clusters far apart at a small perplexity: the affinities
@@ -235,18 +235,18 @@ class TestPinnedBits:
         assert (_symmetric_affinities(x, 3.0)[off] == 0.0).sum() > 100
         emb = tsne_embed(x, perplexity=3.0, iters=300, seed=5)
         assert _digest(emb.values) == (
-            "b54a213c641a68954ad92955c45512aaec89a42054c4e333efc83f506768b48d")
+            "12c77d7cdea938424bac814cbfb3a1b00b95f8fefa994e821682b68570db32ef")
         assert _digest(emb.metadata["kl_history"]) == (
-            "92a473a50476eb1e7be1bfc0a3199c7e810be5475afd31d9737c9aed44c87622")
+            "7e3ad3ee0bc9049d8698de144a1d1b3236b2783388dcefc81eb88c1036ef64e8")
 
     def test_lowered_perplexity_in_two_dims(self):
         with pytest.warns(UserWarning, match="perplexity"):
             emb = tsne_embed(two_clusters(seed=4), dims=2, iters=300, seed=6)
         assert emb.metadata["notes"] == ["perplexity_lowered_from=30.0"]
         assert _digest(emb.values) == (
-            "1c79b1abb618db003fd76c490948cd2e1a0a1534f9c88bb6c5186927000a0655")
+            "13a36a45506c538e1f79f6988ea26940d1b828e11540df7ca48360bac59f4f18")
         assert _digest(emb.metadata["kl_history"]) == (
-            "6349e2cf154ae611864594490a213dd5824fe439d8b06ece008bf38d9ceb01cd")
+            "58fdcff4fa9199adde71c47264b274cd16127f3ddb2db22b569c0607267331d2")
 
     def test_duplicate_jitter(self):
         x = np.zeros((8, 3))
@@ -254,9 +254,9 @@ class TestPinnedBits:
         emb = tsne_embed(x, perplexity=2.0, iters=300, seed=7)
         assert emb.metadata["notes"] == ["duplicate_points_jittered"]
         assert _digest(emb.values) == (
-            "2171c89245c71bae91c27f29272478ea973cdb42fd3714708d2d2612abe484dc")
+            "3783f3cdf7a01a02d10a1544bf2b5a692cc8b48bdad709a34bbb91ae2a2deb93")
         assert _digest(emb.metadata["kl_history"]) == (
-            "ff7d05a4a0a7746b02f87f6343698fa3723e73178f4f37bd890464f9fbe583cc")
+            "fe53f0d44f43c3ac89fc549b0756f6681a4f3beef69754333de891c23021183a")
 
 
 @pytest.fixture(scope="module")
@@ -333,7 +333,7 @@ class TestVectorisedBisection:
     def test_cohort_sized_rows(self):
         # n = 240 as in cohort-analysis: rows converge after different tries
         x = np.random.default_rng(240).normal(size=(240, 16))
-        _, tries = self._same_bytes(pairwise_sq_dists(standardize(x)[0]), 30.0)
+        _, tries = self._same_bytes(pairwise_sq_dists(_ref_standardize(x)[0]), 30.0)
         assert len(set(tries.tolist())) > 3
 
     def test_rows_that_use_every_try(self):

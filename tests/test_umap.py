@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentscope.embedding.common import pairwise_sq_dists, standardize
+from latentscope.embedding.common import pairwise_sq_dists
 from latentscope.embedding.umap import (
     _SMOOTH_ITERS,
     _add_rows,
@@ -24,7 +24,7 @@ from latentscope.embedding.umap import (
 )
 from latentscope.errors import DegenerateInputError, NumericError
 
-from conftest import cluster_margin, two_clusters
+from conftest import _ref_standardize, cluster_margin, two_clusters
 
 
 class TestFuzzyGraph:
@@ -321,7 +321,7 @@ class TestVectorisedCalibration:
         return sigma, tries
 
     def test_cohort_sized_rows(self):
-        x = standardize(np.random.default_rng(240).normal(size=(240, 16)))[0]
+        x = _ref_standardize(np.random.default_rng(240).normal(size=(240, 16)))[0]
         _, tries = self._same_bytes(_knn_dists(x, 15))
         assert len(set(tries.tolist())) > 3
 
@@ -351,15 +351,16 @@ def _star(center: np.ndarray, rng, k: int = 12) -> np.ndarray:
 
 
 class TestPinnedBits:
-    """Digests of `values`, recorded before the optimiser loop was rewritten
-    around a flat `np.add.at`. Any change to the float operations of the
-    loop, their order, or the RNG calls moves them."""
+    """Digests of `values`, recorded when the input distances came to be
+    taken from the block-summed Gram matrix of the standardized rows. Any
+    change to the float operations of the distances or the loop, their
+    order, or the RNG calls moves them."""
 
     def test_disconnected_graph_with_hub(self):
         rng = np.random.default_rng(13)
         x = np.vstack([_star(np.zeros(3), rng), _star(np.full(3, 1000.0), rng)])
         with pytest.warns(UserWarning, match="disconnected"):
-            graph, _ = fuzzy_graph(pairwise_sq_dists(standardize(x)[0]), 4)
+            graph, _ = fuzzy_graph(pairwise_sq_dists(_ref_standardize(x)[0]), 4)
         heads, _ = np.nonzero(graph)
         # point 0 heads 11 edges, all of weight 1: they are sampled in the
         # same epochs, so its row gets repeated updates in one add.at
@@ -368,11 +369,11 @@ class TestPinnedBits:
             emb = umap_embed(x, n_neighbors=4, epochs=200, seed=8)
         assert emb.metadata["notes"] == ["disconnected_graph"]
         assert hashlib.sha256(emb.values.tobytes()).hexdigest() == (
-            "397acfecc9eee4ba123b0d768261f0b81aecd211f5074afd7e73f334205dc3b8")
+            "92499cb7cdb2811eb46888bbee54e6de11533f43c37fa3c0c8c85d7186441da9")
 
     def test_connected_graph_in_two_dims(self):
         x = np.random.default_rng(60).normal(size=(60, 6))
         emb = umap_embed(x, dims=2, n_neighbors=8, epochs=200, seed=9)
         assert emb.metadata["notes"] == []
         assert hashlib.sha256(emb.values.tobytes()).hexdigest() == (
-            "05e68d50f3e1e7017183882bf45dacae86d13c4b5bf506024c06e4a26829dba1")
+            "8f5b9fad3b0e26cfcc7efa6471ea45e11801ca17f41bcaf39e3dae5cdbe5d1a1")

@@ -16,6 +16,7 @@ from latentscope.validation import (
     cubv_corrected_error,
     pac_bayes_corrected_accuracy,
     pac_bayes_penalty,
+    sar_margin,
     sar_relevance,
 )
 
@@ -286,3 +287,45 @@ class TestCorrectTable:
 
         empty = CorrelationTable("pca", "L3", np.zeros((1, 0, 0), dtype=ROW_DTYPE))
         assert correct_table(empty, "pvalue").size == 0
+
+
+class TestSarMargin:
+    """The margin written beside corrected_sar.csv: how far each table is
+    from SAR relevance."""
+
+    def test_margin_explains_the_kept_rows(self):
+        table = build_table()
+        margin = sar_margin(table, delta=0.05)
+        rows = table.rows
+        assert margin["pairs"] == int((rows["flag"] == "").sum()) == 6
+        assert margin["delta"] == 0.05
+        assert margin["pair_delta"] == 0.05 / 6
+        assert margin["n"] == [300]
+        assert margin["two_psi"] == [2.0 * concentration_bound(300, 0.05 / 6)]
+        gaps = rows["baseline_mae"] - rows["model_mae"]
+        assert margin["max_gap"] == float(gaps.max()) > margin["two_psi"][0]
+        assert margin["kept"] == len(correct_table(table, "sar")) == int(
+            (gaps > margin["two_psi"][0]).sum())
+
+    def test_nothing_kept_when_the_largest_gap_is_inside_the_margin(self):
+        table = build_table()
+        table.rows["model_mae"] = table.rows["baseline_mae"] - 0.01
+        margin = sar_margin(table)
+        assert margin["max_gap"] < margin["two_psi"][0]
+        assert margin["kept"] == 0
+
+    def test_one_margin_per_class_size(self):
+        table = build_table()
+        table.rows["n"][0, 0] = 40  # one row of a smaller class
+        table.rows["n"][0, 1, 2] = 5  # one below SAR_MIN_N: never tested
+        margin = sar_margin(table)
+        assert margin["n"] == [40, 300]
+        assert margin["two_psi"] == [2.0 * concentration_bound(m, 0.05 / 6)
+                                     for m in (40, 300)]
+
+    def test_no_testable_row_has_no_gap(self):
+        table = build_table()
+        table.rows["flag"] = "undefined"
+        margin = sar_margin(table)
+        assert margin["pairs"] == 0 and margin["n"] == [] and margin["kept"] == 0
+        assert math.isnan(margin["max_gap"])
