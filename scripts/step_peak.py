@@ -12,6 +12,11 @@ GRID is one side (64) or three sides (121x145x121); LOSS is mse, ssim or
 combined. A line-level tracer finds the sites, so the step runs a little
 slower than in training; the sizes it reports do not depend on that.
 
+It then prints, for each relu + batch-norm layer of the step's forward,
+the bytes a dense xhat would take, the bytes the cache keeps of it
+(nn.FiredXhat: xhat only where the relu fired) and the relu's zero
+share, the property that saving depends on.
+
 The step's peak is often a band of near-tied sites, so --sites MIB also
 lists, per phase, every site that reached MIB or more, highest first:
 lowering one of them lowers the step's peak only down to the next. A site
@@ -137,6 +142,20 @@ def main() -> int:
     for phase in PHASES.values():
         size, stack = sites.peaks.get(phase, (0, ()))
         print(f"  {phase:<9} {size / 2**20:>8.1f} MiB  at {_describe(stack)}")
+    _, _, cache = ae.forward(model, batch, "train", want_cache=True)
+    print("cache per relu + batch-norm layer (xhat dense -> kept, relu zero share):")
+    counts = {"conv3d": 0, "conv_transpose3d": 0}
+    for spec, lc in zip(model.layers, cache["layers"]):
+        counts[spec.kind] += 1
+        key = f"{'L' if spec.kind == 'conv3d' else 'T'}{counts[spec.kind]}"
+        if spec.activation != "relu" or not spec.batch_norm:
+            continue
+        xhat = lc["bn"][0]
+        size = np.prod(xhat.shape)
+        fired = int(np.unpackbits(lc["act"], count=size).sum())
+        print(f"  {key:<3} {size * xhat.dtype.itemsize / 2**20:>8.2f} -> "
+              f"{xhat.nbytes / 2**20:>7.2f} MiB  zero share {1 - fired / size:.2f}")
+    del cache
     if args.sites is not None:
         for phase in PHASES.values():
             band = sorted(sites.sites.get(phase, {}).items(), key=lambda item: -item[1])

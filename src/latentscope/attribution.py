@@ -67,7 +67,7 @@ def total_reconstruction_error(cohort: Cohort, model: AEParams,
     embed stage writes them to `latent.lat`), an array or the file itself
     (`LatentFile`), so only the decoder runs; a row count other than the
     cohort's is a ShapeError. Volumes and latent rows are read one chunk at
-    a time.
+    a time, and each chunk's arrays are freed before the next is decoded.
     """
     subjects = cohort.subjects
     if len(latent) != len(subjects):
@@ -80,6 +80,7 @@ def total_reconstruction_error(cohort: Cohort, model: AEParams,
         per = ((recon - x) ** 2).sum(axis=(1, 2, 3, 4))
         for subj, err in zip(part, per):
             errors[subj.id] = float(err)
+        del x, recon, per
     return errors
 
 

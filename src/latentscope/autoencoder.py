@@ -13,16 +13,21 @@ seed (init draws, then per-epoch shuffles, from one PRNG).
 
 Memory: a training step keeps, per layer, only what its backward pass reads:
 the batch-norm cache (xhat, 1/std, gamma, plus beta) and either the relu
-mask z > 0 (packed, eight values a byte) or the sigmoid output. A layer
-input that is a batch-norm output, gamma * xhat + beta (every input but
-the batch, in this architecture), is not kept: backward rebuilds it from
-the producing layer's cache with the forward's own ops, so bitwise, just
-before the conv backward that reads it. So each float array the size of
-a layer output exists once, as its xhat. A training forward keeps no
-encoder activations and frees each layer's input once its conv has read
-it. The conv output z is the buffer of the layer's other steps: the
-activation runs in place on it, batch norm writes xhat into it, and only
-the batch-norm output is a fresh array. backward drops each layer's cache
+mask z > 0 (packed, eight values a byte) or the sigmoid output. xhat is
+kept only where the relu fired (nn.FiredXhat): everywhere else it is one
+value per channel, so the packed mask and that value stand for it, and
+about half of each layer's xhat is kept at the relu's usual zero share.
+A layer input that is a batch-norm output, gamma * xhat + beta (every
+input but the batch, in this architecture), is not kept: backward
+rebuilds it from the producing layer's kept xhat with the forward's own
+ops, so bitwise, just before the conv backward that reads it, and batch
+norm's backward restores xhat itself the same way. So no float array the
+size of a layer output is cached. A training forward keeps no encoder
+activations and frees each layer's input once its conv has read it. The
+conv output z is the buffer of the layer's other steps: the activation
+runs in place on it, batch norm writes xhat into it, and z's buffer then
+shrinks to the kept values; only the batch-norm output is a fresh array.
+backward drops each layer's cache
 entry once its batch norm and activation are differentiated, before its
 conv backward, and every other large array goes after its last read:
 dL/drecon once the output layer's gradient is taken, and each conv
@@ -199,10 +204,10 @@ def _layer_forward(spec: LayerSpec, p: LayerParams, h: np.ndarray, mode: str, ou
     for this layer (see forward), but for its "input", which forward fills.
     h is handed to the conv as a temporary, so a caller that hands it over
     in turn has it freed once the conv has read it. The conv output z is
-    the only layer-sized float array made: the activation runs in place on it
-    and batch norm writes into it (xhat in train mode, its whole output in
-    an eval forward that keeps no cache), so only a train-mode or cached
-    batch norm makes its output afresh.
+    the only layer-sized float array made besides a cached batch norm's
+    output: the activation runs in place on it, and batch norm writes into
+    it (xhat, kept in z's shrunk buffer when cached, or its whole output in
+    an eval forward that keeps no cache).
     """
     handed = [h]
     del h
@@ -210,22 +215,24 @@ def _layer_forward(spec: LayerSpec, p: LayerParams, h: np.ndarray, mode: str, ou
         z = nn.conv3d_forward(handed.pop(), p.w, p.b)
     else:
         z = nn.conv_transpose3d_forward(handed.pop(), p.w, p.b, out_pad)
-    if spec.activation == "relu":
-        act = np.packbits(z > 0.0) if want_cache else None
-        nn.relu_forward(z, out=z)
-    else:
-        act = nn.sigmoid_forward(z, out=z)
+    relu = spec.activation == "relu"
+    act = nn.relu_forward(z, out=z) if relu else nn.sigmoid_forward(z, out=z)
+    # where the activation fired (z > 0 after a relu is z > 0 before it),
+    # packed 8 values a byte: what relu_backward and a cached batch norm read
+    fired = np.packbits(z > 0.0) if want_cache and (relu or spec.batch_norm) else None
     y, bn_cache, running = z, None, None
     if spec.batch_norm:
-        # in place unless the result would be wider than z (a float32 batch)
-        into = z if ((mode == "train" or not want_cache)
-                     and np.result_type(z, p.running_mean) == z.dtype) else None
+        # into z unless the result would be wider than z (a float32 batch)
+        # or z is a cached sigmoid output, which its backward reads
+        into = z if (np.result_type(z, p.running_mean) == z.dtype
+                     and (relu or not want_cache)) else None
         y, bn_cache, rm, rv = nn.batchnorm_forward(
-            z, p.gamma, p.beta, p.running_mean, p.running_var, mode, out=into)
+            z, p.gamma, p.beta, p.running_mean, p.running_var, mode, out=into, fired=fired)
         running = (rm, rv)
     cache = None
     if want_cache:
-        cache = {"act": act, "bn": bn_cache, "beta": p.beta, "out_pad": out_pad}
+        cache = {"act": fired if relu else act, "bn": bn_cache, "beta": p.beta,
+                 "out_pad": out_pad}
     return y, cache, running
 
 
@@ -252,14 +259,16 @@ def forward(model: AEParams, x: np.ndarray, mode: str = "eval", want_cache: bool
                  the default architecture; layer 1 keeps the batch);
       "act"      the relu mask z > 0 packed 8 values a byte (np.packbits),
                  or the sigmoid output;
-      "bn"       batch norm's (xhat, 1/std, gamma), or None;
+      "bn"       batch norm's (xhat, 1/std, gamma), or None; xhat is an
+                 nn.FiredXhat, kept where the activation fired, which
+                 backward restores;
       "beta"     batch norm's beta (the array itself), or None;
       "out_pad"  the transposed conv's output padding, or None.
     cache["running"] holds the updated running statistics (the caller
     decides whether to apply them). The batch-norm output is not kept (nor
-    z, whose buffer holds xhat). Each layer's input but the batch is
-    handed to the layer as a temporary, so it is freed once the conv has
-    read it. backward consumes cache["layers"].
+    z, whose shrunk buffer holds the kept xhat). Each layer's input but the
+    batch is handed to the layer as a temporary, so it is freed once the
+    conv has read it. backward consumes cache["layers"].
     """
     chain = _input_chain(model, x)
     n_enc = len(chain) - 1
@@ -350,20 +359,16 @@ def _loss_impl(recon, target, kind, alpha, want_grad):
 
 def _bn_output(lc) -> np.ndarray:
     """The output gamma * xhat + beta of the batch-norm layer whose cache
-    entry is `lc`, rebuilt with batchnorm_forward's own two ops, so bitwise
-    the forward's output.
+    entry is `lc`, rebuilt from its kept xhat (nn.FiredXhat.output),
+    bitwise the forward's output.
 
-    It is written channel-major, into a C-contiguous (C, N, X, Y, Z) buffer,
-    and returned as that buffer's (N, C, X, Y, Z) view: a transposed conv's
-    weight gradient reads its input as (C, N*X*Y*Z) rows, which are then a
-    view of the buffer, not a copy. A conv's backward copies its input into
-    a padded buffer, which takes either layout."""
+    It is the (N, C, X, Y, Z) view of a C-contiguous (C, N, X, Y, Z)
+    buffer: a transposed conv's weight gradient reads its input as
+    (C, N*X*Y*Z) rows, which are then a view of the buffer, not a copy. A
+    conv's backward copies its input into a padded buffer, which takes
+    either layout."""
     xhat, _, gamma = lc["bn"]
-    shape = (-1, 1, 1, 1, 1)
-    xhat_t = xhat.transpose(1, 0, 2, 3, 4)
-    out = np.multiply(gamma.reshape(shape), xhat_t, out=np.empty(xhat_t.shape, xhat.dtype))
-    out += lc["beta"].reshape(shape)
-    return out.transpose(1, 0, 2, 3, 4)
+    return xhat.output(gamma, lc["beta"])
 
 
 def backward(model: AEParams, cache, dloss_drecon: np.ndarray):
@@ -373,10 +378,11 @@ def backward(model: AEParams, cache, dloss_drecon: np.ndarray):
     last first, the entry is popped from cache["layers"], batch norm and the
     activation are differentiated with it, and it is dropped before the conv
     backward, so its xhat and mask are freed before the conv's buffers are
-    made. A layer whose entry holds no input then reads the previous
-    layer's batch-norm output, rebuilt from the previous entry (still in the
-    cache) just before the conv backward: at most one rebuilt input is
-    alive at a time.
+    made; batch norm's backward restores the kept xhat, freeing the kept
+    values. A layer whose entry holds no input then reads the previous
+    layer's batch-norm output, rebuilt from the previous entry's kept xhat
+    (still in the cache) just before the conv backward: at most one
+    rebuilt input is alive at a time.
 
     Each large array is freed after its last read. backward keeps no
     reference to dloss_drecon past the output layer's activation backward,
@@ -649,10 +655,44 @@ class ActivationSet:
 
     def latent(self) -> np.ndarray:
         """The bottleneck (last encoder layer) activations, (n, C, x, y, z):
-        the input of `decode`. `shapes` is in encoder order and always
-        holds the bottleneck, so its key is the last."""
+        the input of `decode`, assembled into a fresh array."""
+        return self.bottleneck()[:]
+
+    def bottleneck(self) -> "SpilledRows":
+        """The bottleneck activations as rows read from the spill a slice
+        at a time. `shapes` is in encoder order and always holds the
+        bottleneck, so its key is the last."""
         key = list(self.shapes)[-1]
-        return self.matrix(key).reshape(-1, *self.shapes[key])
+        return SpilledRows(self, key)
+
+
+class SpilledRows:
+    """One layer of an ActivationSet as (n, C, x, y, z) rows: `shape`, and
+    `rows[a:b]`, rows a to b read from the spill into a fresh array, one
+    read per column block."""
+
+    def __init__(self, acts: ActivationSet, layer: str):
+        self._acts, self._layer = acts, layer
+        self.shape = (len(acts.subject_ids), *acts.shapes[layer])
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, step = rows.indices(len(self))
+        if step != 1:
+            raise ValueError("spilled rows are read as a contiguous slice")
+        n, p = len(self), self._acts.width(self._layer)
+        count = max(stop - start, 0)
+        out = np.empty((count, p))
+        spill, offset = self._acts._spill, self._acts._offsets[self._layer]
+        for a, b in column_blocks(p):
+            block = np.empty((count, b - a))
+            spill.seek(offset + (n * a + start * (b - a)) * block.itemsize)
+            if spill.readinto(block) != block.nbytes:
+                raise FormatError("activation spill file ends inside a layer")
+            out[:, a:b] = block
+        return out.reshape(count, *self.shape[1:])
 
 
 def spill_rows(spill, offset: int, n: int, start: int, rows: np.ndarray) -> None:

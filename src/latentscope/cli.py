@@ -56,27 +56,25 @@ def _resolve_config(args) -> PipelineConfig:
 
 
 def keep_freed_memory() -> None:
-    """Make glibc malloc reuse the memory a stage frees rather than hand it
-    back to the system.
+    """Fix glibc malloc's thresholds, so a stage's memory use does not
+    depend on which sizes happen to be freed earlier in the process.
 
-    Training steps and encoder batches allocate and free arrays of the same
-    sizes over and over. By default glibc maps a block on its own when it is
-    above a threshold, and returns a free heap top above twice that
-    threshold to the system. The threshold starts at 128 KiB and rises only
-    when a larger mapped block is freed, up to 32 MiB. So under the
-    defaults, whether every step faults its arrays in again depends on
-    which sizes happen to be freed earlier in the process, and each fault
-    costs what the host's free memory and huge pages make it cost. Fixing
-    the thresholds at the values that rule ends at (32 MiB and 64 MiB) lets
-    every step after the first reuse the heap; blocks of 32 MiB and more
-    are still mapped afresh. A no-op off Linux or where the C library has
-    no mallopt.
+    By default glibc maps a block on its own when it is above a threshold,
+    and returns a free heap top above twice that threshold to the system.
+    The threshold starts at 128 KiB and rises, up to 32 MiB, when a larger
+    mapped block is freed. Here the mmap threshold is fixed at 8 MiB and the
+    trim threshold at 64 MiB. Blocks below 8 MiB (every array of a 16^3 or
+    32^3 training step but the largest) reuse the heap step after step. A
+    block of 8 MiB or more is mapped afresh and handed back when freed. On
+    the heap it would leave a hole that stays resident: at 64^3 such holes
+    held some 40 MiB beside a step's live arrays, which set the train
+    stage's peak. A no-op off Linux or where the C library has no mallopt.
     """
     if not sys.platform.startswith("linux"):
         return
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
-        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_MMAP_THRESHOLD, 8 << 20)
         mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 

@@ -37,6 +37,8 @@ from .errors import DependencyError, FormatError, ShapeError
 VOLUME_MAGIC = b"LSVOL1\n"
 ATLAS_MAGIC = b"LSATL1\n"
 LATENT_MAGIC = b"LSLAT1\n"
+# bytes of latent rows that save_latent writes at a time
+LATENT_CHUNK_BYTES = 4 << 20
 
 # refuse grids beyond this value count when parsing headers
 _MAX_VALUES = 2**31
@@ -66,16 +68,29 @@ def _parse_shape(line: bytes, ndim: int) -> tuple[int, ...]:
     return shape
 
 
+def _write_head(f, magic: bytes, shape, header: dict[str, str] | None) -> None:
+    f.write(magic)
+    for key, value in (header or {}).items():
+        f.write(f"{key}={value}\n".encode("ascii"))
+    f.write((" ".join(str(d) for d in shape) + "\n").encode("ascii"))
+
+
+def _write_values(f, arr: np.ndarray, dtype: str, order: str) -> None:
+    """arr's values as `dtype` in `order`: written from arr's own memory
+    where it already has that dtype and layout, else from one copy."""
+    data = np.asarray(arr, dtype=dtype)
+    # F order of data is C order of its transpose
+    data = data.T if order == "F" else data
+    f.write(data if data.flags.c_contiguous else data.tobytes())
+
+
 def _write_grid(path: str, magic: bytes, arr: np.ndarray, dtype: str,
                 order: str = "F", header: dict[str, str] | None = None) -> None:
     """Magic, one `key=value` line per header entry, the shape line, then
     the values in `order` ("F": first axis fastest; "C": last axis fastest)."""
     with open(path, "wb") as f:
-        f.write(magic)
-        for key, value in (header or {}).items():
-            f.write(f"{key}={value}\n".encode("ascii"))
-        f.write((" ".join(str(d) for d in arr.shape) + "\n").encode("ascii"))
-        f.write(np.asarray(arr, dtype=dtype).tobytes(order=order))
+        _write_head(f, magic, arr.shape, header)
+        _write_values(f, arr, dtype, order)
 
 
 def _read_header(f, magic: bytes, dtype: str, ndim: int,
@@ -173,11 +188,18 @@ def load_atlas(path: str) -> AtlasMap:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def save_latent(latent: np.ndarray, params_sha256: str, path: str) -> None:
+def save_latent(latent, params_sha256: str, path: str) -> None:
     """Bottleneck activations (n, C, x, y, z) of the model with hash
-    `params_sha256`."""
-    _write_grid(path, LATENT_MAGIC, latent, "<f8", order="C",
-                header={"params_sha256": params_sha256})
+    `params_sha256`. `latent` has that `shape`, and `latent[a:b]` gives
+    rows a to b as an array: an array itself, or rows read from elsewhere
+    (`ActivationSet.bottleneck`). It is written `LATENT_CHUNK_BYTES` of rows
+    at a time, so the write holds one chunk of rows, never the latent."""
+    n, row_bytes = latent.shape[0], math.prod(latent.shape[1:]) * 8
+    step = max(1, LATENT_CHUNK_BYTES // max(row_bytes, 1))
+    with open(path, "wb") as f:
+        _write_head(f, LATENT_MAGIC, latent.shape, {"params_sha256": params_sha256})
+        for start in range(0, n, step):
+            _write_values(f, latent[start:start + step], "<f8", "C")
 
 
 class LatentFile:

@@ -90,6 +90,7 @@ array of the input's size.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -108,6 +109,9 @@ BN_EPS = 1e-5
 # holds a block, its GEMM product and its tap operand.
 _BLOCK_BYTES = 256 * 1024
 _ROW_ALIGN = 128
+# Bytes of xhat that a FiredXhat packs or rebuilds in one step (see
+# _row_chunks): its scratch, and a few numpy calls per chunk.
+_KEPT_CHUNK_BYTES = 1024 * 1024
 
 
 def conv_out_dim(d: int) -> int:
@@ -125,10 +129,13 @@ def _offsets():
     return itertools.product(range(KERNEL), repeat=3)
 
 
-def _taps(a: np.ndarray, k, dims) -> np.ndarray:
-    """The (N, C, *dims) view of `a` that tap k of a stride-2 kernel reads
-    (or writes) for a grid of size `dims`: every second position from k."""
-    return a[(..., *(slice(o, o + 2 * d - 1, 2) for o, d in zip(k, dims)))]
+@functools.cache
+def _tap_indices(dims: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Per kernel tap k, in _offsets order, the index of the (N, C, *dims)
+    view that tap k of a stride-2 kernel reads (or writes) for a grid of
+    size `dims`: every second position from k. Built once per grid."""
+    return tuple((..., *(slice(o, o + 2 * d - 1, 2) for o, d in zip(k, dims)))
+                 for k in _offsets())
 
 
 def _crop(a: np.ndarray, dims) -> np.ndarray:
@@ -193,11 +200,12 @@ def _rows_view(a: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _copy_taps(src: np.ndarray, k, dims, buf: np.ndarray, axes) -> None:
-    """Copy taps_k(src), transposed by `axes`, into the C-contiguous `buf`
-    of the same size: the GEMM operand _rows (or tensordot) would allocate,
-    in the same layout, without a fresh allocation per tap."""
-    view = _taps(src, k, dims).transpose(axes)
+def _copy_taps(src: np.ndarray, tap, buf: np.ndarray, axes) -> None:
+    """Copy src[tap] (a _tap_indices entry), transposed by `axes`, into the
+    C-contiguous `buf` of the same size: the GEMM operand _rows (or
+    tensordot) would allocate, in the same layout, without a fresh
+    allocation per tap."""
+    view = src[tap].transpose(axes)
     np.copyto(buf.reshape(view.shape), view)
 
 
@@ -253,8 +261,8 @@ def _gather(src_padded: np.ndarray, w: np.ndarray, out, weights_first: bool) -> 
         prod = prod_buf[:c * mb].reshape(acc_shape)
         taps = taps_buf[:ci * mb].reshape(taps_shape)
         src = src_padded[s0:s1, :, 2 * x0:]
-        for k in _offsets():
-            _copy_taps(src, k, grid[1:], taps, axes)
+        for k, tap in zip(_offsets(), _tap_indices(grid[1:])):
+            _copy_taps(src, tap, taps, axes)
             w_k = w[(..., *k)]
             acc += np.dot(w_k, taps, out=prod) if weights_first else np.dot(taps, w_k.T, out=prod)
         if (s1, x1) == (n, out[0]):
@@ -266,26 +274,30 @@ def _gather(src_padded: np.ndarray, w: np.ndarray, out, weights_first: bool) -> 
     return result
 
 
-def _scatter(src: np.ndarray, w: np.ndarray, buf_dims) -> np.ndarray:
+def _scatter(src: np.ndarray, w: np.ndarray, buf_dims):
     """Adjoint of _gather: taps_k(buf) += w[:, :, k]^T . src over w's axis 0,
-    into a zero buffer returned as an (N, w.shape[1], *buf_dims) view.
+    into a zero buffer of (N, w.shape[1], *buf_dims), yielded a block of
+    samples at a time as (s0, s1, block): `block` is samples s0 to s1 of
+    the buffer, a view valid until the next block is taken.
 
-    The buffer is channel last, the layout each tap's product comes out of
-    the GEMM in, and the view keeps that layout: each caller copies the
-    part it needs to C order once. Blocks are whole samples (slabs of one
-    sample would overlap at their edges in the buffer). A block's GEMM
-    operand is its rows of _rows(src), built once per block: where _rows
-    copies (a C-order src), each block copies only its own samples into
-    the same C-contiguous rows a slice of the whole copy would hold; where
-    _rows is a view of src, the block slices that view.
+    Blocks are whole samples (slabs of one sample would overlap at their
+    edges in the buffer), and each sums its taps in one accumulator,
+    channel last, the layout each tap's product comes out of the GEMM in;
+    the view keeps that layout, and each caller copies what it needs of
+    each block to C order, so no buffer of the whole batch is made here. A
+    block's GEMM operand is its rows of _rows(src), built once per block:
+    where _rows copies (a C-order src), each block copies only its own
+    samples into the same C-contiguous rows a slice of the whole copy
+    would hold; where _rows is a view of src, the block slices that view.
     """
     n, dims, ci = src.shape[0], src.shape[2:], w.shape[1]
     dtype = np.result_type(src, w)
     grid = math.prod(dims)
     groups = _sample_groups(n, ci * math.prod(buf_dims) * dtype.itemsize, grid)
-    buf = np.zeros((n, *buf_dims, ci), dtype=src.dtype)
+    most = max(s1 - s0 for s0, s1 in groups)
+    acc_buf = np.empty(most * math.prod(buf_dims) * ci, dtype=src.dtype)
     view = _rows_view(src)
-    prod_buf = np.empty(max(s1 - s0 for s0, s1 in groups) * grid * ci, dtype=dtype)
+    prod_buf = np.empty(most * grid * ci, dtype=dtype)
     for s0, s1 in groups:
         if view is None:  # ascontiguousarray: one sample's _rows is a strided view
             rows = np.ascontiguousarray(_rows(src[s0:s1]))
@@ -293,12 +305,15 @@ def _scatter(src: np.ndarray, w: np.ndarray, buf_dims) -> np.ndarray:
             rows = view[s0 * grid:s1 * grid]
         prod = prod_buf[:(s1 - s0) * grid * ci].reshape(-1, ci)
         contrib = np.moveaxis(prod.reshape(s1 - s0, *dims, ci), -1, 1)
-        block = np.moveaxis(buf[s0:s1], -1, 1)
-        for k in _offsets():
+        block = acc_buf[:(s1 - s0) * math.prod(buf_dims) * ci].reshape(s1 - s0, *buf_dims, ci)
+        block.fill(0)
+        block = np.moveaxis(block, -1, 1)
+        for k, tap in zip(_offsets(), _tap_indices(dims)):
             np.dot(rows, w[(..., *k)], out=prod)
-            _taps(block, k, dims)[...] += contrib
+            acc = block[tap]  # added in place (block[tap][...] += would copy it back)
+            acc += contrib
         del rows  # this block's copy, before the next block makes its own
-    return np.moveaxis(buf, -1, 1)
+        yield s0, s1, block
 
 
 def _weight_grad(a: np.ndarray, src_padded: np.ndarray) -> np.ndarray:
@@ -309,8 +324,8 @@ def _weight_grad(a: np.ndarray, src_padded: np.ndarray) -> np.ndarray:
     dw = np.empty((a.shape[1], cb) + (KERNEL,) * 3, dtype=a.dtype)
     rows_t = a.transpose(1, 0, 2, 3, 4).reshape(a.shape[1], -1)
     rows = np.empty((rows_t.shape[1], cb), dtype=src_padded.dtype)
-    for k in _offsets():
-        _copy_taps(src_padded, k, dims, rows, (0, 2, 3, 4, 1))
+    for k, tap in zip(_offsets(), _tap_indices(dims)):
+        _copy_taps(src_padded, tap, rows, (0, 2, 3, 4, 1))
         dw[(..., *k)] = np.dot(rows_t, rows)
     return dw
 
@@ -334,19 +349,24 @@ def conv3d_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray, input_grad: boo
     """Gradients of sum(g * conv3d_forward(x, w, b)) -> (dx, dw, db); dx is
     None unless input_grad (a first layer has no use for it).
 
-    db, then dw, then dx: x is dropped once dw is taken, and g once dx's
-    buffer is filled, so a caller that passes them as temporaries (holding
-    no reference of its own) has each freed after its last read."""
+    db, then dw, then dx: x is dropped once padded, its padded copy once
+    dw is taken, and g once dx's buffer is filled, so a caller that passes
+    them as temporaries (holding no reference of its own) has each freed
+    after its last read."""
     dims = x.shape[2:]
     padded = [d + 2 for d in dims]
     db = g.sum(axis=(0, 2, 3, 4))
-    dw = _weight_grad(g, _pad(x, padded))
+    x_padded = _pad(x, padded)
     del x
+    dw = _weight_grad(g, x_padded)
+    del x_padded
     if not input_grad:
         return None, dw, db
-    buf = _scatter(g, w, padded)
+    buf = np.empty((g.shape[0], w.shape[1], *padded), dtype=g.dtype)
+    for s0, s1, block in _scatter(g, w, padded):
+        buf[s0:s1] = block
     del g
-    return _crop(np.ascontiguousarray(buf), dims), dw, db
+    return _crop(buf, dims), dw, db
 
 
 def conv_transpose3d_forward(
@@ -357,17 +377,20 @@ def conv_transpose3d_forward(
 ) -> np.ndarray:
     """x (N,Ci,X,Y,Z), w (Ci,Co,3,3,3), b (Co,) -> (N,Co,2X-1+opx,...).
 
+    Each block of samples is copied into the result once its taps are
+    summed (see _scatter), so no padded buffer of the whole batch is made;
     x is dropped once its products are scattered, so a caller that passes
-    it as a temporary has it freed before the result is copied out."""
+    it as a temporary has it freed before the bias is added."""
     ci, dims = x.shape[1], x.shape[2:]
     if w.shape[0] != ci:
         raise ShapeError(f"input channels {ci} != weight in_channels {w.shape[0]}")
     if any(op not in (0, 1) for op in output_padding):
         raise ShapeError(f"output_padding must be 0 or 1 per axis, got {output_padding}")
     out_dims = [transpose_out_dim(d, op) for d, op in zip(dims, output_padding)]
-    buf = _scatter(x, w, [2 * d + 1 for d in dims])
+    out = np.empty((x.shape[0], w.shape[1], *out_dims), dtype=x.dtype)
+    for s0, s1, block in _scatter(x, w, [2 * d + 1 for d in dims]):
+        out[s0:s1] = _crop(block, out_dims)
     del x
-    out = _crop(buf, out_dims).copy()
     out += b[None, :, None, None, None]
     return out
 
@@ -442,44 +465,183 @@ def _sum_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
+def _row_chunks(n: int, c: int, row_bytes: int) -> list[tuple[int, int]]:
+    """The N*C rows (one channel of one sample each, `row_bytes` a row) of
+    an (N, C, X, Y, Z) array cut into ranges of at most _KEPT_CHUNK_BYTES,
+    and at least one row: whole samples where a sample fits, else ranges of
+    channels within one sample."""
+    if c * row_bytes <= _KEPT_CHUNK_BYTES:
+        step = c * (_KEPT_CHUNK_BYTES // (c * row_bytes))
+        return [(r, min(r + step, n * c)) for r in range(0, n * c, step)]
+    step = max(1, _KEPT_CHUNK_BYTES // row_bytes)
+    return [(s * c + a, s * c + min(a + step, c)) for s in range(n) for a in range(0, c, step)]
+
+
+class FiredXhat:
+    """Batch norm's xhat (N, C, X, Y, Z) for an input x that is a relu's
+    (or a sigmoid's) output, kept only where x > 0.
+
+    Everywhere else x is +0.0 (np.maximum writes +0.0 for a -0.0 input, and
+    a sigmoid is never negative), so xhat holds there the one per-channel
+    value, `unfired`, that batchnorm_forward's two ops give a zero input.
+    What is kept is that value, the packed mask np.packbits(x > 0) (x in
+    C order, the mask relu_backward reads too) and the xhat values at the
+    fired positions in C order: about half of xhat's bytes when half the
+    relu's outputs are zero. A NaN input's position counts as unfired, so
+    its xhat is not rebuilt bitwise (a NaN loss stops training before any
+    of it is used).
+
+    The kept values live in xhat's own buffer. Building a FiredXhat moves
+    them to the buffer's front, one chunk of rows (_row_chunks) at a time,
+    and shrinks the buffer to them (ndarray.resize, a realloc: a buffer
+    malloc mapped on its own gives its tail back to the system at once).
+    `restore` grows the buffer back and spreads the values out again, from
+    the last chunk back, so xhat is rebuilt where it was and never exists
+    next to its kept copy; it is the last use. `output` rebuilds batch
+    norm's output. Both are bitwise the forward's.
+    """
+
+    def __init__(self, xhat: np.ndarray, fired: np.ndarray, unfired: np.ndarray):
+        """Keep `xhat`, a C-contiguous array that owns its data, which
+        becomes the kept store: it must not be read afterwards."""
+        self.shape, self.dtype = xhat.shape, xhat.dtype
+        self.fired = fired
+        self.unfired = unfired
+        size = math.prod(self.shape[2:])
+        self._chunks = _row_chunks(self.shape[0], self.shape[1], size * xhat.itemsize)
+        self._counts = []
+        flat = xhat.reshape(-1)
+        kept = 0
+        for r0, r1 in self._chunks:
+            values = np.compress(self._mask(r0, r1), flat[r0 * size:r1 * size])
+            flat[kept:kept + values.size] = values
+            kept += values.size
+            self._counts.append(values.size)
+        del flat, values
+        xhat.resize(kept, refcheck=False)
+        self._kept = xhat
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the kept xhat values (not of the mask); 0 once
+        restored."""
+        return 0 if self._kept is None else self._kept.nbytes
+
+    def _mask(self, r0: int, r1: int) -> np.ndarray:
+        """x > 0 of rows r0 to r1 as a flat bool array, unpacked from their
+        own bits."""
+        size = math.prod(self.shape[2:])
+        start, stop = r0 * size, r1 * size
+        bits = np.unpackbits(self.fired[start // 8:-(-stop // 8)])
+        return bits[start % 8:start % 8 + stop - start].view(np.bool_)
+
+    def _rebuild(self, r0: int, r1: int, values: np.ndarray, into: np.ndarray) -> np.ndarray:
+        """Rows r0 to r1 of xhat, from their kept `values`, into the flat
+        C-contiguous array `into`."""
+        rows = into.reshape(r1 - r0, -1)
+        rows[...] = self.unfired[np.arange(r0, r1) % self.shape[1]].reshape(-1, 1)
+        into[np.flatnonzero(self._mask(r0, r1))] = values
+        return into
+
+    def _starts(self):
+        """Where each chunk's kept values start in the kept store."""
+        return itertools.accumulate(self._counts, initial=0)
+
+    def output(self, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """gamma * xhat + beta, batchnorm_forward's output, with its two
+        ops, so bitwise; written channel-major, into a C-contiguous
+        (C, N, X, Y, Z) buffer, and returned as that buffer's
+        (N, C, X, Y, Z) view. xhat is rebuilt a chunk at a time, in a
+        buffer of one chunk."""
+        if self._kept is None:
+            raise ValueError("this xhat was restored; its kept values are gone")
+        n, c, *dims = self.shape
+        size = math.prod(dims)
+        out = np.empty((c, n, *dims), dtype=np.result_type(gamma, self.dtype))
+        out_rows = out.reshape(c, n, size)
+        buf = np.empty(max(r1 - r0 for r0, r1 in self._chunks) * size, dtype=self.dtype)
+        for (r0, r1), start, count in zip(self._chunks, self._starts(), self._counts):
+            xhat = self._rebuild(r0, r1, self._kept[start:start + count],
+                                 buf[:(r1 - r0) * size])
+            s0, c0 = divmod(r0, c)
+            ns = max(1, (r1 - r0) // c)
+            nc = (r1 - r0) // ns
+            block = out_rows[c0:c0 + nc, s0:s0 + ns].transpose(1, 0, 2)
+            np.multiply(gamma[c0:c0 + nc].reshape(-1, 1), xhat.reshape(block.shape),
+                        out=block)
+            block += beta[c0:c0 + nc].reshape(-1, 1)
+        return out.transpose(1, 0, 2, 3, 4)
+
+    def restore(self) -> np.ndarray:
+        """The C-contiguous xhat, bitwise the one batchnorm_forward made,
+        rebuilt in the kept store's own buffer."""
+        if self._kept is None:
+            raise ValueError("this xhat was restored already")
+        xhat, self._kept = self._kept, None
+        size = math.prod(self.shape[2:])
+        xhat.resize(math.prod(self.shape), refcheck=False)
+        starts = list(self._starts())
+        for (r0, r1), start, count in reversed(list(zip(self._chunks, starts, self._counts))):
+            values = xhat[start:start + count].copy()  # the rows' own place may overlap it
+            self._rebuild(r0, r1, values, xhat[r0 * size:r1 * size])
+        return xhat.reshape(self.shape)
+
+
 def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                       running_mean: np.ndarray, running_var: np.ndarray, mode: str,
-                      out: np.ndarray | None = None):
+                      out: np.ndarray | None = None, fired: np.ndarray | None = None):
     """Per-channel batch norm over (batch, spatial) axes.
 
     Returns (out, cache, new_running_mean, new_running_var). Running stats are
     never mutated in place; train mode returns the updated copies (with the
     unbiased variance, torch-style), eval mode returns the inputs unchanged.
+    The cache is (xhat, 1/std, gamma), for batchnorm_backward.
+
+    `fired`, for an x that is a relu's or a sigmoid's output, is
+    np.packbits(x > 0) of x in C order: the cache then keeps xhat as a
+    FiredXhat, only where x > 0, in xhat's own buffer shrunk to those
+    values, so no array of x's size but the output is left.
 
     Writes: without `out`, nothing passed in is written. With `out` (out=x
-    runs it in place), train mode writes xhat, which the cache keeps, into
-    `out` and returns a fresh output; eval mode writes the output itself
-    into `out` and returns None for the cache (xhat is overwritten), so an
-    eval forward that needs no gradient makes no array of x's size.
+    runs it in place), xhat is written into `out`: train mode, and eval
+    mode with `fired`, keep it in the cache (with `fired`, `out` becomes
+    the FiredXhat's store and must not be read again) and return a fresh
+    output; eval mode without `fired` writes its output into `out` and
+    returns None for the cache (xhat is overwritten), so an eval forward
+    that needs no gradient makes no array of x's size.
     """
     axes = (0, 2, 3, 4)
     shape = (1, -1, 1, 1, 1)
     if mode == "train":
         count = x.shape[0] * x.shape[2] * x.shape[3] * x.shape[4]
-        mu = x.mean(axis=axes)
-        xhat = np.subtract(x, mu.reshape(shape), out=out)
+        centre = x.mean(axis=axes)
+        xhat = np.subtract(x, centre.reshape(shape), out=out)
         # x.var(axis=axes) takes these steps on a centred copy of its own
         var = _sum_of_product(xhat, xhat) / count
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         unbiased = var * count / (count - 1) if count > 1 else var
-        new_rm = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
+        new_rm = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * centre
         new_rv = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * unbiased
     elif mode == "eval":
+        centre = running_mean
         inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
-        xhat = np.subtract(x, running_mean.reshape(shape), out=out)
+        xhat = np.subtract(x, centre.reshape(shape), out=out)
         new_rm, new_rv = running_mean, running_var
     else:
         raise ValueError(f"unknown mode {mode!r}")
     xhat *= inv_std.reshape(shape)
-    in_place = mode == "eval" and out is not None
+    in_place = mode == "eval" and out is not None and fired is None
     y = np.multiply(gamma.reshape(shape), xhat, out=xhat if in_place else None)
     y += beta.reshape(shape)
-    return y, None if in_place else (xhat, inv_std, gamma), new_rm, new_rv
+    if in_place:
+        return y, None, new_rm, new_rv
+    if fired is not None:
+        # xhat's value at x = +0.0, by the same two ops on one zero a channel
+        unfired = np.subtract(np.zeros(x.shape[1], x.dtype), centre,
+                              out=np.empty(x.shape[1], xhat.dtype))
+        unfired *= inv_std
+        xhat = FiredXhat(xhat, fired, unfired)
+    return y, (xhat, inv_std, gamma), new_rm, new_rv
 
 
 def batchnorm_backward(g: np.ndarray, cache, mode: str, out: np.ndarray | None = None):
@@ -494,8 +656,12 @@ def batchnorm_backward(g: np.ndarray, cache, mode: str, out: np.ndarray | None =
     their bits). The two products that feed a reduction, and the last
     product of dx, are formed one sample at a time (see _sum_of_product),
     so the only array of g's size made here is dx, and only without `out`.
+    A FiredXhat in the cache is restored here, in its own buffer
+    (FiredXhat.restore), so the cache serves one backward.
     """
     xhat, inv_std, gamma = cache
+    if isinstance(xhat, FiredXhat):
+        xhat = xhat.restore()
     axes = (0, 2, 3, 4)
     shape = (1, -1, 1, 1, 1)
     dgamma = _sum_of_product(g, xhat)

@@ -302,7 +302,7 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
                                      batch_size=config.train.batch_size,
                                      layers=config.embed.layers,
                                      spill_dir=stage) as acts:
-                save_latent(acts.latent(), params_hash(model),
+                save_latent(acts.bottleneck(), params_hash(model),
                             str(comp_dir / "latent.lat"))
                 for layer in sorted(config.embed.layers, key=acts.width):
                     x = GramLayer(len(subset), acts.width(layer),

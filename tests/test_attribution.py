@@ -442,6 +442,37 @@ class TestReconstructionError:
         assert got == want
         assert peak < os.path.getsize(path)
 
+    def test_frees_each_chunk_before_the_next(self):
+        """Over several chunks the traced peak stays that of one chunk:
+        no chunk's volumes or reconstruction outlive it into the next
+        decode."""
+        import tracemalloc
+
+        from latentscope.autoencoder import init_params
+        from latentscope.data import Cohort
+        from latentscope.phantom import PhantomConfig, generate_phantom_cohort
+
+        cohort = generate_phantom_cohort(PhantomConfig(
+            dims=(16, 16, 16), region_count=4, class_counts={0: 4, 3: 4},
+            effect_spec=[(3, 2, 0.35)], noise_sigma=0.05, smoothness=1.0,
+            seed=3))
+        model = init_params(seed=0)
+        latent = bottleneck(model, cohort)
+        chunk = 2
+
+        def peak(subset, rows):
+            tracemalloc.start()
+            try:
+                total_reconstruction_error(subset, model, rows, chunk=chunk)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(Cohort(cohort.subjects[:chunk], cohort.atlas), latent[:chunk])
+        every = peak(cohort, latent)  # 4 chunks
+        recon_bytes = chunk * 16 ** 3 * 8
+        assert every < one + recon_bytes / 2
+
     def test_latent_file_cut_after_opening_raises(self, small_cohort,
                                                   trained_small, tmp_path):
         from latentscope.autoencoder import params_hash

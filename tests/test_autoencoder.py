@@ -213,18 +213,21 @@ class TestStepMemory:
 
     def test_step_peak_is_pinned(self):
         model, x = self._step_inputs()
-        # 1.70 MiB, mostly the conv kernels' block buffers at this size;
-        # with full-size batch-norm, activation and SSIM scratch it was
-        # 1.84, and a step that also kept the encoder activations, dL/drecon
-        # and each conv input to the end of their callers peaked at 1.98
+        # 1.73 MiB, mostly the conv kernels' block buffers at this size
+        # (1.70 with a dense xhat cached: keeping it only where the relu
+        # fired costs a few small temporaries here); with full-size
+        # batch-norm, activation and SSIM scratch it was 1.84, and a step
+        # that also kept the encoder activations, dL/drecon and each conv
+        # input to the end of their callers peaked at 1.98
         assert self._step_peak(model, x, "combined") < 1.75 * 2**20
-        # at 32^3 the layer outputs dominate: 5.14 MiB for mse, 5.24 for
-        # combined (SSIM runs in a few window-sized buffers); with the
-        # full-size scratch they were 5.75 and 7.60, and with buffers held
-        # past their last reader as well, 7.17 and 9.41
+        # at 32^3 the layer outputs dominate: 5.08 MiB for mse and for
+        # combined (SSIM runs in a few window-sized buffers); with a dense
+        # xhat cached they were 5.14 and 5.24, with the full-size scratch
+        # 5.75 and 7.60, and with buffers held past their last reader as
+        # well, 7.17 and 9.41
         x = np.random.default_rng(2).uniform(size=(2, 1, 32, 32, 32))
-        assert self._step_peak(model, x, "mse") < 5.3 * 2**20
-        assert self._step_peak(model, x, "combined") < 5.4 * 2**20
+        assert self._step_peak(model, x, "mse") < 5.15 * 2**20
+        assert self._step_peak(model, x, "combined") < 5.15 * 2**20
 
     def test_decode_peak_is_pinned(self):
         """An eval decode runs batch norm and the activations in place on
@@ -278,6 +281,8 @@ class TestStepMemory:
         assert [a.shape[1] for a in eval_acts] == [16, 32, 64]
 
     def test_cache_keeps_masks_not_activations(self):
+        from latentscope import nn
+
         model, x = self._step_inputs()
         recon, acts, cache = ae.forward(model, x, "train", want_cache=True)
         layers = cache["layers"]
@@ -289,13 +294,18 @@ class TestStepMemory:
         for spec, p, lc in zip(model.layers, model.params, layers):
             assert set(lc) == {"input", "act", "bn", "beta", "out_pad"}
             if spec.activation == "relu":
-                # the mask z > 0, 8 values a byte
-                xhat = lc["bn"][0]
-                assert lc["act"].dtype == np.uint8 and lc["act"].size == -(-xhat.size // 8)
+                # the mask z > 0, 8 values a byte, which batch norm's kept
+                # xhat shares
+                xhat, inv_std, gamma = lc["bn"]
+                size = np.prod(xhat.shape)
+                assert lc["act"].dtype == np.uint8 and lc["act"].size == -(-size // 8)
+                assert isinstance(xhat, nn.FiredXhat) and xhat.fired is lc["act"]
                 assert lc["beta"] is p.beta
-                # xhat is the only layer-sized float array a layer keeps
-                held = [a for a in (*lc["bn"], lc["beta"]) if a.size == xhat.size]
-                assert len(held) == 1 and held[0] is xhat
+                # no layer-sized float array is kept: xhat only where the
+                # relu fired, which is fewer than every position here
+                fired = np.unpackbits(lc["act"], count=size).sum()
+                assert xhat.nbytes == fired * xhat.dtype.itemsize < size * xhat.dtype.itemsize
+                assert all(a.size < size for a in (inv_std, gamma, lc["beta"]))
             else:
                 assert lc["act"] is recon and lc["bn"] is None and lc["beta"] is None
 
@@ -314,7 +324,9 @@ class TestStepMemory:
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_backward_rebuilds_each_input_bitwise(monkeypatch, mode, dims):
     """Every conv backward reads bitwise the input its forward read: the
-    batch for layer 1, a rebuilt batch-norm output for the rest. The
+    batch for layer 1, a rebuilt batch-norm output for the rest; and every
+    batch-norm backward the xhat its forward made, restored from the
+    cache's nn.FiredXhat. The
     transposed convs get it channel-major, so the weight gradient's
     (C, N*X*Y*Z) rows are a view, and the gradients are those of the
     forward's own inputs. 17 x 19 x 23 makes the decoder use output
@@ -356,11 +368,31 @@ def test_backward_rebuilds_each_input_bitwise(monkeypatch, mode, dims):
     for name in ("conv3d_backward", "conv_transpose3d_backward"):
         monkeypatch.setattr(nn, name, backward_recorder(name))
     monkeypatch.setattr(nn, "_weight_grad", weight_grad)
+    # each cached xhat as batch norm made it, and as its backward restored it
+    kept, restored = [], []
+    fired_init, fired_restore = nn.FiredXhat.__init__, nn.FiredXhat.restore
+
+    def keep(self, xhat, *args):
+        kept.append(xhat.copy())
+        fired_init(self, xhat, *args)
+
+    def restore(self):
+        restored.append(fired_restore(self))
+        return restored[-1]
+
+    monkeypatch.setattr(nn.FiredXhat, "__init__", keep)
+    monkeypatch.setattr(nn.FiredXhat, "restore", restore)
 
     recon, _, cache = ae.forward(model, x, mode, want_cache=True)
+    assert all(isinstance(lc["bn"][0], nn.FiredXhat)
+               for lc, spec in zip(cache["layers"], model.layers) if spec.batch_norm)
     _, drecon = ae.loss_and_grad(recon, x, "mse")
     grads = ae.backward(model, cache, drecon)
     monkeypatch.undo()
+
+    assert len(kept) == len(restored) == sum(spec.batch_norm for spec in model.layers)
+    for want, got in zip(kept, reversed(restored)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     assert len(bwd_calls) == len(fwd_inputs) == len(model.layers)
     for i, (name, g, h, args, kwargs) in zip(range(len(model.layers) - 1, -1, -1),
@@ -547,6 +579,31 @@ class TestActivations:
         assert latent.shape == (3, 8, 2, 2, 2)
         assert latent.tobytes() == acts[1].tobytes()
         assert ae.decode(model, latent, (6, 7, 6)).tobytes() == recon.tobytes()
+
+    def test_latent_file_is_written_from_the_spill_a_chunk_at_a_time(
+            self, small_cohort, trained_small, tmp_path, monkeypatch):
+        """`save_latent` of the spilled bottleneck writes the bytes of the
+        assembled latent, and peaks below one latent: it holds one chunk of
+        rows, here 3 of the cohort's 24."""
+        import tracemalloc
+
+        from latentscope import fileio
+
+        model, _ = trained_small
+        with ae.extract_activations(model, small_cohort, layers=()) as acts:
+            latent = acts.latent()
+            rows = acts.bottleneck()
+            assert rows.shape == latent.shape and len(rows) == len(small_cohort)
+            monkeypatch.setattr(fileio, "LATENT_CHUNK_BYTES", 3 * latent[0].nbytes)
+            fileio.save_latent(latent, "ab" * 32, str(tmp_path / "whole.lat"))
+            tracemalloc.start()
+            try:
+                fileio.save_latent(rows, "ab" * 32, str(tmp_path / "spilled.lat"))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "spilled.lat").read_bytes() == (tmp_path / "whole.lat").read_bytes()
+        assert peak < latent.nbytes / 2
 
     def test_unknown_layer_key(self, small_cohort, trained_small):
         model, _ = trained_small

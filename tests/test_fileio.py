@@ -365,6 +365,23 @@ def test_latent_round_trip_and_layout(tmp_path):
     assert back.shape == LATENT.shape and back.tobytes() == LATENT.tobytes()
 
 
+def test_latent_array_is_written_without_a_copy(tmp_path):
+    """A C-contiguous float64 latent is written from its own memory: the
+    write's traced peak stays far below the array."""
+    import tracemalloc
+
+    latent = np.random.default_rng(0).uniform(size=(16, 8, 4, 4, 4))
+    tracemalloc.start()
+    try:
+        save_latent(latent, HASH, str(tmp_path / "latent.lat"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    back, _ = load_latent(str(tmp_path / "latent.lat"))
+    assert back.tobytes() == latent.tobytes()
+    assert peak < latent.nbytes / 4
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d[:-3],                                        # truncated
     lambda d: d + b"\x00",                                   # trailing byte

@@ -766,3 +766,49 @@ def test_conv_kernels_do_not_call_one_another(monkeypatch):
     kernels["conv3d_backward"](y, x, w, input_grad=False)
     z = kernels["conv_transpose3d_forward"](y, w, np.zeros(2), (1, 1, 1))
     kernels["conv_transpose3d_backward"](z, y, w, (1, 1, 1))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("shape", [(3, 3, 4, 5, 6), (8, 4, 9, 8, 7), (2, 3, 48, 48, 48)])
+def test_fired_xhat_restores_the_forward_bitwise(mode, shape):
+    """With `fired`, batch norm keeps xhat only where the relu fired (a
+    FiredXhat): its output, the rebuilt output and the restored xhat are
+    bitwise the reference's, and so are the gradients. Channel 0 fires
+    everywhere, channel 1 nowhere, and the conv output holds -0.0, which
+    the relu maps to +0.0. The last shape cuts each sample into chunks of
+    channels, the others put whole samples in a chunk."""
+    rng, z, params = _bn_case(shape, mode, seed=2)
+    z[:, 0] = np.abs(z[:, 0]) + 0.5
+    z[:, 1] = -np.abs(z[:, 1])
+    z[:, 2, ..., 0] = -0.0
+    x = relu_forward(z)
+    assert not np.signbit(x).any()
+    ref_out, ref_cache, ref_rm, ref_rv = _ref_batchnorm_forward(x, *params, mode)
+    fired = np.packbits(x > 0)
+    out, cache, rm, rv = batchnorm_forward(x.copy(), *params, mode, out=None, fired=fired)
+    _assert_all_equal([out, rm, rv, *cache[1:]], [ref_out, ref_rm, ref_rv, *ref_cache[1:]])
+    kept = cache[0]
+    assert isinstance(kept, nn.FiredXhat) and kept.fired is fired
+    assert kept.nbytes == np.count_nonzero(x > 0) * 8 < x.nbytes
+    rebuilt = kept.output(params[0], params[1])
+    assert rebuilt.transpose(1, 0, 2, 3, 4).flags.c_contiguous
+    _assert_all_equal([rebuilt], [ref_out])
+    g = rng.normal(size=shape)
+    want = _ref_batchnorm_backward(g, ref_cache, mode)
+    got = batchnorm_backward(g, cache, mode)
+    _assert_all_equal(got, want)
+    assert kept.nbytes == 0  # restored: the kept values are freed
+
+
+def test_fired_xhat_in_place_keeps_xhat_in_its_own_buffer():
+    """out=x with `fired`: xhat is written into x's buffer, which then
+    shrinks to the fired positions' values, the FiredXhat's store; the
+    output is fresh, and both keep the reference's bits."""
+    _, z, params = _bn_case((4, 3, 5, 6, 7), "train", seed=3)
+    x = relu_forward(z)
+    ref_out, ref_cache, _, _ = _ref_batchnorm_forward(x, *params, "train")
+    buf = x.copy()
+    out, cache, _, _ = batchnorm_forward(buf, *params, "train", out=buf,
+                                         fired=np.packbits(x > 0))
+    assert buf.size == np.count_nonzero(x > 0) and cache[0].nbytes == buf.nbytes
+    _assert_all_equal([out, cache[0].restore()], [ref_out, ref_cache[0]])

@@ -494,17 +494,25 @@ def test_paper_grid_config_is_the_probe():
 
 def test_step_peak_script_reports_each_phase():
     """scripts/step_peak.py prints the step's peak and one line per phase,
-    each with a positive size and a latentscope call site."""
+    each with a positive size and a latentscope call site, then per relu +
+    batch-norm layer the dense and kept xhat and the relu's zero share."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "step_peak.py"
     out = subprocess.run([sys.executable, str(script), "12x10x14", "combined",
                           "--batch", "2"], capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    head, *phases = out.stdout.splitlines()
+    head, *phases, cache_head = out.stdout.splitlines()[:5]
     assert head.startswith("grid 12x10x14, batch 2, loss combined: step peak")
     assert [line.split()[0] for line in phases] == ["forward", "loss", "backward"]
     for line in phases:
         size, site = line.split()[1], line.split(" at ", 1)[1]
         assert float(size) > 0 and ".py:" in site
+    assert cache_head.startswith("cache per relu + batch-norm layer")
+    layers = out.stdout.splitlines()[5:]
+    assert [line.split()[0] for line in layers] == ["L1", "L2", "L3", "T1", "T2"]
+    for line in layers:
+        words = line.split()
+        dense, kept, share = float(words[1]), float(words[3]), float(words[-1])
+        assert 0 <= kept <= dense and 0 <= share <= 1
 
 
 def test_step_peak_script_lists_the_sites_of_each_phase():
