@@ -174,3 +174,15 @@ class GramLayer:
             self._d2 = gram_sq_dists(self.gram_standardized)
             self._d2.flags.writeable = False
         return self._d2
+
+
+def layer_group(layers: dict, seeds: dict[str, int] | None,
+                method: str) -> tuple[dict[str, GramLayer], dict[str, int], int]:
+    """The layers of a group of fits (name -> layer or array) as
+    `GramLayer`s, each fit's seed (default 0) and their one row count."""
+    grams = {name: GramLayer.of(x) for name, x in layers.items()}
+    sizes = sorted({g.shape[0] for g in grams.values()})
+    if len(sizes) != 1:
+        raise ShapeError(f"{method} layers fitted together need one row "
+                         f"count, got {sizes}")
+    return grams, {name: (seeds or {}).get(name, 0) for name in grams}, sizes[0]

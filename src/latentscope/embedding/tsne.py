@@ -37,6 +37,27 @@ values and `kl_history` are the same bits as that form gives:
   divide, log, multiply and sum over it: the terms and the summation of
   `kl_divergence(P, Q)`, which stays the public reference.
 
+`tsne_embed_many` runs fits of one row count in lockstep: one loop over
+arrays with a leading fit axis, P, `num` and `q` (g, n, n) and `y`
+(g, n, dims). Each fit keeps its own generator, affinities, perplexity
+lowering, jitter, notes and `kl_history`, and each element still gets the
+operations above in their order; `tsne_embed` is a group of one. These
+stacked forms keep the bits of the 2-D ones:
+- a stacked `np.matmul` makes one BLAS call per matrix, the syrk for
+  `y @ y.T` (the `out=` form again) and the gemm for `pq @ y`;
+- the per-fit total `num.sum(axis=(1, 2))` and the row sums `axis=2` reduce
+  the same contiguous runs as the 2-D `sum()` and `axis=1`, and the centring
+  `mean(axis=1)` adds each fit's rows in order, as the 2-D `axis=0` does;
+- each fit's diagonal is a strided slice of its flattened matrix, and the
+  KL checkpoint runs per fit.
+The gain is per-call cost: an iteration is about 25 numpy calls on n x n
+arrays, and a group makes them once for all its fits. A group takes as
+many fits as keep one stacked (g, n, n) float64 array within
+`_GROUP_BYTES` = 512 KiB, so that the loop's four such arrays (P, 12 P,
+`num`, `q`) fit a 2 MiB L2, the rule `nn._BLOCK_BYTES` follows. At n = 80
+three fits run together; at n = 240 each runs alone, because there three
+lockstep fits ran 6-35 % slower than one at a time, out of cache.
+
 The perplexity bisection runs over all rows at once, and a row leaves it
 once its entropy is close enough. Each row gets the bits of the same steps
 on that row alone: `exp` and the divisions are elementwise, the row totals
@@ -52,13 +73,16 @@ import warnings
 import numpy as np
 
 from ..errors import ConfigError, DegenerateInputError, NumericError
-from .common import EmbeddingMatrix, GramLayer, gram_sq_dists
+from .common import EmbeddingMatrix, GramLayer, gram_sq_dists, layer_group
 
 EXAGGERATION = 12.0
 EXAGGERATION_ITERS = 250
 MOMENTUM_EARLY = 0.5
 MOMENTUM_LATE = 0.8
 _BISECT_TRIES = 50
+# lockstep fits are grouped so that one stacked (g, n, n) float64 array stays
+# within this: the loop's four of them (P, 12 P, num, q) then fit a 2 MiB L2
+_GROUP_BYTES = 512 * 1024
 
 
 def entropy_and_probs(d2_rows: np.ndarray, beta: np.ndarray):
@@ -135,6 +159,147 @@ def _kl_on_support(p_support: np.ndarray, q: np.ndarray, support: np.ndarray,
     return float(out.sum())
 
 
+def _affinities(grams: GramLayer, perplexity: float, rng: np.random.Generator,
+                notes: list[str]) -> np.ndarray:
+    """The symmetrized affinities P of one fit, from the layer's distances,
+    or from jittered ones (drawn from `rng`) where two rows coincide."""
+    n = grams.shape[0]
+    d2 = grams.sq_dists()
+    off_diag = d2[~np.eye(n, dtype=bool)]
+    if (off_diag == 0.0).any():
+        # duplicate points: deterministic seeded jitter at 1e-10 scale, added
+        # to the blocks as read, so the layer and its distances stay as they are
+        notes.append("duplicate_points_jittered")
+        gram = np.zeros((n, n))
+        for _, _, xs in grams.standardized_blocks():
+            xs += rng.normal(0.0, 1e-10, size=xs.shape)
+            gram += xs @ xs.T
+        d2 = gram_sq_dists(gram)
+    p_cond = conditional_probabilities(d2, perplexity)
+    return (p_cond + p_cond.T) / (2.0 * n)
+
+
+def _set_diagonals(a: np.ndarray, values) -> None:
+    """Write `values` onto the diagonal of each matrix of the (g, n, n) `a`."""
+    n = a.shape[1]
+    a.reshape(a.shape[0], n * n)[:, :: n + 1] = values
+
+
+def _optimise(p: np.ndarray, rngs: list[np.random.Generator], dims: int,
+              lr: float, iters: int, kl_every: int):
+    """Gradient descent of a group of fits in lockstep: `p` stacks their
+    affinities, (g, n, n), and fit i starts from `rngs[i]`'s draws. Returns
+    the (g, n, dims) embeddings and the (g, checkpoints) KL history."""
+    g, n = p.shape[:2]
+    p_exaggerated = p * EXAGGERATION
+    supports = [np.flatnonzero(p_i > 0) for p_i in p]
+    p_supports = [p_i.reshape(-1)[s] for p_i, s in zip(p, supports)]
+
+    y = np.stack([rng.normal(0.0, 1e-4, size=(n, dims)) for rng in rngs])
+    velocity = np.zeros_like(y)
+    # per-coordinate adaptive gains as in the reference optimizer: grow while
+    # the gradient keeps opposing the velocity (steady descent), shrink when
+    # they align (overshoot), never below 0.01
+    gains = np.ones_like(y)
+    kl_history = np.zeros((g, -(-iters // kl_every)))
+    num = np.empty((g, n, n))
+    q = np.empty((g, n, n))
+    kl_terms = np.empty(max(s.size for s in supports))
+    for it in range(iters):
+        p_eff = p_exaggerated if it < EXAGGERATION_ITERS else p
+        momentum = MOMENTUM_EARLY if it < EXAGGERATION_ITERS else MOMENTUM_LATE
+        # num = 1 / (1 + pairwise_sq_dists(y)) with a zero diagonal
+        sq = (y * y).sum(axis=2)
+        np.matmul(y, y.transpose(0, 2, 1), out=q)
+        np.multiply(q, 2.0, out=q)
+        np.add(sq[:, :, None], sq[:, None, :], out=num)
+        np.subtract(num, q, out=num)
+        np.maximum(num, 0.0, out=num)
+        np.add(num, 1.0, out=num)
+        np.divide(1.0, num, out=num)
+        _set_diagonals(num, 0.0)
+        np.divide(num, num.sum(axis=(1, 2))[:, None, None], out=q)
+        np.maximum(q, 1e-12, out=q)
+        if (it + 1) % kl_every == 0 or it == iters - 1:
+            for i, (s, p_s) in enumerate(zip(supports, p_supports)):
+                kl_history[i, it // kl_every] = _kl_on_support(
+                    p_s, q[i], s, kl_terms[:s.size])
+        # pq = (P - Q) * num, then 4 (diag(row sums) - pq), in q's buffer
+        pq = q
+        np.subtract(p_eff, q, out=pq)
+        np.multiply(pq, num, out=pq)
+        row_sums = pq.sum(axis=2)
+        np.subtract(0.0, pq, out=pq)
+        _set_diagonals(pq, row_sums)
+        np.multiply(pq, 4.0, out=pq)
+        grad = np.matmul(pq, y)
+        if not np.isfinite(grad).all():
+            raise NumericError(f"non-finite t-SNE gradient at iteration {it}")
+        opposed = np.sign(grad) != np.sign(velocity)
+        gains = np.where(opposed, gains + 0.2, gains * 0.8)
+        np.clip(gains, 0.01, None, out=gains)
+        velocity = momentum * velocity - lr * (gains * grad)
+        y += velocity
+        y -= y.mean(axis=1)[:, None, :]
+    return y, kl_history
+
+
+def tsne_embed_many(layers: dict[str, np.ndarray | GramLayer],
+                    seeds: dict[str, int] | None = None, dims: int = 3,
+                    perplexity: float = 30.0, lr: float = 200.0,
+                    iters: int = 1000, subject_ids: list[str] | None = None,
+                    kl_every: int = 1) -> list[EmbeddingMatrix]:
+    """t-SNE of each of `layers` (name -> layer, all of the same n rows),
+    fit with its own seed (`seeds[name]`, default 0), in the layers'
+    order; each embedding is the bits `tsne_embed` gives that layer alone.
+
+    The fits run in lockstep groups of consecutive layers, as many as keep
+    one stacked n x n array within `_GROUP_BYTES`."""
+    if kl_every < 1:
+        raise ConfigError(f"t-SNE kl_every must be >= 1, got {kl_every}")
+    grams, seeds, n = layer_group(layers, seeds, "t-SNE")
+    if n < 4:
+        raise DegenerateInputError(f"t-SNE needs at least 4 rows, got {n}")
+    notes = []
+    if n <= 3 * perplexity:
+        lowered = (n - 1) // 3
+        warnings.warn(
+            f"perplexity {perplexity} too large for n={n}; lowered to {lowered}"
+        )
+        notes.append(f"perplexity_lowered_from={perplexity}")
+        perplexity = float(lowered)
+    names = list(grams)
+    group = max(1, _GROUP_BYTES // (8 * n * n))  # float64 (g, n, n)
+    embeddings = []
+    for start in range(0, len(names), group):
+        fits = names[start:start + group]
+        rngs = [np.random.default_rng(seeds[name]) for name in fits]
+        fit_notes = [list(notes) for _ in fits]
+        p = np.stack([_affinities(grams[name], perplexity, rng, fit_note)
+                      for name, rng, fit_note in zip(fits, rngs, fit_notes)])
+        y, kl_history = _optimise(p, rngs, dims, lr, iters, kl_every)
+        del p
+        for i, name in enumerate(fits):
+            embeddings.append(EmbeddingMatrix(
+                method="tsne",
+                layer=name,
+                values=y[i],
+                subject_ids=subject_ids,
+                metadata={
+                    "perplexity": perplexity,
+                    "lr": lr,
+                    "iters": iters,
+                    "seed": seeds[name],
+                    "exaggeration": EXAGGERATION,
+                    "exaggeration_iters": EXAGGERATION_ITERS,
+                    "kl_every": kl_every,
+                    "kl_history": kl_history[i],
+                    "notes": fit_notes[i],
+                },
+            ))
+    return embeddings
+
+
 def tsne_embed(x: np.ndarray | GramLayer, dims: int = 3,
                perplexity: float = 30.0, lr: float = 200.0, iters: int = 1000,
                seed: int = 0, subject_ids: list[str] | None = None,
@@ -149,101 +314,6 @@ def tsne_embed(x: np.ndarray | GramLayer, dims: int = 3,
     `kl_history` holds KL(P||Q) after iterations `kl_every`,
     `2 * kl_every`, ... and after the last one: `ceil(iters / kl_every)`
     values, each the same bits as at that iteration with `kl_every=1`."""
-    if kl_every < 1:
-        raise ConfigError(f"t-SNE kl_every must be >= 1, got {kl_every}")
-    grams = GramLayer.of(x)
-    n = grams.shape[0]
-    if n < 4:
-        raise DegenerateInputError(f"t-SNE needs at least 4 rows, got {n}")
-    notes = []
-    if n <= 3 * perplexity:
-        lowered = (n - 1) // 3
-        warnings.warn(
-            f"perplexity {perplexity} too large for n={n}; lowered to {lowered}"
-        )
-        notes.append(f"perplexity_lowered_from={perplexity}")
-        perplexity = float(lowered)
-    rng = np.random.default_rng(seed)
-
-    d2 = grams.sq_dists()
-    off_diag = d2[~np.eye(n, dtype=bool)]
-    if (off_diag == 0.0).any():
-        # duplicate points: deterministic seeded jitter at 1e-10 scale, added
-        # to the blocks as read, so the layer and its distances stay as they are
-        notes.append("duplicate_points_jittered")
-        gram = np.zeros((n, n))
-        for _, _, xs in grams.standardized_blocks():
-            xs += rng.normal(0.0, 1e-10, size=xs.shape)
-            gram += xs @ xs.T
-        d2 = gram_sq_dists(gram)
-
-    p_cond = conditional_probabilities(d2, perplexity)
-    p = (p_cond + p_cond.T) / (2.0 * n)
-    p_exaggerated = p * EXAGGERATION
-    support = np.flatnonzero(p > 0)
-    p_support = p.reshape(-1)[support]
-
-    y = rng.normal(0.0, 1e-4, size=(n, dims))
-    velocity = np.zeros_like(y)
-    # per-coordinate adaptive gains as in the reference optimizer: grow while
-    # the gradient keeps opposing the velocity (steady descent), shrink when
-    # they align (overshoot), never below 0.01
-    gains = np.ones_like(y)
-    kl_history = np.zeros(-(-iters // kl_every))
-    num = np.empty((n, n))
-    q = np.empty((n, n))
-    kl_terms = np.empty(support.size)
-    for it in range(iters):
-        p_eff = p_exaggerated if it < EXAGGERATION_ITERS else p
-        momentum = MOMENTUM_EARLY if it < EXAGGERATION_ITERS else MOMENTUM_LATE
-        # num = 1 / (1 + pairwise_sq_dists(y)) with a zero diagonal
-        sq = (y * y).sum(axis=1)
-        np.matmul(y, y.T, out=q)
-        np.multiply(q, 2.0, out=q)
-        num[:] = sq[:, None]
-        np.add(num, sq, out=num)
-        np.subtract(num, q, out=num)
-        np.maximum(num, 0.0, out=num)
-        np.add(num, 1.0, out=num)
-        np.divide(1.0, num, out=num)
-        np.fill_diagonal(num, 0.0)
-        np.divide(num, num.sum(), out=q)
-        np.maximum(q, 1e-12, out=q)
-        if (it + 1) % kl_every == 0 or it == iters - 1:
-            kl_history[it // kl_every] = _kl_on_support(p_support, q, support,
-                                                        kl_terms)
-        # pq = (P - Q) * num, then 4 (diag(row sums) - pq), in q's buffer
-        pq = q
-        np.subtract(p_eff, q, out=pq)
-        np.multiply(pq, num, out=pq)
-        row_sums = pq.sum(axis=1)
-        np.subtract(0.0, pq, out=pq)
-        np.fill_diagonal(pq, row_sums)
-        np.multiply(pq, 4.0, out=pq)
-        grad = pq @ y
-        if not np.isfinite(grad).all():
-            raise NumericError(f"non-finite t-SNE gradient at iteration {it}")
-        opposed = np.sign(grad) != np.sign(velocity)
-        gains = np.where(opposed, gains + 0.2, gains * 0.8)
-        np.clip(gains, 0.01, None, out=gains)
-        velocity = momentum * velocity - lr * (gains * grad)
-        y += velocity
-        y -= y.mean(axis=0)
-
-    return EmbeddingMatrix(
-        method="tsne",
-        layer=layer,
-        values=y,
-        subject_ids=subject_ids,
-        metadata={
-            "perplexity": perplexity,
-            "lr": lr,
-            "iters": iters,
-            "seed": seed,
-            "exaggeration": EXAGGERATION,
-            "exaggeration_iters": EXAGGERATION_ITERS,
-            "kl_every": kl_every,
-            "kl_history": kl_history,
-            "notes": notes,
-        },
-    )
+    return tsne_embed_many({layer: x}, {layer: seed}, dims=dims,
+                           perplexity=perplexity, lr=lr, iters=iters,
+                           subject_ids=subject_ids, kl_every=kl_every)[0]

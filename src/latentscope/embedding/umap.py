@@ -59,6 +59,21 @@ hold its bits:
 - The RNG draws one `integers` block per epoch with active edges; any other
   call sequence changes every later sample.
 
+`umap_embed_many` fits layers of one row count in one epoch loop; a lone
+`umap_embed` is a group of one. The loop sees g fits as one graph of g * n
+points: fit i's point r is column i * n + r of `yt`, and fit i's edges
+follow those of fit i - 1. Each fit keeps its own generator, fuzzy graph,
+`epochs_per_sample` and notes, and (a, b) is fitted once. Every array op
+of a round is elementwise or per column, so the concatenated active edges
+give each fit's columns the bits its own edges give them alone, and the
+one flat `add.at` over the fits' concatenated indices updates each element
+only from its own fit's heads, in their order. Only the negative draws are
+split: in each epoch, each fit with active edges draws one `integers`
+block for them from its own generator, offset into its columns, so a
+target is never another fit's point. All of a comparison's layers go in
+one group: a round's arrays hold a few numbers per active edge, and three
+lockstep fits at n = 240 took as long as one at a time.
+
 The bandwidth bisection runs over all points at once, and a point leaves it
 once its sum is close enough; each row's `exp`, its `axis=1` sum and its
 mean are the bits of the same calls on that row alone.
@@ -71,7 +86,7 @@ import warnings
 import numpy as np
 
 from ..errors import DegenerateInputError, NumericError
-from .common import EmbeddingMatrix, GramLayer
+from .common import EmbeddingMatrix, GramLayer, layer_group
 from .minpack import lmdif
 
 _SMOOTH_ITERS = 64
@@ -154,9 +169,10 @@ def fuzzy_graph(d2: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, list[str]
     n = d2.shape[0]
     notes = []
     d = np.sqrt(d2)
-    order = np.argsort(d, axis=1, kind="stable")
-    # column 0 is the point itself (distance 0)
-    neigh = order[:, 1 : n_neighbors + 1]
+    # the point itself is no neighbour: sorted last, the other points keep
+    # their stable order, and a duplicate row is found by both its copies
+    np.fill_diagonal(d, np.inf)
+    neigh = np.argsort(d, axis=1, kind="stable")[:, :n_neighbors]
     knn_dists = np.take_along_axis(d, neigh, axis=1)
     rho, sigma = smooth_knn_calibration(knn_dists)
     a_dir = np.zeros((n, n))
@@ -218,33 +234,46 @@ def _repel(yt: np.ndarray, h: np.ndarray, h_flat: np.ndarray, targets: np.ndarra
     _add_rows(yt, h_flat, _clipped_step(coef, diff, alpha))
 
 
-def umap_embed(x: np.ndarray | GramLayer, dims: int = 3,
-               n_neighbors: int = 15, min_dist: float = 0.1, epochs: int = 500,
-               seed: int = 0, subject_ids: list[str] | None = None,
-               layer: str = "L3") -> EmbeddingMatrix:
-    """UMAP of the rows of `x`, a layer the caller shares between fits or
-    an array, read in column blocks; it reads the layer's `sq_dists()`."""
-    grams = GramLayer.of(x)
-    n = grams.shape[0]
+def umap_embed_many(layers: dict[str, np.ndarray | GramLayer],
+                    seeds: dict[str, int] | None = None, dims: int = 3,
+                    n_neighbors: int = 15, min_dist: float = 0.1,
+                    epochs: int = 500,
+                    subject_ids: list[str] | None = None) -> list[EmbeddingMatrix]:
+    """UMAP of each of `layers` (name -> layer, all of the same n rows),
+    fit with its own seed (`seeds[name]`, default 0), in the layers'
+    order, all in one epoch loop; each embedding is the bits `umap_embed`
+    gives that layer alone."""
+    grams, seeds, n = layer_group(layers, seeds, "UMAP")
     if n <= n_neighbors:
         raise DegenerateInputError(
             f"UMAP needs n > n_neighbors, got n={n}, n_neighbors={n_neighbors}"
         )
-    rng = np.random.default_rng(seed)
-    graph, notes = fuzzy_graph(grams.sq_dists(), n_neighbors)
+    rngs, notes, heads, tails, epochs_per_sample = [], [], [], [], []
+    for i, name in enumerate(grams):
+        rngs.append(np.random.default_rng(seeds[name]))
+        graph, fit_notes = fuzzy_graph(grams[name].sq_dists(), n_neighbors)
+        notes.append(fit_notes)
+        h, t = np.nonzero(graph)
+        weights = graph[h, t]
+        heads.append(h + i * n)
+        tails.append(t + i * n)
+        epochs_per_sample.append(weights.max() / weights)
+        del graph
     a, b = fit_ab(min_dist)
 
-    heads, tails = np.nonzero(graph)
-    weights = graph[heads, tails]
-    epochs_per_sample = weights.max() / weights
+    edge_bounds = np.cumsum([0] + [h.size for h in heads])
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    epochs_per_sample = np.concatenate(epochs_per_sample)
     next_sample = epochs_per_sample.copy()
 
-    head_flat = _flat_rows(heads, n, dims)
+    points = len(rngs) * n
+    head_flat = _flat_rows(heads, points, dims)
     attract = -2.0 * a * b
     attract_power = b - 1.0
 
-    # feature-major: yt[c, i] is coordinate c of point i
-    yt = np.ascontiguousarray(rng.uniform(-10.0, 10.0, size=(n, dims)).T)
+    # feature-major: yt[c, i * n + r] is coordinate c of fit i's point r
+    yt = np.ascontiguousarray(np.concatenate(
+        [rng.uniform(-10.0, 10.0, size=(n, dims)) for rng in rngs]).T)
     for epoch in range(1, epochs + 1):
         alpha = 1.0 - (epoch - 1) / epochs
         active = np.flatnonzero(next_sample <= epoch)
@@ -259,28 +288,43 @@ def umap_embed(x: np.ndarray | GramLayer, dims: int = 3,
                 1.0 + a * d2[pos] ** b
             )
             _add_rows(yt, h_flat, _clipped_step(coef, diff, alpha))
-            # negative samples: uniformly random targets, repulsive push on
-            # heads; a target equal to its head moves nothing (see above)
-            neg_targets = rng.integers(0, n, size=(h.size, NEGATIVE_RATE))
+            # negative samples: uniformly random targets among the fit's own
+            # points, repulsive push on heads; a target equal to its head
+            # moves nothing (see above)
+            counts = np.diff(np.searchsorted(active, edge_bounds))
+            neg_targets = np.concatenate([
+                rng.integers(0, n, size=(count, NEGATIVE_RATE)) + i * n
+                for i, (rng, count) in enumerate(zip(rngs, counts)) if count])
             for targets in neg_targets.T:
                 _repel(yt, h, h_flat, targets, a, b, alpha)
             next_sample[active] += epochs_per_sample.take(active)
         if not np.isfinite(yt).all():
             raise NumericError(f"non-finite UMAP embedding at epoch {epoch}")
 
-    return EmbeddingMatrix(
+    return [EmbeddingMatrix(
         method="umap",
-        layer=layer,
-        values=np.ascontiguousarray(yt.T),
+        layer=name,
+        values=np.ascontiguousarray(yt[:, i * n:(i + 1) * n].T),
         subject_ids=subject_ids,
         metadata={
             "n_neighbors": n_neighbors,
             "min_dist": min_dist,
             "epochs": epochs,
             "negative_rate": NEGATIVE_RATE,
-            "seed": seed,
+            "seed": seeds[name],
             "a": a,
             "b": b,
-            "notes": notes,
+            "notes": notes[i],
         },
-    )
+    ) for i, name in enumerate(grams)]
+
+
+def umap_embed(x: np.ndarray | GramLayer, dims: int = 3,
+               n_neighbors: int = 15, min_dist: float = 0.1, epochs: int = 500,
+               seed: int = 0, subject_ids: list[str] | None = None,
+               layer: str = "L3") -> EmbeddingMatrix:
+    """UMAP of the rows of `x`, a layer the caller shares between fits or
+    an array, read in column blocks; it reads the layer's `sq_dists()`."""
+    return umap_embed_many({layer: x}, {layer: seed}, dims=dims,
+                           n_neighbors=n_neighbors, min_dist=min_dist,
+                           epochs=epochs, subject_ids=subject_ids)[0]

@@ -232,7 +232,10 @@ def _gather(src_padded: np.ndarray, w: np.ndarray, out, weights_first: bool) -> 
 
     weights_first sets the GEMM operand order of each tap's product: BLAS
     rounds A @ B and (B.T @ A.T).T differently for most shapes, and each
-    caller keeps the order its artifacts were first computed in. Each block
+    caller keeps the order its artifacts were first computed in, except
+    where the inner dimension is 1 (w.shape[1] == 1): each product element
+    is then one rounded multiply in either order, so a caller may take the
+    faster rows-first order with the same bits. Each block
     sums its 27 taps in an accumulator with that GEMM's own 2-D layout,
     (C, Mb) or (Mb, C) with Mb the block's batch-and-grid size, which is
     then transposed into the result.
@@ -340,7 +343,8 @@ def conv3d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"input channels {ci} != weight in_channels {w.shape[1]}")
     padded = _pad(x, [d + 2 for d in dims])
     del x
-    out = _gather(padded, w, [conv_out_dim(d) for d in dims], True)
+    # rows first at one input channel: the same bits (see _gather), faster
+    out = _gather(padded, w, [conv_out_dim(d) for d in dims], ci > 1)
     out += b[None, :, None, None, None]
     return out
 

@@ -293,37 +293,42 @@ def run_embed(config: PipelineConfig, out_dir, force: bool = False) -> Path:
             comp_dir.mkdir(parents=True, exist_ok=True)
             # The activations go to an anonymous file in the stage directory,
             # which leaving the `with` block deletes, on success or error.
-            # Each layer is read back in column blocks just before its fits,
-            # smallest first (L3, L2, L1 for the trained encoder): one pass
-            # builds the n x n Gram matrices all four methods share, and
-            # each fit that needs feature-space outputs reads the blocks
-            # again. Embed holds one block at a time, never a layer matrix.
+            # Each layer is read back in column blocks, smallest first (L3,
+            # L2, L1 for the trained encoder): one pass builds the n x n Gram
+            # matrices all four methods share, and each fit that needs
+            # feature-space outputs reads the blocks again. Embed holds the
+            # comparison's layers in subject space and one block at a time,
+            # never a layer matrix; t-SNE and UMAP fit the layers together.
             with extract_activations(model, subset,
                                      batch_size=config.train.batch_size,
                                      layers=config.embed.layers,
                                      spill_dir=stage) as acts:
                 save_latent(acts.bottleneck(), params_hash(model),
                             str(comp_dir / "latent.lat"))
-                for layer in sorted(config.embed.layers, key=acts.width):
-                    x = GramLayer(len(subset), acts.width(layer),
-                                  partial(acts.blocks, layer))
-                    for method in config.embed.methods:
-                        emb = embed_once(
-                            x, method,
-                            seed=derive_seed(config.seed, "embed", name, method, layer),
-                            labels=labels if method == "pls" else None,
-                            subject_ids=subset.subject_ids, layer=layer,
-                            dims=config.embed.components,
-                            **hyper.get(method, {}))
-                        base = comp_dir / f"{method}_{layer}"
+                layers = {layer: GramLayer(len(subset), acts.width(layer),
+                                           partial(acts.blocks, layer))
+                          for layer in sorted(config.embed.layers, key=acts.width)}
+                for method in config.embed.methods:
+                    embeddings = embed_once(
+                        layers, method,
+                        seeds={layer: derive_seed(config.seed, "embed", name,
+                                                  method, layer)
+                               for layer in layers},
+                        labels=labels if method == "pls" else None,
+                        subject_ids=subset.subject_ids,
+                        dims=config.embed.components,
+                        **hyper.get(method, {}))
+                    for emb in embeddings:
+                        base = comp_dir / f"{method}_{emb.layer}"
                         write_csv(str(base.with_suffix(".csv")),
                                   _embedding_columns(emb.n_components),
-                                  [(sid, method, layer, *row)
+                                  [(sid, method, emb.layer, *row)
                                    for sid, row in zip(emb.subject_ids, emb.values)],
                                   comments=_hash_comment(config))
                         meta = _metadata_lines(emb.metadata)
                         base.with_suffix(".meta").write_text(
                             "\n".join(meta) + "\n", encoding="utf-8")
+                del layers  # freed before the next comparison builds its own
     return stage
 
 

@@ -111,9 +111,9 @@ def _spilled(x, batch):
 
 
 def _fit(x, method, labels):
-    return embed_once(x, method, seed=11, layer="L1",
+    return embed_once({"L1": x}, method, seeds={"L1": 11},
                       labels=labels if method == "pls" else None,
-                      **HYPER.get(method, {}))
+                      **HYPER.get(method, {}))[0]
 
 
 def _bits(emb):
@@ -219,7 +219,7 @@ def test_jitter_leaves_the_layer_and_its_distances_as_they_are():
     layer = GramLayer.of(x)
     d2 = layer.sq_dists()
     before = d2.tobytes(), layer.gram_standardized.tobytes()
-    emb = embed_once(layer, "tsne", perplexity=3.0, iters=20)
+    emb, = embed_once({"L3": layer}, "tsne", perplexity=3.0, iters=20)
     assert emb.metadata["notes"] == ["duplicate_points_jittered"]
     assert layer.sq_dists() is d2
     assert (d2.tobytes(), layer.gram_standardized.tobytes()) == before

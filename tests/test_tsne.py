@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from latentscope.embedding import tsne
 from latentscope.embedding.common import GramLayer, pairwise_sq_dists
 from latentscope.embedding.tsne import (
     _BISECT_TRIES,
@@ -15,8 +16,9 @@ from latentscope.embedding.tsne import (
     kl_divergence,
     perplexity_of,
     tsne_embed,
+    tsne_embed_many,
 )
-from latentscope.errors import ConfigError, DegenerateInputError
+from latentscope.errors import ConfigError, DegenerateInputError, ShapeError
 
 from conftest import _ref_standardize, cluster_margin, two_clusters
 
@@ -353,3 +355,77 @@ class TestVectorisedBisection:
         want, _ = self._same_bytes(pairwise_sq_dists(x), 1.0)
         np.testing.assert_array_equal(want.sum(axis=1) == 0.0,
                                       [False] + [True] * 6 + [False])
+
+
+def _fit_bits(emb):
+    """The bytes of a fit's values and of every metadata entry."""
+    meta = {k: np.asarray(v).tobytes() if isinstance(v, np.ndarray) else v
+            for k, v in emb.metadata.items()}
+    return emb.layer, emb.values.tobytes(), meta
+
+
+def _lockstep_layers():
+    """Three layers of 24 rows and different widths; the second has a
+    duplicate row. At n = 24 the default perplexity is lowered."""
+    rng = np.random.default_rng(31)
+    dup = rng.normal(size=(24, 6))
+    dup[9] = dup[4]
+    return ({"L3": rng.normal(size=(24, 5)), "L2": dup,
+             "L1": rng.normal(size=(24, 1100))},
+            {"L3": 1, "L2": 2, "L1": 3})
+
+
+@pytest.fixture
+def group_sizes(monkeypatch):
+    """The number of fits of each lockstep group `tsne_embed_many` runs."""
+    sizes = []
+    optimise = tsne._optimise
+
+    def spying(p, *args):
+        sizes.append(p.shape[0])
+        return optimise(p, *args)
+
+    monkeypatch.setattr(tsne, "_optimise", spying)
+    return sizes
+
+
+class TestLockstep:
+    """`tsne_embed_many` fits its layers in lockstep groups and gives each
+    the bits of `tsne_embed` on that layer alone."""
+
+    def _both(self, **hyper):
+        layers, seeds = _lockstep_layers()
+        with pytest.warns(UserWarning, match="perplexity"):
+            group = [_fit_bits(emb) for emb in tsne_embed_many(layers, seeds, **hyper)]
+            alone = [_fit_bits(tsne_embed(x, seed=seeds[name], layer=name, **hyper))
+                     for name, x in layers.items()]
+        return group, alone
+
+    def test_group_equals_fits_one_at_a_time(self, group_sizes):
+        group, alone = self._both(iters=120, kl_every=7)
+        assert group_sizes[0] == 3
+        assert group == alone
+        assert group[1][2]["notes"] == ["perplexity_lowered_from=30.0",
+                                        "duplicate_points_jittered"]
+        assert group[0][2]["notes"] == ["perplexity_lowered_from=30.0"]
+
+    def test_byte_budget_splits_the_group(self, monkeypatch, group_sizes):
+        monkeypatch.setattr(tsne, "_GROUP_BYTES", 2 * 24 * 24 * 8 + 8)
+        group, alone = self._both(dims=2, iters=60)
+        assert group_sizes[:2] == [2, 1]
+        assert group == alone
+
+    def test_budget_runs_cohort_sized_fits_alone(self, group_sizes):
+        x = np.random.default_rng(9).normal(size=(240, 4))
+        tsne_embed_many({"L3": x, "L2": x * 2.0}, iters=2)
+        assert group_sizes == [1, 1]
+        with pytest.warns(UserWarning, match="perplexity"):
+            tsne_embed_many({"L3": x[:80], "L2": x[:80] * 2.0, "L1": x[:80] + 1.0},
+                            iters=2)
+        assert group_sizes == [1, 1, 3]
+
+    def test_layers_need_one_row_count(self):
+        rng = np.random.default_rng(10)
+        with pytest.raises(ShapeError, match="row count"):
+            tsne_embed_many({"L3": rng.normal(size=(12, 3)),
+                             "L2": rng.normal(size=(13, 3))}, perplexity=3.0)

@@ -21,8 +21,9 @@ from latentscope.embedding.umap import (
     low_dim_curve,
     smooth_knn_calibration,
     umap_embed,
+    umap_embed_many,
 )
-from latentscope.errors import DegenerateInputError, NumericError
+from latentscope.errors import DegenerateInputError, NumericError, ShapeError
 
 from conftest import _ref_standardize, cluster_margin, two_clusters
 
@@ -54,6 +55,24 @@ class TestFuzzyGraph:
         np.fill_diagonal(d2, np.inf)
         for i in range(25):
             assert graph[i, np.argmin(d2[i])] == pytest.approx(1.0, abs=1e-12)
+
+    def test_duplicate_row_is_no_neighbour_of_itself(self):
+        # the later copy of a duplicated row used to sort itself first
+        # among its zero distances and take itself as a neighbour: a
+        # self-loop of weight 1, and one real neighbour lost
+        x = np.random.default_rng(4).normal(size=(12, 4))
+        x[5] = x[2]
+        k = 4
+        # distances by differences, so the copies are exactly 0 apart
+        d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        graph, _ = fuzzy_graph(d2, n_neighbors=k)
+        np.testing.assert_array_equal(np.diag(graph), np.zeros(12))
+        others = d2 + np.diag(np.full(12, np.inf))
+        for i in range(12):
+            nearest = np.argsort(others[i], kind="stable")[:k]
+            assert i not in nearest
+            assert (graph[i, nearest] > 0.0).all()
+        assert graph[2, 5] == graph[5, 2] == 1.0
 
     def test_disconnected_graph_warns(self):
         rng = np.random.default_rng(3)
@@ -377,3 +396,35 @@ class TestPinnedBits:
         assert emb.metadata["notes"] == []
         assert hashlib.sha256(emb.values.tobytes()).hexdigest() == (
             "8f5b9fad3b0e26cfcc7efa6471ea45e11801ca17f41bcaf39e3dae5cdbe5d1a1")
+
+
+class TestLockstep:
+    """`umap_embed_many` fits all its layers in one epoch loop and gives
+    each the bits of `umap_embed` on that layer alone."""
+
+    @staticmethod
+    def _bits(emb):
+        return emb.layer, emb.values.tobytes(), emb.metadata
+
+    def test_group_equals_fits_one_at_a_time(self):
+        rng = np.random.default_rng(41)
+        apart = rng.normal(size=(30, 3)) * 0.01
+        apart[15:] += 1000.0
+        layers = {"L3": apart, "L2": rng.normal(size=(30, 40)),
+                  "L1": rng.normal(size=(30, 1100))}
+        seeds = {"L3": 4, "L2": 5, "L1": 6}
+        with pytest.warns(UserWarning, match="disconnected"):
+            group = [self._bits(emb) for emb in umap_embed_many(
+                layers, seeds, n_neighbors=5, epochs=60)]
+            alone = [self._bits(umap_embed(x, n_neighbors=5, epochs=60,
+                                           seed=seeds[name], layer=name))
+                     for name, x in layers.items()]
+        assert group == alone
+        assert [meta["notes"] for _, _, meta in group] == [
+            ["disconnected_graph"], [], []]
+
+    def test_layers_need_one_row_count(self):
+        rng = np.random.default_rng(42)
+        with pytest.raises(ShapeError, match="row count"):
+            umap_embed_many({"L3": rng.normal(size=(12, 3)),
+                             "L2": rng.normal(size=(13, 3))}, n_neighbors=4)
